@@ -2,8 +2,9 @@
 and CSV/JSON emission.
 
 Subcommands: verify, zeta, heat, euler, graphs.  Exit code 0 on success, 1
-when a verification fails, 2 on usage errors.  Output is deterministic for a
-given invocation.  BZK_THREADS caps the per-root parallelism of verify.
+when a verification fails, 2 on usage errors and on an eigensolver that fails
+its exact cross-check.  Output is deterministic for a given invocation.
+BZK_THREADS caps the per-root parallelism of verify.
 """
 
 import argparse
@@ -60,6 +61,15 @@ class SystemExit2(Exception):
     """Usage error surfaced with exit code 2."""
 
 
+def _vertex(g, value, flag):
+    """value, checked to name a vertex of g (None passes through)."""
+    if value is not None and not 0 <= value < g.vertex_count:
+        raise SystemExit2(
+            f"{flag} {value} is not a vertex of {g.label} (0..{g.vertex_count - 1})"
+        )
+    return value
+
+
 def _emit(args, payload):
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out_file:
@@ -95,7 +105,8 @@ def _series_payload(series):
 def cmd_verify(args):
     g = _resolve_graph(args)
     order = args.order
-    roots = [args.root] if args.root is not None else list(range(g.vertex_count))
+    root = _vertex(g, args.root, "--root")
+    roots = [root] if root is not None else list(range(g.vertex_count))
     results = [check_series_inverse_identity(g, order).to_json()]
 
     def per_root(x0):
@@ -137,8 +148,8 @@ def cmd_verify(args):
 
 def cmd_zeta(args):
     g = _resolve_graph(args)
-    x0 = args.root
-    x = args.target if args.target is not None else x0
+    x0 = _vertex(g, args.root, "--root")
+    x = _vertex(g, args.target, "--target") if args.target is not None else x0
     order = args.order
     routes = ["log", "rhs", "euler", "spectral"] if args.route == "all" else [args.route]
     payload = {"schema": SCHEMA, "graph": g.label, "root": x0, "target": x,
@@ -166,11 +177,11 @@ def cmd_zeta(args):
             else:
                 cap = 0.8 / alpha(g, abs(t))
                 u_values = [cap * k / 4.0 for k in range(1, 5)]
+            reference = zetamod.zeta_log_series(g, x0, x, max(order, 20))
             points = []
             for u in u_values:
                 record = zetamod.zeta_spectral_report(g, x0, x, u, t)
-                reference = zetamod.zeta_log_series(g, x0, x, max(order, 20)).evaluate(t, u)
-                record["log_series_value"] = reference
+                record["log_series_value"] = reference.evaluate(t, u)
                 points.append(record)
             payload["routes"]["spectral"] = {"points": points}
     if len(series_by_route) > 1:
@@ -194,12 +205,11 @@ def cmd_zeta(args):
 
 def cmd_heat(args):
     g = _resolve_graph(args)
-    x0 = args.root
-    x = args.target if args.target is not None else x0
+    x0 = _vertex(g, args.root, "--root")
+    x = _vertex(g, args.target, "--target") if args.target is not None else x0
     lo, hi, count = args.tau_grid
     taus = [lo + (hi - lo) * k / (count - 1) if count > 1 else lo for k in range(count)]
     rows = []
-    worst = 0.0
     for tau in taus:
         vb = vs = ""
         tail = 0.0
@@ -210,8 +220,6 @@ def cmd_heat(args):
         if args.route in ("spectral", "both"):
             vs = heatmod.heat_kernel_spectral(g, x0, x, tau).value
         diff = abs(vb - vs) if args.route == "both" else ""
-        if args.route == "both":
-            worst = max(worst, diff)
         rows.append((tau, vb, vs, diff, tail))
     _emit_csv(args, ["tau", "value_bessel", "value_spectral", "abs_diff", "tail_bound"], rows)
     return 0
@@ -219,6 +227,7 @@ def cmd_heat(args):
 
 def cmd_euler(args):
     g = _resolve_graph(args)
+    _vertex(g, args.root, "--root")
     series = zetamod.euler_product_series(g, args.root, args.order)
     payload = {"schema": SCHEMA, "graph": g.label, "root": args.root,
                "order": args.order, "series": _series_payload(series)}
@@ -316,7 +325,7 @@ def main(argv=None):
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (graphmod.GraphError, ValueError) as exc:
+    except (graphmod.GraphError, ValueError, zetamod.EigensolverFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,8 @@ import numpy as np
 
 from .graphs import operators
 from .operators import alpha
-from .zeta import DomainError, EigensolverFailure, NotRegular, _eigh_cached, local_spectrum
+from .zeta import (DomainError, EigensolverFailure, NotRegular, _eigh_cached,
+                   _require_regular, local_spectrum)
 
 
 class ParameterDomain(DomainError):
@@ -134,7 +135,7 @@ def _walk_matrix_table(g, t, count):
 
 
 def _check_bessel_domain(g, t):
-    q = _regular_q(g)
+    q = _require_regular(g)
     if not -1.0 < t < 1.0:
         raise ParameterDomain("need |t| < 1")
     if (1.0 - t) * (q + t) <= 0.0:
@@ -152,13 +153,6 @@ def series_weight(j, q, t):
     if j == 0:
         return 1.0
     return -(q - 1.0 + 2.0 * t) / (1.0 - t)
-
-
-def _regular_q(g):
-    q_plus_1 = g.regular_degree()
-    if q_plus_1 is None:
-        raise NotRegular(f"{g.label} is not regular")
-    return q_plus_1 - 1
 
 
 def heat_kernel_bessel(g, x0, x, tau, t=0.0, tol=1e-8):

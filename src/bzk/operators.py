@@ -7,6 +7,7 @@ identities coefficient by coefficient in exact arithmetic.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .paths import rooted_closed_tallies
 from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_T, TPOLY_ZERO, OperatorPoly,
@@ -130,13 +131,18 @@ def r_values(g, order, *, interpretation="diagonal", cms=None):
     Returns a list indexed by m of per-vertex TPoly lists; m <= 2 rows are
     zero (empty outer sum).
     """
-    if cms is None:
-        cms = cm_sequence(g, max(order - 2, 0))
-    n = g.vertex_count
-    zero_row = [TPOLY_ZERO] * n
     if order < 3:
-        return [list(zero_row) for _ in range(order + 1)]
+        return [[TPOLY_ZERO] * g.vertex_count for _ in range(order + 1)]
+    if cms is None:
+        cms = cm_sequence(g, order - 2)
     deltas = [_delta_values(g, cms[k], interpretation) for k in range(order - 1)]
+    return _r_double_sum(deltas, g.vertex_count, order)
+
+
+def _r_double_sum(deltas, n, order):
+    """R_0..R_order by the double sum of r_values, from the defect rows
+    deltas[k][x] = [Laplacian defect of C_k](x), k <= order - 2."""
+    zero_row = [TPOLY_ZERO] * n
     one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
     one_minus_t2 = TPoly((1, 0, -1))
     # a_j = sum_{i=1}^{j} (1-t)^(2(j-i)) (1-t^2)^(i-1)
@@ -144,7 +150,7 @@ def r_values(g, order, *, interpretation="diagonal", cms=None):
     max_j = (order + 1) // 2
     for j in range(2, max_j + 1):
         a.append(a[-1] * one_minus_t_sq + one_minus_t2 ** (j - 1))
-    out = [list(zero_row), list(zero_row), list(zero_row)]
+    out = [list(zero_row) for _ in range(min(order + 1, 3))]
     for m in range(3, order + 1):
         row = []
         top = (m + 1) // 2 - 1
@@ -157,6 +163,45 @@ def r_values(g, order, *, interpretation="diagonal", cms=None):
             row.append(acc)
         out.append(row)
     return out
+
+
+@dataclass(frozen=True)
+class WalkTable:
+    """Per-vertex walk data of one graph for every length m <= order.
+
+    diag[m][x] = C_m(x, x), delta[m][x] = [Laplacian defect of C_m](x) and
+    r[m][x] = R_m(x), each a tuple of per-vertex TPoly tuples.  Only these
+    rows are kept, not the walk matrices they come from.
+    """
+
+    order: int
+    diag: tuple
+    delta: tuple
+    r: tuple
+
+
+@lru_cache(maxsize=16)
+def walk_table(g, order):
+    """The WalkTable of g through the given order, from one cm_sequence.
+
+    R_m comes from its generating recursion
+    R_m = DC_{m-2} + ((1-t)^2 + (1-t^2)) R_{m-2} - (1-t)^2 (1-t^2) R_{m-4},
+    which equals the double sum of r_values.
+    """
+    cms = cm_sequence(g, order)
+    diag = tuple(tuple(c.diag()) for c in cms)
+    delta = tuple(tuple(delta_diag(g, c)) for c in cms)
+    one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
+    one_minus_t2 = TPoly((1, 0, -1))
+    mix = one_minus_t_sq + one_minus_t2
+    prod = one_minus_t_sq * one_minus_t2
+    zero_row = (TPOLY_ZERO,) * g.vertex_count
+    r = [zero_row] * min(order + 1, 3)
+    for m in range(3, order + 1):
+        older = r[m - 4] if m >= 4 else zero_row
+        r.append(tuple(d + mix * b - prod * a
+                       for d, b, a in zip(delta[m - 2], r[m - 2], older)))
+    return WalkTable(order=order, diag=diag, delta=delta, r=tuple(r))
 
 
 def r_m(g, m, *, interpretation="diagonal"):
@@ -261,10 +306,10 @@ def check_no_tail_identity(g, x0, order, *, strict=False):
     if order < 4:
         raise ValueError("order must be >= 4")
     _, _, notail = rooted_closed_tallies(g, x0, order)
-    cms = cm_sequence(g, order)
+    table = walk_table(g, order)
     deg = g.degrees[x0]
-    c_terms = [cms[m].entry(x0, x0) for m in range(order + 1)]
-    d_terms = [delta_diag(g, cms[m])[x0] for m in range(order + 1)]
+    c_terms = [row[x0] for row in table.diag]
+    d_terms = [row[x0] for row in table.delta]
     n_series = _series_from(order, notail)
     c_series = _series_from(order, c_terms)
     d_series = _series_from(order, d_terms)
@@ -281,12 +326,11 @@ def check_no_tail_identity(g, x0, order, *, strict=False):
     if diff:
         failures.append({"display": "series", **diff})
 
-    rv = r_values(g, order)
     for m in range(3, order + 1):
         acc = TPOLY_ZERO
         for j in range(1, (m + 1) // 2):
             acc = acc + ONE_MINUS_T ** (2 * (j - 1)) * c_terms[m - 2 * j]
-        rhs_m = c_terms[m] - TPoly((deg - 2, 2)) * acc + rv[m][x0]
+        rhs_m = c_terms[m] - TPoly((deg - 2, 2)) * acc + table.r[m][x0]
         if m % 2 == 0:
             rhs_m = rhs_m - ONE_MINUS_T ** (m - 2) * TPoly((0, deg))
         if notail[m] != rhs_m:
@@ -308,10 +352,18 @@ def check_cyclic_bump_identity(g, x0, order, *, interpretation="diagonal", stric
     if order < 4:
         raise ValueError("order must be >= 4")
     cbc_all, _, _ = rooted_closed_tallies(g, x0, order)
-    cms = cm_sequence(g, order)
     deg = g.degrees[x0]
-    c_terms = [cms[m].entry(x0, x0) for m in range(order + 1)]
-    d_terms = [_delta_values(g, cms[m], interpretation)[x0] for m in range(order + 1)]
+    if interpretation == "diagonal":
+        table = walk_table(g, order)
+        c_terms = [row[x0] for row in table.diag]
+        d_terms = [row[x0] for row in table.delta]
+        r_terms = [row[x0] for row in table.r]
+    else:
+        cms = cm_sequence(g, order)
+        c_terms = [cms[m].entry(x0, x0) for m in range(order + 1)]
+        d_terms = [_delta_values(g, cms[m], interpretation)[x0] for m in range(order + 1)]
+        r_terms = [row[x0] for row in r_values(g, order, interpretation=interpretation,
+                                               cms=cms)]
     cbc_series = _series_from(order, cbc_all)
     c_series = _series_from(order, c_terms)
     d_series = _series_from(order, d_terms)
@@ -341,12 +393,11 @@ def check_cyclic_bump_identity(g, x0, order, *, interpretation="diagonal", stric
     if diff:
         failures.append({"display": "series", **diff})
 
-    rv = r_values(g, order, interpretation=interpretation)
     for m in range(3, order + 1):
         acc = TPOLY_ZERO
         for j in range(1, (m + 1) // 2):
             acc = acc + ONE_MINUS_T ** (2 * j - 1) * c_terms[m - 2 * j]
-        rhs_m = c_terms[m] - TPoly((deg - 2, 2)) * acc + ONE_MINUS_T * rv[m][x0]
+        rhs_m = c_terms[m] - TPoly((deg - 2, 2)) * acc + ONE_MINUS_T * r_terms[m]
         if m % 2 == 0:
             rhs_m = rhs_m - ONE_MINUS_T ** (m - 1) * TPoly((0, deg))
         if cbc_all[m] != rhs_m:
@@ -405,9 +456,14 @@ def check_r_generating_identity(g, x0, order, *, interpretation="diagonal", stri
     sum_m R_m(x0) u^m = u^2 / ((1-(1-t)^2 u^2)(1-(1-t^2)u^2)) * DC(u)."""
     if order < 3:
         raise ValueError("order must be >= 3")
-    cms = cm_sequence(g, order)
-    rv = r_values(g, order, interpretation=interpretation, cms=cms)
-    d_terms = [_delta_values(g, cms[m], interpretation)[x0] for m in range(order + 1)]
+    if interpretation == "diagonal":
+        deltas = walk_table(g, order).delta
+    else:
+        cms = cm_sequence(g, order)
+        deltas = [_delta_values(g, cms[m], interpretation) for m in range(order + 1)]
+    # the double sum, not the table's recursion, so the check stays independent
+    rv = _r_double_sum(deltas, g.vertex_count, order)
+    d_terms = [row[x0] for row in deltas]
     r_series = _series_from(order, [row[x0] for row in rv])
     d_series = _series_from(order, d_terms)
     one_minus_t2 = TPoly((1, 0, -1))

@@ -15,8 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import operators
-from .operators import (adjacency_poly, alpha, cm_sequence, delta_diag,
-                        qxt_poly, r_values)
+from .operators import adjacency_poly, alpha, cm_sequence, qxt_poly, walk_table
 from .paths import primitive_rooted_closed_paths
 from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_T, TPOLY_ZERO,
                      OperatorPoly, OperatorSeries, TPoly, USeries)
@@ -42,40 +41,33 @@ def cbc_entries(g, x0, x, order):
     """Cyclic-bump operator entries (x0, x) for every length m <= order.
 
     Same values as cm_cbc(g, m)[x0, x], computed through row-level
-    recursions so large orders stay cheap.
+    recursions so large orders stay cheap.  The rooted entries (x = x0) read
+    the graph's walk table; the defect and valency terms are diagonal, so
+    they enter only there.
     """
-    cms = cm_sequence(g, order)
     deg = g.degrees[x0]
-    one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
-    one_minus_t2 = TPoly((1, 0, -1))
     diagonal = x == x0
+    if diagonal:
+        table = walk_table(g, order)
+        c = [row[x0] for row in table.diag]
+        r = [row[x0] for row in table.r]
+    else:
+        c = [cm.entry(x0, x) for cm in cm_sequence(g, order)]
+    one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
 
     # s[m] = sum_{j>=1} (1-t)^(2j-1) C_{m-2j}[x0, x]
-    entries = [TPOLY_ZERO] * (order + 1)
-    if order >= 0:
-        entries[0] = cms[0].entry(x0, x)
-    if order >= 1:
-        entries[1] = cms[1].entry(x0, x)
+    entries = list(c)
     if order >= 2:
-        entries[2] = cms[2].entry(x0, x) * TPOLY_T
+        entries[2] = c[2] * TPOLY_T
     s_prev2, s_prev1 = TPOLY_ZERO, TPOLY_ZERO  # s[1], s[2]
-    if diagonal:
-        # R_m via its generating recursion:
-        # R_m = DC_{m-2} + ((1-t)^2 + (1-t^2)) R_{m-2} - (1-t)^2 (1-t^2) R_{m-4}
-        dvals = [delta_diag(g, cms[k])[x0] for k in range(max(order - 1, 0))]
-        r_prev = [TPOLY_ZERO] * 4  # R_{m-4}..R_{m-1} rolling
-        mix = one_minus_t_sq + one_minus_t2
-        prod = one_minus_t_sq * one_minus_t2
     dfac = TPoly((deg - 2, 2))
     for m in range(3, order + 1):
-        s_m = ONE_MINUS_T * cms[m - 2].entry(x0, x) + one_minus_t_sq * s_prev2
-        ent = cms[m].entry(x0, x) - dfac * s_m
+        s_m = ONE_MINUS_T * c[m - 2] + one_minus_t_sq * s_prev2
+        ent = c[m] - dfac * s_m
         if diagonal:
-            r_m = dvals[m - 2] + mix * r_prev[2] - prod * r_prev[0]
-            ent = ent + ONE_MINUS_T * r_m
+            ent = ent + ONE_MINUS_T * r[m]
             if m % 2 == 0:
                 ent = ent - ONE_MINUS_T ** (m - 1) * TPoly((0, deg))
-            r_prev = [r_prev[1], r_prev[2], r_prev[3], r_m]
         entries[m] = ent
         s_prev2, s_prev1 = s_prev1, s_m
     return entries
@@ -121,6 +113,14 @@ def _commutator_matrix(g):
         [adjacency[i][j] * (valency[j][j] - valency[i][i]) for j in range(n)]
         for i in range(n)
     ]
+
+
+def _c2_entry(g, x0, x, order):
+    """C_2(x0, x); the rooted entry comes from the walk table of the given
+    order (at least 2)."""
+    if x == x0:
+        return walk_table(g, max(order, 2)).diag[2][x0]
+    return cm_sequence(g, 2)[2].entry(x0, x)
 
 
 def zeta_formula_series(g, x0, x, order):
@@ -184,7 +184,7 @@ def zeta_formula_series(g, x0, x, order):
         factor_comm = one
 
     # exp([t D - C_2](x0, x) / 2 * (1-t) u^2)
-    c2 = cm_sequence(g, 2)[2].entry(x0, x)
+    c2 = _c2_entry(g, x0, x, order)
     correction = (TPoly((0, deg)) if x == x0 else TPOLY_ZERO) - c2
     factor_c2 = USeries(
         order, [TPOLY_ZERO, TPOLY_ZERO, correction * ONE_MINUS_T * Fraction(1, 2)]
@@ -192,10 +192,10 @@ def zeta_formula_series(g, x0, x, order):
 
     # exp(sum_{m>=3} (1-t) R_m(x0) / m u^m); the defect operator is diagonal
     if x == x0 and order >= 3:
-        rv = r_values(g, order)
+        r = walk_table(g, order).r
         coeffs = [TPOLY_ZERO] * (order + 1)
         for m in range(3, order + 1):
-            coeffs[m] = ONE_MINUS_T * rv[m][x0] * Fraction(1, m)
+            coeffs[m] = ONE_MINUS_T * r[m][x0] * Fraction(1, m)
         factor_defect = USeries(order, coeffs).exp()
     else:
         factor_defect = one
@@ -416,7 +416,16 @@ def _eigh_cached(g):
     return w, v
 
 
-def _grouped_spectrum(g, gap=1e-8):
+@lru_cache(maxsize=32)
+def _verified_spectrum(g, gap=1e-8):
+    """The cached eigendecomposition of the Laplacian, grouped into distinct
+    eigenvalues: (eigenvectors, groups, eigenvalues, multiplicities), where
+    groups[i] is the column range of eigenvalues[i].
+
+    On graphs with at most 10 vertices the numeric eigenvalues are verified
+    once against exact characteristic-polynomial root isolation to 1e-10;
+    disagreement raises EigensolverFailure, and a failure is not cached.
+    """
     w, v = _eigh_cached(g)
     groups = []
     start = 0
@@ -424,24 +433,8 @@ def _grouped_spectrum(g, gap=1e-8):
         if i == len(w) or w[i] - w[i - 1] > gap:
             groups.append((start, i))
             start = i
-    return w, v, groups
-
-
-def local_spectrum(g, x0, x):
-    """Eigendecomposition of the Laplacian with per-pair local weights.
-
-    On graphs with at most 10 vertices the numeric eigenvalues are verified
-    against exact characteristic-polynomial root isolation to 1e-10;
-    disagreement raises EigensolverFailure.
-    """
-    w, v, groups = _grouped_spectrum(g)
-    eigenvalues = []
-    weights = []
-    mults = []
-    for a, b in groups:
-        eigenvalues.append(float(np.mean(w[a:b])))
-        weights.append(float(np.dot(v[x0, a:b], v[x, a:b])))
-        mults.append(b - a)
+    eigenvalues = tuple(float(np.mean(w[a:b])) for a, b in groups)
+    mults = tuple(b - a for a, b in groups)
     if g.vertex_count <= 10:
         _, _, laplacian = operators(g)
         p = charpoly_exact(laplacian)
@@ -457,12 +450,23 @@ def local_spectrum(g, x0, x):
             mid = float((lo + hi) / 2)
             if abs(mid - lam) > 1e-10:
                 raise EigensolverFailure(f"eigenvalue {lam} vs exact {mid}")
+    return v, tuple(groups), eigenvalues, mults
+
+
+def local_spectrum(g, x0, x):
+    """Eigendecomposition of the Laplacian with per-pair local weights.
+
+    The eigenvalues come from _verified_spectrum, so on graphs with at most
+    10 vertices they have passed the exact cross-check.
+    """
+    v, groups, eigenvalues, mults = _verified_spectrum(g)
+    weights = tuple(float(np.dot(v[x0, a:b], v[x, a:b])) for a, b in groups)
     return SpectralData(
         x0=x0,
         x=x,
-        eigenvalues=tuple(eigenvalues),
-        weights=tuple(weights),
-        multiplicities=tuple(mults),
+        eigenvalues=eigenvalues,
+        weights=weights,
+        multiplicities=mults,
     )
 
 
@@ -499,15 +503,15 @@ def zeta_spectral_report(g, x0, x, u, t):
     else:
         prefactor = 1.0
 
-    c2 = cm_sequence(g, 2)[2].entry(x0, x)
+    order = R_TAIL_ORDER
+    c2 = _c2_entry(g, x0, x, order)
     corr = (t * g.degrees[x0] if x == x0 else 0.0) - c2.evaluate(t)
     c2_factor = math.exp(corr / 2.0 * (1.0 - t) * u * u)
 
-    order = R_TAIL_ORDER
     if x == x0:
-        rv = r_values(g, order)
+        r = walk_table(g, order).r
         r_sum = sum(
-            (1.0 - t) * rv[m][x0].evaluate(t) / m * u**m for m in range(3, order + 1)
+            (1.0 - t) * r[m][x0].evaluate(t) / m * u**m for m in range(3, order + 1)
         )
     else:
         r_sum = 0.0

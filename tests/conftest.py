@@ -25,3 +25,26 @@ REGULAR = ("triangle", "cycle(4)", "cycle(6)", "K4", "Q3", "petersen")
 @pytest.fixture(scope="session")
 def corpus():
     return CORPUS
+
+
+@pytest.fixture
+def perturbed_eigh(monkeypatch):
+    """numpy's eigh with every eigenvalue moved by 1e-7, past the 1e-10
+    tolerance of the exact cross-check; the spectrum caches are emptied
+    before and after, so no perturbed result outlives the test."""
+    import numpy as np
+
+    from bzk import zeta
+
+    exact = np.linalg.eigh
+
+    def perturbed(mat):
+        w, v = exact(mat)
+        return w + 1e-7, v
+
+    zeta._eigh_cached.cache_clear()
+    zeta._verified_spectrum.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    yield
+    zeta._eigh_cached.cache_clear()
+    zeta._verified_spectrum.cache_clear()

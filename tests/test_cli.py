@@ -98,6 +98,30 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("zeta", "--family", "petersen", "--root", "99"),
+    ("zeta", "--family", "petersen", "--root", "0", "--target", "10", "--route", "log"),
+    ("zeta", "--family", "petersen", "--root", "-1", "--route", "log"),
+    ("verify", "--family", "cycle", "--n", "4", "--root", "4"),
+    ("heat", "--family", "cycle", "--n", "4", "--root", "0", "--target", "7"),
+    ("euler", "--family", "cycle", "--n", "4", "--root", "5"),
+])
+def test_out_of_range_vertex_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "is not a vertex of" in err
+
+
+def test_eigensolver_failure_is_usage_error(capsys, perturbed_eigh):
+    code, out, err = run(capsys, "zeta", "--family", "petersen", "--root", "0",
+                         "--route", "spectral", "--u", "0.05", "--t", "0.25")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_byte_identical_output(capsys):
     args = ("zeta", "--family", "petersen", "--root", "0", "--order", "6", "--route", "log")
     _, first, _ = run(capsys, *args)

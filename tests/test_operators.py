@@ -5,6 +5,7 @@ and provably fail beyond length 5 elsewhere; both facts are pinned here (the
 defect polynomial is frozen from the enumeration oracle).
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from bzk.operators import (IdentityViolation, adjacency_poly, alpha,
                            check_cyclic_bump_identity, check_no_tail_identity,
                            check_r_generating_identity,
                            check_series_inverse_identity, cm_cbc, cm_sequence,
-                           delta_diag, r_m, r_values)
+                           delta_diag, r_m, r_values, walk_table)
 from bzk.paths import (cm_bruteforce, enumerate_closed_weighted,
                        non_backtracking_matrices)
 from bzk.series import TPoly
@@ -111,6 +112,47 @@ def test_r_m_nonzero_on_path4():
     assert any(not v.is_zero() for v in r_m(CORPUS["path(4)"], 4))
     assert any(not v.is_zero() for v in r_m(CORPUS["path(4)"], 6))
     assert all(v.is_zero() for v in r_m(CORPUS["path(4)"], 5))
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_walk_table_matches_matrices_and_double_sum(name):
+    g = CORPUS[name]
+    cms = cm_sequence(g, 12)
+    table = walk_table(g, 12)
+    assert table.order == 12
+    assert table.diag == tuple(tuple(c.diag()) for c in cms)
+    assert table.delta == tuple(tuple(delta_diag(g, c)) for c in cms)
+    assert table.r == tuple(tuple(row) for row in r_values(g, 12))
+
+
+def test_walk_table_keeps_rows_only():
+    g = CORPUS["tree_ball(3,3)"]
+    table = walk_table(g, 8)
+    assert walk_table(g, 8) is table
+    for rows in (table.diag, table.delta, table.r):
+        assert len(rows) == 9
+        assert all(len(row) == g.vertex_count for row in rows)
+        assert all(isinstance(v, TPoly) for row in rows for v in row)
+
+
+def test_verify_builds_walk_data_once_per_graph(monkeypatch, capsys):
+    # a fixed few builds of the walk matrices per graph (the walk table, the
+    # series-inverse check, C_2), none per root
+    import bzk.operators
+    import bzk.zeta
+    from bzk.cli import main
+
+    calls = []
+
+    def counted(g, order):
+        calls.append(order)
+        return cm_sequence(g, order)
+
+    monkeypatch.setattr(bzk.operators, "cm_sequence", counted)
+    monkeypatch.setattr(bzk.zeta, "cm_sequence", counted)
+    assert main(["verify", "--family", "petersen", "--order", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert len(calls) <= 3
 
 
 def test_cm_cbc_base_cases():

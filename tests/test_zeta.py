@@ -9,8 +9,8 @@ import pytest
 from bzk.operators import cm_cbc, cm_sequence
 from bzk.paths import closed_geodesic_counts
 from bzk.series import TPoly, USeries, binomial_power
-from bzk.zeta import (DomainError, NotRegular, cbc_entries, charpoly_exact,
-                      euler_product_series, isolate_real_roots,
+from bzk.zeta import (DomainError, EigensolverFailure, NotRegular, cbc_entries,
+                      charpoly_exact, euler_product_series, isolate_real_roots,
                       local_spectrum, zeta_formula_series,
                       zeta_log_coefficients, zeta_log_series, zeta_spectral,
                       zeta_spectral_report)
@@ -189,6 +189,35 @@ def test_local_spectrum_off_diagonal_symmetry():
     a = local_spectrum(g, 0, 3)
     b = local_spectrum(g, 3, 0)
     assert np.allclose(a.weights, b.weights)
+
+
+def test_perturbed_eigensolver_raises_on_every_call(perturbed_eigh):
+    # a failed cross-check is not cached: the second call checks again
+    g = CORPUS["petersen"]
+    for _ in range(2):
+        with pytest.raises(EigensolverFailure):
+            local_spectrum(g, 0, 0)
+    with pytest.raises(EigensolverFailure):
+        zeta_spectral(g, 0, 0, 0.05, 0.25)
+
+
+def test_spectrum_cross_check_runs_once_per_graph(monkeypatch):
+    import bzk.zeta
+    from bzk.graphs import generate
+
+    calls = []
+
+    def counted(mat):
+        calls.append(len(mat))
+        return charpoly_exact(mat)
+
+    monkeypatch.setattr(bzk.zeta, "charpoly_exact", counted)
+    g = generate("cycle", 5)
+    for u in (0.05, 0.1):
+        for t in (-0.25, 0.25):
+            zeta_spectral(g, 0, 0, u, t)
+            zeta_spectral(g, 1, 2, u, t)
+    assert calls == [5]
 
 
 def test_charpoly_and_root_isolation():
