@@ -119,20 +119,11 @@ def test_walk_table_matches_matrices_and_double_sum(name):
     g = CORPUS[name]
     cms = cm_sequence(g, 12)
     table = walk_table(g, 12)
+    assert walk_table(g, 12) is table
     assert table.order == 12
     assert table.diag == tuple(tuple(c.diag()) for c in cms)
     assert table.delta == tuple(tuple(delta_diag(g, c)) for c in cms)
     assert table.r == tuple(tuple(row) for row in r_values(g, 12))
-
-
-def test_walk_table_keeps_rows_only():
-    g = CORPUS["tree_ball(3,3)"]
-    table = walk_table(g, 8)
-    assert walk_table(g, 8) is table
-    for rows in (table.diag, table.delta, table.r):
-        assert len(rows) == 9
-        assert all(len(row) == g.vertex_count for row in rows)
-        assert all(isinstance(v, TPoly) for row in rows for v in row)
 
 
 def test_verify_builds_walk_data_once_per_graph(monkeypatch, capsys):
