@@ -26,9 +26,7 @@ from .paths import (EnumerationTooDeep, NotClosed, bump_count, closed_geodesic_c
                     rooted_closed_tallies)
 from .series import (BadConstantTerm, DimensionMismatch, OperatorPoly,
                      OperatorSeries, OrderMismatch, SeriesError, TPoly,
-                     USeries, binomial_power, evaluate, series_add,
-                     series_exp, series_log, series_mul, series_scale,
-                     termwise_integrate)
+                     USeries, binomial_power, evaluate)
 from .zeta import (DomainError, EigensolverFailure, NotRegular, SpectralData,
                    cbc_entries, charpoly_exact, euler_product_series,
                    isolate_real_roots, local_spectrum, zeta_formula_series,

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from .paths import rooted_closed_tallies
 from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_T, TPOLY_ZERO, OperatorPoly,
-                     OperatorSeries, TPoly, USeries)
+                     OperatorSeries, TPoly, USeries, _add_into, _mul_into)
 
 
 class IdentityViolation(AssertionError):
@@ -68,21 +68,36 @@ def cm_sequence(g, order):
     """Walk matrices C_0..C_order from the two-term recursion.
 
     C_0 = I, C_1 = adjacency, C_2 = C_1^2 - (1-t) (Q + I), and for m >= 3
-    C_m = C_{m-1} C_1 - (1-t) C_{m-2} (D - (1-t) I).
+    C_m = C_{m-1} C_1 - (1-t) C_{m-2} (D - (1-t) I).  Each product is taken
+    as a neighbour sum over the columns and a column scaling,
+    C_m(x, y) = sum_{z ~ y} C_{m-1}(x, z) - (1-t)(d_y - 1 + t) C_{m-2}(x, y),
+    on raw coefficient lists; C_m is symmetric, so only y >= x is summed.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     n = g.vertex_count
-    a = adjacency_poly(g)
     seq = [OperatorPoly.identity(n)]
     if order >= 1:
-        seq.append(a)
-    if order >= 2:
-        q_plus_i = OperatorPoly.diagonal([TPoly((d,)) for d in g.degrees])
-        seq.append(a * a - q_plus_i.scale(ONE_MINUS_T))
-    qt = qxt_poly(g)
-    for _ in range(3, order + 1):
-        seq.append(seq[-1] * a - (seq[-2] * qt).scale(ONE_MINUS_T))
+        seq.append(adjacency_poly(g))
+    nbrs = [g.neighbors(y) for y in range(n)]
+    # the column scalings -(1-t) d_y for C_2 and -(1-t)(d_y - 1 + t) after it
+    first_weights = [(-d, d) for d in g.degrees]
+    step_weights = [(1 - d, d - 2, 1) for d in g.degrees]
+    for m in range(2, order + 1):
+        weights = first_weights if m == 2 else step_weights
+        last, older = seq[-1].rows, seq[-2].rows
+        rows = [[None] * n for _ in range(n)]
+        for x in range(n):
+            row_last, row_older, out = last[x], older[x], rows[x]
+            for y in range(x, n):
+                acc = []
+                for z in nbrs[y]:
+                    _add_into(acc, row_last[z].c)
+                b = row_older[y].c
+                if b:
+                    _mul_into(acc, weights[y], b)
+                out[y] = rows[y][x] = TPoly(acc)
+        seq.append(OperatorPoly(rows))
     return seq
 
 
@@ -293,6 +308,14 @@ def _report(identity, g, root, order, failures, strict):
     return report
 
 
+@lru_cache(maxsize=8)
+def _closed_tallies(g, x0, order):
+    """rooted_closed_tallies(g, x0, order) as tuples, so the no-tail and the
+    cyclic-bump checks of one root share a single DFS and no caller can
+    change a cached tally."""
+    return tuple(tuple(tally) for tally in rooted_closed_tallies(g, x0, order))
+
+
 def check_no_tail_identity(g, x0, order, *, strict=False):
     """Verify the closed-form identities tying the tail-free closed-walk
     series to the walk-matrix series at one root.
@@ -305,7 +328,7 @@ def check_no_tail_identity(g, x0, order, *, strict=False):
     """
     if order < 4:
         raise ValueError("order must be >= 4")
-    _, _, notail = rooted_closed_tallies(g, x0, order)
+    _, _, notail = _closed_tallies(g, x0, order)
     table = walk_table(g, order)
     deg = g.degrees[x0]
     c_terms = [row[x0] for row in table.diag]
@@ -351,7 +374,7 @@ def check_cyclic_bump_identity(g, x0, order, *, interpretation="diagonal", stric
     """
     if order < 4:
         raise ValueError("order must be >= 4")
-    cbc_all, _, _ = rooted_closed_tallies(g, x0, order)
+    cbc_all, _, _ = _closed_tallies(g, x0, order)
     deg = g.degrees[x0]
     if interpretation == "diagonal":
         table = walk_table(g, order)

@@ -36,6 +36,14 @@ def _canon(x):
     raise TypeError(f"exact scalar required, got {type(x).__name__!r}")
 
 
+def _add_into(acc, b):
+    """acc += b for raw coefficient sequences, growing acc as needed."""
+    if len(acc) < len(b):
+        acc.extend([0] * (len(b) - len(acc)))
+    for i, y in enumerate(b):
+        acc[i] += y
+
+
 def _mul_into(acc, a, b):
     """acc += a * b for raw coefficient sequences, growing acc as needed."""
     need = len(a) + len(b) - 1
@@ -583,37 +591,11 @@ class OperatorSeries:
         return f"OperatorSeries(n={self.n}, order={self.order})"
 
 
-# Functional aliases on top of the method API.
-
-def series_add(a, b):
-    return a + b
-
-
-def series_mul(a, b):
-    return a * b
-
-
-def series_scale(a, s):
-    return a * s if isinstance(a, USeries) else a.scale(s)
-
-
-def series_log(s):
-    return s.log()
-
-
-def series_exp(s):
-    return s.exp()
-
-
 def binomial_power(s, exponent):
     """(constant-term-1 series) ** exponent for rational exponents."""
     if not isinstance(s, USeries):
         raise TypeError("binomial_power expects a scalar USeries")
     return s.pow_scalar(exponent)
-
-
-def termwise_integrate(s):
-    return s.integrate()
 
 
 def evaluate(x, t, u=None):

@@ -15,10 +15,10 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import operators
-from .operators import adjacency_poly, alpha, cm_sequence, qxt_poly, walk_table
+from .operators import alpha, cm_sequence, walk_table
 from .paths import primitive_rooted_closed_paths
-from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_T, TPOLY_ZERO,
-                     OperatorPoly, OperatorSeries, TPoly, USeries)
+from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_T, TPOLY_ZERO, TPoly,
+                     USeries, _add_into, _mul_into)
 
 
 class DomainError(ValueError):
@@ -91,18 +91,41 @@ def zeta_log_series(g, x0, x, order):
 # closed product-formula route
 
 
-@lru_cache(maxsize=16)
-def _f_power_table(g, order):
-    """Powers f^0..f^order of f(u) = u A - u^2 (1-t)(D - (1-t)I)."""
+@lru_cache(maxsize=32)
+def _f_power_table(g, x, order):
+    """Row x of the powers f^0..f^order of f(u) = u A - u^2 (1-t)(D - (1-t)I).
+
+    rows[k][j] holds the u^k..u^min(2k, order) coefficients of f^k(x, j), the
+    only u-powers f^k can have, as a tuple of TPoly; a zero entry is ().  Row
+    k comes from row k-1 by a neighbour sum on raw coefficient lists:
+    f^k(x, j) = u sum_{i ~ j} f^(k-1)(x, i) - u^2 (1-t)(d_j - 1 + t) f^(k-1)(x, j).
+    """
     n = g.vertex_count
-    f = OperatorSeries(
-        n, order,
-        [OperatorPoly.zero(n), adjacency_poly(g), -(qxt_poly(g).scale(ONE_MINUS_T))],
-    )
-    powers = [OperatorSeries.identity(n, order)]
-    for _ in range(order):
-        powers.append(powers[-1] * f)
-    return tuple(powers)
+    nbrs = [g.neighbors(j) for j in range(n)]
+    # -(1-t)(d - 1 + t), lowest t-power first
+    weights = [(1 - d, d - 2, 1) for d in g.degrees]
+    prev = [None] * n
+    prev[x] = [[1]]
+    rows = [tuple(() if j != x else (TPOLY_ONE,) for j in range(n))]
+    for k in range(1, order + 1):
+        top = min(k, order - k)
+        cur = [None] * n
+        for j in range(n):
+            own = prev[j]
+            live = [prev[i] for i in nbrs[j] if prev[i] is not None]
+            if own is None and not live:
+                continue
+            entry = [[] for _ in range(top + 1)]
+            for r in live:
+                for acc, b in zip(entry, r):
+                    _add_into(acc, b)
+            if own is not None:
+                for p in range(1, min(len(own), top) + 1):
+                    _mul_into(entry[p], weights[j], own[p - 1])
+            cur[j] = entry
+        rows.append(tuple(() if e is None else tuple(TPoly(c) for c in e) for e in cur))
+        prev = cur
+    return tuple(rows)
 
 
 def _commutator_matrix(g):
@@ -129,19 +152,17 @@ def zeta_formula_series(g, x0, x, order):
     series, each exponentiated as exact truncated series."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    n = g.vertex_count
     deg = g.degrees[x0]
-    powers = _f_power_table(g, order)
+    left = _f_power_table(g, x0, order)
     one = USeries.one(order)
     one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
 
     # exp(-[log(I - f)](x0, x)) with log(I - f) = -sum f^k / k
-    log_entry = USeries.zero(order)
+    coeffs = [TPOLY_ZERO] * (order + 1)
     for k in range(1, order + 1):
-        pk = powers[k].entry(x0, x)
-        if not pk.is_zero():
-            log_entry = log_entry + pk * Fraction(1, k)
-    factor_log = log_entry.exp()
+        for p, c in enumerate(left[k][x], start=k):
+            coeffs[p] = coeffs[p] + c * Fraction(1, k)
+    factor_log = USeries(order, coeffs).exp()
 
     # (1-(1-t)^2 u^2)^(-(deg-2)/2) at the root, 1 off the diagonal
     if x == x0:
@@ -150,35 +171,40 @@ def zeta_formula_series(g, x0, x, order):
     else:
         factor_pre = one
 
-    # commutator integral; the commutator vanishes on regular graphs
-    commutator = _commutator_matrix(g)
-    pairs = [
-        (p, q, commutator[p][q])
-        for p in range(n)
-        for q in range(n)
-        if commutator[p][q]
-    ]
-    if pairs:
-        integrand = USeries.zero(order)
-        for nn in range(2, order + 1):
-            inner = USeries.zero(order)
-            for j in range(1, nn):
-                left = powers[nn - 1 - j]
-                right = powers[j - 1]
-                ent = USeries.zero(order)
-                for p, q, kpq in pairs:
-                    lp = left.entry(x0, p)
-                    if lp.is_zero():
+    # commutator integral; the commutator vanishes on regular graphs.  The
+    # integrand is sum_{a,b} (b+1)/(a+b+2) [f^a K f^b](x0, x) u^(a+b) with
+    # K = A D - D A; f is symmetric, so f^b(q, x) is row x of f^b at q.
+    commutator = [[(q, kpq) for q, kpq in enumerate(row) if kpq]
+                  for row in _commutator_matrix(g)]
+    if any(commutator):
+        right = left if x == x0 else _f_power_table(g, x, order)
+        top = order - 2  # the u^2 shift drops every higher power
+        integrand = [TPOLY_ZERO] * (order + 1)
+        for b in range(top + 1):
+            # [K f^b](p, x) for every p, as raw coefficient lists per u-power
+            kf = []
+            for terms in commutator:
+                acc = None
+                for q, kpq in terms:
+                    entry = right[b][q]
+                    if entry:
+                        acc = acc or [[] for _ in entry]
+                        for slot, c in zip(acc, entry):
+                            _mul_into(slot, (kpq,), c.c)
+                kf.append(acc)
+            for a in range(top - b + 1):
+                total = [[] for _ in range(top - a - b + 1)]
+                for lp, kp in zip(left[a], kf):
+                    if not lp or kp is None:
                         continue
-                    rq = right.entry(q, x)
-                    if rq.is_zero():
-                        continue
-                    ent = ent + lp * rq * kpq
-                if not ent.is_zero():
-                    inner = inner + ent * j
-            if not inner.is_zero():
-                integrand = integrand + inner * Fraction(1, nn)
-        exponent = (integrand.shift(2) * ONE_MINUS_T).integrate()
+                    for i, c in enumerate(lp[: len(total)]):
+                        for l, d in enumerate(kp[: len(total) - i]):
+                            _mul_into(total[i + l], c.c, d)
+                weight = Fraction(b + 1, a + b + 2)
+                for s, c in enumerate(total, start=a + b):
+                    if c:
+                        integrand[s] = integrand[s] + TPoly(c) * weight
+        exponent = (USeries(order, integrand).shift(2) * ONE_MINUS_T).integrate()
         factor_comm = exponent.exp()
     else:
         factor_comm = one
@@ -213,16 +239,20 @@ def euler_product_series(g, x0, order):
 
     Accumulated as the exponent sum over walks of
     sum_k t^(cbc k) u^(len k) / (len k), then exponentiated once; this equals
-    the factor-by-factor truncated product exactly.
+    the factor-by-factor truncated product exactly.  Walks are counted by
+    (len, cbc) in integers first, so each key costs one Fraction per k.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    acc = [dict() for _ in range(order + 1)]
+    counts = {}
     for _, length, cbc in primitive_rooted_closed_paths(g, x0, order):
+        counts[length, cbc] = counts.get((length, cbc), 0) + 1
+    acc = [dict() for _ in range(order + 1)]
+    for (length, cbc), count in counts.items():
         for k in range(1, order // length + 1):
             row = acc[length * k]
             power = cbc * k
-            row[power] = row.get(power, Fraction(0)) + Fraction(1, length * k)
+            row[power] = row.get(power, 0) + Fraction(count, length * k)
     coeffs = [TPOLY_ZERO] * (order + 1)
     for m, row in enumerate(acc):
         if row:

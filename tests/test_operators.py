@@ -17,10 +17,11 @@ from bzk.operators import (IdentityViolation, adjacency_poly, alpha,
                            check_cyclic_bump_identity, check_no_tail_identity,
                            check_r_generating_identity,
                            check_series_inverse_identity, cm_cbc, cm_sequence,
-                           delta_diag, r_m, r_values, walk_table)
+                           degree_poly, delta_diag, qxt_poly, r_m, r_values,
+                           walk_table)
 from bzk.paths import (cm_bruteforce, enumerate_closed_weighted,
                        non_backtracking_matrices)
-from bzk.series import TPoly
+from bzk.series import ONE_MINUS_T, OperatorPoly, TPoly
 from conftest import CORPUS, NON_TRANSITIVE, VERTEX_TRANSITIVE
 
 from _oracles import int_matrix_power, poly_eval_fraction
@@ -32,6 +33,20 @@ def test_cm_sequence_matches_bruteforce(name):
     cms = cm_sequence(g, 6)
     for m in range(7):
         assert cms[m] == cm_bruteforce(g, m)
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_cm_sequence_matches_dense_products(name):
+    # the neighbour-sum recursion against the two dense products per step
+    g = CORPUS[name]
+    a = adjacency_poly(g)
+    qt = qxt_poly(g)
+    dense = [OperatorPoly.identity(g.vertex_count), a,
+             a * a - degree_poly(g).scale(ONE_MINUS_T)]
+    for _ in range(3, 13):
+        dense.append(dense[-1] * a - (dense[-2] * qt).scale(ONE_MINUS_T))
+    for order in (0, 1, 2, 12):
+        assert cm_sequence(g, order) == dense[: order + 1]
 
 
 def test_cm_sequence_triangle_c2_diagonal():
@@ -144,6 +159,29 @@ def test_verify_builds_walk_data_once_per_graph(monkeypatch, capsys):
     assert main(["verify", "--family", "petersen", "--order", "10"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
     assert len(calls) <= 3
+
+
+def test_verify_runs_one_dfs_tally_per_root(monkeypatch, capsys):
+    # the no-tail and cyclic-bump checks of a root share one DFS tally
+    import bzk.operators
+    from bzk.cli import main
+    from bzk.paths import rooted_closed_tallies
+
+    roots = []
+
+    def counted(g, x0, max_len, cap=None):
+        roots.append(x0)
+        return rooted_closed_tallies(g, x0, max_len, cap)
+
+    monkeypatch.setattr(bzk.operators, "rooted_closed_tallies", counted)
+    bzk.operators._closed_tallies.cache_clear()
+    assert main(["verify", "--family", "petersen", "--order", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert sorted(roots) == list(range(10))
+    g = CORPUS["K4"]
+    tallies = bzk.operators._closed_tallies(g, 0, 6)
+    assert all(isinstance(tally, tuple) for tally in tallies)
+    assert tallies == tuple(tuple(t) for t in rooted_closed_tallies(g, 0, 6))
 
 
 def test_cm_cbc_base_cases():

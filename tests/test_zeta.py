@@ -6,11 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bzk.operators import cm_cbc, cm_sequence
+from bzk.operators import adjacency_poly, cm_cbc, cm_sequence, qxt_poly
 from bzk.paths import closed_geodesic_counts
-from bzk.series import TPoly, USeries, binomial_power
-from bzk.zeta import (DomainError, EigensolverFailure, NotRegular, cbc_entries,
-                      charpoly_exact, euler_product_series, isolate_real_roots,
+from bzk.series import (ONE_MINUS_T, TPOLY_ZERO, OperatorPoly, OperatorSeries,
+                        TPoly, USeries, binomial_power)
+from bzk.zeta import (DomainError, EigensolverFailure, NotRegular,
+                      _f_power_table, cbc_entries, charpoly_exact,
+                      euler_product_series, isolate_real_roots,
                       local_spectrum, zeta_formula_series,
                       zeta_log_coefficients, zeta_log_series, zeta_spectral,
                       zeta_spectral_report)
@@ -95,6 +97,30 @@ def test_formula_route_deeper_order_non_regular():
     g = CORPUS["path(4)"]
     for x0, x in [(0, 0), (1, 1), (0, 2)]:
         assert zeta_log_series(g, x0, x, 13) == zeta_formula_series(g, x0, x, 13)
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_f_power_rows_match_dense_powers(name):
+    # every row of the cached row recursion, rooted (j = x) and off the
+    # diagonal, against the entries of dense operator-series powers of f
+    g = CORPUS[name]
+    n = g.vertex_count
+    order = 8
+    f = OperatorSeries(
+        n, order,
+        [OperatorPoly.zero(n), adjacency_poly(g), -(qxt_poly(g).scale(ONE_MINUS_T))],
+    )
+    powers = [OperatorSeries.identity(n, order)]
+    for _ in range(order):
+        powers.append(powers[-1] * f)
+    for x in range(n):
+        rows = _f_power_table(g, x, order)
+        assert _f_power_table(g, x, order) is rows
+        assert len(rows) == order + 1
+        for k, power in enumerate(powers):
+            for j in range(n):
+                padded = [TPOLY_ZERO] * k + list(rows[k][j])
+                assert USeries(order, padded) == power.entry(x, j)
 
 
 def test_commutator_factor_trivial_on_regular():
