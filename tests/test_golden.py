@@ -1,0 +1,35 @@
+"""Byte-for-byte stdout of four CLI commands, pinned in tests/golden/.
+
+The fixtures were written by the commands below; any change to an exact
+coefficient, a key or the JSON layout shows up here as a failed comparison.
+To regenerate one, run its command with `python -m bzk` and redirect stdout.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from bzk.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    ("verify_petersen.json", 0,
+     ["verify", "--family", "petersen", "--order", "10"]),
+    ("verify_star4.json", 1,
+     ["verify", "--family", "star", "--n", "4", "--order", "10"]),
+    ("zeta_tree_ball_all.json", 0,
+     ["zeta", "--family", "tree_ball", "--q-plus-1", "3", "--radius", "2",
+      "--root", "0", "--order", "10", "--route", "all"]),
+    ("zeta_path5_rhs.json", 0,
+     ["zeta", "--family", "path", "--n", "5", "--root", "1", "--target", "3",
+      "--order", "10", "--route", "rhs"]),
+]
+
+
+@pytest.mark.parametrize("name,exit_code,argv", CASES, ids=[c[0] for c in CASES])
+def test_golden_output(capsys, name, exit_code, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == exit_code
+    assert out == (GOLDEN / name).read_text()
