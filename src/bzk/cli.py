@@ -4,14 +4,11 @@ and CSV/JSON emission.
 Subcommands: verify, zeta, heat, euler, graphs.  Exit code 0 on success, 1
 when a verification fails, 2 on usage errors and on an eigensolver that fails
 its exact cross-check.  Output is deterministic for a given invocation.
-BZK_THREADS caps the per-root parallelism of verify.
 """
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import graphs as graphmod
 from . import heat as heatmod
@@ -70,36 +67,23 @@ def _vertex(g, value, flag):
     return value
 
 
-def _emit(args, payload):
-    text = json.dumps(payload, sort_keys=True, indent=2)
+def _write(args, text):
+    """text and a newline to --out-file if given, else to stdout."""
     if args.out_file:
         with open(args.out_file, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
+
+
+def _emit(args, payload):
+    _write(args, json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _emit_csv(args, header, rows):
     lines = [",".join(header)]
     lines += [",".join(str(cell) for cell in row) for row in rows]
-    text = "\n".join(lines)
-    if args.out_file:
-        with open(args.out_file, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
-
-
-def _thread_count():
-    raw = os.environ.get("BZK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _series_payload(series):
-    return series.to_json()
+    _write(args, "\n".join(lines))
 
 
 def cmd_verify(args):
@@ -108,9 +92,8 @@ def cmd_verify(args):
     root = _vertex(g, args.root, "--root")
     roots = [root] if root is not None else list(range(g.vertex_count))
     results = [check_series_inverse_identity(g, order).to_json()]
-
-    def per_root(x0):
-        out = [
+    for x0 in roots:
+        results += [
             check_no_tail_identity(g, x0, order).to_json(),
             check_cyclic_bump_identity(g, x0, order).to_json(),
             check_r_generating_identity(g, x0, order).to_json(),
@@ -118,7 +101,7 @@ def cmd_verify(args):
         log_series = zetamod.zeta_log_series(g, x0, x0, order)
         formula = zetamod.zeta_formula_series(g, x0, x0, order)
         euler = zetamod.euler_product_series(g, x0, order)
-        out.append({
+        results.append({
             "identity": "route-equivalence",
             "graph": g.label,
             "root": x0,
@@ -129,16 +112,6 @@ def cmd_verify(args):
                 "euler_matches_log": euler == log_series,
             },
         })
-        return out
-
-    threads = _thread_count()
-    if threads > 1 and len(roots) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(per_root, roots):
-                results.extend(chunk)
-    else:
-        for x0 in roots:
-            results.extend(per_root(x0))
 
     ok = all(r["pass"] for r in results)
     _emit(args, {"schema": SCHEMA, "graph": g.label, "order": order,
@@ -164,7 +137,7 @@ def cmd_zeta(args):
             raise SystemExit2("the euler route is rooted; drop --target")
         series_by_route["euler"] = zetamod.euler_product_series(g, x0, order)
     for name, series in series_by_route.items():
-        payload["routes"][name] = {"series": _series_payload(series)}
+        payload["routes"][name] = {"series": series.to_json()}
     if "spectral" in routes:
         if g.regular_degree() is None:
             if args.route == "spectral":
@@ -230,7 +203,7 @@ def cmd_euler(args):
     _vertex(g, args.root, "--root")
     series = zetamod.euler_product_series(g, args.root, args.order)
     payload = {"schema": SCHEMA, "graph": g.label, "root": args.root,
-               "order": args.order, "series": _series_payload(series)}
+               "order": args.order, "series": series.to_json()}
     if args.compare:
         payload["matches_log_series"] = (
             series == zetamod.zeta_log_series(g, args.root, args.root, args.order)

@@ -105,10 +105,17 @@ def build_graph(vertex_count, undirected_edges, *, check_connected=True, label="
     Each pair becomes a twin pair of directed edges.  Raises LoopEdge,
     DuplicateEdge, Disconnected or EmptyGraph when the corresponding axiom is
     violated; check_connected=False skips only the connectivity check (used
-    when extracting balls, which are connected by construction).
+    when extracting balls, which are connected by construction).  A connected
+    graph has at most |E| + 1 vertices, so a larger vertex_count is rejected
+    before anything of that size is allocated.
     """
     if vertex_count <= 0:
         raise EmptyGraph("a graph needs at least one vertex")
+    if check_connected and vertex_count > len(undirected_edges) + 1:
+        raise Disconnected(
+            f"graph is not connected: {vertex_count} vertices but only "
+            f"{len(undirected_edges)} edges"
+        )
     seen = set()
     adjacency = [[] for _ in range(vertex_count)]
     edges = []

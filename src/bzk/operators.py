@@ -219,21 +219,52 @@ def walk_table(g, order):
     return WalkTable(order=order, diag=diag, delta=delta, r=tuple(r))
 
 
-def r_m(g, m, *, interpretation="diagonal"):
+def r_m(g, m):
     """Per-vertex defect values for a single length m."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return r_values(g, m, interpretation=interpretation)[m]
+    return r_values(g, m)[m]
 
 
-def cm_cbc(g, m, *, cms=None, r=None):
-    """Cyclic-bump walk operator.
+def cbc_terms(c, deg, r=None):
+    """Cyclic-bump entries (x0, x) for every length m < len(c), from the
+    walk-matrix entries c[m] = C_m(x0, x) and the degree of x0.
+
+    Lengths 0 and 1 keep C_m, length 2 is t C_2, and for m >= 3
+    C_m - (deg - 2 + 2t) s_m with s_m = sum_{1 <= j < m/2} (1-t)^(2j-1) C_{m-2j}.
+    Given the defect values r[m] = R_m(x0), the entries are rooted (x = x0)
+    and also get (1-t) R_m and, at even m, -(1-t)^(m-1) t deg; both terms
+    are diagonal, so off-diagonal entries pass r=None.  This is the entry
+    view of cm_cbc, with s_m by its two-step recursion.
+    """
+    order = len(c) - 1
+    one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
+    entries = list(c)
+    if order >= 2:
+        entries[2] = c[2] * TPOLY_T
+    s_prev2, s_prev1 = TPOLY_ZERO, TPOLY_ZERO  # s[1], s[2]
+    dfac = TPoly((deg - 2, 2))
+    for m in range(3, order + 1):
+        s_m = ONE_MINUS_T * c[m - 2] + one_minus_t_sq * s_prev2
+        ent = c[m] - dfac * s_m
+        if r is not None:
+            ent = ent + ONE_MINUS_T * r[m]
+            if m % 2 == 0:
+                ent = ent - ONE_MINUS_T ** (m - 1) * TPoly((0, deg))
+        entries[m] = ent
+        s_prev2, s_prev1 = s_prev1, s_m
+    return entries
+
+
+def cm_cbc(g, m, *, cms=None):
+    """Cyclic-bump walk operator, as a dense matrix.
 
     Identity and adjacency at lengths 0 and 1, t * C_2 at length 2, and for
     m >= 3 the walk matrix corrected by the diagonal factor
     (D - 2(1-t) I) sum_j (1-t)^(2j-1) C_{m-2j}, the defect diagonal, and the
     even-length valency term.  Its diagonal equals the cyclic-bump tally of
-    closed walks.
+    closed walks.  The library computes entries by cbc_terms; this literal
+    matrix form is their reference.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -249,10 +280,7 @@ def cm_cbc(g, m, *, cms=None, r=None):
         acc = acc + cms[m - 2 * j].scale(ONE_MINUS_T ** (2 * j - 1))
     dfac = OperatorPoly.diagonal([TPoly((d - 2, 2)) for d in g.degrees])
     result = cms[m] - dfac * acc
-    if r is None:
-        r = r_values(g, m, cms=cms)[m]
-    else:
-        r = r[m] if isinstance(r[0], list) else r
+    r = r_values(g, m, cms=cms)[m]
     result = result + OperatorPoly.diagonal([v * ONE_MINUS_T for v in r])
     if m % 2 == 0:
         even = ONE_MINUS_T ** (m - 1) * TPOLY_T
@@ -416,16 +444,11 @@ def check_cyclic_bump_identity(g, x0, order, *, interpretation="diagonal", stric
     if diff:
         failures.append({"display": "series", **diff})
 
+    terms = cbc_terms(c_terms, deg, r_terms)
     for m in range(3, order + 1):
-        acc = TPOLY_ZERO
-        for j in range(1, (m + 1) // 2):
-            acc = acc + ONE_MINUS_T ** (2 * j - 1) * c_terms[m - 2 * j]
-        rhs_m = c_terms[m] - TPoly((deg - 2, 2)) * acc + ONE_MINUS_T * r_terms[m]
-        if m % 2 == 0:
-            rhs_m = rhs_m - ONE_MINUS_T ** (m - 1) * TPoly((0, deg))
-        if cbc_all[m] != rhs_m:
+        if cbc_all[m] != terms[m]:
             failures.append({"display": "per-length", "u_power": m,
-                             "difference": str(cbc_all[m] - rhs_m)})
+                             "difference": str(cbc_all[m] - terms[m])})
             break
     return _report("cyclic-bump-series", g, x0, order, failures, strict)
 
@@ -474,16 +497,12 @@ def check_series_inverse_identity(g, order, *, strict=False):
     return _report("walk-series-inverse", g, None, order, failures, strict)
 
 
-def check_r_generating_identity(g, x0, order, *, interpretation="diagonal", strict=False):
+def check_r_generating_identity(g, x0, order, *, strict=False):
     """Verify the closed form of the defect generating function:
     sum_m R_m(x0) u^m = u^2 / ((1-(1-t)^2 u^2)(1-(1-t^2)u^2)) * DC(u)."""
     if order < 3:
         raise ValueError("order must be >= 3")
-    if interpretation == "diagonal":
-        deltas = walk_table(g, order).delta
-    else:
-        cms = cm_sequence(g, order)
-        deltas = [_delta_values(g, cms[m], interpretation) for m in range(order + 1)]
+    deltas = walk_table(g, order).delta
     # the double sum, not the table's recursion, so the check stays independent
     rv = _r_double_sum(deltas, g.vertex_count, order)
     d_terms = [row[x0] for row in deltas]

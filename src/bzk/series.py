@@ -70,16 +70,6 @@ class TPoly:
             c.pop()
         self.c = tuple(c)
 
-    @staticmethod
-    def const(x):
-        return TPoly((x,))
-
-    @staticmethod
-    def monomial(coeff, power):
-        if power < 0:
-            raise ValueError("negative power")
-        return TPoly((0,) * power + (coeff,))
-
     @property
     def degree(self):
         return len(self.c) - 1
@@ -153,6 +143,34 @@ class TPoly:
             base = base * base
             k >>= 1
         return out
+
+    def __divmod__(self, other):
+        """(quotient, remainder) by long division; the remainder's degree is
+        below the divisor's."""
+        if not isinstance(other, TPoly):
+            return NotImplemented
+        b = other.c
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        lead = Fraction(b[-1])
+        rem = list(self.c)
+        quo = [0] * max(len(rem) - len(b) + 1, 0)
+        for shift in range(len(quo) - 1, -1, -1):
+            factor = rem[shift + len(b) - 1] / lead
+            if factor:
+                quo[shift] = factor
+                for i, y in enumerate(b):
+                    rem[shift + i] -= factor * y
+        return TPoly(quo), TPoly(rem)
+
+    def derivative(self):
+        return TPoly([k * x for k, x in enumerate(self.c)][1:])
+
+    def monic(self):
+        """This polynomial divided by its leading coefficient."""
+        if not self.c:
+            raise ZeroDivisionError("the zero polynomial has no leading coefficient")
+        return self * (1 / Fraction(self.c[-1]))
 
     def evaluate(self, t):
         """Horner evaluation; exact when t is int/Fraction, float otherwise."""
@@ -354,10 +372,6 @@ class USeries:
             acc = acc * u + p.evaluate(float(t))
         return acc
 
-    def map_t(self, t):
-        """Exact per-coefficient evaluation of t, returning Fraction list."""
-        return [Fraction(p.evaluate(Fraction(t))) for p in self.c]
-
     def __str__(self):
         parts = [f"({p})u^{m}" for m, p in enumerate(self.c) if not p.is_zero()]
         return " + ".join(parts) if parts else "0"
@@ -409,10 +423,6 @@ class OperatorPoly:
         n = len(entries)
         return OperatorPoly([[entries[i] if i == j else TPOLY_ZERO for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def from_ints(mat):
-        return OperatorPoly([[TPoly((x,)) if x else TPOLY_ZERO for x in row] for row in mat])
-
     def entry(self, i, j):
         return self.rows[i][j]
 
@@ -424,9 +434,6 @@ class OperatorPoly:
 
     def is_symmetric(self):
         return all(self.rows[i][j] == self.rows[j][i] for i in range(self.n) for j in range(i))
-
-    def transpose(self):
-        return OperatorPoly([[self.rows[j][i] for j in range(self.n)] for i in range(self.n)])
 
     def _check(self, other):
         if self.n != other.n:
@@ -558,34 +565,6 @@ class OperatorSeries:
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
         return OperatorSeries(self.n, M, out)
-
-    def log(self):
-        """log of a series with identity constant term."""
-        ident = OperatorPoly.identity(self.n)
-        if self.c[0] != ident:
-            raise BadConstantTerm("log needs identity constant term")
-        h = self - OperatorSeries.identity(self.n, self.order)
-        acc = OperatorSeries(self.n, self.order)
-        p = h
-        for k in range(1, self.order + 1):
-            if p.is_zero():
-                break
-            acc = acc + p.scale(Fraction((-1) ** (k + 1), k))
-            p = p * h
-        return acc
-
-    def exp(self):
-        """exp of a series with zero constant term."""
-        if not self.c[0].is_zero():
-            raise BadConstantTerm("exp needs zero constant term")
-        acc = OperatorSeries.identity(self.n, self.order)
-        p = OperatorSeries.identity(self.n, self.order)
-        for k in range(1, self.order + 1):
-            p = p * self
-            if p.is_zero():
-                break
-            acc = acc + p.scale(Fraction(1, factorial(k)))
-        return acc
 
     def __repr__(self):
         return f"OperatorSeries(n={self.n}, order={self.order})"

@@ -15,9 +15,9 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import operators
-from .operators import alpha, cm_sequence, walk_table
+from .operators import alpha, cbc_terms, cm_sequence, walk_table
 from .paths import primitive_rooted_closed_paths
-from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_T, TPOLY_ZERO, TPoly,
+from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_ZERO, TPoly,
                      USeries, _add_into, _mul_into)
 
 
@@ -40,37 +40,18 @@ class EigensolverFailure(RuntimeError):
 def cbc_entries(g, x0, x, order):
     """Cyclic-bump operator entries (x0, x) for every length m <= order.
 
-    Same values as cm_cbc(g, m)[x0, x], computed through row-level
-    recursions so large orders stay cheap.  The rooted entries (x = x0) read
-    the graph's walk table; the defect and valency terms are diagonal, so
-    they enter only there.
+    Same values as cm_cbc(g, m)[x0, x], from operators.cbc_terms.  The
+    rooted entries (x = x0) read the graph's walk table, with its defect
+    rows; off the diagonal the walk-matrix entries come from cm_sequence.
     """
-    deg = g.degrees[x0]
-    diagonal = x == x0
-    if diagonal:
+    if x == x0:
         table = walk_table(g, order)
         c = [row[x0] for row in table.diag]
         r = [row[x0] for row in table.r]
     else:
         c = [cm.entry(x0, x) for cm in cm_sequence(g, order)]
-    one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
-
-    # s[m] = sum_{j>=1} (1-t)^(2j-1) C_{m-2j}[x0, x]
-    entries = list(c)
-    if order >= 2:
-        entries[2] = c[2] * TPOLY_T
-    s_prev2, s_prev1 = TPOLY_ZERO, TPOLY_ZERO  # s[1], s[2]
-    dfac = TPoly((deg - 2, 2))
-    for m in range(3, order + 1):
-        s_m = ONE_MINUS_T * c[m - 2] + one_minus_t_sq * s_prev2
-        ent = c[m] - dfac * s_m
-        if diagonal:
-            ent = ent + ONE_MINUS_T * r[m]
-            if m % 2 == 0:
-                ent = ent - ONE_MINUS_T ** (m - 1) * TPoly((0, deg))
-        entries[m] = ent
-        s_prev2, s_prev1 = s_prev1, s_m
-    return entries
+        r = None
+    return cbc_terms(c, g.degrees[x0], r)
 
 
 def zeta_log_coefficients(g, x0, x, order):
@@ -285,91 +266,40 @@ def charpoly_exact(mat):
     return coeff
 
 
-def _poly_eval(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_deriv(p):
-    return [c * k for k, c in enumerate(p)][1:] or [Fraction(0)]
-
-
-def _poly_trim(p):
-    q = list(p)
-    while len(q) > 1 and q[-1] == 0:
-        q.pop()
-    return q
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [
-        (a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    a = _poly_trim(a)
-    b = _poly_trim(b)
-    if b == [Fraction(0)]:
-        raise ZeroDivisionError("polynomial division by zero")
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    rem = [Fraction(x) for x in a]
-    while True:
-        rem = _poly_trim(rem)
-        if rem == [Fraction(0)] or len(rem) < len(b):
-            break
-        shift = len(rem) - len(b)
-        factor = rem[-1] / b[-1]
-        quo[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] -= factor * c
-    return _poly_trim(quo), rem
-
-
-def _poly_gcd(a, b):
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b != [Fraction(0)]:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    lead = a[-1]
-    return [c / lead for c in a]
+def _gcd(a, b):
+    """Monic greatest common divisor of two TPoly."""
+    while not b.is_zero():
+        a, b = b, divmod(a, b)[1]
+    return a.monic()
 
 
 def _squarefree_decomposition(p):
     """Yun's algorithm: list of (factor, multiplicity), factors monic and
     squarefree, product of factor^multiplicity = p up to a constant."""
-    p = _poly_trim(p)
-    lead = p[-1]
-    p = [c / lead for c in p]
-    dp = _poly_deriv(p)
-    g = _poly_gcd(p, dp)
-    if len(g) == 1:
+    p = p.monic()
+    dp = p.derivative()
+    g = _gcd(p, dp)
+    if g.degree == 0:
         return [(p, 1)]
-    c, _ = _poly_divmod(p, g)
-    d = _poly_sub(_poly_divmod(dp, g)[0], _poly_deriv(c))
+    c = divmod(p, g)[0]
+    d = divmod(dp, g)[0] - c.derivative()
     out = []
     i = 1
-    while c != [Fraction(1)]:
-        a = _poly_gcd(c, d)
-        if len(a) > 1:
+    while c != 1:
+        a = _gcd(c, d)
+        if a.degree > 0:
             out.append((a, i))
-        c, _ = _poly_divmod(c, a)
-        d = _poly_sub(_poly_divmod(d, a)[0], _poly_deriv(c))
+        c = divmod(c, a)[0]
+        d = divmod(d, a)[0] - c.derivative()
         i += 1
     return out
 
 
 def _sturm_chain(p):
-    chain = [_poly_trim(p), _poly_deriv(p)]
-    while _poly_trim(chain[-1]) != [Fraction(0)] and len(chain[-1]) > 1:
-        _, r = _poly_divmod(chain[-2], chain[-1])
-        chain.append([-c for c in r])
-    if _poly_trim(chain[-1]) == [Fraction(0)]:
+    chain = [p, p.derivative()]
+    while chain[-1].degree > 0:
+        chain.append(-divmod(chain[-2], chain[-1])[1])
+    if chain[-1].is_zero():
         chain.pop()
     return chain
 
@@ -377,7 +307,7 @@ def _sturm_chain(p):
 def _sign_variations(chain, x):
     signs = []
     for p in chain:
-        v = _poly_eval(p, x)
+        v = p.evaluate(x)
         if v:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -388,11 +318,12 @@ def _roots_in(chain, lo, hi):
 
 
 def isolate_real_roots(p, lo, hi, width=Fraction(1, 10**12)):
-    """Distinct real roots of p in (lo, hi] with multiplicities, each bracketed
-    to the requested width.  Returns a list of (lo, hi, multiplicity)."""
+    """Distinct real roots of p (ascending Fraction coefficients) in (lo, hi]
+    with multiplicities, each bracketed to the requested width.  Returns a
+    list of (lo, hi, multiplicity)."""
     out = []
-    for factor, mult in _squarefree_decomposition(p):
-        if len(factor) == 1:
+    for factor, mult in _squarefree_decomposition(TPoly(p)):
+        if factor.degree == 0:
             continue
         chain = _sturm_chain(factor)
         total = _roots_in(chain, lo, hi)
@@ -405,13 +336,8 @@ def isolate_real_roots(p, lo, hi, width=Fraction(1, 10**12)):
                 out.append((a, b, mult))
                 continue
             mid = (a + b) / 2
-            if _poly_eval(factor, mid) == 0:
-                if cnt == 1:
-                    out.append((mid, mid, mult))
-                    continue
-                left = _roots_in(chain, a, mid)
-                stack.append((a, mid, left))
-                stack.append((mid, b, cnt - left))
+            if factor.evaluate(mid) == 0 and cnt == 1:
+                out.append((mid, mid, mult))
                 continue
             left = _roots_in(chain, a, mid)
             stack.append((a, mid, left))

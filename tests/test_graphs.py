@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,23 @@ def test_build_errors():
         build_graph(0, [])
     with pytest.raises(InvalidParameter):
         build_graph(2, [(0, 5)])
+
+
+@pytest.mark.parametrize("parse,text", [
+    (parse_edge_list, "0 2000000"),
+    (parse_graph_json, '{"vertices": 2000000, "edges": [[0, 1]]}'),
+])
+def test_vertex_count_past_edges_rejected_before_allocation(parse, text):
+    # a connected graph has at most |E| + 1 vertices, so a larger count is
+    # refused before any per-vertex list is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(Disconnected):
+            parse(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_twin_involution_axioms():

@@ -299,6 +299,23 @@ def test_operator_interpretation_fails_check_on_path4():
     assert rep_diag.first_failure["u_power"] == 6
 
 
+def test_cyclic_bump_per_length_display_reads_cbc_terms(monkeypatch):
+    # the per-length display checks the entries of operators.cbc_terms, the
+    # code that the log route reads through zeta.cbc_entries
+    import bzk.operators
+
+    exact = bzk.operators.cbc_terms
+
+    def shifted(c, deg, r=None):
+        out = exact(c, deg, r)
+        out[5] = out[5] + TPoly((0,) * 9 + (1,))
+        return out
+
+    monkeypatch.setattr(bzk.operators, "cbc_terms", shifted)
+    rep = check_cyclic_bump_identity(CORPUS["K4"], 0, 8)
+    assert rep.first_failure == {"display": "per-length", "u_power": 5, "difference": "-t^9"}
+
+
 def test_strict_mode_raises():
     g = CORPUS["path(4)"]
     with pytest.raises(IdentityViolation):

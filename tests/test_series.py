@@ -36,6 +36,37 @@ def test_tpoly_basics():
     assert str(TPoly()) == "0"
 
 
+def test_tpoly_divmod():
+    rng = random.Random(3)
+    for _ in range(200):
+        a, b = rand_tpoly(rng, 6), rand_tpoly(rng, 3)
+        if b.is_zero():
+            continue
+        q, r = divmod(a, b)
+        assert a == q * b + r
+        assert r.degree < b.degree
+    # t^3 - 1 = (t - 1)(t^2 + t + 1); a lower-degree dividend is its own remainder
+    assert divmod(TPoly((-1, 0, 0, 1)), TPoly((-1, 1))) == (TPoly((1, 1, 1)), TPoly())
+    assert divmod(T, TPoly((1, 0, 2))) == (TPoly(), T)
+    with pytest.raises(ZeroDivisionError):
+        divmod(T, TPoly())
+
+
+def test_tpoly_derivative_and_monic():
+    assert TPoly((5, 3, 0, 2)).derivative() == TPoly((3, 0, 6))
+    assert TPoly((7,)).derivative() == TPoly()
+    assert TPoly((2, 4)).monic() == TPoly((Fraction(1, 2), 1))
+    rng = random.Random(5)
+    for _ in range(100):
+        a, b = rand_tpoly(rng), rand_tpoly(rng)
+        assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+        if not a.is_zero():
+            m = a.monic()
+            assert m.c[-1] == 1 and m * a.c[-1] == a
+    with pytest.raises(ZeroDivisionError):
+        TPoly().monic()
+
+
 def test_series_mul_examples():
     # (1 + u)(1 - u) at order 3 -> 1 - u^2
     a = USeries(3, [ONE, ONE])
@@ -57,20 +88,8 @@ def test_series_log_examples():
     assert s.log() == USeries(
         3, [TPoly(), -ONE, TPoly((Fraction(-1, 2),)), TPoly((Fraction(-1, 3),))]
     )
-    assert OperatorSeries.identity(3, 4).log().is_zero()
     with pytest.raises(BadConstantTerm):
         USeries(3, [TPoly((2,))]).log()
-
-
-def test_exp_log_roundtrip_operator_series():
-    rng = random.Random(11)
-    for _ in range(5):
-        mats = [OperatorPoly.identity(3)] + [
-            OperatorPoly([[rand_tpoly(rng, 2) for _ in range(3)] for _ in range(3)])
-            for _ in range(6)
-        ]
-        s = OperatorSeries(3, 6, mats)
-        assert s.log().exp() == s
 
 
 def test_series_exp_examples():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bzk.graphs import operators as graph_operators
 from bzk.operators import adjacency_poly, cm_cbc, cm_sequence, qxt_poly
 from bzk.paths import closed_geodesic_counts
 from bzk.series import (ONE_MINUS_T, TPOLY_ZERO, OperatorPoly, OperatorSeries,
@@ -256,6 +257,19 @@ def test_charpoly_and_root_isolation():
     assert m2 == 2 and lo2 <= 1 <= hi2
     ident = [[2, 0], [0, 2]]
     assert charpoly_exact(ident) == [Fraction(4), Fraction(-4), Fraction(1)]
+
+
+@pytest.mark.parametrize("name,spectrum", [
+    ("petersen", {0: 1, 2: 5, 5: 4}),
+    ("Q3", {0: 1, 2: 3, 4: 3, 6: 1}),
+])
+def test_isolate_real_roots_laplacian_spectra(name, spectrum):
+    # eigenvalue: multiplicity, read off the exact characteristic polynomial
+    _, _, laplacian = graph_operators(CORPUS[name])
+    roots = isolate_real_roots(charpoly_exact(laplacian), Fraction(-1), Fraction(7))
+    assert [mult for _, _, mult in roots] == list(spectrum.values())
+    for (lo, hi, _), lam in zip(roots, spectrum):
+        assert lo <= lam <= hi and hi - lo <= Fraction(1, 10**12)
 
 
 def test_zeta_spectral_matches_log_series_example():
