@@ -1,4 +1,4 @@
-"""Byte-for-byte stdout of four CLI commands, pinned in tests/golden/.
+"""Byte-for-byte stdout of five CLI commands, pinned in tests/golden/.
 
 The fixtures were written by the commands below; any change to an exact
 coefficient, a key or the JSON layout shows up here as a failed comparison.
@@ -24,6 +24,10 @@ CASES = [
     ("zeta_path5_rhs.json", 0,
      ["zeta", "--family", "path", "--n", "5", "--root", "1", "--target", "3",
       "--order", "10", "--route", "rhs"]),
+    # a leaf of star(4): the Euler series where it differs from the log route
+    ("euler_star4_leaf.json", 1,
+     ["euler", "--family", "star", "--n", "4", "--root", "1", "--order", "10",
+      "--compare"]),
 ]
 
 
