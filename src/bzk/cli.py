@@ -16,6 +16,7 @@ from . import zeta as zetamod
 from .operators import (alpha, check_cyclic_bump_identity,
                         check_no_tail_identity, check_r_generating_identity,
                         check_series_inverse_identity)
+from .paths import MAX_ENUMERATION_LENGTH
 
 SCHEMA = 1
 
@@ -87,8 +88,14 @@ def _emit_csv(args, header, rows):
 
 
 def cmd_verify(args):
-    g = _resolve_graph(args)
+    # the per-root checks read the DFS tally, which stops at the cap; refuse
+    # a larger order before building walk tables of that order
     order = args.order
+    if order > MAX_ENUMERATION_LENGTH:
+        raise SystemExit2(
+            f"--order {order} exceeds the enumeration cap {MAX_ENUMERATION_LENGTH}"
+        )
+    g = _resolve_graph(args)
     root = _vertex(g, args.root, "--root")
     roots = [root] if root is not None else list(range(g.vertex_count))
     results = [check_series_inverse_identity(g, order).to_json()]

@@ -57,13 +57,6 @@ class Graph:
         self._twins = tuple(e.twin for e in edges)
 
     @property
-    def directed_edge_count(self):
-        return len(self.edges)
-
-    def degree(self, x):
-        return self.degrees[x]
-
-    @property
     def max_degree(self):
         return max(self.degrees) if self.degrees else 0
 

@@ -38,12 +38,6 @@ def path_terminus(g, edges):
     return g.edges[edges[-1]].terminus
 
 
-def is_path(g, edges):
-    return all(
-        g._heads[edges[i]] == g.edges[edges[i + 1]].origin for i in range(len(edges) - 1)
-    )
-
-
 def bump_count(g, edges):
     """Number of positions i < len where edge i+1 reverses edge i."""
     twins = g._twins

@@ -350,10 +350,6 @@ class USeries:
             acc = acc + p * Fraction(1, factorial(k))
         return acc
 
-    def pow_scalar(self, exponent):
-        """Raise a constant-term-1 series to a rational power via exp(a log)."""
-        return (self.log() * Fraction(exponent)).exp()
-
     def integrate(self):
         """Termwise integral from 0: coefficient of u^(k+1) is c_k / (k+1)."""
         out = [TPOLY_ZERO]
@@ -571,10 +567,11 @@ class OperatorSeries:
 
 
 def binomial_power(s, exponent):
-    """(constant-term-1 series) ** exponent for rational exponents."""
+    """(constant-term-1 series) ** exponent for rational exponents, as
+    exp(exponent * log s)."""
     if not isinstance(s, USeries):
         raise TypeError("binomial_power expects a scalar USeries")
-    return s.pow_scalar(exponent)
+    return (s.log() * Fraction(exponent)).exp()
 
 
 def evaluate(x, t, u=None):

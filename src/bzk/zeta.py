@@ -15,10 +15,9 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import operators
-from .operators import alpha, cbc_terms, cm_sequence, walk_table
-from .paths import primitive_rooted_closed_paths
-from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_ZERO, TPoly,
-                     USeries, _add_into, _mul_into)
+from .operators import _closed_tallies, alpha, cbc_terms, cm_sequence, walk_table
+from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_ZERO, TPoly, USeries,
+                     _add_into, _mul_into)
 
 
 class DomainError(ValueError):
@@ -119,47 +118,53 @@ def _commutator_matrix(g):
     ]
 
 
-def _c2_entry(g, x0, x, order):
-    """C_2(x0, x); the rooted entry comes from the walk table of the given
-    order (at least 2)."""
-    if x == x0:
-        return walk_table(g, max(order, 2)).diag[2][x0]
-    return cm_sequence(g, 2)[2].entry(x0, x)
+def _common_neighbours(g, x, y):
+    """Number of common neighbours of x and y, which is C_2(x, y) for x != y:
+    a length-2 walk bumps only when it returns to its start."""
+    return len(set(g.neighbors(x)).intersection(g.neighbors(y)))
 
 
 def zeta_formula_series(g, x0, x, order):
-    """Closed-formula route: product of the prefactor, the matrix-log
+    """Closed-formula route: the logs of the prefactor, the matrix-log
     factor, the commutator integral, the length-2 correction and the defect
-    series, each exponentiated as exact truncated series."""
+    series, summed into one exponent series and exponentiated once."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    deg = g.degrees[x0]
     left = _f_power_table(g, x0, order)
-    one = USeries.one(order)
-    one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
+    exponent = [TPOLY_ZERO] * (order + 1)
 
-    # exp(-[log(I - f)](x0, x)) with log(I - f) = -sum f^k / k
-    coeffs = [TPOLY_ZERO] * (order + 1)
+    # -[log(I - f)](x0, x) = sum_k f^k(x0, x) / k
     for k in range(1, order + 1):
         for p, c in enumerate(left[k][x], start=k):
-            coeffs[p] = coeffs[p] + c * Fraction(1, k)
-    factor_log = USeries(order, coeffs).exp()
+            exponent[p] = exponent[p] + c * Fraction(1, k)
 
-    # (1-(1-t)^2 u^2)^(-(deg-2)/2) at the root, 1 off the diagonal
     if x == x0:
-        quad = USeries(order, [TPOLY_ONE, TPOLY_ZERO, -one_minus_t_sq])
-        factor_pre = quad.pow_scalar(Fraction(-(deg - 2), 2))
-    else:
-        factor_pre = one
+        # log (1-(1-t)^2 u^2)^(-(deg-2)/2) = (deg-2)/2 sum_k (1-t)^(2k) u^(2k) / k;
+        # the prefactor is 1 off the diagonal
+        half = Fraction(g.degrees[x0] - 2, 2)
+        square = ONE_MINUS_T * ONE_MINUS_T
+        power = TPOLY_ONE
+        for k in range(1, order // 2 + 1):
+            power = power * square
+            exponent[2 * k] = exponent[2 * k] + power * (half / k)
+        # sum_{m>=3} (1-t) R_m(x0) / m u^m; the defect operator is diagonal
+        r = walk_table(g, order).r
+        for m in range(3, order + 1):
+            exponent[m] = exponent[m] + ONE_MINUS_T * r[m][x0] * Fraction(1, m)
+    elif order >= 2:
+        # [t D - C_2](x0, x) (1-t) u^2 / 2; C_2(x, x) = t deg(x), so only the
+        # off-diagonal -A^2(x0, x) survives
+        common = _common_neighbours(g, x0, x)
+        exponent[2] = exponent[2] - ONE_MINUS_T * Fraction(common, 2)
 
-    # commutator integral; the commutator vanishes on regular graphs.  The
-    # integrand is sum_{a,b} (b+1)/(a+b+2) [f^a K f^b](x0, x) u^(a+b) with
-    # K = A D - D A; f is symmetric, so f^b(q, x) is row x of f^b at q.
+    # commutator integral int_0^u (1-t) s^2 sum_{a,b} (b+1)/(a+b+2)
+    # [f^a K f^b](x0, x) s^(a+b) ds with K = A D - D A, which vanishes on
+    # regular graphs; f is symmetric, so f^b(q, x) is row x of f^b at q.
     commutator = [[(q, kpq) for q, kpq in enumerate(row) if kpq]
                   for row in _commutator_matrix(g)]
     if any(commutator):
         right = left if x == x0 else _f_power_table(g, x, order)
-        top = order - 2  # the u^2 shift drops every higher power
+        top = order - 3  # integrating the u^2 shift lifts power s to s + 3
         integrand = [TPOLY_ZERO] * (order + 1)
         for b in range(top + 1):
             # [K f^b](p, x) for every p, as raw coefficient lists per u-power
@@ -185,29 +190,10 @@ def zeta_formula_series(g, x0, x, order):
                 for s, c in enumerate(total, start=a + b):
                     if c:
                         integrand[s] = integrand[s] + TPoly(c) * weight
-        exponent = (USeries(order, integrand).shift(2) * ONE_MINUS_T).integrate()
-        factor_comm = exponent.exp()
-    else:
-        factor_comm = one
+        for s in range(top + 1):
+            exponent[s + 3] = exponent[s + 3] + integrand[s] * ONE_MINUS_T * Fraction(1, s + 3)
 
-    # exp([t D - C_2](x0, x) / 2 * (1-t) u^2)
-    c2 = _c2_entry(g, x0, x, order)
-    correction = (TPoly((0, deg)) if x == x0 else TPOLY_ZERO) - c2
-    factor_c2 = USeries(
-        order, [TPOLY_ZERO, TPOLY_ZERO, correction * ONE_MINUS_T * Fraction(1, 2)]
-    ).exp()
-
-    # exp(sum_{m>=3} (1-t) R_m(x0) / m u^m); the defect operator is diagonal
-    if x == x0 and order >= 3:
-        r = walk_table(g, order).r
-        coeffs = [TPOLY_ZERO] * (order + 1)
-        for m in range(3, order + 1):
-            coeffs[m] = ONE_MINUS_T * r[m][x0] * Fraction(1, m)
-        factor_defect = USeries(order, coeffs).exp()
-    else:
-        factor_defect = one
-
-    return factor_pre * factor_log * factor_comm * factor_c2 * factor_defect
+    return USeries(order, exponent).exp()
 
 
 # ---------------------------------------------------------------------------
@@ -218,27 +204,17 @@ def euler_product_series(g, x0, order):
     """Product over primitive rooted closed walks of length <= order of
     (1 - t^cbc u^len)^(-1/len), truncated.
 
-    Accumulated as the exponent sum over walks of
-    sum_k t^(cbc k) u^(len k) / (len k), then exponentiated once; this equals
-    the factor-by-factor truncated product exactly.  Walks are counted by
-    (len, cbc) in integers first, so each key costs one Fraction per k.
+    Every closed walk at x0 is P^k for exactly one primitive P, and
+    cbc(P^k) = k cbc(P), so the log of the product is sum_m cbc_all[m] u^m / m
+    over all closed walks at x0: the DFS tally that the identity checks share
+    through operators._closed_tallies.  paths.primitive_rooted_closed_paths
+    enumerates the primitive walks themselves and is this route's test
+    reference.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    counts = {}
-    for _, length, cbc in primitive_rooted_closed_paths(g, x0, order):
-        counts[length, cbc] = counts.get((length, cbc), 0) + 1
-    acc = [dict() for _ in range(order + 1)]
-    for (length, cbc), count in counts.items():
-        for k in range(1, order // length + 1):
-            row = acc[length * k]
-            power = cbc * k
-            row[power] = row.get(power, 0) + Fraction(count, length * k)
-    coeffs = [TPOLY_ZERO] * (order + 1)
-    for m, row in enumerate(acc):
-        if row:
-            top = max(row)
-            coeffs[m] = TPoly([row.get(p, 0) for p in range(top + 1)])
+    cbc_all, _, _ = _closed_tallies(g, x0, order)
+    coeffs = [TPOLY_ZERO] + [cbc_all[m] * Fraction(1, m) for m in range(1, order + 1)]
     return USeries(order, coeffs).exp()
 
 
@@ -460,8 +436,7 @@ def zeta_spectral_report(g, x0, x, u, t):
         prefactor = 1.0
 
     order = R_TAIL_ORDER
-    c2 = _c2_entry(g, x0, x, order)
-    corr = (t * g.degrees[x0] if x == x0 else 0.0) - c2.evaluate(t)
+    corr = 0.0 if x == x0 else -_common_neighbours(g, x0, x)
     c2_factor = math.exp(corr / 2.0 * (1.0 - t) * u * u)
 
     if x == x0:

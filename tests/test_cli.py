@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, formats, determinism."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -112,6 +113,26 @@ def test_out_of_range_vertex_is_usage_error(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "is not a vertex of" in err
+
+
+def test_verify_order_past_dfs_cap_refused_up_front(capsys):
+    # refused before any walk table is built: a one-line error, exit 2 and
+    # no memory to speak of; the cap itself still runs
+    for order in ("13", "1000000"):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "verify", "--family", "petersen", "--order", order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "enumeration cap 12" in err
+        assert peak < 1_000_000
+    code, out, _ = run(capsys, "verify", "--family", "cycle", "--n", "4", "--root", "0",
+                       "--order", "12")
+    assert code == 0 and json.loads(out)["pass"] is True
 
 
 def test_eigensolver_failure_is_usage_error(capsys, perturbed_eigh):

@@ -20,7 +20,7 @@ from bzk.operators import (IdentityViolation, adjacency_poly, alpha,
                            degree_poly, delta_diag, qxt_poly, r_m, r_values,
                            walk_table)
 from bzk.paths import (cm_bruteforce, enumerate_closed_weighted,
-                       non_backtracking_matrices)
+                       non_backtracking_matrices, rooted_closed_tallies)
 from bzk.series import ONE_MINUS_T, OperatorPoly, TPoly
 from conftest import CORPUS, NON_TRANSITIVE, VERTEX_TRANSITIVE
 
@@ -139,11 +139,13 @@ def test_walk_table_matches_matrices_and_double_sum(name):
     assert table.diag == tuple(tuple(c.diag()) for c in cms)
     assert table.delta == tuple(tuple(delta_diag(g, c)) for c in cms)
     assert table.r == tuple(tuple(row) for row in r_values(g, 12))
+    # every closed length-2 walk is a bump pair: C_2(x, x) = t deg(x)
+    assert table.diag[2] == tuple(TPoly((0, d)) for d in g.degrees)
 
 
 def test_verify_builds_walk_data_once_per_graph(monkeypatch, capsys):
-    # a fixed few builds of the walk matrices per graph (the walk table, the
-    # series-inverse check, C_2), none per root
+    # a fixed few builds of the walk matrices per graph (the walk table and
+    # the series-inverse check), none per root
     import bzk.operators
     import bzk.zeta
     from bzk.cli import main
@@ -158,14 +160,16 @@ def test_verify_builds_walk_data_once_per_graph(monkeypatch, capsys):
     monkeypatch.setattr(bzk.zeta, "cm_sequence", counted)
     assert main(["verify", "--family", "petersen", "--order", "10"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
-    assert len(calls) <= 3
+    assert len(calls) <= 2
 
 
 def test_verify_runs_one_dfs_tally_per_root(monkeypatch, capsys):
-    # the no-tail and cyclic-bump checks of a root share one DFS tally
+    # the no-tail and cyclic-bump checks and the Euler route of a root share
+    # one DFS tally; the primitive-walk enumeration is a test reference only
     import bzk.operators
+    import bzk.paths
+    import bzk.zeta
     from bzk.cli import main
-    from bzk.paths import rooted_closed_tallies
 
     roots = []
 
@@ -173,7 +177,12 @@ def test_verify_runs_one_dfs_tally_per_root(monkeypatch, capsys):
         roots.append(x0)
         return rooted_closed_tallies(g, x0, max_len, cap)
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify enumerated primitive walks")
+
     monkeypatch.setattr(bzk.operators, "rooted_closed_tallies", counted)
+    monkeypatch.setattr(bzk.paths, "primitive_rooted_closed_paths", forbidden)
+    monkeypatch.setattr(bzk.zeta, "primitive_rooted_closed_paths", forbidden, raising=False)
     bzk.operators._closed_tallies.cache_clear()
     assert main(["verify", "--family", "petersen", "--order", "10"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True

@@ -1,6 +1,7 @@
 """Zeta routes: log-series, closed formula, Euler product, spectral."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 
 from bzk.graphs import operators as graph_operators
 from bzk.operators import adjacency_poly, cm_cbc, cm_sequence, qxt_poly
-from bzk.paths import closed_geodesic_counts
-from bzk.series import (ONE_MINUS_T, TPOLY_ZERO, OperatorPoly, OperatorSeries,
-                        TPoly, USeries, binomial_power)
+from bzk.paths import closed_geodesic_counts, primitive_rooted_closed_paths
+from bzk.series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_ZERO, OperatorPoly,
+                        OperatorSeries, TPoly, USeries, binomial_power)
 from bzk.zeta import (DomainError, EigensolverFailure, NotRegular,
                       _f_power_table, cbc_entries, charpoly_exact,
                       euler_product_series, isolate_real_roots,
@@ -101,6 +102,39 @@ def test_formula_route_deeper_order_non_regular():
 
 
 @pytest.mark.parametrize("name", list(CORPUS))
+def test_formula_route_low_orders_every_pair(name):
+    # orders 1 and 2 cut the prefactor and the length-2 correction short;
+    # the exponent series holds only the u-powers the order admits
+    g = CORPUS[name]
+    n = g.vertex_count
+    for x0 in range(n):
+        for x in range(n):
+            for order in (1, 2, 3):
+                assert zeta_formula_series(g, x0, x, order) == zeta_log_series(g, x0, x, order)
+
+
+def test_formula_route_exponentiates_once(monkeypatch):
+    calls = []
+    exp = USeries.exp
+
+    def counted(self):
+        calls.append(self.order)
+        return exp(self)
+
+    def forbidden(self):
+        raise AssertionError("the formula route takes no series log")
+
+    monkeypatch.setattr(USeries, "exp", counted)
+    monkeypatch.setattr(USeries, "log", forbidden)
+    # the tree ball is not regular, so the commutator term is live too
+    g = CORPUS["tree_ball(3,3)"]
+    for x0, x in [(0, 0), (1, 1), (0, 1), (1, 5)]:
+        calls.clear()
+        zeta_formula_series(g, x0, x, 8)
+        assert calls == [8]
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
 def test_f_power_rows_match_dense_powers(name):
     # every row of the cached row recursion, rooted (j = x) and off the
     # diagonal, against the entries of dense operator-series powers of f
@@ -136,6 +170,23 @@ def test_commutator_factor_trivial_on_regular():
 def test_euler_product_equals_log_series_vertex_transitive(name):
     g = CORPUS[name]
     assert euler_product_series(g, 0, 10) == zeta_log_series(g, 0, 0, 10)
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_euler_route_equals_literal_primitive_product(name):
+    # the product over the enumeration oracle's primitive walks, one
+    # binomial factor (1 - t^cbc u^len)^(-count/len) per (len, cbc) group
+    g = CORPUS[name]
+    order = 10
+    for x0 in range(3):
+        groups = Counter(
+            (length, cbc) for _, length, cbc in primitive_rooted_closed_paths(g, x0, order)
+        )
+        product = USeries.one(order)
+        for (length, cbc), count in sorted(groups.items()):
+            coeffs = [TPOLY_ONE] + [TPOLY_ZERO] * (length - 1) + [TPoly([0] * cbc + [-1])]
+            product = product * binomial_power(USeries(order, coeffs), Fraction(-count, length))
+        assert product == euler_product_series(g, x0, order)
 
 
 def test_euler_product_single_factor_shape():
