@@ -1,4 +1,4 @@
-"""Byte-for-byte stdout of five CLI commands, pinned in tests/golden/.
+"""Byte-for-byte stdout of six CLI commands, pinned in tests/golden/.
 
 The fixtures were written by the commands below; any change to an exact
 coefficient, a key or the JSON layout shows up here as a failed comparison.
@@ -28,6 +28,11 @@ CASES = [
     ("euler_star4_leaf.json", 1,
      ["euler", "--family", "star", "--n", "4", "--root", "1", "--order", "10",
       "--compare"]),
+    # the closed-walk tally at the length cap, on a graph with leaves and
+    # vertices of two degrees
+    ("verify_tree_ball32_o12.json", 1,
+     ["verify", "--family", "tree_ball", "--q-plus-1", "3", "--radius", "2",
+      "--order", "12"]),
 ]
 
 
