@@ -8,6 +8,7 @@ from .graphs import (DirectedEdge, Disconnected, DuplicateEdge, EmptyGraph,
                      Graph, GraphError, InvalidParameter, LoopEdge, ball,
                      build_graph, generate, graph_to_json_dict, load_graph,
                      parse_edge_list, parse_graph_json)
+from .edgewalk import edge_closed_tallies
 from .graphs import operators as graph_operators
 from .heat import (BesselEval, HeatKernelValue, NonconvergentTail,
                    ParameterDomain, PipelineReport, bessel_heat_package,

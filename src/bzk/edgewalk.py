@@ -1,0 +1,75 @@
+"""Closed-walk tallies by a transfer recursion over directed edges.
+
+A walk steps from edge e' to edge e when e leaves the vertex e' enters, with
+weight t when e reverses e' (a bump) and 1 otherwise: the transfer matrix
+B + (t-1) J of Hashimoto and Bartholdi, with B the edge adjacency and J the
+twin pairing.  Its powers give the bump-weighted closed walks at a root in
+time polynomial in the length, where an enumeration grows like (d-1)^m.
+"""
+
+from .series import TPoly, _add_into, _mul_into
+
+# t - 1, lowest power first: the extra weight of the step that reverses an edge
+_T_MINUS_ONE = (-1, 1)
+
+
+def edge_closed_tallies(g, x0, order):
+    """Cyclic-bump tallies of the closed walks at x0, lengths 0..order.
+
+    Returns (cbc_all, no_tail): lists indexed by length m of TPoly, where
+    cbc_all[m] sums t^cbc over closed walks of length m at x0 and no_tail[m]
+    sums t^cbc (= t^bc) over those whose last edge does not reverse the
+    first.  Index 0 is zero in both, as in paths.rooted_closed_tallies.
+
+    For each first edge f leaving x0, V_k[e] is the sum of t^bc over walks
+    of length k that start with f and end with e:
+        V_1 = [f],  V_(k+1)[e] = S_k[tail e] + (t-1) V_k[twin e],
+    with S_k[v] the sum of V_k over the edges into v.  A walk ending at the
+    twin of f has a tail, whose wrap-around bump adds one more factor t.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    cbc_all = [[] for _ in range(order + 1)]
+    no_tail = [[] for _ in range(order + 1)]
+    edge_count = len(g.edges)
+    tails = [e.origin for e in g.edges]
+    heads = g._heads
+    twins = g._twins
+    # the edges into v are the twins of the edges out of v
+    into_root = [twins[e] for e in g.out_edges[x0]]
+    for f in g.out_edges[x0]:
+        closing = twins[f]
+        cur = [None] * edge_count
+        cur[f] = [1]
+        for k in range(1, order + 1):
+            for e in into_root:
+                v = cur[e]
+                if v is None:
+                    continue
+                if e == closing:
+                    _mul_into(cbc_all[k], (0, 1), v)
+                else:
+                    _add_into(cbc_all[k], v)
+                    _add_into(no_tail[k], v)
+            if k == order:
+                break
+            sums = [None] * g.vertex_count
+            for e, v in enumerate(cur):
+                if v is not None:
+                    h = heads[e]
+                    if sums[h] is None:
+                        sums[h] = list(v)
+                    else:
+                        _add_into(sums[h], v)
+            nxt = [None] * edge_count
+            for e in range(edge_count):
+                s = sums[tails[e]]
+                back = cur[twins[e]]
+                if s is None:
+                    continue  # back is None too: twin e enters tail e
+                acc = list(s)
+                if back is not None:
+                    _mul_into(acc, _T_MINUS_ONE, back)
+                nxt[e] = acc
+            cur = nxt
+    return [TPoly(c) for c in cbc_all], [TPoly(c) for c in no_tail]

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .paths import rooted_closed_tallies
+from .edgewalk import edge_closed_tallies
 from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_T, TPOLY_ZERO, OperatorPoly,
                      OperatorSeries, TPoly, USeries, _add_into, _mul_into)
 
@@ -336,12 +336,21 @@ def _report(identity, g, root, order, failures, strict):
     return report
 
 
+# The closed-walk tallies take polynomial time at any length, but they stop
+# where the enumeration oracle paths.rooted_closed_tallies stops, so every
+# tally in default output has an independent reference.
+TALLY_CAP = 12
+
+
 @lru_cache(maxsize=8)
 def _closed_tallies(g, x0, order):
-    """rooted_closed_tallies(g, x0, order) as tuples, so the no-tail and the
-    cyclic-bump checks of one root share a single DFS and no caller can
-    change a cached tally."""
-    return tuple(tuple(tally) for tally in rooted_closed_tallies(g, x0, order))
+    """(cbc_all, no_tail) of edgewalk.edge_closed_tallies(g, x0, order) as
+    tuples, so the no-tail and cyclic-bump checks and the Euler route of one
+    root share a single tally and no caller can change a cached one.  An
+    order past TALLY_CAP raises ValueError."""
+    if order > TALLY_CAP:
+        raise ValueError(f"length {order} exceeds cap {TALLY_CAP}")
+    return tuple(tuple(tally) for tally in edge_closed_tallies(g, x0, order))
 
 
 def check_no_tail_identity(g, x0, order, *, strict=False):
@@ -356,7 +365,7 @@ def check_no_tail_identity(g, x0, order, *, strict=False):
     """
     if order < 4:
         raise ValueError("order must be >= 4")
-    _, _, notail = _closed_tallies(g, x0, order)
+    _, notail = _closed_tallies(g, x0, order)
     table = walk_table(g, order)
     deg = g.degrees[x0]
     c_terms = [row[x0] for row in table.diag]
@@ -396,13 +405,13 @@ def check_cyclic_bump_identity(g, x0, order, *, interpretation="diagonal", stric
     series to the walk-matrix series at one root.
 
     The series display multiplies out to polynomial coefficients; the
-    per-length display checks every m >= 3 against the enumeration.  The
+    per-length display checks every m >= 3 against the closed-walk tally.  The
     final valency term is read as -(1-(1-t^2)u^2) t deg (1-t) u^2, which is
     what the summed per-length identities produce.
     """
     if order < 4:
         raise ValueError("order must be >= 4")
-    cbc_all, _, _ = _closed_tallies(g, x0, order)
+    cbc_all, _ = _closed_tallies(g, x0, order)
     deg = g.degrees[x0]
     if interpretation == "diagonal":
         table = walk_table(g, order)

@@ -7,7 +7,6 @@ evaluate() bridge used by the numeric routes.
 """
 
 from fractions import Fraction
-from math import factorial
 
 
 class SeriesError(ValueError):
@@ -324,37 +323,39 @@ class USeries:
         return USeries(M, out)
 
     def log(self):
-        """log(1 + h) = sum_{k>=1} (-1)^(k+1) h^k / k, truncated."""
+        """log of a series with constant term 1, by the derivative
+        recurrence n b_n = n a_n - sum_{k=1}^{n-1} k b_k a_(n-k), from
+        b' a = a'; O(order^2) coefficient products."""
         if self.c[0] != TPOLY_ONE:
             raise BadConstantTerm("log needs constant term 1")
-        h = self - 1
-        acc = USeries.zero(self.order)
-        p = h
-        for k in range(1, self.order + 1):
-            if p.is_zero():
-                break
-            acc = acc + p * Fraction((-1) ** (k + 1), k)
-            p = p * h
-        return acc
+        da = self.derivative().c  # da[n-1] = n a_n
+        out = [TPOLY_ZERO]
+        neg_kb = [()]  # neg_kb[k] = -k b_k as a raw coefficient list
+        for n in range(1, self.order + 1):
+            acc = list(da[n - 1].c)
+            for k in range(1, n):
+                a = self.c[n - k].c
+                if a and neg_kb[k]:
+                    _mul_into(acc, neg_kb[k], a)
+            neg_kb.append([-x for x in acc])
+            out.append(TPoly(acc) * Fraction(1, n))
+        return USeries(self.order, out)
 
     def exp(self):
-        """exp of a series with zero constant term."""
+        """exp of a series with constant term 0, by the derivative
+        recurrence n b_n = sum_{k=1}^{n} k a_k b_(n-k), from b' = a' b;
+        O(order^2) coefficient products."""
         if not self.c[0].is_zero():
             raise BadConstantTerm("exp needs constant term 0")
-        acc = USeries.one(self.order)
-        p = USeries.one(self.order)
-        for k in range(1, self.order + 1):
-            p = p * self
-            if p.is_zero():
-                break
-            acc = acc + p * Fraction(1, factorial(k))
-        return acc
-
-    def integrate(self):
-        """Termwise integral from 0: coefficient of u^(k+1) is c_k / (k+1)."""
-        out = [TPOLY_ZERO]
-        for k in range(self.order):
-            out.append(self.c[k] * Fraction(1, k + 1))
+        da = self.derivative().c  # da[k-1] = k a_k
+        out = [TPOLY_ONE]
+        for n in range(1, self.order + 1):
+            acc = []
+            for k in range(1, n + 1):
+                a, b = da[k - 1].c, out[n - k].c
+                if a and b:
+                    _mul_into(acc, a, b)
+            out.append(TPoly(acc) * Fraction(1, n))
         return USeries(self.order, out)
 
     def derivative(self):

@@ -206,14 +206,14 @@ def euler_product_series(g, x0, order):
 
     Every closed walk at x0 is P^k for exactly one primitive P, and
     cbc(P^k) = k cbc(P), so the log of the product is sum_m cbc_all[m] u^m / m
-    over all closed walks at x0: the DFS tally that the identity checks share
-    through operators._closed_tallies.  paths.primitive_rooted_closed_paths
-    enumerates the primitive walks themselves and is this route's test
-    reference.
+    over all closed walks at x0: the edge-transfer tally that the identity
+    checks share through operators._closed_tallies, which stops at its cap.
+    paths.primitive_rooted_closed_paths enumerates the primitive walks
+    themselves and is this route's test reference.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    cbc_all, _, _ = _closed_tallies(g, x0, order)
+    cbc_all, _ = _closed_tallies(g, x0, order)
     coeffs = [TPOLY_ZERO] + [cbc_all[m] * Fraction(1, m) for m in range(1, order + 1)]
     return USeries(order, coeffs).exp()
 

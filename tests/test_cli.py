@@ -6,6 +6,8 @@ import tracemalloc
 import pytest
 
 from bzk.cli import main
+from bzk.operators import TALLY_CAP
+from bzk.paths import MAX_ENUMERATION_LENGTH
 
 
 def run(capsys, *argv):
@@ -133,6 +135,19 @@ def test_verify_order_past_dfs_cap_refused_up_front(capsys):
     code, out, _ = run(capsys, "verify", "--family", "cycle", "--n", "4", "--root", "0",
                        "--order", "12")
     assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_tallies_past_cap_are_usage_errors(capsys):
+    # the Euler route reads the closed-walk tally, which stops where the
+    # enumeration oracle does
+    assert TALLY_CAP == MAX_ENUMERATION_LENGTH
+    for argv in (["euler", "--family", "petersen", "--root", "0", "--order", "13"],
+                 ["zeta", "--family", "petersen", "--root", "0", "--order", "13",
+                  "--route", "all"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: length 13 exceeds cap 12\n"
 
 
 def test_eigensolver_failure_is_usage_error(capsys, perturbed_eigh):

@@ -163,26 +163,27 @@ def test_verify_builds_walk_data_once_per_graph(monkeypatch, capsys):
     assert len(calls) <= 2
 
 
-def test_verify_runs_one_dfs_tally_per_root(monkeypatch, capsys):
+def test_verify_runs_one_edge_tally_per_root(monkeypatch, capsys):
     # the no-tail and cyclic-bump checks and the Euler route of a root share
-    # one DFS tally; the primitive-walk enumeration is a test reference only
+    # one edge tally; the enumerations are test references only
     import bzk.operators
     import bzk.paths
     import bzk.zeta
     from bzk.cli import main
+    from bzk.edgewalk import edge_closed_tallies
 
     roots = []
 
-    def counted(g, x0, max_len, cap=None):
+    def counted(g, x0, order):
         roots.append(x0)
-        return rooted_closed_tallies(g, x0, max_len, cap)
+        return edge_closed_tallies(g, x0, order)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("verify enumerated primitive walks")
+        raise AssertionError("verify enumerated closed walks")
 
-    monkeypatch.setattr(bzk.operators, "rooted_closed_tallies", counted)
+    monkeypatch.setattr(bzk.operators, "edge_closed_tallies", counted)
+    monkeypatch.setattr(bzk.paths, "rooted_closed_tallies", forbidden)
     monkeypatch.setattr(bzk.paths, "primitive_rooted_closed_paths", forbidden)
-    monkeypatch.setattr(bzk.zeta, "primitive_rooted_closed_paths", forbidden, raising=False)
     bzk.operators._closed_tallies.cache_clear()
     assert main(["verify", "--family", "petersen", "--order", "10"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
@@ -190,7 +191,8 @@ def test_verify_runs_one_dfs_tally_per_root(monkeypatch, capsys):
     g = CORPUS["K4"]
     tallies = bzk.operators._closed_tallies(g, 0, 6)
     assert all(isinstance(tally, tuple) for tally in tallies)
-    assert tallies == tuple(tuple(t) for t in rooted_closed_tallies(g, 0, 6))
+    cbc_all, _, no_tail = rooted_closed_tallies(g, 0, 6)
+    assert tallies == (tuple(cbc_all), tuple(no_tail))
 
 
 def test_cm_cbc_base_cases():

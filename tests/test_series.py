@@ -136,15 +136,52 @@ def test_binomial_power_additivity():
         assert lhs == rhs
 
 
-def test_integration_examples():
-    assert USeries.one(3).integrate() == USeries(3, [TPoly(), ONE])
-    cubic = USeries(3, [TPoly(), TPoly(), TPoly((3,))]).integrate()
-    assert cubic == USeries(3, [TPoly(), TPoly(), TPoly(), ONE])
+def test_derivative_examples():
+    assert USeries.one(3).derivative() == USeries.zero(3)
+    cubic = USeries(3, [TPoly((5,)), T, TPoly(), TPoly((Fraction(1, 3),))])
+    assert cubic.derivative() == USeries(3, [T, TPoly(), ONE])
     rng = random.Random(23)
     s = rand_useries(rng, 6)
-    back = s.integrate().derivative()
+    d = s.derivative()
     for m in range(6):
-        assert back.coefficient(m) == s.coefficient(m)
+        assert d.coefficient(m) == s.coefficient(m + 1) * (m + 1)
+    assert d.coefficient(6).is_zero()
+
+
+def _power_sum_exp(a):
+    # sum_k a^k / k!, one full series product per term
+    acc = p = USeries.one(a.order)
+    for k in range(1, a.order + 1):
+        p = p * a * Fraction(1, k)
+        acc = acc + p
+    return acc
+
+
+def _power_sum_log(s):
+    # log(1 + h) = sum_k (-1)^(k+1) h^k / k
+    h = s - 1
+    acc = USeries.zero(s.order)
+    p = USeries.one(s.order)
+    for k in range(1, s.order + 1):
+        p = p * h
+        acc = acc + p * Fraction((-1) ** (k + 1), k)
+    return acc
+
+
+def test_exp_log_recurrences_match_power_sums():
+    rng = random.Random(808)
+    for i in range(60):
+        order = i % 21
+        tail = [rand_tpoly(rng, 2) if rng.random() < 0.7 else TPoly()
+                for _ in range(order)]
+        z = USeries(order, [TPoly()] + tail)
+        assert z.exp() == _power_sum_exp(z)
+        s = USeries(order, [ONE] + tail)
+        assert s.log() == _power_sum_log(s)
+    with pytest.raises(BadConstantTerm):
+        USeries(4, [ONE, T]).exp()
+    with pytest.raises(BadConstantTerm):
+        USeries(4, [T, ONE]).log()
 
 
 def test_evaluate_examples():
