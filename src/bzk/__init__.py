@@ -15,11 +15,10 @@ from .heat import (BesselEval, HeatKernelValue, NonconvergentTail,
                    bessel_i, check_transform_consistency, heat_kernel_bessel,
                    heat_kernel_spectral, heat_residual, resolvent_transform,
                    series_weight)
-from .operators import (IdentityReport, IdentityViolation, alpha,
-                        check_cyclic_bump_identity, check_no_tail_identity,
-                        check_r_generating_identity,
+from .operators import (IdentityReport, alpha, check_cyclic_bump_identity,
+                        check_no_tail_identity, check_r_generating_identity,
                         check_series_inverse_identity, cm_cbc, cm_sequence,
-                        delta_diag, r_m, r_values)
+                        delta_diag, r_values)
 from .paths import (EnumerationTooDeep, NotClosed, bump_count, closed_geodesic_counts,
                     cm_bruteforce, cyclic_bump_count,
                     enumerate_closed_weighted, has_tail,
@@ -27,7 +26,7 @@ from .paths import (EnumerationTooDeep, NotClosed, bump_count, closed_geodesic_c
                     rooted_closed_tallies)
 from .series import (BadConstantTerm, DimensionMismatch, OperatorPoly,
                      OperatorSeries, OrderMismatch, SeriesError, TPoly,
-                     USeries, binomial_power, evaluate)
+                     USeries, binomial_power)
 from .zeta import (DomainError, EigensolverFailure, NotRegular, SpectralData,
                    cbc_entries, charpoly_exact, euler_product_series,
                    isolate_real_roots, local_spectrum, zeta_formula_series,

@@ -380,16 +380,16 @@ def check_transform_consistency(g, x0, x, u, t, *, tol=1e-9):
         if j_max > 2000:
             raise DomainError("series truncation did not converge")
     mats = _walk_matrix_table(g, t, n_max)
+    inner = 1.0
+    weight = 1.0
+    for j in range(1, j_max + 1):
+        weight *= r
+        inner += d1 * weight
     series = 0.0
     for n in range(n_max + 1):
         cn = mats[n][x0, x]
         if cn == 0.0:
             continue
-        inner = 1.0
-        weight = 1.0
-        for j in range(1, j_max + 1):
-            weight *= r
-            inner += d1 * weight
         series += cn * inner * u ** (n - 1)
 
     values = [quadrature, series, spectral_sum]

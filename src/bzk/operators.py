@@ -14,14 +14,6 @@ from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_T, TPOLY_ZERO, OperatorPoly,
                      OperatorSeries, TPoly, USeries, _add_into, _mul_into)
 
 
-class IdentityViolation(AssertionError):
-    """An exact series identity failed; carries the failure report."""
-
-    def __init__(self, report):
-        super().__init__(str(report))
-        self.report = report
-
-
 @dataclass
 class IdentityReport:
     identity: str
@@ -41,11 +33,6 @@ class IdentityReport:
             "first_failure": self.first_failure,
         }
 
-    def __str__(self):
-        state = "pass" if self.passed else f"FAIL at {self.first_failure}"
-        where = f"root {self.root}" if self.root is not None else "all vertices"
-        return f"{self.identity} on {self.graph} ({where}, order {self.order}): {state}"
-
 
 def adjacency_poly(g):
     n = g.vertex_count
@@ -53,10 +40,6 @@ def adjacency_poly(g):
     for e in g.edges:
         rows[e.origin][e.terminus] = TPOLY_ONE
     return OperatorPoly(rows)
-
-
-def degree_poly(g):
-    return OperatorPoly.diagonal([TPoly((d,)) for d in g.degrees])
 
 
 def qxt_poly(g):
@@ -116,28 +99,7 @@ def delta_diag(g, c):
     return out
 
 
-def delta_product_diag(g, c):
-    """Diagonal of the matrix product (Laplacian * C) -- the rejected
-    alternative reading of the defect term, kept behind a flag so the
-    negative test can show it breaks the cyclic-bump identity."""
-    out = []
-    for x in range(g.vertex_count):
-        acc = c.entry(x, x) * g.degrees[x]
-        for y in g.neighbors(x):
-            acc = acc - c.entry(y, x)
-        out.append(acc)
-    return out
-
-
-def _delta_values(g, c, interpretation):
-    if interpretation == "diagonal":
-        return delta_diag(g, c)
-    if interpretation == "operator":
-        return delta_product_diag(g, c)
-    raise ValueError(f"unknown interpretation {interpretation!r}")
-
-
-def r_values(g, order, *, interpretation="diagonal", cms=None):
+def r_values(g, order, *, cms=None):
     """Per-vertex defect values for every m <= order.
 
     R_m(x) = sum_{j=1}^{ceil(m/2)-1} sum_{i=1}^{j}
@@ -150,7 +112,7 @@ def r_values(g, order, *, interpretation="diagonal", cms=None):
         return [[TPOLY_ZERO] * g.vertex_count for _ in range(order + 1)]
     if cms is None:
         cms = cm_sequence(g, order - 2)
-    deltas = [_delta_values(g, cms[k], interpretation) for k in range(order - 1)]
+    deltas = [delta_diag(g, cms[k]) for k in range(order - 1)]
     return _r_double_sum(deltas, g.vertex_count, order)
 
 
@@ -217,13 +179,6 @@ def walk_table(g, order):
         r.append(tuple(d + mix * b - prod * a
                        for d, b, a in zip(delta[m - 2], r[m - 2], older)))
     return WalkTable(order=order, diag=diag, delta=delta, r=tuple(r))
-
-
-def r_m(g, m):
-    """Per-vertex defect values for a single length m."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return r_values(g, m)[m]
 
 
 def cbc_terms(c, deg, r=None):
@@ -322,8 +277,8 @@ def _first_difference(lhs, rhs):
     return None
 
 
-def _report(identity, g, root, order, failures, strict):
-    report = IdentityReport(
+def _report(identity, g, root, order, failures):
+    return IdentityReport(
         identity=identity,
         graph=g.label,
         root=root,
@@ -331,9 +286,6 @@ def _report(identity, g, root, order, failures, strict):
         passed=not failures,
         first_failure=failures[0] if failures else None,
     )
-    if strict and failures:
-        raise IdentityViolation(report)
-    return report
 
 
 # The closed-walk tallies take polynomial time at any length, but they stop
@@ -353,7 +305,7 @@ def _closed_tallies(g, x0, order):
     return tuple(tuple(tally) for tally in edge_closed_tallies(g, x0, order))
 
 
-def check_no_tail_identity(g, x0, order, *, strict=False):
+def check_no_tail_identity(g, x0, order):
     """Verify the closed-form identities tying the tail-free closed-walk
     series to the walk-matrix series at one root.
 
@@ -397,10 +349,10 @@ def check_no_tail_identity(g, x0, order, *, strict=False):
             failures.append({"display": "per-length", "u_power": m,
                              "difference": str(notail[m] - rhs_m)})
             break
-    return _report("no-tail-series", g, x0, order, failures, strict)
+    return _report("no-tail-series", g, x0, order, failures)
 
 
-def check_cyclic_bump_identity(g, x0, order, *, interpretation="diagonal", strict=False):
+def check_cyclic_bump_identity(g, x0, order):
     """Verify the closed-form identities tying the cyclic-bump closed-walk
     series to the walk-matrix series at one root.
 
@@ -413,17 +365,10 @@ def check_cyclic_bump_identity(g, x0, order, *, interpretation="diagonal", stric
         raise ValueError("order must be >= 4")
     cbc_all, _ = _closed_tallies(g, x0, order)
     deg = g.degrees[x0]
-    if interpretation == "diagonal":
-        table = walk_table(g, order)
-        c_terms = [row[x0] for row in table.diag]
-        d_terms = [row[x0] for row in table.delta]
-        r_terms = [row[x0] for row in table.r]
-    else:
-        cms = cm_sequence(g, order)
-        c_terms = [cms[m].entry(x0, x0) for m in range(order + 1)]
-        d_terms = [_delta_values(g, cms[m], interpretation)[x0] for m in range(order + 1)]
-        r_terms = [row[x0] for row in r_values(g, order, interpretation=interpretation,
-                                               cms=cms)]
+    table = walk_table(g, order)
+    c_terms = [row[x0] for row in table.diag]
+    d_terms = [row[x0] for row in table.delta]
+    r_terms = [row[x0] for row in table.r]
     cbc_series = _series_from(order, cbc_all)
     c_series = _series_from(order, c_terms)
     d_series = _series_from(order, d_terms)
@@ -459,10 +404,10 @@ def check_cyclic_bump_identity(g, x0, order, *, interpretation="diagonal", stric
             failures.append({"display": "per-length", "u_power": m,
                              "difference": str(cbc_all[m] - terms[m])})
             break
-    return _report("cyclic-bump-series", g, x0, order, failures, strict)
+    return _report("cyclic-bump-series", g, x0, order, failures)
 
 
-def check_series_inverse_identity(g, order, *, strict=False):
+def check_series_inverse_identity(g, order):
     """Verify that the walk-matrix series is a one-sided inverse of
     I - u A + (1-t)(D - (1-t)I) u^2, exactly as operator series.
 
@@ -503,10 +448,10 @@ def check_series_inverse_identity(g, order, *, strict=False):
             if lhs2.coefficient(m) != (OperatorPoly.identity(n) if m == 0 else OperatorPoly.zero(n)):
                 failures.append({"display": "folded", "u_power": m})
                 break
-    return _report("walk-series-inverse", g, None, order, failures, strict)
+    return _report("walk-series-inverse", g, None, order, failures)
 
 
-def check_r_generating_identity(g, x0, order, *, strict=False):
+def check_r_generating_identity(g, x0, order):
     """Verify the closed form of the defect generating function:
     sum_m R_m(x0) u^m = u^2 / ((1-(1-t)^2 u^2)(1-(1-t^2)u^2)) * DC(u)."""
     if order < 3:
@@ -527,4 +472,4 @@ def check_r_generating_identity(g, x0, order, *, strict=False):
     diff = _first_difference(r_series, rhs)
     if diff:
         failures.append({"display": "series", **diff})
-    return _report("defect-generating-function", g, x0, order, failures, strict)
+    return _report("defect-generating-function", g, x0, order, failures)

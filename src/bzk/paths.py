@@ -20,10 +20,9 @@ class EnumerationTooDeep(ValueError):
     """Requested length exceeds the enumeration cap."""
 
 
-def _check_length(m, cap):
-    limit = MAX_ENUMERATION_LENGTH if cap is None else cap
-    if m > limit:
-        raise EnumerationTooDeep(f"length {m} exceeds cap {limit}")
+def _check_length(m):
+    if m > MAX_ENUMERATION_LENGTH:
+        raise EnumerationTooDeep(f"length {m} exceeds cap {MAX_ENUMERATION_LENGTH}")
 
 
 def path_origin(g, edges):
@@ -70,7 +69,7 @@ def _poly_from_counts(counts):
 
 
 def enumerate_closed_weighted(g, x0, m, weight="cbc", *, no_tail=False,
-                              first_edge=None, last_edge=None, cap=None):
+                              first_edge=None, last_edge=None):
     """Sum of t^weight over closed walks of length m at x0 passing the filter.
 
     weight is "bc" or "cbc".  Filters: no_tail drops walks whose last edge
@@ -81,7 +80,7 @@ def enumerate_closed_weighted(g, x0, m, weight="cbc", *, no_tail=False,
         raise ValueError(f"unknown weight {weight!r}")
     if m < 0:
         raise ValueError("length must be >= 0")
-    _check_length(m, cap)
+    _check_length(m)
     if first_edge is not None and g.edges[first_edge].origin != x0:
         raise ValueError("first_edge must leave x0")
     if last_edge is not None and g.edges[last_edge].terminus != x0:
@@ -122,7 +121,7 @@ def enumerate_closed_weighted(g, x0, m, weight="cbc", *, no_tail=False,
     return _poly_from_counts(counts)
 
 
-def rooted_closed_tallies(g, x0, max_len, cap=None):
+def rooted_closed_tallies(g, x0, max_len):
     """One exhaustive DFS collecting, for every length m <= max_len, the
     weight tallies the generating-function identities consume.
 
@@ -131,7 +130,7 @@ def rooted_closed_tallies(g, x0, max_len, cap=None):
     and no_tail[m] sums t^cbc (= t^bc) over tail-free closed walks.  Index 0
     is zero in all three; the series these feed start at m = 1.
     """
-    _check_length(max_len, cap)
+    _check_length(max_len)
     out = g.out_edges
     heads = g._heads
     twins = g._twins
@@ -169,7 +168,7 @@ def rooted_closed_tallies(g, x0, max_len, cap=None):
     )
 
 
-def cm_bruteforce(g, m, cap=None):
+def cm_bruteforce(g, m):
     """Bump-weighted walk matrix by direct enumeration.
 
     Entry (x, y) is the sum of t^bc over walks x -> y of length m; length 0
@@ -177,7 +176,7 @@ def cm_bruteforce(g, m, cap=None):
     """
     if m < 0:
         raise ValueError("length must be >= 0")
-    _check_length(m, cap)
+    _check_length(m)
     n = g.vertex_count
     if m == 0:
         return OperatorPoly.identity(n)
@@ -215,7 +214,7 @@ def _is_primitive(edges):
     return True
 
 
-def primitive_rooted_closed_paths(g, x0, max_len, cap=None):
+def primitive_rooted_closed_paths(g, x0, max_len):
     """All primitive closed walks at x0 of length <= max_len.
 
     Returns a list of (edge_tuple, length, cbc).  A closed walk is primitive
@@ -224,7 +223,7 @@ def primitive_rooted_closed_paths(g, x0, max_len, cap=None):
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    _check_length(max_len, cap)
+    _check_length(max_len)
     out = g.out_edges
     heads = g._heads
     twins = g._twins
@@ -248,14 +247,14 @@ def primitive_rooted_closed_paths(g, x0, max_len, cap=None):
     return found
 
 
-def closed_geodesic_counts(g, x0, max_len, cap=None):
+def closed_geodesic_counts(g, x0, max_len):
     """Number of closed geodesics at x0 per length (no bumps, no tail).
 
     Kept independent of the weighted enumerators: the DFS never takes a
     reversing edge and rejects tails at closure, counting objects with
     cyclic bump count zero directly.
     """
-    _check_length(max_len, cap)
+    _check_length(max_len)
     out = g.out_edges
     heads = g._heads
     twins = g._twins
@@ -278,9 +277,9 @@ def closed_geodesic_counts(g, x0, max_len, cap=None):
     return counts
 
 
-def non_backtracking_matrices(g, max_len, cap=None):
+def non_backtracking_matrices(g, max_len):
     """Integer matrices counting bump-free walks per length <= max_len."""
-    _check_length(max_len, cap)
+    _check_length(max_len)
     n = g.vertex_count
     out = g.out_edges
     heads = g._heads

@@ -3,7 +3,8 @@ and square matrices over both.
 
 Coefficients are Python ints wherever possible and fractions.Fraction as soon
 as a division appears; both are exact.  Floating point enters only through the
-evaluate() bridge used by the numeric routes.
+evaluate methods of TPoly, USeries and OperatorPoly, which the numeric routes
+call.
 """
 
 from fractions import Fraction
@@ -573,14 +574,3 @@ def binomial_power(s, exponent):
     if not isinstance(s, USeries):
         raise TypeError("binomial_power expects a scalar USeries")
     return (s.log() * Fraction(exponent)).exp()
-
-
-def evaluate(x, t, u=None):
-    """Numeric bridge: TPoly needs t, USeries needs (t, u)."""
-    if isinstance(x, TPoly):
-        return x.evaluate(float(t))
-    if isinstance(x, USeries):
-        if u is None:
-            raise TypeError("USeries evaluation needs u")
-        return x.evaluate(t, float(u))
-    raise TypeError(f"cannot evaluate {type(x).__name__!r}")

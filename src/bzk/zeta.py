@@ -293,10 +293,14 @@ def _roots_in(chain, lo, hi):
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
-def isolate_real_roots(p, lo, hi, width=Fraction(1, 10**12)):
+# width to which isolate_real_roots brackets each root
+ROOT_WIDTH = Fraction(1, 10**12)
+
+
+def isolate_real_roots(p, lo, hi):
     """Distinct real roots of p (ascending Fraction coefficients) in (lo, hi]
-    with multiplicities, each bracketed to the requested width.  Returns a
-    list of (lo, hi, multiplicity)."""
+    with multiplicities, each bracketed to ROOT_WIDTH.  Returns a list of
+    (lo, hi, multiplicity)."""
     out = []
     for factor, mult in _squarefree_decomposition(TPoly(p)):
         if factor.degree == 0:
@@ -308,7 +312,7 @@ def isolate_real_roots(p, lo, hi, width=Fraction(1, 10**12)):
             a, b, cnt = stack.pop()
             if cnt == 0:
                 continue
-            if cnt == 1 and b - a <= width:
+            if cnt == 1 and b - a <= ROOT_WIDTH:
                 out.append((a, b, mult))
                 continue
             mid = (a + b) / 2
@@ -348,11 +352,16 @@ def _eigh_cached(g):
     return w, v
 
 
+# numeric eigenvalues further apart than this are distinct
+EIGENVALUE_GAP = 1e-8
+
+
 @lru_cache(maxsize=32)
-def _verified_spectrum(g, gap=1e-8):
+def _verified_spectrum(g):
     """The cached eigendecomposition of the Laplacian, grouped into distinct
     eigenvalues: (eigenvectors, groups, eigenvalues, multiplicities), where
-    groups[i] is the column range of eigenvalues[i].
+    groups[i] is the column range of eigenvalues[i] and neighbours more than
+    EIGENVALUE_GAP apart fall in different groups.
 
     On graphs with at most 10 vertices the numeric eigenvalues are verified
     once against exact characteristic-polynomial root isolation to 1e-10;
@@ -362,7 +371,7 @@ def _verified_spectrum(g, gap=1e-8):
     groups = []
     start = 0
     for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > gap:
+        if i == len(w) or w[i] - w[i - 1] > EIGENVALUE_GAP:
             groups.append((start, i))
             start = i
     eigenvalues = tuple(float(np.mean(w[a:b])) for a, b in groups)

@@ -1,5 +1,6 @@
 """Independent test-side oracles: deliberately dumb implementations used to
-cross-check the library, sharing no code with it."""
+cross-check the library, sharing no code with it.  The one exception,
+operator_reading_table, is a foil rather than an oracle."""
 
 from collections import deque
 from fractions import Fraction
@@ -66,3 +67,26 @@ def poly_eval_fraction(p, t):
     for c in reversed(p.c):
         acc = acc * t + c
     return acc
+
+
+def operator_reading_table(g, order):
+    """The WalkTable of g under the rejected reading of the defect term: the
+    diagonal of the matrix product (Laplacian * C_m) in place of the
+    Laplacian of y -> C_m(y, y).  Built from the library's walk matrices and
+    double sum, so that a test can put it in place of operators.walk_table
+    and show the unchanged cyclic-bump check rejecting this reading."""
+    from bzk.operators import WalkTable, _r_double_sum, cm_sequence
+
+    cms = cm_sequence(g, order)
+    delta = []
+    for c in cms:
+        row = []
+        for x in range(g.vertex_count):
+            acc = c.entry(x, x) * g.degrees[x]
+            for y in g.neighbors(x):
+                acc = acc - c.entry(y, x)
+            row.append(acc)
+        delta.append(tuple(row))
+    r = _r_double_sum(delta, g.vertex_count, order)
+    return WalkTable(order=order, diag=tuple(tuple(c.diag()) for c in cms),
+                     delta=tuple(delta), r=tuple(tuple(row) for row in r))

@@ -32,7 +32,7 @@ from bzk.zeta import (euler_product_series, zeta_formula_series,
                       zeta_spectral)
 from conftest import CORPUS, REGULAR
 
-from _oracles import int_matrix_power, poly_eval_fraction
+from _oracles import int_matrix_power, operator_reading_table, poly_eval_fraction
 
 SPECTRAL_GRAPHS = ("K4", "Q3", "petersen", "cycle(6)")
 
@@ -225,10 +225,15 @@ def test_criterion_10_specializations():
     report(10, "specializations at t=1 and t=0", failures)
 
 
-def test_criterion_11_negative_test_operator_reading():
+def test_criterion_11_negative_test_operator_reading(monkeypatch):
+    import bzk.operators
+
     failures = []
     g = CORPUS["path(4)"]
-    rep = check_cyclic_bump_identity(g, 1, 10, interpretation="operator")
+    monkeypatch.setattr(bzk.operators, "walk_table", operator_reading_table)
+    rep = check_cyclic_bump_identity(g, 1, 10)
     if rep.passed:
         failures.append("operator-product reading unexpectedly satisfied the check")
+    elif rep.first_failure != {"display": "series", "u_power": 3, "difference": "-2t + 2"}:
+        failures.append(("unexpected first failure", rep.first_failure))
     report(11, "operator-product defect reading fails the cyclic-bump check", failures)

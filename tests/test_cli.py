@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from bzk.cli import main
+from bzk.cli import MAX_ZETA_ORDER, main
 from bzk.operators import TALLY_CAP
 from bzk.paths import MAX_ENUMERATION_LENGTH
 
@@ -135,6 +135,49 @@ def test_verify_order_past_dfs_cap_refused_up_front(capsys):
     code, out, _ = run(capsys, "verify", "--family", "cycle", "--n", "4", "--root", "0",
                        "--order", "12")
     assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_zeta_order_past_cap_refused_up_front(capsys):
+    # refused before the graph is built, as verify refuses past its cap
+    assert MAX_ZETA_ORDER >= 20  # the spectral route's reference order
+    for order in (str(MAX_ZETA_ORDER + 1), "1000000"):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "zeta", "--family", "petersen", "--root", "0",
+                                 "--order", order, "--route", "log")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --order {order} exceeds the zeta order cap {MAX_ZETA_ORDER}\n"
+        assert peak < 1_000_000
+    code, out, _ = run(capsys, "zeta", "--family", "cycle", "--n", "3", "--root", "0",
+                       "--order", str(MAX_ZETA_ORDER), "--route", "log")
+    assert code == 0 and json.loads(out)["order"] == MAX_ZETA_ORDER
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "cycle", "--n", "4", "--order", "3"),
+    ("verify", "--family", "cycle", "--n", "4", "--order", "-1"),
+    ("zeta", "--family", "cycle", "--n", "4", "--root", "0", "--order", "0"),
+    ("euler", "--family", "cycle", "--n", "4", "--root", "0", "--order", "0"),
+])
+def test_order_below_minimum_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [("graphs",), ("verify", "--order", "6")])
+def test_unreadable_graph_file_is_usage_error(capsys, tmp_path, command):
+    for path in (tmp_path / "missing.json", tmp_path):
+        code, out, err = run(capsys, command[0], "--graph", str(path), *command[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
 
 
 def test_tallies_past_cap_are_usage_errors(capsys):

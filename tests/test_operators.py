@@ -13,18 +13,16 @@ import numpy as np
 import pytest
 
 from bzk.graphs import generate, operators as graph_operators
-from bzk.operators import (IdentityViolation, adjacency_poly, alpha,
-                           check_cyclic_bump_identity, check_no_tail_identity,
-                           check_r_generating_identity,
+from bzk.operators import (adjacency_poly, alpha, check_cyclic_bump_identity,
+                           check_no_tail_identity, check_r_generating_identity,
                            check_series_inverse_identity, cm_cbc, cm_sequence,
-                           degree_poly, delta_diag, qxt_poly, r_m, r_values,
-                           walk_table)
+                           delta_diag, qxt_poly, r_values, walk_table)
 from bzk.paths import (cm_bruteforce, enumerate_closed_weighted,
                        non_backtracking_matrices, rooted_closed_tallies)
 from bzk.series import ONE_MINUS_T, OperatorPoly, TPoly
 from conftest import CORPUS, NON_TRANSITIVE, VERTEX_TRANSITIVE
 
-from _oracles import int_matrix_power, poly_eval_fraction
+from _oracles import int_matrix_power, operator_reading_table, poly_eval_fraction
 
 
 @pytest.mark.parametrize("name", ["triangle", "cycle(4)", "path(4)", "star(4)", "K4"])
@@ -42,7 +40,7 @@ def test_cm_sequence_matches_dense_products(name):
     a = adjacency_poly(g)
     qt = qxt_poly(g)
     dense = [OperatorPoly.identity(g.vertex_count), a,
-             a * a - degree_poly(g).scale(ONE_MINUS_T)]
+             a * a - OperatorPoly.diagonal([TPoly((d,)) for d in g.degrees]).scale(ONE_MINUS_T)]
     for _ in range(3, 13):
         dense.append(dense[-1] * a - (dense[-2] * qt).scale(ONE_MINUS_T))
     for order in (0, 1, 2, 12):
@@ -109,8 +107,8 @@ def test_delta_diag_star_center_direct():
 
 def test_r_m_low_lengths_zero():
     g = CORPUS["path(4)"]
-    assert all(v.is_zero() for v in r_m(g, 1))
-    assert all(v.is_zero() for v in r_m(g, 2))
+    assert all(v.is_zero() for v in r_values(g, 1)[1])
+    assert all(v.is_zero() for v in r_values(g, 2)[2])
 
 
 def test_r_m_zero_on_vertex_transitive():
@@ -124,9 +122,10 @@ def test_r_m_zero_on_vertex_transitive():
 def test_r_m_nonzero_on_path4():
     # path(4) is bipartite, so odd lengths vanish; the even rows carry the
     # degree irregularity
-    assert any(not v.is_zero() for v in r_m(CORPUS["path(4)"], 4))
-    assert any(not v.is_zero() for v in r_m(CORPUS["path(4)"], 6))
-    assert all(v.is_zero() for v in r_m(CORPUS["path(4)"], 5))
+    g = CORPUS["path(4)"]
+    assert any(not v.is_zero() for v in r_values(g, 4)[4])
+    assert any(not v.is_zero() for v in r_values(g, 6)[6])
+    assert all(v.is_zero() for v in r_values(g, 5)[5])
 
 
 @pytest.mark.parametrize("name", list(CORPUS))
@@ -297,17 +296,21 @@ def test_tally_identities_fail_off_vertex_transitivity(name):
     assert rep_c.first_failure["u_power"] >= 6
 
 
-def test_operator_interpretation_fails_check_on_path4():
+def test_operator_interpretation_fails_check_on_path4(monkeypatch):
     # the negative test for the rejected reading of the defect term: reading
     # the Laplacian hit as a matrix product breaks the cyclic-bump check
     # immediately (length 3), unlike the adopted diagonal reading (length 6)
+    import bzk.operators
+
     g = CORPUS["path(4)"]
-    rep_op = check_cyclic_bump_identity(g, 1, 10, interpretation="operator")
-    assert not rep_op.passed
-    assert rep_op.first_failure["u_power"] == 3
     rep_diag = check_cyclic_bump_identity(g, 1, 10)
     assert not rep_diag.passed
     assert rep_diag.first_failure["u_power"] == 6
+    monkeypatch.setattr(bzk.operators, "walk_table", operator_reading_table)
+    rep_op = check_cyclic_bump_identity(g, 1, 10)
+    assert not rep_op.passed
+    assert rep_op.first_failure == {"display": "series", "u_power": 3,
+                                    "difference": "-2t + 2"}
 
 
 def test_cyclic_bump_per_length_display_reads_cbc_terms(monkeypatch):
@@ -325,13 +328,6 @@ def test_cyclic_bump_per_length_display_reads_cbc_terms(monkeypatch):
     monkeypatch.setattr(bzk.operators, "cbc_terms", shifted)
     rep = check_cyclic_bump_identity(CORPUS["K4"], 0, 8)
     assert rep.first_failure == {"display": "per-length", "u_power": 5, "difference": "-t^9"}
-
-
-def test_strict_mode_raises():
-    g = CORPUS["path(4)"]
-    with pytest.raises(IdentityViolation):
-        check_cyclic_bump_identity(g, 0, 10, strict=True)
-    assert check_cyclic_bump_identity(CORPUS["K4"], 0, 10, strict=True).passed
 
 
 def test_adjacency_poly_matches_operators():

@@ -212,7 +212,7 @@ def test_enumeration_cap_guard():
         enumerate_closed_weighted(g, 0, 13)
     with pytest.raises(EnumerationTooDeep):
         cm_bruteforce(g, 14)
-    assert enumerate_closed_weighted(g, 0, 13, cap=13) is not None
+    assert enumerate_closed_weighted(g, 0, 12) is not None
 
 
 def test_geodesic_counts_match_cbc_zero_tally():

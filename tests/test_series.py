@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bzk.series import (BadConstantTerm, OperatorPoly, OperatorSeries,
-                        OrderMismatch, TPoly, USeries, binomial_power,
-                        evaluate)
+                        OrderMismatch, TPoly, USeries, binomial_power)
 
 T = TPoly((0, 1))
 ONE = TPoly((1,))
@@ -185,22 +184,22 @@ def test_exp_log_recurrences_match_power_sums():
 
 
 def test_evaluate_examples():
-    assert evaluate(TPoly((0, 0, 2)), 0.5) == 0.5
-    assert evaluate(USeries(2, [ONE, TPoly(), -ONE]), 0.0, 0.25) == 0.9375
+    assert TPoly((0, 0, 2)).evaluate(0.5) == 0.5
+    assert USeries(2, [ONE, TPoly(), -ONE]).evaluate(0.0, 0.25) == 0.9375
     rng = random.Random(5)
     for _ in range(20):
         a = rand_useries(rng, 5)
         b = rand_useries(rng, 5)
         t, u = rng.uniform(-1, 1), rng.uniform(-0.5, 0.5)
-        lhs = evaluate(a * b, t, u)
-        rhs = evaluate(a, t, u) * evaluate(b, t, u)
+        lhs = (a * b).evaluate(t, u)
+        rhs = a.evaluate(t, u) * b.evaluate(t, u)
         # truncation: subtract the exact contribution of dropped cross terms
         full = 0.0
         for i in range(6):
             for j in range(6):
                 if i + j <= 5:
                     continue
-                full += evaluate(a.coefficient(i), t) * evaluate(b.coefficient(j), t) * u ** (i + j)
+                full += a.coefficient(i).evaluate(t) * b.coefficient(j).evaluate(t) * u ** (i + j)
         assert abs(lhs - (rhs - full)) <= 1e-12 * max(1.0, abs(lhs))
 
 
