@@ -24,6 +24,10 @@ SCHEMA = 1
 # on Petersen the log route takes about 1.5 s at order 64 and 8.6 s at 96.
 MAX_ZETA_ORDER = 64
 
+# Most tau points `bzk heat` evaluates.  On Petersen over tau in [0, 5] a point
+# costs about 0.66 ms by both routes, so the cap takes about 7 s.
+MAX_TAU_POINTS = 10_000
+
 
 def _add_graph_arguments(sub):
     sub.add_argument("--graph", help="graph file (JSON or edge list)")
@@ -190,10 +194,12 @@ def cmd_zeta(args):
 
 
 def cmd_heat(args):
+    lo, hi, count = args.tau_grid
+    if count > MAX_TAU_POINTS:
+        raise SystemExit2(f"--tau-grid count {count} exceeds the tau point cap {MAX_TAU_POINTS}")
     g = _resolve_graph(args)
     x0 = _vertex(g, args.root, "--root")
     x = _vertex(g, args.target, "--target") if args.target is not None else x0
-    lo, hi, count = args.tau_grid
     taus = [lo + (hi - lo) * k / (count - 1) if count > 1 else lo for k in range(count)]
     rows = []
     for tau in taus:

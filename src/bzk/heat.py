@@ -1,13 +1,12 @@
 """Heat kernels on regular graphs: the Bessel-series route, the spectral
 route, the weighted Laplace transform linking them to the zeta function, and
-the numeric consistency pipeline across all three.
+the numeric consistency pipeline across all three.  Like the spectral route
+in zeta.py, each function that needs numpy imports it on its first call.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .graphs import operators
 from .operators import alpha
@@ -77,6 +76,8 @@ def bessel_i(n, tau, tol=1e-12):
 
 def _bessel_grid(n, taus, tol=1e-14):
     """Vectorized power-series evaluation of I_n over a numpy tau grid."""
+    import numpy as np
+
     n = abs(int(n))
     taus = np.asarray(taus, dtype=float)
     half = taus / 2.0
@@ -122,6 +123,8 @@ def _even_tail(x, j_from):
 @lru_cache(maxsize=64)
 def _walk_matrix_table(g, t, count):
     """Float walk matrices C_0..C_count at numeric t, by the recursion."""
+    import numpy as np
+
     adjacency, _, _ = operators(g)
     n = g.vertex_count
     a = np.array(adjacency, dtype=float)
@@ -219,6 +222,8 @@ def heat_kernel_bessel(g, x0, x, tau, t=0.0, tol=1e-8):
 def heat_kernel_spectral(g, x0, x, tau):
     """Heat kernel from the Laplacian eigendecomposition:
     sum_i e^{-tau lambda_i} <E_i delta_x0, delta_x>."""
+    import numpy as np
+
     if tau < 0:
         raise ValueError("tau must be >= 0")
     w, v = _eigh_cached(g)
@@ -232,6 +237,8 @@ def heat_residual(g, x0, tau, h, *, route="bessel", t=0.0):
     The bessel route differentiates by central differences with step h; the
     spectral route uses the analytic derivative.
     """
+    import numpy as np
+
     if route == "bessel":
         if not tau > h > 0:
             raise ValueError("need tau > h > 0")
@@ -265,6 +272,8 @@ def resolvent_transform(f, u, t, q, *, step=1e-3, cutoff=None, tol=1e-9,
     values and satisfy |f(tau)| <= growth_scale * e^(growth_rate tau); the
     cutoff is chosen so the discarded tail is below tol.
     """
+    import numpy as np
+
     c = (q + t) * (1.0 - t)
     if not -1.0 < t < 1.0 or c <= 0.0:
         raise DomainError("need |t| < 1 and (q+t)(1-t) > 0")
@@ -303,6 +312,8 @@ def bessel_heat_package(k, q, t):
     root_c = math.sqrt(c)
 
     def f(taus):
+        import numpy as np
+
         return np.exp(-(q + 1.0) * taus) * root_c ** (-k) * _bessel_grid(k, 2.0 * root_c * taus)
 
     # tau^k / k! <= e^tau turns the Bessel bound into a clean exponential
@@ -343,6 +354,8 @@ def check_transform_consistency(g, x0, x, u, t, *, tol=1e-9):
     Bessel double series sum_n C_n[x0,x] sum_j d_j (1-t)^(2j) u^(n+2j-1),
     (c) the closed spectral sum of resolvent terms.
     """
+    import numpy as np
+
     q = _check_bessel_domain(g, t)
     a = alpha(g, abs(t))
     if not 0.0 < u < 1.0 / a:

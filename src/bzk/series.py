@@ -394,6 +394,31 @@ class USeries:
         return USeries(len(coeffs) - 1, coeffs)
 
 
+def _matrix_acc(n):
+    """An n x n accumulator of raw coefficient lists, None where untouched."""
+    return [[None] * n for _ in range(n)]
+
+
+def _matmul_into(acc, a_rows, b_rows):
+    """acc += A * B for the rows of two TPoly matrices, entry by entry on raw
+    coefficient lists."""
+    for ra, out in zip(a_rows, acc):
+        for a, rb in zip(ra, b_rows):
+            if not a.c:
+                continue
+            for j, b in enumerate(rb):
+                if b.c:
+                    col = out[j]
+                    if col is None:
+                        col = out[j] = []
+                    _mul_into(col, a.c, b.c)
+
+
+def _matrix_from_acc(acc):
+    return OperatorPoly([[TPOLY_ZERO if col is None else TPoly(col) for col in row]
+                         for row in acc])
+
+
 class OperatorPoly:
     """Square matrix with TPoly entries, indexed by vertex."""
 
@@ -460,23 +485,9 @@ class OperatorPoly:
         if isinstance(other, (int, Fraction, TPoly)):
             return self.scale(other)
         self._check(other)
-        n = self.n
-        out = []
-        for i in range(n):
-            acc = [None] * n
-            for k in range(n):
-                a = self.rows[i][k]
-                if not a.c:
-                    continue
-                rb = other.rows[k]
-                for j in range(n):
-                    b = rb[j]
-                    if b.c:
-                        if acc[j] is None:
-                            acc[j] = []
-                        _mul_into(acc[j], a.c, b.c)
-            out.append([TPOLY_ZERO if col is None else TPoly(col) for col in acc])
-        return OperatorPoly(out)
+        acc = _matrix_acc(self.n)
+        _matmul_into(acc, self.rows, other.rows)
+        return _matrix_from_acc(acc)
 
     __rmul__ = scale
 
@@ -554,15 +565,11 @@ class OperatorSeries:
             return self.scale(other)
         self._check(other)
         M = self.order
-        out = [OperatorPoly.zero(self.n) for _ in range(M + 1)]
+        acc = [_matrix_acc(self.n) for _ in range(M + 1)]
         for i, a in enumerate(self.c):
-            if a.is_zero():
-                continue
             for j in range(M + 1 - i):
-                b = other.c[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return OperatorSeries(self.n, M, out)
+                _matmul_into(acc[i + j], a.rows, other.c[j].rows)
+        return OperatorSeries(self.n, M, [_matrix_from_acc(grid) for grid in acc])
 
     def __repr__(self):
         return f"OperatorSeries(n={self.n}, order={self.order})"

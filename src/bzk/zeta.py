@@ -4,15 +4,14 @@ Routes: exponential of the cyclic-bump log-series, the closed product
 formula, the spectral form for regular graphs, and the Euler product over
 primitive rooted closed walks.  The first, second and fourth are exact
 truncated series; the third is numeric and comes with a reported truncation
-bound.
+bound.  numpy is imported inside the numeric functions, on their first call,
+so the exact routes run without loading it.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .graphs import operators
 from .operators import _closed_tallies, alpha, cbc_terms, cm_sequence, walk_table
@@ -347,6 +346,8 @@ class SpectralData:
 
 @lru_cache(maxsize=32)
 def _eigh_cached(g):
+    import numpy as np
+
     _, _, laplacian = operators(g)
     w, v = np.linalg.eigh(np.array(laplacian, dtype=float))
     return w, v
@@ -367,6 +368,8 @@ def _verified_spectrum(g):
     once against exact characteristic-polynomial root isolation to 1e-10;
     disagreement raises EigensolverFailure, and a failure is not cached.
     """
+    import numpy as np
+
     w, v = _eigh_cached(g)
     groups = []
     start = 0
@@ -400,6 +403,8 @@ def local_spectrum(g, x0, x):
     The eigenvalues come from _verified_spectrum, so on graphs with at most
     10 vertices they have passed the exact cross-check.
     """
+    import numpy as np
+
     v, groups, eigenvalues, mults = _verified_spectrum(g)
     weights = tuple(float(np.dot(v[x0, a:b], v[x, a:b])) for a, b in groups)
     return SpectralData(

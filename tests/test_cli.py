@@ -1,11 +1,15 @@
 """Command-line front end: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from bzk.cli import MAX_ZETA_ORDER, main
+from bzk.cli import MAX_TAU_POINTS, MAX_ZETA_ORDER, main
 from bzk.operators import TALLY_CAP
 from bzk.paths import MAX_ENUMERATION_LENGTH
 
@@ -157,6 +161,26 @@ def test_zeta_order_past_cap_refused_up_front(capsys):
     assert code == 0 and json.loads(out)["order"] == MAX_ZETA_ORDER
 
 
+def test_tau_grid_past_cap_refused_up_front(capsys):
+    # refused before the graph is built or any tau point is listed
+    for count in (str(MAX_TAU_POINTS + 1), "1000000000"):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "heat", "--family", "petersen", "--root", "0",
+                                 "--tau-grid", f"0:5:{count}")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: --tau-grid count {count} exceeds the tau point cap "
+                       f"{MAX_TAU_POINTS}\n")
+        assert peak < 1_000_000
+    code, out, _ = run(capsys, "heat", "--family", "cycle", "--n", "4", "--root", "0",
+                       "--tau-grid", f"0:5:{MAX_TAU_POINTS}", "--route", "spectral")
+    assert code == 0 and len(out.splitlines()) == MAX_TAU_POINTS + 1
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--family", "cycle", "--n", "4", "--order", "3"),
     ("verify", "--family", "cycle", "--n", "4", "--order", "-1"),
@@ -225,3 +249,45 @@ def test_thread_env_cap(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--family", "cycle", "--n", "4", "--order", "6")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+# Runs commands in a fresh interpreter and prints, after each stage, whether
+# numpy has been imported and which bzk modules are loaded.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import bzk, bzk.cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return bzk.cli.main(list(argv))
+
+def stage(codes):
+    print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
+                      "bzk": sorted(m for m in sys.modules if m.startswith("bzk"))}))
+
+stage([])
+stage([run("verify", "--family", "petersen", "--order", "10"),
+       run("euler", "--family", "petersen", "--root", "0", "--order", "8"),
+       run("graphs", "--family", "petersen"),
+       run("zeta", "--family", "petersen", "--root", "0", "--route", "log")])
+stage([run("zeta", "--family", "petersen", "--root", "0", "--route", "spectral",
+           "--u", "0.05"),
+       run("heat", "--family", "petersen", "--root", "0", "--tau-grid", "0:2:3")])
+"""
+
+
+def test_exact_commands_import_no_numpy():
+    # the exact layer never loads numpy; the first float call does
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    imported, exact, numeric = (json.loads(line) for line in proc.stdout.splitlines())
+    for stage in (imported, exact):
+        assert stage["numpy"] is False
+        assert {"bzk.heat", "bzk.zeta"} <= set(stage["bzk"])
+    assert exact["codes"] == [0, 0, 0, 0]
+    assert numeric["codes"] == [0, 0]
+    assert numeric["numpy"] is True

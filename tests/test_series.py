@@ -183,6 +183,42 @@ def test_exp_log_recurrences_match_power_sums():
         USeries(4, [T, ONE]).log()
 
 
+def rand_operator_series(rng, n, order, density):
+    """Random n x n OperatorSeries; each coefficient entry is nonzero with
+    the given probability, and a whole coefficient is sometimes zero."""
+    coeffs = []
+    for _ in range(order + 1):
+        if rng.random() < 0.2:
+            coeffs.append(OperatorPoly.zero(n))
+            continue
+        coeffs.append(OperatorPoly([[rand_tpoly(rng, 2) if rng.random() < density else TPoly()
+                                     for _ in range(n)] for _ in range(n)]))
+    return OperatorSeries(n, order, coeffs)
+
+
+def test_operator_products_match_entrywise_sums():
+    # the dense definition, entry by entry in USeries and TPoly arithmetic
+    rng = random.Random(1010)
+    for n, order, density in [(1, 0, 1.0), (2, 1, 0.5), (3, 3, 0.3), (4, 5, 0.4),
+                              (5, 6, 0.2), (6, 4, 0.7)]:
+        for _ in range(3):
+            s = rand_operator_series(rng, n, order, density)
+            t = rand_operator_series(rng, n, order, density)
+            product = s * t
+            for i in range(n):
+                for j in range(n):
+                    expected = USeries.zero(order)
+                    for k in range(n):
+                        expected = expected + s.entry(i, k) * t.entry(k, j)
+                    assert product.entry(i, j) == expected
+            a, b = s.coefficient(0), t.coefficient(order)
+            ab = a * b
+            for i in range(n):
+                for j in range(n):
+                    assert ab.entry(i, j) == sum((a.entry(i, k) * b.entry(k, j)
+                                                  for k in range(n)), TPoly())
+
+
 def test_evaluate_examples():
     assert TPoly((0, 0, 2)).evaluate(0.5) == 0.5
     assert USeries(2, [ONE, TPoly(), -ONE]).evaluate(0.0, 0.25) == 0.9375
