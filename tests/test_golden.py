@@ -1,4 +1,4 @@
-"""Byte-for-byte stdout of six CLI commands, pinned in tests/golden/.
+"""Byte-for-byte stdout of seven CLI commands, pinned in tests/golden/.
 
 The fixtures were written by the commands below; any change to an exact
 coefficient, a key or the JSON layout shows up here as a failed comparison.
@@ -33,6 +33,12 @@ CASES = [
     ("verify_tree_ball32_o12.json", 1,
      ["verify", "--family", "tree_ball", "--q-plus-1", "3", "--radius", "2",
       "--order", "12"]),
+    # the formula route off the diagonal on a graph that is not regular:
+    # vertices 5 and 17 are 5 apart, with degrees 3 and 1, and the commutator
+    # integral changes the series from u^7 on
+    ("zeta_tree_ball33_rhs_o20.json", 0,
+     ["zeta", "--family", "tree_ball", "--q-plus-1", "3", "--radius", "3",
+      "--root", "5", "--target", "17", "--order", "20", "--route", "rhs"]),
 ]
 
 
