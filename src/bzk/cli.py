@@ -9,6 +9,7 @@ deterministic for a given invocation.
 
 import argparse
 import json
+import math
 import sys
 
 from . import graphs as graphmod
@@ -247,9 +248,21 @@ def _parse_tau_grid(text):
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
         raise argparse.ArgumentTypeError("tau grid must be lo:hi:count") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError("tau grid bounds must be finite")
     if count < 1 or hi < lo:
         raise argparse.ArgumentTypeError("tau grid must be lo:hi:count with hi >= lo")
     return lo, hi, count
+
+
+def _positive_float(text):
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from exc
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be a finite number > 0")
+    return value
 
 
 def build_parser():
@@ -287,7 +300,7 @@ def build_parser():
                         dest="tau_grid")
     p_heat.add_argument("--t", type=float, default=0.0)
     p_heat.add_argument("--route", choices=["bessel", "spectral", "both"], default="both")
-    p_heat.add_argument("--tol", type=float, default=1e-8)
+    p_heat.add_argument("--tol", type=_positive_float, default=1e-8)
     p_heat.add_argument("--out", choices=["csv"], default="csv")
     p_heat.add_argument("--out-file")
     p_heat.set_defaults(func=cmd_heat)

@@ -50,9 +50,9 @@ def bessel_i(n, tau, tol=1e-12):
     majorant from the term ratio (tau/2)^2 / ((m+1)(m+n+1)).
     """
     n = abs(int(n))
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    if tol <= 0:
+    if not 0.0 <= tau < math.inf:
+        raise ValueError("tau must be finite and >= 0")
+    if not tol > 0:
         raise ValueError("tol must be > 0")
     if tau == 0.0:
         return BesselEval(n, 0.0, 1.0 if n == 0 else 0.0, 1, 0.0)
@@ -167,8 +167,8 @@ def heat_kernel_bessel(g, x0, x, tau, t=0.0, tol=1e-8):
     does not depend on t; t only reparametrizes the expansion.
     """
     q = _check_bessel_domain(g, t)
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError("tau must be finite and >= 0")
     if tau == 0.0:
         return HeatKernelValue(0.0, x0, x, 1.0 if x == x0 else 0.0, "bessel", (0, 0), 0.0)
 

@@ -70,27 +70,18 @@ def zeta_log_series(g, x0, x, order):
 # closed product-formula route
 
 
-@lru_cache(maxsize=32)
-def _f_power_table(g, x, order):
-    """Row x of the powers f^0..f^order of f(u) = u A - u^2 (1-t)(D - (1-t)I).
-
-    rows[k][j] holds the u^k..u^min(2k, order) coefficients of f^k(x, j), the
-    only u-powers f^k can have, as a tuple of TPoly; a zero entry is ().  Row
-    k comes from row k-1 by a neighbour sum on raw coefficient lists:
-    f^k(x, j) = u sum_{i ~ j} f^(k-1)(x, i) - u^2 (1-t)(d_j - 1 + t) f^(k-1)(x, j).
-    """
-    n = g.vertex_count
-    nbrs = [g.neighbors(j) for j in range(n)]
+def _f_step(g):
+    """step(v, top) = v f for f(u) = u A - u^2 (1-t)(D - (1-t)I): per vertex
+    j, the raw coefficient lists of u^k, u^(k+1), ... of v(j), None for zero,
+    go to those of u^(k+1)..u^(k+1+top) of
+    (v f)(j) = u sum_{i ~ j} v(i) - u^2 (1-t)(d_j - 1 + t) v(j)."""
+    nbrs = [g.neighbors(j) for j in range(g.vertex_count)]
     # -(1-t)(d - 1 + t), lowest t-power first
     weights = [(1 - d, d - 2, 1) for d in g.degrees]
-    prev = [None] * n
-    prev[x] = [[1]]
-    rows = [tuple(() if j != x else (TPOLY_ONE,) for j in range(n))]
-    for k in range(1, order + 1):
-        top = min(k, order - k)
-        cur = [None] * n
-        for j in range(n):
-            own = prev[j]
+
+    def step(prev, top):
+        cur = [None] * len(prev)
+        for j, own in enumerate(prev):
             live = [prev[i] for i in nbrs[j] if prev[i] is not None]
             if own is None and not live:
                 continue
@@ -102,19 +93,57 @@ def _f_power_table(g, x, order):
                 for p in range(1, min(len(own), top) + 1):
                     _mul_into(entry[p], weights[j], own[p - 1])
             cur[j] = entry
-        rows.append(tuple(() if e is None else tuple(TPoly(c) for c in e) for e in cur))
-        prev = cur
+        return cur
+
+    return step
+
+
+@lru_cache(maxsize=32)
+def _f_power_table(g, x, order):
+    """Row x of the powers f^0..f^order of f, row k-1 times f by _f_step.
+
+    rows[k][j] holds the u^k..u^min(2k, order) coefficients of f^k(x, j), the
+    only u-powers f^k can have, as a tuple of TPoly; a zero entry is ()."""
+    step = _f_step(g)
+    prev = [None] * g.vertex_count
+    prev[x] = [[1]]
+    rows = [tuple(() if j != x else (TPOLY_ONE,) for j in range(g.vertex_count))]
+    for k in range(1, order + 1):
+        prev = step(prev, min(k, order - k))
+        rows.append(tuple(() if e is None else tuple(TPoly(c) for c in e) for e in prev))
     return tuple(rows)
 
 
-def _commutator_matrix(g):
-    """A D - D A as integer rows; zero exactly when the graph is regular."""
-    adjacency, valency, _ = operators(g)
-    n = g.vertex_count
-    return [
-        [adjacency[i][j] * (valency[j][j] - valency[i][i]) for j in range(n)]
-        for i in range(n)
-    ]
+def _commutator_exponent(g, x0, x, left):
+    """Exponent coefficients, by u-power up to order, of the commutator term
+    int_0^u (1-t) s^2 sum_{a,b} (b+1)/(a+b+2) [f^a K f^b](x0, x) s^(a+b) ds
+    with K = A D - D A, from left = _f_power_table(g, x0, order).
+
+    f D - D f = u K, so sum_{a+b=S} (b+1) f^a K f^b = (M_(S+1) - (S+2) D f^(S+1)) / u
+    with M_T = sum_{a+b=T} f^a D f^b = M_(T-1) f + f^T D and M_0 = D.
+    """
+    order = len(left) - 1
+    top = order - 3  # integrating the u^2 shift lifts power s to s + 3
+    step = _f_step(g)
+    d = g.degrees
+    row = [None] * g.vertex_count  # row x0 of M_T, at u^T..u^(T+cut)
+    row[x0] = [[d[x0]]]
+    integrand = [[] for _ in range(top + 1)]
+    for T in range(1, top + 2):
+        cut = min(T, top + 1 - T)
+        row = step(row, cut)
+        for j, entry in enumerate(left[T]):
+            if entry:
+                acc = row[j] = row[j] or [[] for _ in range(cut + 1)]
+                for slot, c in zip(acc, entry):
+                    _mul_into(slot, (d[j],), c.c)
+        # u^(T+p) of M_T / (T+1) - d_x0 f^T is u^(T-1+p) of the S = T-1 term
+        for acc, c in zip(integrand[T - 1:], row[x] or ()):
+            _mul_into(acc, (Fraction(1, T + 1),), c)
+        for acc, c in zip(integrand[T - 1:], left[T][x][: cut + 1]):
+            _mul_into(acc, (-d[x0],), c.c)
+    terms = [TPoly(c) * ONE_MINUS_T * Fraction(1, s + 3) for s, c in enumerate(integrand)]
+    return ([TPOLY_ZERO] * 3 + terms)[: order + 1]
 
 
 def _common_neighbours(g, x, y):
@@ -156,41 +185,10 @@ def zeta_formula_series(g, x0, x, order):
         common = _common_neighbours(g, x0, x)
         exponent[2] = exponent[2] - ONE_MINUS_T * Fraction(common, 2)
 
-    # commutator integral int_0^u (1-t) s^2 sum_{a,b} (b+1)/(a+b+2)
-    # [f^a K f^b](x0, x) s^(a+b) ds with K = A D - D A, which vanishes on
-    # regular graphs; f is symmetric, so f^b(q, x) is row x of f^b at q.
-    commutator = [[(q, kpq) for q, kpq in enumerate(row) if kpq]
-                  for row in _commutator_matrix(g)]
-    if any(commutator):
-        right = left if x == x0 else _f_power_table(g, x, order)
-        top = order - 3  # integrating the u^2 shift lifts power s to s + 3
-        integrand = [TPOLY_ZERO] * (order + 1)
-        for b in range(top + 1):
-            # [K f^b](p, x) for every p, as raw coefficient lists per u-power
-            kf = []
-            for terms in commutator:
-                acc = None
-                for q, kpq in terms:
-                    entry = right[b][q]
-                    if entry:
-                        acc = acc or [[] for _ in entry]
-                        for slot, c in zip(acc, entry):
-                            _mul_into(slot, (kpq,), c.c)
-                kf.append(acc)
-            for a in range(top - b + 1):
-                total = [[] for _ in range(top - a - b + 1)]
-                for lp, kp in zip(left[a], kf):
-                    if not lp or kp is None:
-                        continue
-                    for i, c in enumerate(lp[: len(total)]):
-                        for l, d in enumerate(kp[: len(total) - i]):
-                            _mul_into(total[i + l], c.c, d)
-                weight = Fraction(b + 1, a + b + 2)
-                for s, c in enumerate(total, start=a + b):
-                    if c:
-                        integrand[s] = integrand[s] + TPoly(c) * weight
-        for s in range(top + 1):
-            exponent[s + 3] = exponent[s + 3] + integrand[s] * ONE_MINUS_T * Fraction(1, s + 3)
+    # the commutator integral, over K = A D - D A; on a connected graph K is
+    # zero exactly when the graph is regular
+    if g.regular_degree() is None:
+        exponent = [a + b for a, b in zip(exponent, _commutator_exponent(g, x0, x, left))]
 
     return USeries(order, exponent).exp()
 

@@ -1,6 +1,7 @@
 """Independent test-side oracles: deliberately dumb implementations used to
-cross-check the library, sharing no code with it.  The one exception,
-operator_reading_table, is a foil rather than an oracle."""
+cross-check the library, sharing no code with it.  Two exceptions:
+operator_reading_table is a foil rather than an oracle, and
+commutator_exponent_loop reads the library's f^k table."""
 
 from collections import deque
 from fractions import Fraction
@@ -90,3 +91,62 @@ def operator_reading_table(g, order):
     r = _r_double_sum(delta, g.vertex_count, order)
     return WalkTable(order=order, diag=tuple(tuple(c.diag()) for c in cms),
                      delta=tuple(delta), r=tuple(tuple(row) for row in r))
+
+
+def commutator_matrix(g):
+    """K = A D - D A as integer rows, from the dense graph matrices."""
+    from bzk.graphs import operators
+
+    adjacency, valency, _ = operators(g)
+    n = g.vertex_count
+    return [
+        [adjacency[i][j] * (valency[j][j] - valency[i][i]) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def commutator_exponent_loop(g, x0, x, order):
+    """The commutator integral's exponent coefficients (index = u-power) by
+    the direct double sum over (a, b):
+    int_0^u (1-t) s^2 sum_{a,b} (b+1)/(a+b+2) [f^a K f^b](x0, x) s^(a+b) ds.
+    Reuses the library's row tables zeta._f_power_table for f^a(x0, .) and
+    f^b(., x), as operator_reading_table reuses library code; f is symmetric,
+    so f^b(q, x) is row x of f^b at q."""
+    from bzk.series import ONE_MINUS_T, TPOLY_ZERO, TPoly, _mul_into
+    from bzk.zeta import _f_power_table
+
+    left = _f_power_table(g, x0, order)
+    exponent = [TPOLY_ZERO] * (order + 1)
+    commutator = [[(q, kpq) for q, kpq in enumerate(row) if kpq]
+                  for row in commutator_matrix(g)]
+    if any(commutator):
+        right = left if x == x0 else _f_power_table(g, x, order)
+        top = order - 3  # integrating the u^2 shift lifts power s to s + 3
+        integrand = [TPOLY_ZERO] * (order + 1)
+        for b in range(top + 1):
+            # [K f^b](p, x) for every p, as raw coefficient lists per u-power
+            kf = []
+            for terms in commutator:
+                acc = None
+                for q, kpq in terms:
+                    entry = right[b][q]
+                    if entry:
+                        acc = acc or [[] for _ in entry]
+                        for slot, c in zip(acc, entry):
+                            _mul_into(slot, (kpq,), c.c)
+                kf.append(acc)
+            for a in range(top - b + 1):
+                total = [[] for _ in range(top - a - b + 1)]
+                for lp, kp in zip(left[a], kf):
+                    if not lp or kp is None:
+                        continue
+                    for i, c in enumerate(lp[: len(total)]):
+                        for l, d in enumerate(kp[: len(total) - i]):
+                            _mul_into(total[i + l], c.c, d)
+                weight = Fraction(b + 1, a + b + 2)
+                for s, c in enumerate(total, start=a + b):
+                    if c:
+                        integrand[s] = integrand[s] + TPoly(c) * weight
+        for s in range(top + 1):
+            exponent[s + 3] = exponent[s + 3] + integrand[s] * ONE_MINUS_T * Fraction(1, s + 3)
+    return exponent

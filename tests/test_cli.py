@@ -181,6 +181,26 @@ def test_tau_grid_past_cap_refused_up_front(capsys):
     assert code == 0 and len(out.splitlines()) == MAX_TAU_POINTS + 1
 
 
+@pytest.mark.parametrize("option", [
+    ("--tau-grid", "nan:1:3"),
+    ("--tau-grid", "0:inf:2"),
+    ("--tau-grid", "5:0:3"),
+    ("--tol", "nan"),
+    ("--tol", "inf"),
+    ("--tol", "0"),
+])
+def test_heat_non_finite_input_is_usage_error(capsys, option):
+    # refused by argparse before any Bessel series runs: a nan or inf tau
+    # never met the series' stopping rule, and a nan or inf tol passed it at
+    # once with a wrong value
+    with pytest.raises(SystemExit) as exc:
+        main(["heat", "--family", "petersen", "--root", "0", *option])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option[0]}" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--family", "cycle", "--n", "4", "--order", "3"),
     ("verify", "--family", "cycle", "--n", "4", "--order", "-1"),

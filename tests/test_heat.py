@@ -136,6 +136,13 @@ def test_heat_domain_errors():
         heat_kernel_bessel(CORPUS["K4"], 0, 0, 1.0, t=1.0)
     with pytest.raises(ValueError):
         heat_kernel_bessel(CORPUS["K4"], 0, 0, -1.0)
+    for tau in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            bessel_i(0, tau)
+        with pytest.raises(ValueError):
+            heat_kernel_bessel(CORPUS["K4"], 0, 0, tau)
+    with pytest.raises(ValueError):
+        bessel_i(0, 1.0, tol=float("nan"))
 
 
 def test_heat_residual_examples():

@@ -13,14 +13,15 @@ from bzk.paths import closed_geodesic_counts, primitive_rooted_closed_paths
 from bzk.series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_ZERO, OperatorPoly,
                         OperatorSeries, TPoly, USeries, binomial_power)
 from bzk.zeta import (DomainError, EigensolverFailure, NotRegular,
-                      _f_power_table, cbc_entries, charpoly_exact,
-                      euler_product_series, isolate_real_roots,
+                      _commutator_exponent, _f_power_table, cbc_entries,
+                      charpoly_exact, euler_product_series, isolate_real_roots,
                       local_spectrum, zeta_formula_series,
                       zeta_log_coefficients, zeta_log_series, zeta_spectral,
                       zeta_spectral_report)
 from conftest import CORPUS, NON_TRANSITIVE, REGULAR, VERTEX_TRANSITIVE
 
-from _oracles import poly_eval_fraction
+from _oracles import (commutator_exponent_loop, commutator_matrix,
+                      poly_eval_fraction)
 
 
 def reference_log_value(g, x0, x, u, t, order):
@@ -159,11 +160,33 @@ def test_f_power_rows_match_dense_powers(name):
 
 
 def test_commutator_factor_trivial_on_regular():
-    from bzk.zeta import _commutator_matrix
+    # the formula route skips the commutator term when regular_degree() is
+    # set; on the connected corpus graphs K = A D - D A is zero exactly then
+    for name, g in CORPUS.items():
+        zero = all(v == 0 for row in commutator_matrix(g) for v in row)
+        assert zero == (g.regular_degree() is not None), name
+        assert zero == (name in REGULAR), name
 
-    for name in REGULAR:
-        assert all(v == 0 for row in _commutator_matrix(CORPUS[name]) for v in row)
-    assert any(v != 0 for row in _commutator_matrix(CORPUS["path(4)"]) for v in row)
+
+@pytest.mark.parametrize("name,pairs", [
+    ("star(4)", None),
+    ("path(4)", None),
+    ("tree_ball(3,3)", [(0, 0), (0, 4), (5, 17), (17, 17), (21, 3)]),
+])
+def test_commutator_recursion_matches_double_sum(name, pairs):
+    # the row recursion for M_T = sum_{a+b=T} f^a D f^b against the direct
+    # (a, b) double sum, on and off the diagonal
+    g = CORPUS[name]
+    n = g.vertex_count
+    if pairs is None:
+        pairs = [(x0, x) for x0 in range(n) for x in range(n)]
+    live = 0
+    for order in range(3, 17):
+        for x0, x in pairs:
+            got = _commutator_exponent(g, x0, x, _f_power_table(g, x0, order))
+            assert got == commutator_exponent_loop(g, x0, x, order), (order, x0, x)
+            live += any(not c.is_zero() for c in got)
+    assert live  # the term is not zero everywhere, so the comparison has teeth
 
 
 @pytest.mark.parametrize("name", VERTEX_TRANSITIVE)
