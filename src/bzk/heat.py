@@ -42,6 +42,12 @@ class HeatKernelValue:
     tail_bound: float = 0.0
 
 
+# I_n(tau) <= e^tau, and e^700 is about 1e304: up to this argument no partial
+# sum of bessel_i's series overflows, past about 713 they can reach inf, and
+# an infinite sum never meets the series' stopping rule
+BESSEL_TAU_MAX = 700.0
+
+
 def bessel_i(n, tau, tol=1e-12):
     """Modified Bessel function of the first kind by its power series.
 
@@ -50,8 +56,8 @@ def bessel_i(n, tau, tol=1e-12):
     majorant from the term ratio (tau/2)^2 / ((m+1)(m+n+1)).
     """
     n = abs(int(n))
-    if not 0.0 <= tau < math.inf:
-        raise ValueError("tau must be finite and >= 0")
+    if not 0.0 <= tau <= BESSEL_TAU_MAX:
+        raise ValueError(f"tau must be in [0, {BESSEL_TAU_MAX}]")
     if not tol > 0:
         raise ValueError("tol must be > 0")
     if tau == 0.0:
@@ -182,21 +188,25 @@ def heat_kernel_bessel(g, x0, x, tau, t=0.0, tol=1e-8):
     pref = math.exp(arg - (q + 1.0) * tau)
 
     # truncation from the factorial majorant: term(n, j) is at most
-    # m_t * pref * (a tau)^n / n! * (b tau)^(2j) / (2j)!
-    n_max = 1
-    while m_t * pref * math.cosh(b * tau) * _exp_tail(a * tau, n_max + 1) > tol / 2.0:
-        n_max += 1
-        if n_max > 600:
-            raise ParameterDomain("truncation bound did not converge")
-    j_max = 1
-    while m_t * pref * math.exp(a * tau) * _even_tail(b * tau, j_max + 1) > tol / 2.0:
-        j_max += 1
-        if j_max > 600:
-            raise ParameterDomain("truncation bound did not converge")
-    tail = (
-        m_t * pref * math.cosh(b * tau) * _exp_tail(a * tau, n_max + 1)
-        + m_t * pref * math.exp(a * tau) * _even_tail(b * tau, j_max + 1)
-    )
+    # m_t * pref * (a tau)^n / n! * (b tau)^(2j) / (2j)!; at large tau the
+    # majorant overflows before the 600-term cap is reached
+    try:
+        n_max = 1
+        while m_t * pref * math.cosh(b * tau) * _exp_tail(a * tau, n_max + 1) > tol / 2.0:
+            n_max += 1
+            if n_max > 600:
+                raise ParameterDomain("truncation bound did not converge")
+        j_max = 1
+        while m_t * pref * math.exp(a * tau) * _even_tail(b * tau, j_max + 1) > tol / 2.0:
+            j_max += 1
+            if j_max > 600:
+                raise ParameterDomain("truncation bound did not converge")
+        tail = (
+            m_t * pref * math.cosh(b * tau) * _exp_tail(a * tau, n_max + 1)
+            + m_t * pref * math.exp(a * tau) * _even_tail(b * tau, j_max + 1)
+        )
+    except OverflowError as exc:
+        raise ParameterDomain("truncation bound did not converge") from exc
 
     mats = _walk_matrix_table(g, t, n_max)
     top = n_max + 2 * j_max

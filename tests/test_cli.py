@@ -201,6 +201,14 @@ def test_heat_non_finite_input_is_usage_error(capsys, option):
     assert f"argument {option[0]}" in captured.err
 
 
+def test_heat_overflowing_tau_is_usage_error(capsys):
+    code, out, err = run(capsys, "heat", "--family", "petersen", "--root", "0",
+                         "--tau-grid", "0:1000:2", "--route", "bessel")
+    assert code == 2
+    assert out == ""
+    assert err == "error: truncation bound did not converge\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--family", "cycle", "--n", "4", "--order", "3"),
     ("verify", "--family", "cycle", "--n", "4", "--order", "-1"),

@@ -136,13 +136,18 @@ def test_heat_domain_errors():
         heat_kernel_bessel(CORPUS["K4"], 0, 0, 1.0, t=1.0)
     with pytest.raises(ValueError):
         heat_kernel_bessel(CORPUS["K4"], 0, 0, -1.0)
-    for tau in (float("nan"), float("inf")):
+    # a nan or inf tau, or one whose series overflows to inf, never met
+    # bessel_i's stopping rule
+    for tau in (float("nan"), float("inf"), 1000.0):
         with pytest.raises(ValueError):
             bessel_i(0, tau)
         with pytest.raises(ValueError):
             heat_kernel_bessel(CORPUS["K4"], 0, 0, tau)
     with pytest.raises(ValueError):
         bessel_i(0, 1.0, tol=float("nan"))
+    # the truncation majorant overflows here rather than reaching its cap
+    with pytest.raises(ParameterDomain):
+        heat_kernel_bessel(CORPUS["K4"], 0, 0, 1000.0)
 
 
 def test_heat_residual_examples():
