@@ -164,20 +164,13 @@ def series_weight(j, q, t):
     return -(q - 1.0 + 2.0 * t) / (1.0 - t)
 
 
-def heat_kernel_bessel(g, x0, x, tau, t=0.0, tol=1e-8):
-    """Heat kernel value from the Bessel double series.
-
-    K(tau, x0, x) = sum_n C_n(t)[x0,x] sum_j d_j(t) e^{-(q+1)tau}
-    (1-t)^(2j) ((1-t)(q+t))^(-(n+2j)/2) I_{n+2j}(2 sqrt((1-t)(q+t)) tau),
-    truncated where the analytic majorant falls below tol.  The left side
-    does not depend on t; t only reparametrizes the expansion.
-    """
-    q = _check_bessel_domain(g, t)
-    if not 0.0 <= tau < math.inf:
-        raise ValueError("tau must be finite and >= 0")
-    if tau == 0.0:
-        return HeatKernelValue(0.0, x0, x, 1.0 if x == x0 else 0.0, "bessel", (0, 0), 0.0)
-
+@lru_cache(maxsize=64)
+def _bessel_column(g, tau, t, tol):
+    """The target-independent part of heat_kernel_bessel at one
+    (graph, tau > 0, t, tol): (n_max, j_max, tail, inner), where inner[n] =
+    scaled[n] + d_1 sum_j (1-t)^(2j) scaled[n+2j] and scaled[k] =
+    ((1-t)(q+t))^(-k/2) e^{-(q+1)tau} I_k(2 sqrt((1-t)(q+t)) tau)."""
+    q = g.regular_degree() - 1
     c = (1.0 - t) * (q + t)
     root_c = math.sqrt(c)
     arg = 2.0 * root_c * tau
@@ -208,24 +201,56 @@ def heat_kernel_bessel(g, x0, x, tau, t=0.0, tol=1e-8):
     except OverflowError as exc:
         raise ParameterDomain("truncation bound did not converge") from exc
 
-    mats = _walk_matrix_table(g, t, n_max)
     top = n_max + 2 * j_max
     scaled = []
     damp = math.exp(-(q + 1.0) * tau)
     for k in range(top + 1):
         scaled.append(root_c ** (-k) * bessel_i(k, arg, tol=tol * 1e-6).value * damp)
     one_minus_t_sq = (1.0 - t) ** 2
+    inner = []
+    for n in range(n_max + 1):
+        total = scaled[n]
+        weight = 1.0
+        for j in range(1, j_max + 1):
+            weight *= one_minus_t_sq
+            total += d1 * weight * scaled[n + 2 * j]
+        inner.append(total)
+    return n_max, j_max, tail, tuple(inner)
+
+
+def _check_vertex(g, v):
+    if v not in range(g.vertex_count):
+        raise ValueError(f"vertex {v!r} is not in range({g.vertex_count})")
+
+
+def heat_kernel_bessel(g, x0, x, tau, t=0.0, tol=1e-8):
+    """Heat kernel value from the Bessel double series.
+
+    K(tau, x0, x) = sum_n C_n(t)[x0,x] sum_j d_j(t) e^{-(q+1)tau}
+    (1-t)^(2j) ((1-t)(q+t))^(-(n+2j)/2) I_{n+2j}(2 sqrt((1-t)(q+t)) tau),
+    truncated where the analytic majorant falls below tol.  The left side
+    does not depend on t; t only reparametrizes the expansion.  Everything
+    but C_n(t)[x0,x] is one cached column per (graph, tau, t, tol), shared
+    by every root and target.
+    """
+    q = _check_bessel_domain(g, t)
+    _check_vertex(g, x0)
+    _check_vertex(g, x)
+    if not 0.0 <= tau < math.inf:
+        raise ValueError("tau must be finite and >= 0")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be a finite number > 0")
+    if tau == 0.0:
+        return HeatKernelValue(0.0, x0, x, 1.0 if x == x0 else 0.0, "bessel", (0, 0), 0.0)
+
+    n_max, j_max, tail, inner = _bessel_column(g, tau, t, tol)
+    mats = _walk_matrix_table(g, t, n_max)
     value = 0.0
     for n in range(n_max + 1):
         cn = mats[n][x0, x]
         if cn == 0.0:
             continue
-        inner = scaled[n]
-        weight = 1.0
-        for j in range(1, j_max + 1):
-            weight *= one_minus_t_sq
-            inner += d1 * weight * scaled[n + 2 * j]
-        value += cn * inner
+        value += cn * inner[n]
     return HeatKernelValue(tau, x0, x, value, "bessel", (n_max, j_max), tail)
 
 
@@ -234,6 +259,8 @@ def heat_kernel_spectral(g, x0, x, tau):
     sum_i e^{-tau lambda_i} <E_i delta_x0, delta_x>."""
     import numpy as np
 
+    _check_vertex(g, x0)
+    _check_vertex(g, x)
     if tau < 0:
         raise ValueError("tau must be >= 0")
     w, v = _eigh_cached(g)

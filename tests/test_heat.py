@@ -201,3 +201,68 @@ def test_series_weights():
         assert series_weight(j, 2, 0.5) == pytest.approx(-4.0)
     with pytest.raises(ParameterDomain):
         series_weight(1, 2, 1.0)
+
+
+def _column_values(points, tol=1e-10):
+    return [heat_kernel_bessel(g, x0, x, tau, t, tol).value for g, x0, x, tau, t in points]
+
+
+def _column_points(names=("petersen", "K4"), taus=(0.5, 2.0), ts=(-0.5, 0.5)):
+    return [(CORPUS[name], x0, x, tau, t)
+            for name in names for tau in taus for t in ts
+            for x0 in (0, 1) for x in range(CORPUS[name].vertex_count)]
+
+
+def test_bessel_column_warm_equals_cold():
+    from bzk.heat import _bessel_column
+
+    points = _column_points()
+    _bessel_column.cache_clear()
+    cold = _column_values(points)
+    warm = _column_values(points)
+    _bessel_column.cache_clear()
+    assert _column_values(points) == cold == warm
+
+
+def test_bessel_column_shared_by_roots_and_targets():
+    from bzk.heat import _bessel_column
+
+    points = _column_points()
+    columns = {(id(g), tau, t) for g, _, _, tau, t in points}
+    _bessel_column.cache_clear()
+    _column_values(points)
+    info = _bessel_column.cache_info()
+    assert info.misses == len(columns) == 8
+    assert info.hits == len(points) - len(columns)
+
+
+def test_bessel_column_order_independent():
+    import random
+
+    from bzk.heat import _bessel_column
+
+    points = _column_points()
+    _bessel_column.cache_clear()
+    ordered = dict(zip(points, _column_values(points)))
+    shuffled = list(points)
+    random.Random(12).shuffle(shuffled)
+    _bessel_column.cache_clear()
+    assert dict(zip(shuffled, _column_values(shuffled))) == ordered
+
+
+def test_heat_input_guards():
+    from bzk.heat import _bessel_column
+
+    g = CORPUS["petersen"]
+    _bessel_column.cache_clear()
+    # a negative index used to read vertex 9 through numpy, and tau = 0
+    # answered 0.0 for a vertex the graph does not have
+    for x0, x, tau in ((0, -1, 1.0), (-1, 0, 1.0), (0, 10, 0.0), (10, 0, 1.0)):
+        with pytest.raises(ValueError, match="vertex"):
+            heat_kernel_bessel(g, x0, x, tau)
+        with pytest.raises(ValueError, match="vertex"):
+            heat_kernel_spectral(g, x0, x, tau)
+    for tol in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be"):
+            heat_kernel_bessel(g, 0, 1, 1.0, 0.0, tol)
+    assert _bessel_column.cache_info().currsize == 0
