@@ -81,7 +81,11 @@ def bessel_i(n, tau, tol=1e-12):
 
 
 def _bessel_grid(n, taus, tol=1e-14):
-    """Vectorized power-series evaluation of I_n over a numpy tau grid."""
+    """Vectorized power-series evaluation of I_n over a numpy tau grid.
+
+    Sums until every grid point's last term is at most tol times its own
+    partial sum, or 500 terms: a relative stop, so a small I_n keeps its
+    digits."""
     import numpy as np
 
     n = abs(int(n))
@@ -97,7 +101,7 @@ def _bessel_grid(n, taus, tol=1e-14):
         term = term * sq / ((m + 1) * (m + n + 1))
         total += term
         m += 1
-        if float(np.max(term)) < tol * max(1.0, float(np.max(total))) or m > 500:
+        if bool(np.all(term <= tol * total)) or m > 500:
             return total
 
 
@@ -169,7 +173,18 @@ def _bessel_column(g, tau, t, tol):
     """The target-independent part of heat_kernel_bessel at one
     (graph, tau > 0, t, tol): (n_max, j_max, tail, inner), where inner[n] =
     scaled[n] + d_1 sum_j (1-t)^(2j) scaled[n+2j] and scaled[k] =
-    ((1-t)(q+t))^(-k/2) e^{-(q+1)tau} I_k(2 sqrt((1-t)(q+t)) tau)."""
+    ((1-t)(q+t))^(-k/2) e^{-(q+1)tau} I_k(2 sqrt((1-t)(q+t)) tau).
+
+    tail bounds the error at every root and target: the two truncation
+    majorants take (tol - bessel_share) and the Bessel remainders the rest.
+    I_k is multiplied by at most s_k mult_k, with s_k = ((1-t)(q+t))^(-k/2)
+    e^{-(q+1)tau} and mult_k = sum_{n+2j=k} peak_n w_j, where peak_n is the
+    largest |C_n(t)| entry, w_0 = 1 and w_j = |d_1| (1-t)^(2j); so I_k is
+    requested to share / (s_k mult_k) and s_k mult_k times its remainder
+    bound is added to tail.
+    """
+    import numpy as np
+
     q = g.regular_degree() - 1
     c = (1.0 - t) * (q + t)
     root_c = math.sqrt(c)
@@ -179,18 +194,20 @@ def _bessel_column(g, tau, t, tol):
     d1 = series_weight(1, q, t)
     m_t = max(1.0, abs(d1))
     pref = math.exp(arg - (q + 1.0) * tau)
+    bessel_share = tol * 1e-2
+    budget = (tol - bessel_share) / 2.0
 
     # truncation from the factorial majorant: term(n, j) is at most
     # m_t * pref * (a tau)^n / n! * (b tau)^(2j) / (2j)!; at large tau the
     # majorant overflows before the 600-term cap is reached
     try:
         n_max = 1
-        while m_t * pref * math.cosh(b * tau) * _exp_tail(a * tau, n_max + 1) > tol / 2.0:
+        while m_t * pref * math.cosh(b * tau) * _exp_tail(a * tau, n_max + 1) > budget:
             n_max += 1
             if n_max > 600:
                 raise ParameterDomain("truncation bound did not converge")
         j_max = 1
-        while m_t * pref * math.exp(a * tau) * _even_tail(b * tau, j_max + 1) > tol / 2.0:
+        while m_t * pref * math.exp(a * tau) * _even_tail(b * tau, j_max + 1) > budget:
             j_max += 1
             if j_max > 600:
                 raise ParameterDomain("truncation bound did not converge")
@@ -201,19 +218,39 @@ def _bessel_column(g, tau, t, tol):
     except OverflowError as exc:
         raise ParameterDomain("truncation bound did not converge") from exc
 
+    peak = [float(abs(m).max()) for m in _walk_matrix_table(g, t, n_max)]
+    one_minus_t_sq = (1.0 - t) ** 2
+    w = np.zeros(2 * j_max + 1)  # w_j at index 2j
+    w[0] = 1.0
+    w[2::2] = abs(d1) * one_minus_t_sq ** np.arange(1, j_max + 1)
+    mult = np.convolve(peak, w).tolist()
     top = n_max + 2 * j_max
+    share = bessel_share / (top + 1)
     scaled = []
     damp = math.exp(-(q + 1.0) * tau)
-    for k in range(top + 1):
-        scaled.append(root_c ** (-k) * bessel_i(k, arg, tol=tol * 1e-6).value * damp)
-    one_minus_t_sq = (1.0 - t) ** 2
+    # past the float range the walk matrices, or the multipliers, carry no
+    # digits of the answer
+    try:
+        for k in range(top + 1):
+            if mult[k] == 0.0:
+                scaled.append(0.0)  # no (n, j) reads I_k
+                continue
+            weight = root_c ** (-k) * damp * mult[k]
+            k_tol = share / weight if weight > 0.0 else 0.0
+            if not 0.0 < k_tol < math.inf:
+                raise ParameterDomain("Bessel multiplier outside the float range")
+            ev = bessel_i(k, arg, tol=k_tol)
+            scaled.append(root_c ** (-k) * ev.value * damp)
+            tail += weight * ev.tail_bound
+    except OverflowError as exc:
+        raise ParameterDomain("Bessel multiplier outside the float range") from exc
     inner = []
     for n in range(n_max + 1):
         total = scaled[n]
-        weight = 1.0
+        power = 1.0
         for j in range(1, j_max + 1):
-            weight *= one_minus_t_sq
-            total += d1 * weight * scaled[n + 2 * j]
+            power *= one_minus_t_sq
+            total += d1 * power * scaled[n + 2 * j]
         inner.append(total)
     return n_max, j_max, tail, tuple(inner)
 
@@ -228,12 +265,14 @@ def heat_kernel_bessel(g, x0, x, tau, t=0.0, tol=1e-8):
 
     K(tau, x0, x) = sum_n C_n(t)[x0,x] sum_j d_j(t) e^{-(q+1)tau}
     (1-t)^(2j) ((1-t)(q+t))^(-(n+2j)/2) I_{n+2j}(2 sqrt((1-t)(q+t)) tau),
-    truncated where the analytic majorant falls below tol.  The left side
+    truncated in n and j, with each I_k summed only as far as its
+    multiplier needs.  The reported tail bound covers both the truncation
+    majorant and the Bessel remainders, and is below tol.  The left side
     does not depend on t; t only reparametrizes the expansion.  Everything
     but C_n(t)[x0,x] is one cached column per (graph, tau, t, tol), shared
     by every root and target.
     """
-    q = _check_bessel_domain(g, t)
+    _check_bessel_domain(g, t)
     _check_vertex(g, x0)
     _check_vertex(g, x)
     if not 0.0 <= tau < math.inf:

@@ -10,6 +10,7 @@ from bzk.heat import (DomainError, NonconvergentTail, NotRegular,
                       check_transform_consistency, heat_kernel_bessel,
                       heat_kernel_spectral, heat_residual,
                       resolvent_transform)
+from bzk.graphs import generate
 from conftest import CORPUS
 
 
@@ -64,6 +65,40 @@ def test_bessel_grid_matches_scalar():
         grid = _bessel_grid(n, taus)
         for tau, v in zip(taus, grid):
             assert abs(v - bessel_i(n, float(tau), 1e-15).value) < 1e-12 * max(1.0, v)
+
+
+def test_bessel_grid_and_tight_bessel_i_match_exact_sums():
+    # a small I_n used to stop on the absolute floor tol * max(1, total):
+    # _bessel_grid(40, [10.0]) was 12% low and (20, [3.0]) 0.5% low
+    from fractions import Fraction
+
+    from bzk.heat import _bessel_grid
+
+    for n, x in ((40, 10), (20, 3), (60, 5)):
+        half = Fraction(x, 2)
+        exact = float(sum(half ** (2 * m + n) / (math.factorial(m) * math.factorial(m + n))
+                          for m in range(80)))
+        grid = float(_bessel_grid(n, [float(x)])[0])
+        assert abs(grid - exact) <= 1e-13 * exact
+        tight = bessel_i(n, float(x), tol=exact * 1e-16).value
+        assert abs(tight - exact) <= 1e-13 * exact
+
+
+def test_heat_bessel_tail_bound_covers_error():
+    # the reported tail bound covers the whole error, Bessel remainders
+    # included, at every target, and stays below the requested tolerance
+    cases = [(generate("hypercube", 5), (0.5, -0.5), (1.5, 3.0, 5.0))]
+    cases += [(CORPUS[name], (-0.5, 0.0, 0.5, 0.9), (0.5, 1.0, 2.0, 4.0, 8.0))
+              for name in ("petersen", "Q3", "K4")]
+    for tol in (1e-6, 1e-10):
+        for g, ts, taus in cases:
+            for t in ts:
+                for tau in taus:
+                    for x in range(g.vertex_count):
+                        res = heat_kernel_bessel(g, 0, x, tau, t, tol)
+                        want = heat_kernel_spectral(g, 0, x, tau).value
+                        assert abs(res.value - want) <= res.tail_bound + 1e-14
+                        assert res.tail_bound <= tol
 
 
 def test_heat_bessel_initial_condition():
@@ -148,6 +183,16 @@ def test_heat_domain_errors():
     # the truncation majorant overflows here rather than reaching its cap
     with pytest.raises(ParameterDomain):
         heat_kernel_bessel(CORPUS["K4"], 0, 0, 1000.0)
+
+
+def test_heat_bessel_refuses_overflowing_multipliers():
+    # the Bessel multipliers overflow here; this used to return 0.113 at tol 1e-4
+    # and 0.144 at tol 1e-10, against a true value near 1/6
+    g = CORPUS["cycle(6)"]
+    assert abs(heat_kernel_spectral(g, 0, 1, 40.0).value - 1.0 / 6.0) < 1e-12
+    for tol in (1e-4, 1e-10):
+        with pytest.raises(ParameterDomain, match="float range"):
+            heat_kernel_bessel(g, 0, 1, 40.0, -0.9, tol)
 
 
 def test_heat_residual_examples():
