@@ -1,4 +1,4 @@
-"""Byte-for-byte stdout of seven CLI commands, pinned in tests/golden/.
+"""Byte-for-byte stdout of eleven CLI commands, pinned in tests/golden/.
 
 The fixtures were written by the commands below; any change to an exact
 coefficient, a key or the JSON layout shows up here as a failed comparison.
@@ -39,6 +39,23 @@ CASES = [
     ("zeta_tree_ball33_rhs_o20.json", 0,
      ["zeta", "--family", "tree_ball", "--q-plus-1", "3", "--radius", "3",
       "--root", "5", "--target", "17", "--order", "20", "--route", "rhs"]),
+    # the rooted walk data at order 16: a leaf (vertex 22, one neighbour)
+    # and the centre (three neighbours) of tree_ball(3,4), and a root of
+    # hypercube(5) with five neighbours
+    ("zeta_tree_ball34_leaf_log_o16.json", 0,
+     ["zeta", "--family", "tree_ball", "--q-plus-1", "3", "--radius", "4",
+      "--root", "22", "--order", "16", "--route", "log"]),
+    ("zeta_tree_ball34_rhs_o16.json", 0,
+     ["zeta", "--family", "tree_ball", "--q-plus-1", "3", "--radius", "4",
+      "--root", "0", "--order", "16", "--route", "rhs"]),
+    ("zeta_hypercube5_log_o16.json", 0,
+     ["zeta", "--family", "hypercube", "--d", "5", "--root", "3",
+      "--order", "16", "--route", "log"]),
+    # the log route off the diagonal: the walk-matrix entries C_m(0, 3) of
+    # two Petersen vertices at distance 2
+    ("zeta_petersen_offdiag_log_o16.json", 0,
+     ["zeta", "--family", "petersen", "--root", "0", "--target", "3",
+      "--order", "16", "--route", "log"]),
 ]
 
 
