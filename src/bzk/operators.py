@@ -1,13 +1,14 @@
 """Operator calculus on the bump-weighted walk matrices.
 
-Builds the walk-matrix sequence by recursion, the Laplacian defect values,
-the cyclic-bump operators, and machine-checks the generating-function
+Builds the walk-matrix rows by recursion, each root's walk data and defect
+values, the cyclic-bump operators, and machine-checks the generating-function
 identities coefficient by coefficient in exact arithmetic.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .edgewalk import edge_closed_tallies
 from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_T, TPOLY_ZERO, OperatorPoly,
@@ -48,40 +49,64 @@ def qxt_poly(g):
 
 
 def cm_sequence(g, order):
-    """Walk matrices C_0..C_order from the two-term recursion.
+    """Walk matrices C_0..C_order, assembled from the rows of _walk_row."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    rows = [_walk_row(g, y, order) for y in range(g.vertex_count)]
+    return [OperatorPoly([row[m] for row in rows]) for m in range(order + 1)]
+
+
+@lru_cache(maxsize=8)
+def _walk_rows(g, order):
+    """The rows of g's walk matrices through the given order that _walk_row
+    has built so far, by vertex."""
+    return {}
+
+
+def _walk_row(g, y, order):
+    """Row y of the walk matrices C_0..C_order: rows[m][x] = C_m(y, x).
 
     C_0 = I, C_1 = adjacency, C_2 = C_1^2 - (1-t) (Q + I), and for m >= 3
     C_m = C_{m-1} C_1 - (1-t) C_{m-2} (D - (1-t) I).  Each product is taken
-    as a neighbour sum over the columns and a column scaling,
-    C_m(x, y) = sum_{z ~ y} C_{m-1}(x, z) - (1-t)(d_y - 1 + t) C_{m-2}(x, y),
-    on raw coefficient lists; C_m is symmetric, so only y >= x is summed.
+    as a neighbour sum and a scaling,
+    C_m(y, x) = sum_{z ~ x} C_{m-1}(y, z) - (1-t)(d_x - 1 + t) C_{m-2}(y, x),
+    on raw coefficient lists.  Each row is built once per graph and order and
+    kept in _walk_rows.  C_m is symmetric, so where row x is already kept,
+    C_m(y, x) is its entry C_m(x, y), the same object: a graph's rows share
+    their entries as the matrices of cm_sequence do.  Zero entries are the
+    shared TPOLY_ZERO.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    kept = _walk_rows(g, order)
+    if y in kept:
+        return kept[y]
     n = g.vertex_count
-    seq = [OperatorPoly.identity(n)]
-    if order >= 1:
-        seq.append(adjacency_poly(g))
-    nbrs = [g.neighbors(y) for y in range(n)]
-    # the column scalings -(1-t) d_y for C_2 and -(1-t)(d_y - 1 + t) after it
+    nbrs = [g.neighbors(x) for x in range(n)]
+    known = [kept.get(x) for x in range(n)]
+    # the scalings -(1-t) d_x for C_2 and -(1-t)(d_x - 1 + t) after it
     first_weights = [(-d, d) for d in g.degrees]
     step_weights = [(1 - d, d - 2, 1) for d in g.degrees]
+    rows = [tuple(TPOLY_ONE if x == y else TPOLY_ZERO for x in range(n))]
+    if order >= 1:
+        adjacent = set(nbrs[y])
+        rows.append(tuple(TPOLY_ONE if x in adjacent else TPOLY_ZERO for x in range(n)))
     for m in range(2, order + 1):
         weights = first_weights if m == 2 else step_weights
-        last, older = seq[-1].rows, seq[-2].rows
-        rows = [[None] * n for _ in range(n)]
+        last, older = rows[-1], rows[-2]
+        row = []
         for x in range(n):
-            row_last, row_older, out = last[x], older[x], rows[x]
-            for y in range(x, n):
-                acc = []
-                for z in nbrs[y]:
-                    _add_into(acc, row_last[z].c)
-                b = row_older[y].c
-                if b:
-                    _mul_into(acc, weights[y], b)
-                out[y] = rows[y][x] = TPoly(acc)
-        seq.append(OperatorPoly(rows))
-    return seq
+            if known[x] is not None:
+                row.append(known[x][m][y])
+                continue
+            acc = []
+            for z in nbrs[x]:
+                _add_into(acc, last[z].c)
+            b = older[x].c
+            if b:
+                _mul_into(acc, weights[x], b)
+            row.append(TPoly(acc) if any(acc) else TPOLY_ZERO)
+        rows.append(tuple(row))
+    kept[y] = rows = tuple(rows)
+    return rows
 
 
 def delta_diag(g, c):
@@ -113,72 +138,66 @@ def r_values(g, order, *, cms=None):
     if cms is None:
         cms = cm_sequence(g, order - 2)
     deltas = [delta_diag(g, cms[k]) for k in range(order - 1)]
-    return _r_double_sum(deltas, g.vertex_count, order)
+    per_vertex = [_r_double_sum([row[x] for row in deltas], order)
+                  for x in range(g.vertex_count)]
+    return [list(row) for row in zip(*per_vertex)]
 
 
-def _r_double_sum(deltas, n, order):
-    """R_0..R_order by the double sum of r_values, from the defect rows
-    deltas[k][x] = [Laplacian defect of C_k](x), k <= order - 2."""
-    zero_row = [TPOLY_ZERO] * n
+def _r_double_sum(delta, order):
+    """R_0..R_order at one vertex x by the double sum of r_values, from its
+    defect values delta[k] = [Laplacian defect of C_k](x), k <= order - 2."""
     one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
     one_minus_t2 = TPoly((1, 0, -1))
     # a_j = sum_{i=1}^{j} (1-t)^(2(j-i)) (1-t^2)^(i-1)
     a = [TPOLY_ZERO, TPOLY_ONE]
-    max_j = (order + 1) // 2
-    for j in range(2, max_j + 1):
-        a.append(a[-1] * one_minus_t_sq + one_minus_t2 ** (j - 1))
-    out = [list(zero_row) for _ in range(min(order + 1, 3))]
+    power = TPOLY_ONE  # (1-t^2)^(j-1)
+    for _ in range(2, (order + 1) // 2 + 1):
+        power = power * one_minus_t2
+        a.append(a[-1] * one_minus_t_sq + power)
+    out = [TPOLY_ZERO] * min(order + 1, 3)
     for m in range(3, order + 1):
-        row = []
-        top = (m + 1) // 2 - 1
-        for x in range(n):
-            acc = TPOLY_ZERO
-            for j in range(1, top + 1):
-                d = deltas[m - 2 * j][x]
-                if not d.is_zero():
-                    acc = acc + a[j] * d
-            row.append(acc)
-        out.append(row)
+        acc = TPOLY_ZERO
+        for j in range(1, (m + 1) // 2):
+            d = delta[m - 2 * j]
+            if not d.is_zero():
+                acc = acc + a[j] * d
+        out.append(acc)
     return out
 
 
-@dataclass(frozen=True)
-class WalkTable:
-    """Per-vertex walk data of one graph for every length m <= order.
+class RootedWalk(NamedTuple):
+    """The walk data of one root x0 for every length m <= order, each a tuple
+    indexed by m: diag[m] = C_m(x0, x0), delta[m] = [Laplacian defect of
+    C_m](x0) and r[m] = R_m(x0)."""
 
-    diag[m][x] = C_m(x, x), delta[m][x] = [Laplacian defect of C_m](x) and
-    r[m][x] = R_m(x), each a tuple of per-vertex TPoly tuples.  Only these
-    rows are kept, not the walk matrices they come from.
-    """
-
-    order: int
     diag: tuple
     delta: tuple
     r: tuple
 
 
-@lru_cache(maxsize=16)
-def walk_table(g, order):
-    """The WalkTable of g through the given order, from one cm_sequence.
+@lru_cache(maxsize=64)
+def _rooted_walk(g, x0, order):
+    """The RootedWalk of x0 through the given order, from the walk-matrix rows
+    of x0 and its neighbours.
 
-    R_m comes from its generating recursion
+    The defect reads only diagonals: [DC_m](x0) = d C_m(x0, x0) - sum_{y ~ x0}
+    C_m(y, y).  R_m comes from its generating recursion
     R_m = DC_{m-2} + ((1-t)^2 + (1-t^2)) R_{m-2} - (1-t)^2 (1-t^2) R_{m-4},
     which equals the double sum of r_values.
     """
-    cms = cm_sequence(g, order)
-    diag = tuple(tuple(c.diag()) for c in cms)
-    delta = tuple(tuple(delta_diag(g, c)) for c in cms)
+    diag = tuple(row[x0] for row in _walk_row(g, x0, order))
+    delta = [c * g.degrees[x0] for c in diag]
+    for y in g.neighbors(x0):
+        delta = [acc - row[y] for acc, row in zip(delta, _walk_row(g, y, order))]
     one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
     one_minus_t2 = TPoly((1, 0, -1))
     mix = one_minus_t_sq + one_minus_t2
     prod = one_minus_t_sq * one_minus_t2
-    zero_row = (TPOLY_ZERO,) * g.vertex_count
-    r = [zero_row] * min(order + 1, 3)
+    r = [TPOLY_ZERO] * min(order + 1, 3)
     for m in range(3, order + 1):
-        older = r[m - 4] if m >= 4 else zero_row
-        r.append(tuple(d + mix * b - prod * a
-                       for d, b, a in zip(delta[m - 2], r[m - 2], older)))
-    return WalkTable(order=order, diag=diag, delta=delta, r=tuple(r))
+        older = r[m - 4] if m >= 4 else TPOLY_ZERO
+        r.append(delta[m - 2] + mix * r[m - 2] - prod * older)
+    return RootedWalk(diag=diag, delta=tuple(delta), r=tuple(r))
 
 
 def cbc_terms(c, deg, r=None):
@@ -199,13 +218,15 @@ def cbc_terms(c, deg, r=None):
         entries[2] = c[2] * TPOLY_T
     s_prev2, s_prev1 = TPOLY_ZERO, TPOLY_ZERO  # s[1], s[2]
     dfac = TPoly((deg - 2, 2))
+    valency = ONE_MINUS_T * TPoly((0, deg))  # (1-t)^(m-1) t deg at the last even m
     for m in range(3, order + 1):
         s_m = ONE_MINUS_T * c[m - 2] + one_minus_t_sq * s_prev2
         ent = c[m] - dfac * s_m
         if r is not None:
             ent = ent + ONE_MINUS_T * r[m]
             if m % 2 == 0:
-                ent = ent - ONE_MINUS_T ** (m - 1) * TPoly((0, deg))
+                valency = valency * one_minus_t_sq
+                ent = ent - valency
         entries[m] = ent
         s_prev2, s_prev1 = s_prev1, s_m
     return entries
@@ -318,17 +339,17 @@ def check_no_tail_identity(g, x0, order):
     if order < 4:
         raise ValueError("order must be >= 4")
     _, notail = _closed_tallies(g, x0, order)
-    table = walk_table(g, order)
+    walk = _rooted_walk(g, x0, order)
     deg = g.degrees[x0]
-    c_terms = [row[x0] for row in table.diag]
-    d_terms = [row[x0] for row in table.delta]
+    c_terms = walk.diag
     n_series = _series_from(order, notail)
     c_series = _series_from(order, c_terms)
-    d_series = _series_from(order, d_terms)
+    d_series = _series_from(order, walk.delta)
     one_minus_t2 = TPoly((1, 0, -1))
+    one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
 
     failures = []
-    lhs = _quadratic(order, ONE_MINUS_T * ONE_MINUS_T) * n_series
+    lhs = _quadratic(order, one_minus_t_sq) * n_series
     rhs = (
         _quadratic(order, TPoly((deg - 1, 0, 1))) * c_series
         - USeries(order, [TPOLY_ZERO, TPOLY_ZERO, TPoly((0, deg))])
@@ -338,13 +359,17 @@ def check_no_tail_identity(g, x0, order):
     if diff:
         failures.append({"display": "series", **diff})
 
+    # even[k] = (1-t)^(2k)
+    even = [TPOLY_ONE]
+    for _ in range(1, (order + 1) // 2):
+        even.append(even[-1] * one_minus_t_sq)
     for m in range(3, order + 1):
         acc = TPOLY_ZERO
         for j in range(1, (m + 1) // 2):
-            acc = acc + ONE_MINUS_T ** (2 * (j - 1)) * c_terms[m - 2 * j]
-        rhs_m = c_terms[m] - TPoly((deg - 2, 2)) * acc + table.r[m][x0]
+            acc = acc + even[j - 1] * c_terms[m - 2 * j]
+        rhs_m = c_terms[m] - TPoly((deg - 2, 2)) * acc + walk.r[m]
         if m % 2 == 0:
-            rhs_m = rhs_m - ONE_MINUS_T ** (m - 2) * TPoly((0, deg))
+            rhs_m = rhs_m - even[m // 2 - 1] * TPoly((0, deg))
         if notail[m] != rhs_m:
             failures.append({"display": "per-length", "u_power": m,
                              "difference": str(notail[m] - rhs_m)})
@@ -365,13 +390,10 @@ def check_cyclic_bump_identity(g, x0, order):
         raise ValueError("order must be >= 4")
     cbc_all, _ = _closed_tallies(g, x0, order)
     deg = g.degrees[x0]
-    table = walk_table(g, order)
-    c_terms = [row[x0] for row in table.diag]
-    d_terms = [row[x0] for row in table.delta]
-    r_terms = [row[x0] for row in table.r]
+    walk = _rooted_walk(g, x0, order)
     cbc_series = _series_from(order, cbc_all)
-    c_series = _series_from(order, c_terms)
-    d_series = _series_from(order, d_terms)
+    c_series = _series_from(order, walk.diag)
+    d_series = _series_from(order, walk.delta)
     one_minus_t2 = TPoly((1, 0, -1))
     one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
 
@@ -398,7 +420,7 @@ def check_cyclic_bump_identity(g, x0, order):
     if diff:
         failures.append({"display": "series", **diff})
 
-    terms = cbc_terms(c_terms, deg, r_terms)
+    terms = cbc_terms(walk.diag, deg, walk.r)
     for m in range(3, order + 1):
         if cbc_all[m] != terms[m]:
             failures.append({"display": "per-length", "u_power": m,
@@ -456,12 +478,10 @@ def check_r_generating_identity(g, x0, order):
     sum_m R_m(x0) u^m = u^2 / ((1-(1-t)^2 u^2)(1-(1-t^2)u^2)) * DC(u)."""
     if order < 3:
         raise ValueError("order must be >= 3")
-    deltas = walk_table(g, order).delta
-    # the double sum, not the table's recursion, so the check stays independent
-    rv = _r_double_sum(deltas, g.vertex_count, order)
-    d_terms = [row[x0] for row in deltas]
-    r_series = _series_from(order, [row[x0] for row in rv])
-    d_series = _series_from(order, d_terms)
+    delta = _rooted_walk(g, x0, order).delta
+    # the double sum, not the record's recursion, so the check stays independent
+    r_series = _series_from(order, _r_double_sum(delta, order))
+    d_series = _series_from(order, delta)
     one_minus_t2 = TPoly((1, 0, -1))
     rhs = (
         _quadratic(order, ONE_MINUS_T * ONE_MINUS_T).inverse()

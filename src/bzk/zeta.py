@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .graphs import operators
-from .operators import _closed_tallies, alpha, cbc_terms, cm_sequence, walk_table
+from .operators import _closed_tallies, _rooted_walk, _walk_row, alpha, cbc_terms
 from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_ZERO, TPoly, USeries,
                      _add_into, _mul_into)
 
@@ -39,16 +39,15 @@ def cbc_entries(g, x0, x, order):
     """Cyclic-bump operator entries (x0, x) for every length m <= order.
 
     Same values as cm_cbc(g, m)[x0, x], from operators.cbc_terms.  The
-    rooted entries (x = x0) read the graph's walk table, with its defect
-    rows; off the diagonal the walk-matrix entries come from cm_sequence.
+    rooted entries (x = x0) read the root's RootedWalk: C_m(x0, x0) and
+    R_m(x0), from the walk-matrix rows of x0 and its neighbours.  Off the
+    diagonal they read C_m(x0, x) from row x0 alone.
     """
     if x == x0:
-        table = walk_table(g, order)
-        c = [row[x0] for row in table.diag]
-        r = [row[x0] for row in table.r]
+        walk = _rooted_walk(g, x0, order)
+        c, r = walk.diag, walk.r
     else:
-        c = [cm.entry(x0, x) for cm in cm_sequence(g, order)]
-        r = None
+        c, r = [row[x] for row in _walk_row(g, x0, order)], None
     return cbc_terms(c, g.degrees[x0], r)
 
 
@@ -176,9 +175,9 @@ def zeta_formula_series(g, x0, x, order):
             power = power * square
             exponent[2 * k] = exponent[2 * k] + power * (half / k)
         # sum_{m>=3} (1-t) R_m(x0) / m u^m; the defect operator is diagonal
-        r = walk_table(g, order).r
+        r = _rooted_walk(g, x0, order).r
         for m in range(3, order + 1):
-            exponent[m] = exponent[m] + ONE_MINUS_T * r[m][x0] * Fraction(1, m)
+            exponent[m] = exponent[m] + ONE_MINUS_T * r[m] * Fraction(1, m)
     elif order >= 2:
         # [t D - C_2](x0, x) (1-t) u^2 / 2; C_2(x, x) = t deg(x), so only the
         # off-diagonal -A^2(x0, x) survives
@@ -452,9 +451,9 @@ def zeta_spectral_report(g, x0, x, u, t):
     c2_factor = math.exp(corr / 2.0 * (1.0 - t) * u * u)
 
     if x == x0:
-        r = walk_table(g, order).r
+        r = _rooted_walk(g, x0, order).r
         r_sum = sum(
-            (1.0 - t) * r[m][x0].evaluate(t) / m * u**m for m in range(3, order + 1)
+            (1.0 - t) * r[m].evaluate(t) / m * u**m for m in range(3, order + 1)
         )
     else:
         r_sum = 0.0

@@ -70,27 +70,23 @@ def poly_eval_fraction(p, t):
     return acc
 
 
-def operator_reading_table(g, order):
-    """The WalkTable of g under the rejected reading of the defect term: the
-    diagonal of the matrix product (Laplacian * C_m) in place of the
+def operator_reading_table(g, x0, order):
+    """The RootedWalk of x0 under the rejected reading of the defect term:
+    the diagonal of the matrix product (Laplacian * C_m) in place of the
     Laplacian of y -> C_m(y, y).  Built from the library's walk matrices and
-    double sum, so that a test can put it in place of operators.walk_table
+    double sum, so that a test can put it in place of operators._rooted_walk
     and show the unchanged cyclic-bump check rejecting this reading."""
-    from bzk.operators import WalkTable, _r_double_sum, cm_sequence
+    from bzk.operators import RootedWalk, _r_double_sum, cm_sequence
 
     cms = cm_sequence(g, order)
     delta = []
     for c in cms:
-        row = []
-        for x in range(g.vertex_count):
-            acc = c.entry(x, x) * g.degrees[x]
-            for y in g.neighbors(x):
-                acc = acc - c.entry(y, x)
-            row.append(acc)
-        delta.append(tuple(row))
-    r = _r_double_sum(delta, g.vertex_count, order)
-    return WalkTable(order=order, diag=tuple(tuple(c.diag()) for c in cms),
-                     delta=tuple(delta), r=tuple(tuple(row) for row in r))
+        acc = c.entry(x0, x0) * g.degrees[x0]
+        for y in g.neighbors(x0):
+            acc = acc - c.entry(y, x0)
+        delta.append(acc)
+    return RootedWalk(diag=tuple(c.entry(x0, x0) for c in cms), delta=tuple(delta),
+                      r=tuple(_r_double_sum(delta, order)))
 
 
 def commutator_matrix(g):

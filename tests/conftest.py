@@ -1,6 +1,6 @@
 import pytest
 
-from bzk.graphs import generate
+from bzk.graphs import build_graph, generate
 
 # The standing verification corpus.  Vertex-transitive members are where the
 # rooted per-length identities are exact; see tests on the others for the
@@ -20,6 +20,16 @@ CORPUS = {
 VERTEX_TRANSITIVE = ("triangle", "cycle(4)", "cycle(6)", "K4", "Q3", "petersen")
 NON_TRANSITIVE = ("star(4)", "path(4)", "tree_ball(3,3)")
 REGULAR = ("triangle", "cycle(4)", "cycle(6)", "K4", "Q3", "petersen")
+
+
+def random_connected_graph(rng, n):
+    """A random spanning tree on n vertices plus a random set of extra edges."""
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < 0.3:
+                pairs.add((a, b))
+    return build_graph(n, sorted(pairs), label=f"random({n})")
 
 
 @pytest.fixture(scope="session")

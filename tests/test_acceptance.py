@@ -230,7 +230,7 @@ def test_criterion_11_negative_test_operator_reading(monkeypatch):
 
     failures = []
     g = CORPUS["path(4)"]
-    monkeypatch.setattr(bzk.operators, "walk_table", operator_reading_table)
+    monkeypatch.setattr(bzk.operators, "_rooted_walk", operator_reading_table)
     rep = check_cyclic_bump_identity(g, 1, 10)
     if rep.passed:
         failures.append("operator-product reading unexpectedly satisfied the check")

@@ -11,17 +11,7 @@ from bzk.edgewalk import edge_closed_tallies
 from bzk.graphs import build_graph
 from bzk.paths import rooted_closed_tallies
 from bzk.series import TPoly
-from conftest import CORPUS
-
-
-def random_connected_graph(rng, n):
-    """A random spanning tree on n vertices plus a random set of extra edges."""
-    pairs = {(rng.randrange(v), v) for v in range(1, n)}
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rng.random() < 0.3:
-                pairs.add((a, b))
-    return build_graph(n, sorted(pairs), label=f"random({n})")
+from conftest import CORPUS, random_connected_graph
 
 
 @pytest.mark.parametrize("name", list(CORPUS))

@@ -7,20 +7,22 @@ defect polynomial is frozen from the enumeration oracle).
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bzk.graphs import generate, operators as graph_operators
-from bzk.operators import (adjacency_poly, alpha, check_cyclic_bump_identity,
-                           check_no_tail_identity, check_r_generating_identity,
-                           check_series_inverse_identity, cm_cbc, cm_sequence,
-                           delta_diag, qxt_poly, r_values, walk_table)
+from bzk.operators import (_rooted_walk, _walk_row, _walk_rows, adjacency_poly, alpha,
+                           check_cyclic_bump_identity, check_no_tail_identity,
+                           check_r_generating_identity, check_series_inverse_identity,
+                           cm_cbc, cm_sequence, delta_diag, qxt_poly, r_values)
 from bzk.paths import (cm_bruteforce, enumerate_closed_weighted,
                        non_backtracking_matrices, rooted_closed_tallies)
 from bzk.series import ONE_MINUS_T, OperatorPoly, TPoly
-from conftest import CORPUS, NON_TRANSITIVE, VERTEX_TRANSITIVE
+from bzk.zeta import zeta_log_series
+from conftest import CORPUS, NON_TRANSITIVE, VERTEX_TRANSITIVE, random_connected_graph
 
 from _oracles import int_matrix_power, operator_reading_table, poly_eval_fraction
 
@@ -130,36 +132,95 @@ def test_r_m_nonzero_on_path4():
 
 @pytest.mark.parametrize("name", list(CORPUS))
 def test_walk_table_matches_matrices_and_double_sum(name):
+    # every root's RootedWalk against the walk matrices, delta_diag and the
+    # double sum of r_values; every row built alone against the rows that
+    # cm_sequence builds in turn, sharing the symmetric entries
     g = CORPUS[name]
+    _walk_rows.cache_clear()
     cms = cm_sequence(g, 12)
-    table = walk_table(g, 12)
-    assert walk_table(g, 12) is table
-    assert table.order == 12
-    assert table.diag == tuple(tuple(c.diag()) for c in cms)
-    assert table.delta == tuple(tuple(delta_diag(g, c)) for c in cms)
-    assert table.r == tuple(tuple(row) for row in r_values(g, 12))
+    deltas = [delta_diag(g, c) for c in cms]
+    rv = r_values(g, 12)
+    for x0 in range(g.vertex_count):
+        walk = _rooted_walk(g, x0, 12)
+        assert _rooted_walk(g, x0, 12) is walk
+        assert walk.diag == tuple(c.entry(x0, x0) for c in cms)
+        assert walk.delta == tuple(row[x0] for row in deltas)
+        assert walk.r == tuple(tuple(row)[x0] for row in rv)
+        _walk_rows.cache_clear()
+        row = _walk_row(g, x0, 12)
+        assert _walk_row(g, x0, 12) is row
+        assert row == tuple(c.rows[x0] for c in cms)
+        assert _walk_row(g, x0, 5) == row[:6]
     # every closed length-2 walk is a bump pair: C_2(x, x) = t deg(x)
-    assert table.diag[2] == tuple(TPoly((0, d)) for d in g.degrees)
+    assert cms[2].diag() == [TPoly((0, d)) for d in g.degrees]
+
+
+def test_rooted_walk_matches_dense_products_on_random_graphs():
+    # rows and RootedWalk at order 16 against the two dense products per step
+    rng = random.Random(1999)
+    for _ in range(6):
+        g = random_connected_graph(rng, rng.randint(2, 9))
+        a = adjacency_poly(g)
+        qt = qxt_poly(g)
+        dense = [OperatorPoly.identity(g.vertex_count), a,
+                 a * a - OperatorPoly.diagonal([TPoly((d,)) for d in g.degrees]).scale(ONE_MINUS_T)]
+        for _ in range(3, 17):
+            dense.append(dense[-1] * a - (dense[-2] * qt).scale(ONE_MINUS_T))
+        deltas = [delta_diag(g, c) for c in dense]
+        rv = r_values(g, 16, cms=dense)
+        for x0 in rng.sample(range(g.vertex_count), min(3, g.vertex_count)):
+            assert _walk_row(g, x0, 16) == tuple(c.rows[x0] for c in dense)
+            walk = _rooted_walk(g, x0, 16)
+            assert walk.diag == tuple(c.entry(x0, x0) for c in dense)
+            assert walk.delta == tuple(row[x0] for row in deltas)
+            assert walk.r == tuple(row[x0] for row in rv)
+
+
+def test_rooted_walk_builds_only_the_rows_it_reads():
+    # a root reads its own row and its neighbours' diagonals: 4 rows at the
+    # centre of tree_ball(3,4), 2 at leaf 22; off the diagonal, row x0 alone
+    g = generate("tree_ball", 3, 4)
+    for x0, rows in ((0, [0, 1, 2, 3]), (22, [10, 22])):
+        _walk_rows.cache_clear()
+        zeta_log_series(g, x0, x0, 16)
+        assert sorted(_walk_rows(g, 16)) == rows
+
+
+def _record_row_stores(monkeypatch):
+    """Every row store that operators._walk_row reads, in call order."""
+    import bzk.operators
+
+    stores = []
+    kept = bzk.operators._walk_rows
+
+    def recorded(g, order):
+        stores.append(kept(g, order))
+        return stores[-1]
+
+    monkeypatch.setattr(bzk.operators, "_walk_rows", recorded)
+    return stores
 
 
 def test_verify_builds_walk_data_once_per_graph(monkeypatch, capsys):
-    # a fixed few builds of the walk matrices per graph (the walk table and
-    # the series-inverse check), none per root
-    import bzk.operators
-    import bzk.zeta
+    # one row store for the graph, holding each of its 10 rows: every row is
+    # built once and shared by the series-inverse check and every root
     from bzk.cli import main
 
-    calls = []
-
-    def counted(g, order):
-        calls.append(order)
-        return cm_sequence(g, order)
-
-    monkeypatch.setattr(bzk.operators, "cm_sequence", counted)
-    monkeypatch.setattr(bzk.zeta, "cm_sequence", counted)
+    stores = _record_row_stores(monkeypatch)
     assert main(["verify", "--family", "petersen", "--order", "10"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
-    assert len(calls) <= 2
+    assert len({id(store) for store in stores}) == 1
+    assert sorted(stores[0]) == list(range(10))
+
+
+def test_off_diagonal_zeta_builds_one_row(monkeypatch, capsys):
+    from bzk.cli import main
+
+    stores = _record_row_stores(monkeypatch)
+    assert main(["zeta", "--family", "petersen", "--root", "0", "--target", "3",
+                 "--order", "16", "--route", "log"]) == 0
+    assert len({id(store) for store in stores}) == 1
+    assert list(stores[0]) == [0]
 
 
 def test_verify_runs_one_edge_tally_per_root(monkeypatch, capsys):
@@ -306,7 +367,7 @@ def test_operator_interpretation_fails_check_on_path4(monkeypatch):
     rep_diag = check_cyclic_bump_identity(g, 1, 10)
     assert not rep_diag.passed
     assert rep_diag.first_failure["u_power"] == 6
-    monkeypatch.setattr(bzk.operators, "walk_table", operator_reading_table)
+    monkeypatch.setattr(bzk.operators, "_rooted_walk", operator_reading_table)
     rep_op = check_cyclic_bump_identity(g, 1, 10)
     assert not rep_op.passed
     assert rep_op.first_failure == {"display": "series", "u_power": 3,
