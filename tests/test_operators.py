@@ -145,7 +145,7 @@ def test_walk_table_matches_matrices_and_double_sum(name):
         assert _rooted_walk(g, x0, 12) is walk
         assert walk.diag == tuple(c.entry(x0, x0) for c in cms)
         assert walk.delta == tuple(row[x0] for row in deltas)
-        assert walk.r == tuple(tuple(row)[x0] for row in rv)
+        assert walk.r == tuple(row[x0] for row in rv)
         _walk_rows.cache_clear()
         row = _walk_row(g, x0, 12)
         assert _walk_row(g, x0, 12) is row
@@ -178,7 +178,7 @@ def test_rooted_walk_matches_dense_products_on_random_graphs():
 
 def test_rooted_walk_builds_only_the_rows_it_reads():
     # a root reads its own row and its neighbours' diagonals: 4 rows at the
-    # centre of tree_ball(3,4), 2 at leaf 22; off the diagonal, row x0 alone
+    # centre of tree_ball(3,4), 2 at leaf 22
     g = generate("tree_ball", 3, 4)
     for x0, rows in ((0, [0, 1, 2, 3]), (22, [10, 22])):
         _walk_rows.cache_clear()
