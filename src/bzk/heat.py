@@ -300,40 +300,11 @@ def heat_kernel_spectral(g, x0, x, tau):
 
     _check_vertex(g, x0)
     _check_vertex(g, x)
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError("tau must be finite and >= 0")
     w, v = _eigh_cached(g)
     value = float(np.sum(np.exp(-tau * w) * v[x0] * v[x]))
     return HeatKernelValue(tau, x0, x, value, "spectral")
-
-
-def heat_residual(g, x0, tau, h, *, route="bessel", t=0.0):
-    """Max over vertices of |d/dtau K + (Laplacian K)| at time tau.
-
-    The bessel route differentiates by central differences with step h; the
-    spectral route uses the analytic derivative.
-    """
-    import numpy as np
-
-    if route == "bessel":
-        if not tau > h > 0:
-            raise ValueError("need tau > h > 0")
-        tol = 1e-13
-        k_mid = [heat_kernel_bessel(g, x0, x, tau, t, tol).value for x in range(g.vertex_count)]
-        k_lo = [heat_kernel_bessel(g, x0, x, tau - h, t, tol).value for x in range(g.vertex_count)]
-        k_hi = [heat_kernel_bessel(g, x0, x, tau + h, t, tol).value for x in range(g.vertex_count)]
-        dk = [(hi - lo) / (2.0 * h) for hi, lo in zip(k_hi, k_lo)]
-    elif route == "spectral":
-        w, v = _eigh_cached(g)
-        k_mid = [heat_kernel_spectral(g, x0, x, tau).value for x in range(g.vertex_count)]
-        dk = [float(np.sum(-w * np.exp(-tau * w) * v[x0] * v[x])) for x in range(g.vertex_count)]
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    worst = 0.0
-    for x in range(g.vertex_count):
-        lap = g.degrees[x] * k_mid[x] - sum(k_mid[y] for y in g.neighbors(x))
-        worst = max(worst, abs(dk[x] + lap))
-    return worst
 
 
 def resolvent_transform(f, u, t, q, *, step=1e-3, cutoff=None, tol=1e-9,

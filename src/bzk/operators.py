@@ -209,7 +209,8 @@ def cbc_terms(c, deg, r=None):
     Given the defect values r[m] = R_m(x0), the entries are rooted (x = x0)
     and also get (1-t) R_m and, at even m, -(1-t)^(m-1) t deg; both terms
     are diagonal, so off-diagonal entries pass r=None.  This is the entry
-    view of cm_cbc, with s_m by its two-step recursion.
+    view of the dense test reference cm_cbc in tests/_oracles.py, with s_m by
+    its two-step recursion.
     """
     order = len(c) - 1
     one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
@@ -230,38 +231,6 @@ def cbc_terms(c, deg, r=None):
         entries[m] = ent
         s_prev2, s_prev1 = s_prev1, s_m
     return entries
-
-
-def cm_cbc(g, m, *, cms=None):
-    """Cyclic-bump walk operator, as a dense matrix.
-
-    Identity and adjacency at lengths 0 and 1, t * C_2 at length 2, and for
-    m >= 3 the walk matrix corrected by the diagonal factor
-    (D - 2(1-t) I) sum_j (1-t)^(2j-1) C_{m-2j}, the defect diagonal, and the
-    even-length valency term.  Its diagonal equals the cyclic-bump tally of
-    closed walks.  The library computes entries by cbc_terms; this literal
-    matrix form is their reference.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if cms is None:
-        cms = cm_sequence(g, m)
-    if m <= 1:
-        return cms[m]
-    if m == 2:
-        return cms[2].scale(TPOLY_T)
-    n = g.vertex_count
-    acc = OperatorPoly.zero(n)
-    for j in range(1, (m + 1) // 2):
-        acc = acc + cms[m - 2 * j].scale(ONE_MINUS_T ** (2 * j - 1))
-    dfac = OperatorPoly.diagonal([TPoly((d - 2, 2)) for d in g.degrees])
-    result = cms[m] - dfac * acc
-    r = r_values(g, m, cms=cms)[m]
-    result = result + OperatorPoly.diagonal([v * ONE_MINUS_T for v in r])
-    if m % 2 == 0:
-        even = ONE_MINUS_T ** (m - 1) * TPOLY_T
-        result = result - OperatorPoly.diagonal([even * d for d in g.degrees])
-    return result
 
 
 def alpha(g, t_abs):

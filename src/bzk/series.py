@@ -573,11 +573,3 @@ class OperatorSeries:
 
     def __repr__(self):
         return f"OperatorSeries(n={self.n}, order={self.order})"
-
-
-def binomial_power(s, exponent):
-    """(constant-term-1 series) ** exponent for rational exponents, as
-    exp(exponent * log s)."""
-    if not isinstance(s, USeries):
-        raise TypeError("binomial_power expects a scalar USeries")
-    return (s.log() * Fraction(exponent)).exp()

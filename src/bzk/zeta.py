@@ -38,7 +38,8 @@ class EigensolverFailure(RuntimeError):
 def cbc_entries(g, x0, x, order):
     """Cyclic-bump operator entries (x0, x) for every length m <= order.
 
-    Same values as cm_cbc(g, m)[x0, x], from operators.cbc_terms.  The
+    Same values as cm_cbc(g, m)[x0, x], the dense test reference in
+    tests/_oracles.py, from operators.cbc_terms.  The
     rooted entries (x = x0) read the root's RootedWalk: C_m(x0, x0) and
     R_m(x0), from the walk-matrix rows of x0 and its neighbours.  Off the
     diagonal they read C_m(x0, x) from row x0 alone.
@@ -480,8 +481,3 @@ def zeta_spectral_report(g, x0, x, u, t):
         "c2_factor": c2_factor,
         "defect_factor": defect_factor,
     }
-
-
-def zeta_spectral(g, x0, x, u, t):
-    """Numeric spectral-route value of the rooted zeta at (u, t)."""
-    return zeta_spectral_report(g, x0, x, u, t)["value"]

@@ -232,6 +232,22 @@ def test_unreadable_graph_file_is_usage_error(capsys, tmp_path, command):
         assert str(path) in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"vertices": 1e999, "edges": []}',
+    '{"vertices": 2, "edges": [[0, 1.7]]}',
+    '{"vertices": true, "edges": []}',
+    '{"vertices": 2, "edges": [[0, true]]}',
+])
+def test_graph_json_accepts_integers_only(capsys, tmp_path, text):
+    # int() used to raise OverflowError on 1e999 and read 1.7 and true as 1
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "graphs", "--graph", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad graph JSON: ") and err.count("\n") == 1
+
+
 def test_tallies_past_cap_are_usage_errors(capsys):
     # the Euler route reads the closed-walk tally, which stops where the
     # enumeration oracle does

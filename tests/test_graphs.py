@@ -1,18 +1,22 @@
 """Graph construction, families, operators, balls, and file formats."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from _oracles import bfs_girth, canonical_rooted_tree, quadratic_form
+from _oracles import (ball, bfs_girth, canonical_rooted_tree, distances_from,
+                      quadratic_form)
 from bzk.graphs import (Disconnected, DuplicateEdge, EmptyGraph,
-                        InvalidParameter, LoopEdge, ball, build_graph,
-                        distances_from, generate, graph_to_json_dict,
-                        load_graph, operators, parse_edge_list,
-                        parse_graph_json)
+                        InvalidParameter, LoopEdge, build_graph, generate,
+                        graph_to_json_dict, load_graph, operators,
+                        parse_edge_list, parse_graph_json)
 from bzk.zeta import charpoly_exact
 from conftest import CORPUS
 
@@ -91,6 +95,59 @@ def test_generate_tree_ball_counts():
     assert g.degrees[0] == 3
     g = generate("tree_ball", 3, 3)
     assert g.vertex_count == 22
+
+
+# Generates each case in a fresh interpreter whose address space is capped at
+# 1 GB, so a family built without its edge cap fails with MemoryError or the
+# timeout instead of taking the machine's memory.  Then runs `bzk graphs` on
+# two of them.
+_FAMILY_CAP_PROBE = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from bzk.cli import main
+from bzk.graphs import InvalidParameter, generate
+
+outcomes = []
+for family, *params in json.loads(sys.argv[1]):
+    try:
+        outcomes.append(len(generate(family, *params).edges) // 2)
+    except (InvalidParameter, MemoryError) as exc:
+        outcomes.append(f"{type(exc).__name__}: {exc}")
+for argv in (["graphs", "--family", "complete", "--n", "100000"],
+             ["graphs", "--family", "hypercube", "--d", "40"]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        outcomes.append([main(argv), err.getvalue()])
+print(json.dumps(outcomes))
+"""
+
+
+def test_generated_families_past_the_edge_cap_are_refused():
+    from bzk.graphs import MAX_EDGES
+
+    assert MAX_EDGES == 100_000
+    past = [["cycle", 100_001], ["cycle", 10**9], ["complete", 448],
+            ["complete", 100_000], ["hypercube", 15], ["hypercube", 40],
+            ["path", 100_002], ["path", 10**9], ["star", 100_001], ["star", 10**9],
+            ["tree_ball", 2, 50_001], ["tree_ball", 3, 16], ["tree_ball", 3, 10**6],
+            ["tree_ball", 10**9, 2]]
+    # the largest members of three families that the cap admits
+    admitted = [["cycle", 100_000], ["hypercube", 13], ["tree_ball", 3, 15]]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _FAMILY_CAP_PROBE,
+                           json.dumps(past + admitted)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    outcomes = json.loads(proc.stdout)
+    for case, outcome in zip(past, outcomes):
+        label = f"{case[0]}({','.join(map(str, case[1:]))})"
+        assert outcome == f"InvalidParameter: {label} has more than 100000 edges"
+    assert outcomes[len(past):len(past) + len(admitted)] == [100_000, 53_248, 98_301]
+    for code, err in outcomes[len(past) + len(admitted):]:
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_generate_errors():
@@ -172,7 +229,7 @@ def test_ball_tree_isomorphism():
 def test_ball_locality_of_rooted_counts():
     # rooted closed-walk tallies of length m depend only on the radius
     # ceil(m/2) ball around the root
-    from bzk.paths import enumerate_closed_weighted
+    from _paths import enumerate_closed_weighted
 
     g = generate("tree_ball", 3, 4)
     for m in (2, 4, 6):

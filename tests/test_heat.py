@@ -8,10 +8,11 @@ import pytest
 from bzk.heat import (DomainError, NonconvergentTail, NotRegular,
                       ParameterDomain, bessel_heat_package, bessel_i,
                       check_transform_consistency, heat_kernel_bessel,
-                      heat_kernel_spectral, heat_residual,
-                      resolvent_transform)
+                      heat_kernel_spectral, resolvent_transform)
 from bzk.graphs import generate
 from conftest import CORPUS
+
+from _oracles import heat_residual
 
 
 def test_bessel_at_zero():
@@ -183,6 +184,16 @@ def test_heat_domain_errors():
     # the truncation majorant overflows here rather than reaching its cap
     with pytest.raises(ParameterDomain):
         heat_kernel_bessel(CORPUS["K4"], 0, 0, 1000.0)
+
+
+def test_heat_spectral_refuses_non_finite_tau():
+    # on Petersen tau = inf used to give inf, though K tends to 1/10, and nan
+    # gave nan
+    g = CORPUS["petersen"]
+    assert abs(heat_kernel_spectral(g, 0, 3, 50.0).value - 0.1) < 1e-12
+    for tau in (float("inf"), float("nan"), -1.0):
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            heat_kernel_spectral(g, 0, 3, tau)
 
 
 def test_heat_bessel_refuses_overflowing_multipliers():

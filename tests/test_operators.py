@@ -17,14 +17,14 @@ from bzk.graphs import generate, operators as graph_operators
 from bzk.operators import (_rooted_walk, _walk_row, _walk_rows, adjacency_poly, alpha,
                            check_cyclic_bump_identity, check_no_tail_identity,
                            check_r_generating_identity, check_series_inverse_identity,
-                           cm_cbc, cm_sequence, delta_diag, qxt_poly, r_values)
-from bzk.paths import (cm_bruteforce, enumerate_closed_weighted,
-                       non_backtracking_matrices, rooted_closed_tallies)
+                           cm_sequence, delta_diag, qxt_poly, r_values)
+from bzk.paths import rooted_closed_tallies
 from bzk.series import ONE_MINUS_T, OperatorPoly, TPoly
 from bzk.zeta import zeta_log_series
 from conftest import CORPUS, NON_TRANSITIVE, VERTEX_TRANSITIVE, random_connected_graph
 
-from _oracles import int_matrix_power, operator_reading_table, poly_eval_fraction
+from _oracles import cm_cbc, int_matrix_power, operator_reading_table, poly_eval_fraction
+from _paths import cm_bruteforce, enumerate_closed_weighted, non_backtracking_matrices
 
 
 @pytest.mark.parametrize("name", ["triangle", "cycle(4)", "path(4)", "star(4)", "K4"])
@@ -296,7 +296,7 @@ def test_cm_cbc_diagonal_defect_at_length_six_path4():
 
 
 def test_cm_cbc_t_zero_diagonal_counts_geodesics():
-    from bzk.paths import closed_geodesic_counts
+    from _paths import closed_geodesic_counts
 
     for name in ("triangle", "path(4)", "star(4)", "petersen"):
         g = CORPUS[name]

@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from bzk.paths import (NotClosed, bump_count, closed_geodesic_counts,
-                       cm_bruteforce, cyclic_bump_count,
-                       enumerate_closed_weighted, has_tail,
-                       non_backtracking_matrices,
-                       primitive_rooted_closed_paths, rooted_closed_tallies)
+from bzk.paths import primitive_rooted_closed_paths, rooted_closed_tallies
 from bzk.series import TPoly
 from conftest import CORPUS
 
 from _oracles import int_matrix_power, poly_eval_fraction
+from _paths import (NotClosed, bump_count, closed_geodesic_counts,
+                    cm_bruteforce, cyclic_bump_count,
+                    enumerate_closed_weighted, has_tail,
+                    non_backtracking_matrices)
 
 
 def edge_from(g, a, b):

@@ -8,20 +8,21 @@ import numpy as np
 import pytest
 
 from bzk.graphs import operators as graph_operators
-from bzk.operators import adjacency_poly, cm_cbc, cm_sequence, qxt_poly
-from bzk.paths import closed_geodesic_counts, primitive_rooted_closed_paths
+from bzk.operators import adjacency_poly, cm_sequence, qxt_poly
+from bzk.paths import primitive_rooted_closed_paths
 from bzk.series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_ZERO, OperatorPoly,
-                        OperatorSeries, TPoly, USeries, binomial_power)
+                        OperatorSeries, TPoly, USeries)
 from bzk.zeta import (DomainError, EigensolverFailure, NotRegular,
                       _commutator_exponent, _f_power_table, cbc_entries,
                       charpoly_exact, euler_product_series, isolate_real_roots,
                       local_spectrum, zeta_formula_series,
-                      zeta_log_coefficients, zeta_log_series, zeta_spectral,
+                      zeta_log_coefficients, zeta_log_series,
                       zeta_spectral_report)
 from conftest import CORPUS, NON_TRANSITIVE, REGULAR, VERTEX_TRANSITIVE
 
-from _oracles import (commutator_exponent_loop, commutator_matrix,
-                      poly_eval_fraction)
+from _oracles import (binomial_power, cm_cbc, commutator_exponent_loop,
+                      commutator_matrix, poly_eval_fraction)
+from _paths import closed_geodesic_counts
 
 
 def reference_log_value(g, x0, x, u, t, order):
@@ -299,7 +300,7 @@ def test_perturbed_eigensolver_raises_on_every_call(perturbed_eigh):
         with pytest.raises(EigensolverFailure):
             local_spectrum(g, 0, 0)
     with pytest.raises(EigensolverFailure):
-        zeta_spectral(g, 0, 0, 0.05, 0.25)
+        zeta_spectral_report(g, 0, 0, 0.05, 0.25)["value"]
 
 
 def test_spectrum_cross_check_runs_once_per_graph(monkeypatch):
@@ -316,8 +317,8 @@ def test_spectrum_cross_check_runs_once_per_graph(monkeypatch):
     g = generate("cycle", 5)
     for u in (0.05, 0.1):
         for t in (-0.25, 0.25):
-            zeta_spectral(g, 0, 0, u, t)
-            zeta_spectral(g, 1, 2, u, t)
+            zeta_spectral_report(g, 0, 0, u, t)["value"]
+            zeta_spectral_report(g, 1, 2, u, t)["value"]
     assert calls == [5]
 
 
@@ -348,30 +349,30 @@ def test_isolate_real_roots_laplacian_spectra(name, spectrum):
 
 def test_zeta_spectral_matches_log_series_example():
     g = CORPUS["K4"]
-    value = zeta_spectral(g, 0, 0, 0.1, 0.25)
+    value = zeta_spectral_report(g, 0, 0, 0.1, 0.25)["value"]
     reference = reference_log_value(g, 0, 0, 0.1, 0.25, 20)
     assert abs(value / reference - 1.0) < 1e-9
 
 
 def test_zeta_spectral_u_to_zero_limit():
     g = CORPUS["petersen"]
-    assert abs(zeta_spectral(g, 0, 0, 1e-8, 0.3) - 1.0) < 1e-6
+    assert abs(zeta_spectral_report(g, 0, 0, 1e-8, 0.3)["value"] - 1.0) < 1e-6
 
 
 def test_zeta_spectral_petersen_t0():
     g = CORPUS["petersen"]
-    value = zeta_spectral(g, 0, 0, 0.05, 0.0)
+    value = zeta_spectral_report(g, 0, 0, 0.05, 0.0)["value"]
     reference = reference_log_value(g, 0, 0, 0.05, 0.0, 40)
     assert abs(value / reference - 1.0) < 1e-9
 
 
 def test_zeta_spectral_domain_errors():
     with pytest.raises(NotRegular):
-        zeta_spectral(CORPUS["path(4)"], 0, 0, 0.1, 0.0)
+        zeta_spectral_report(CORPUS["path(4)"], 0, 0, 0.1, 0.0)["value"]
     with pytest.raises(DomainError):
-        zeta_spectral(CORPUS["K4"], 0, 0, 0.5, 0.0)
+        zeta_spectral_report(CORPUS["K4"], 0, 0, 0.5, 0.0)["value"]
     with pytest.raises(DomainError):
-        zeta_spectral(CORPUS["K4"], 0, 0, 0.1, 1.5)
+        zeta_spectral_report(CORPUS["K4"], 0, 0, 0.1, 1.5)["value"]
 
 
 def test_zeta_spectral_report_tail_bound():
