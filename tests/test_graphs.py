@@ -13,7 +13,7 @@ import pytest
 
 from _oracles import (ball, bfs_girth, canonical_rooted_tree, distances_from,
                       quadratic_form)
-from bzk.graphs import (Disconnected, DuplicateEdge, EmptyGraph,
+from bzk.graphs import (MAX_EDGES, Disconnected, DuplicateEdge, EmptyGraph,
                         InvalidParameter, LoopEdge, build_graph, generate,
                         graph_to_json_dict, load_graph, operators,
                         parse_edge_list, parse_graph_json)
@@ -123,8 +123,7 @@ print(json.dumps(outcomes))
 
 
 def test_generated_families_past_the_edge_cap_are_refused():
-    from bzk.graphs import MAX_EDGES
-
+    # the cases sit just past, and far past, a cap of 100,000 edges
     assert MAX_EDGES == 100_000
     past = [["cycle", 100_001], ["cycle", 10**9], ["complete", 448],
             ["complete", 100_000], ["hypercube", 15], ["hypercube", 40],
