@@ -2,7 +2,7 @@
 bookkeeping.
 
 No library route calls this module: the closed-walk tallies come from
-edgewalk, and the other enumeration oracles live with the tests.  These two
+edgewalk, and the other enumeration oracles are in tests/_paths.py.  These two
 enumerators stay because the benchmark tracer (perfbench/tracing.py) wraps
 rooted_closed_tallies and primitive_rooted_closed_paths by name and looks up
 bzk.paths when it installs, so `import bzk` loads this module.  They remain
