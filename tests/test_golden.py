@@ -1,4 +1,4 @@
-"""Byte-for-byte stdout of eleven CLI commands, pinned in tests/golden/.
+"""Byte-for-byte stdout of thirteen CLI commands, pinned in tests/golden/.
 
 The fixtures were written by the commands below; any change to an exact
 coefficient, a key or the JSON layout shows up here as a failed comparison.
@@ -56,6 +56,15 @@ CASES = [
     ("zeta_petersen_offdiag_log_o16.json", 0,
      ["zeta", "--family", "petersen", "--root", "0", "--target", "3",
       "--order", "16", "--route", "log"]),
+    # star(6) at order 32: the largest degree in reach (6) and the longest
+    # series, so the widest coefficients; off the diagonal with the
+    # commutator term, and at the centre by the log route
+    ("zeta_star6_offdiag_rhs_o32.json", 0,
+     ["zeta", "--family", "star", "--n", "6", "--root", "1", "--target", "2",
+      "--order", "32", "--route", "rhs"]),
+    ("zeta_star6_log_o32.json", 0,
+     ["zeta", "--family", "star", "--n", "6", "--root", "0",
+      "--order", "32", "--route", "log"]),
 ]
 
 
