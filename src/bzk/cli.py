@@ -25,6 +25,16 @@ SCHEMA = 1
 # on Petersen the log route takes about 1.5 s at order 64 and 8.6 s at 96.
 MAX_ZETA_ORDER = 64
 
+# Most vertices a dense float route takes.  The spectral zeta route and both
+# heat routes build n x n data: the nested tuples of graphs.operators, numpy's
+# eigh of the Laplacian, and the Bessel route's table of walk matrices, one
+# n x n array per Bessel order.  On hypercube(9), 512 vertices, `bzk heat
+# --route bessel --tau-grid 0:5:2 --t 0.5` took 1.5 s and 316 MB, and the
+# spectral route 0.5 s and 48 MB; hypercube(10) took 7.5 s and 1.24 GB by the
+# Bessel route, and hypercube(11) ran out of a 1 GB address space.  The
+# Bessel table also grows with tau (550 MB at tau = 10 on hypercube(9)).
+MAX_DENSE_VERTICES = 512
+
 # Most tau points `bzk heat` evaluates.  On Petersen over tau in [0, 5] a point
 # costs about 0.66 ms by both routes, so the cap takes about 7 s.
 MAX_TAU_POINTS = 10_000
@@ -75,6 +85,14 @@ def _vertex(g, value, flag):
             f"{flag} {value} is not a vertex of {g.label} (0..{g.vertex_count - 1})"
         )
     return value
+
+
+def _check_dense(g):
+    """Refuse a graph too large for the dense float routes, before any
+    n x n matrix is built."""
+    if g.vertex_count > MAX_DENSE_VERTICES:
+        raise SystemExit2(f"{g.label} has {g.vertex_count} vertices; the dense float "
+                          f"routes take at most {MAX_DENSE_VERTICES}")
 
 
 def _write(args, text):
@@ -143,6 +161,8 @@ def cmd_zeta(args):
     x = _vertex(g, args.target, "--target") if args.target is not None else x0
     order = args.order
     routes = ["log", "rhs", "euler", "spectral"] if args.route == "all" else [args.route]
+    if "spectral" in routes and g.regular_degree() is not None:
+        _check_dense(g)
     payload = {"schema": SCHEMA, "graph": g.label, "root": x0, "target": x,
                "order": order, "routes": {}}
     series_by_route = {}
@@ -199,6 +219,7 @@ def cmd_heat(args):
     if count > MAX_TAU_POINTS:
         raise SystemExit2(f"--tau-grid count {count} exceeds the tau point cap {MAX_TAU_POINTS}")
     g = _resolve_graph(args)
+    _check_dense(g)
     x0 = _vertex(g, args.root, "--root")
     x = _vertex(g, args.target, "--target") if args.target is not None else x0
     taus = [lo + (hi - lo) * k / (count - 1) if count > 1 else lo for k in range(count)]

@@ -7,7 +7,7 @@ twin pairing.  Its powers give the bump-weighted closed walks at a root in
 time polynomial in the length, where an enumeration grows like (d-1)^m.
 """
 
-from .series import TPoly, _add_into, _mul_into
+from .series import _pack, _packed_width, _unpack
 
 # t - 1, lowest power first: the extra weight of the step that reverses an edge
 _T_MINUS_ONE = (-1, 1)
@@ -26,50 +26,41 @@ def edge_closed_tallies(g, x0, order):
         V_1 = [f],  V_(k+1)[e] = S_k[tail e] + (t-1) V_k[twin e],
     with S_k[v] the sum of V_k over the edges into v.  A walk ending at the
     twin of f has a tail, whose wrap-around bump adds one more factor t.
+    The recursion runs on packed ints (series._pack at
+    _packed_width(max degree, order)), 0 for zero, and only the tallies are
+    decoded.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    cbc_all = [[] for _ in range(order + 1)]
-    no_tail = [[] for _ in range(order + 1)]
+    width = _packed_width(g.max_degree, order)
+    t = _pack((0, 1), width)
+    t_minus_one = _pack(_T_MINUS_ONE, width)
+    cbc_all = [0] * (order + 1)
+    no_tail = [0] * (order + 1)
     edge_count = len(g.edges)
-    tails = [e.origin for e in g.edges]
     heads = g._heads
     twins = g._twins
     # the edges into v are the twins of the edges out of v
     into_root = [twins[e] for e in g.out_edges[x0]]
+    steps = [(e.origin, twins[i]) for i, e in enumerate(g.edges)]
     for f in g.out_edges[x0]:
         closing = twins[f]
-        cur = [None] * edge_count
-        cur[f] = [1]
+        cur = [0] * edge_count
+        cur[f] = 1
         for k in range(1, order + 1):
             for e in into_root:
                 v = cur[e]
-                if v is None:
-                    continue
                 if e == closing:
-                    _mul_into(cbc_all[k], (0, 1), v)
+                    cbc_all[k] += t * v
                 else:
-                    _add_into(cbc_all[k], v)
-                    _add_into(no_tail[k], v)
+                    cbc_all[k] += v
+                    no_tail[k] += v
             if k == order:
                 break
-            sums = [None] * g.vertex_count
+            sums = [0] * g.vertex_count
             for e, v in enumerate(cur):
-                if v is not None:
-                    h = heads[e]
-                    if sums[h] is None:
-                        sums[h] = list(v)
-                    else:
-                        _add_into(sums[h], v)
-            nxt = [None] * edge_count
-            for e in range(edge_count):
-                s = sums[tails[e]]
-                back = cur[twins[e]]
-                if s is None:
-                    continue  # back is None too: twin e enters tail e
-                acc = list(s)
-                if back is not None:
-                    _mul_into(acc, _T_MINUS_ONE, back)
-                nxt[e] = acc
-            cur = nxt
-    return [TPoly(c) for c in cbc_all], [TPoly(c) for c in no_tail]
+                if v:
+                    sums[heads[e]] += v
+            cur = [sums[tail] + t_minus_one * cur[back] for tail, back in steps]
+    return ([_unpack(c, width) for c in cbc_all],
+            [_unpack(c, width) for c in no_tail])

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .edgewalk import edge_closed_tallies
 from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_T, TPOLY_ZERO, OperatorPoly,
-                     OperatorSeries, TPoly, USeries, _add_into, _mul_into)
+                     OperatorSeries, TPoly, USeries, _pack, _packed_width, _unpack)
 
 
 @dataclass
@@ -49,11 +49,24 @@ def qxt_poly(g):
 
 
 def cm_sequence(g, order):
-    """Walk matrices C_0..C_order, assembled from the rows of _walk_row."""
+    """Walk matrices C_0..C_order, assembled from the rows of _walk_row.
+
+    Each entry is decoded once: C_m is symmetric, so entry (y, x) below the
+    diagonal is the TPoly already decoded at (x, y)."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    rows = [_walk_row(g, y, order) for y in range(g.vertex_count)]
-    return [OperatorPoly([row[m] for row in rows]) for m in range(order + 1)]
+    n = g.vertex_count
+    width = _packed_width(g.max_degree, order)
+    rows = [_walk_row(g, y, order) for y in range(n)]
+    out = []
+    for m in range(order + 1):
+        entries = []
+        for y, row in enumerate(rows):
+            packed = row[m]
+            entries.append([entries[x][y] for x in range(y)]
+                           + [_unpack(packed[x], width) for x in range(y, n)])
+        out.append(OperatorPoly(entries))
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -64,47 +77,40 @@ def _walk_rows(g, order):
 
 
 def _walk_row(g, y, order):
-    """Row y of the walk matrices C_0..C_order: rows[m][x] = C_m(y, x).
+    """Row y of the walk matrices C_0..C_order, packed: rows[m][x] is
+    C_m(y, x) as the int of series._pack at _packed_width(max degree, order).
 
     C_0 = I, C_1 = adjacency, C_2 = C_1^2 - (1-t) (Q + I), and for m >= 3
     C_m = C_{m-1} C_1 - (1-t) C_{m-2} (D - (1-t) I).  Each product is taken
     as a neighbour sum and a scaling,
     C_m(y, x) = sum_{z ~ x} C_{m-1}(y, z) - (1-t)(d_x - 1 + t) C_{m-2}(y, x),
-    on raw coefficient lists.  Each row is built once per graph and order and
-    kept in _walk_rows.  C_m is symmetric, so where row x is already kept,
-    C_m(y, x) is its entry C_m(x, y), the same object: a graph's rows share
-    their entries as the matrices of cm_sequence do.  Zero entries are the
-    shared TPOLY_ZERO.
+    which packed is one big-int sum and one product by the packed weight.
+    Each row is built once per graph and order and kept in _walk_rows.  C_m
+    is symmetric, so where row x is already kept, C_m(y, x) is its entry
+    C_m(x, y).  Zero entries are 0.  Callers decode with series._unpack only
+    the entries they read.
     """
     kept = _walk_rows(g, order)
     if y in kept:
         return kept[y]
     n = g.vertex_count
+    width = _packed_width(g.max_degree, order)
     nbrs = [g.neighbors(x) for x in range(n)]
     known = [kept.get(x) for x in range(n)]
     # the scalings -(1-t) d_x for C_2 and -(1-t)(d_x - 1 + t) after it
-    first_weights = [(-d, d) for d in g.degrees]
-    step_weights = [(1 - d, d - 2, 1) for d in g.degrees]
-    rows = [tuple(TPOLY_ONE if x == y else TPOLY_ZERO for x in range(n))]
+    first_weights = [_pack((-d, d), width) for d in g.degrees]
+    step_weights = [_pack((1 - d, d - 2, 1), width) for d in g.degrees]
+    rows = [tuple(int(x == y) for x in range(n))]
     if order >= 1:
         adjacent = set(nbrs[y])
-        rows.append(tuple(TPOLY_ONE if x in adjacent else TPOLY_ZERO for x in range(n)))
+        rows.append(tuple(int(x in adjacent) for x in range(n)))
     for m in range(2, order + 1):
         weights = first_weights if m == 2 else step_weights
         last, older = rows[-1], rows[-2]
-        row = []
-        for x in range(n):
-            if known[x] is not None:
-                row.append(known[x][m][y])
-                continue
-            acc = []
-            for z in nbrs[x]:
-                _add_into(acc, last[z].c)
-            b = older[x].c
-            if b:
-                _mul_into(acc, weights[x], b)
-            row.append(TPoly(acc) if any(acc) else TPOLY_ZERO)
-        rows.append(tuple(row))
+        rows.append(tuple(
+            known[x][m][y] if known[x] is not None
+            else sum(map(last.__getitem__, nbrs[x])) + weights[x] * older[x]
+            for x in range(n)))
     kept[y] = rows = tuple(rows)
     return rows
 
@@ -181,14 +187,18 @@ def _rooted_walk(g, x0, order):
     of x0 and its neighbours.
 
     The defect reads only diagonals: [DC_m](x0) = d C_m(x0, x0) - sum_{y ~ x0}
-    C_m(y, y).  R_m comes from its generating recursion
+    C_m(y, y), summed packed and decoded once per length.  R_m comes from its
+    generating recursion
     R_m = DC_{m-2} + ((1-t)^2 + (1-t^2)) R_{m-2} - (1-t)^2 (1-t^2) R_{m-4},
     which equals the double sum of r_values.
     """
-    diag = tuple(row[x0] for row in _walk_row(g, x0, order))
+    width = _packed_width(g.max_degree, order)
+    diag = [row[x0] for row in _walk_row(g, x0, order)]
     delta = [c * g.degrees[x0] for c in diag]
     for y in g.neighbors(x0):
         delta = [acc - row[y] for acc, row in zip(delta, _walk_row(g, y, order))]
+    diag = tuple(_unpack(c, width) for c in diag)
+    delta = tuple(_unpack(c, width) for c in delta)
     one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
     one_minus_t2 = TPoly((1, 0, -1))
     mix = one_minus_t_sq + one_minus_t2
@@ -197,7 +207,7 @@ def _rooted_walk(g, x0, order):
     for m in range(3, order + 1):
         older = r[m - 4] if m >= 4 else TPOLY_ZERO
         r.append(delta[m - 2] + mix * r[m - 2] - prod * older)
-    return RootedWalk(diag=diag, delta=tuple(delta), r=tuple(r))
+    return RootedWalk(diag=diag, delta=delta, r=tuple(r))
 
 
 def cbc_terms(c, deg, r=None):

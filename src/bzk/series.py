@@ -36,14 +36,6 @@ def _canon(x):
     raise TypeError(f"exact scalar required, got {type(x).__name__!r}")
 
 
-def _add_into(acc, b):
-    """acc += b for raw coefficient sequences, growing acc as needed."""
-    if len(acc) < len(b):
-        acc.extend([0] * (len(b) - len(acc)))
-    for i, y in enumerate(b):
-        acc[i] += y
-
-
 def _mul_into(acc, a, b):
     """acc += a * b for raw coefficient sequences, growing acc as needed."""
     need = len(a) + len(b) - 1
@@ -54,6 +46,67 @@ def _mul_into(acc, a, b):
             for j, y in enumerate(b):
                 if y:
                     acc[i + j] += x * y
+
+
+def _packed_width(max_degree, order):
+    """Bits per t-coefficient in the packed form of the walk recursions.
+
+    The walk-matrix rows, the rows of f^k and the commutator rows M_T of the
+    formula route, and the edge tallies run on packed integers: the
+    t-polynomial c_0 + c_1 t + ... + c_d t^d becomes the single int
+    sum_i c_i 2^(i width).  Packing evaluates at t = 2^width, a ring
+    homomorphism from Z[t] to Z, so sums and products of packed ints are
+    exact whatever their size, and _unpack recovers a polynomial whenever
+    every coefficient has |c| < 2^(width-1).
+
+    With D = max(max_degree, 2) every coefficient that the recursions build
+    through length `order` has |c| <= P = D^2 (order+2) (3D)^order, and
+    width = P.bit_length() + 1 gives 2^(width-1) > P.  The proof bounds the
+    l1 norm |p|_1 = sum |c_i|, which is subadditive and submultiplicative:
+    - walk rows, C_m(y, x) = sum_{z ~ x} C_(m-1)(y, z) + w_x C_(m-2)(y, x),
+      and f-powers, (v f)(j) = u sum_{i ~ j} v(i) + u^2 w_j v(j): at most D
+      neighbours and a weight w = (1-d, d-2, 1) or (-d, d) with |w|_1 <= 2D,
+      so the largest norm grows by at most a factor D + 2D = 3D per step and
+      stays <= (3D)^m from 1 at m = 0 and 1.  The defect d C_m(x0, x0) -
+      sum_{y ~ x0} C_m(y, y) of a rooted record is <= 2D (3D)^m;
+    - the commutator rows, M_T = M_(T-1) f + f^T D with M_0 = D: by
+      induction |M_T|_1 <= (T+1) D (3D)^T, and the integrand entry
+      M_T - (T+1) d_x0 f^T, T <= order - 2, is <= 2 (T+1) D (3D)^T;
+    - edge tallies, V_(k+1)[e] = S_k[tail e] + (t-1) V_k[twin e] with S_k a
+      sum of at most D values: a factor D + 2 <= 3D per step, and a tally
+      sums at most D^2 of them, so <= D^2 (3D)^k.
+    """
+    big_d = max(max_degree, 2)
+    bound = big_d * big_d * (order + 2) * (3 * big_d) ** order
+    return bound.bit_length() + 1
+
+
+def _pack(coeffs, width):
+    """The int sum_i coeffs[i] 2^(i width) of a raw integer coefficient
+    sequence, lowest t-power first; see _packed_width."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << width) + c
+    return v
+
+
+def _unpack(v, width):
+    """The TPoly whose packed form is v, by balanced base-2^width digits:
+    each digit is taken in [-2^(width-1), 2^(width-1)), so negative
+    coefficients come back with their sign.  Exact when every coefficient
+    is below 2^(width-1) in absolute value; see _packed_width.  A nonzero
+    leading digit c_d puts |v| above 2^(d width - 1), so v has at most
+    v.bit_length() // width + 1 digits."""
+    if not v:
+        return TPOLY_ZERO
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    coeffs = []
+    for _ in range(v.bit_length() // width + 1):
+        c = ((v + half) & mask) - half
+        coeffs.append(c)
+        v = (v - c) >> width
+    return TPoly(coeffs)
 
 
 class TPoly:

@@ -15,8 +15,8 @@ from functools import lru_cache
 
 from .graphs import operators
 from .operators import _closed_tallies, _rooted_walk, _walk_row, alpha, cbc_terms
-from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_ZERO, TPoly, USeries,
-                     _add_into, _mul_into)
+from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_ZERO, TPoly, USeries, _pack,
+                     _packed_width, _unpack)
 
 
 class DomainError(ValueError):
@@ -48,7 +48,8 @@ def cbc_entries(g, x0, x, order):
         walk = _rooted_walk(g, x0, order)
         c, r = walk.diag, walk.r
     else:
-        c, r = [row[x] for row in _walk_row(g, x0, order)], None
+        width = _packed_width(g.max_degree, order)
+        c, r = [_unpack(row[x], width) for row in _walk_row(g, x0, order)], None
     return cbc_terms(c, g.degrees[x0], r)
 
 
@@ -70,14 +71,14 @@ def zeta_log_series(g, x0, x, order):
 # closed product-formula route
 
 
-def _f_step(g):
+def _f_step(g, width):
     """step(v, top) = v f for f(u) = u A - u^2 (1-t)(D - (1-t)I): per vertex
-    j, the raw coefficient lists of u^k, u^(k+1), ... of v(j), None for zero,
-    go to those of u^(k+1)..u^(k+1+top) of
+    j, the packed ints (series._pack at this width) of u^k, u^(k+1), ... of
+    v(j), None for zero, go to those of u^(k+1)..u^(k+1+top) of
     (v f)(j) = u sum_{i ~ j} v(i) - u^2 (1-t)(d_j - 1 + t) v(j)."""
     nbrs = [g.neighbors(j) for j in range(g.vertex_count)]
     # -(1-t)(d - 1 + t), lowest t-power first
-    weights = [(1 - d, d - 2, 1) for d in g.degrees]
+    weights = [_pack((1 - d, d - 2, 1), width) for d in g.degrees]
 
     def step(prev, top):
         cur = [None] * len(prev)
@@ -85,13 +86,12 @@ def _f_step(g):
             live = [prev[i] for i in nbrs[j] if prev[i] is not None]
             if own is None and not live:
                 continue
-            entry = [[] for _ in range(top + 1)]
-            for r in live:
-                for acc, b in zip(entry, r):
-                    _add_into(acc, b)
+            entry = [sum(slot) for slot in zip(*live)][: top + 1] if live else []
+            entry += [0] * (top + 1 - len(entry))
             if own is not None:
+                w = weights[j]
                 for p in range(1, min(len(own), top) + 1):
-                    _mul_into(entry[p], weights[j], own[p - 1])
+                    entry[p] += w * own[p - 1]
             cur[j] = entry
         return cur
 
@@ -103,14 +103,15 @@ def _f_power_table(g, x, order):
     """Row x of the powers f^0..f^order of f, row k-1 times f by _f_step.
 
     rows[k][j] holds the u^k..u^min(2k, order) coefficients of f^k(x, j), the
-    only u-powers f^k can have, as a tuple of TPoly; a zero entry is ()."""
-    step = _f_step(g)
+    only u-powers f^k can have, as a tuple of packed ints at
+    _packed_width(max degree, order); a zero entry is ()."""
+    step = _f_step(g, _packed_width(g.max_degree, order))
     prev = [None] * g.vertex_count
-    prev[x] = [[1]]
-    rows = [tuple(() if j != x else (TPOLY_ONE,) for j in range(g.vertex_count))]
+    prev[x] = [1]
+    rows = [tuple(() if j != x else (1,) for j in range(g.vertex_count))]
     for k in range(1, order + 1):
         prev = step(prev, min(k, order - k))
-        rows.append(tuple(() if e is None else tuple(TPoly(c) for c in e) for e in prev))
+        rows.append(tuple(() if e is None else tuple(e) for e in prev))
     return tuple(rows)
 
 
@@ -120,29 +121,34 @@ def _commutator_exponent(g, x0, x, left):
     with K = A D - D A, from left = _f_power_table(g, x0, order).
 
     f D - D f = u K, so sum_{a+b=S} (b+1) f^a K f^b = (M_(S+1) - (S+2) D f^(S+1)) / u
-    with M_T = sum_{a+b=T} f^a D f^b = M_(T-1) f + f^T D and M_0 = D.
+    with M_T = sum_{a+b=T} f^a D f^b = M_(T-1) f + f^T D and M_0 = D.  Row x0
+    of M_T runs packed, as left does; only entry x of M_T - (T+1) d_x0 f^T is
+    decoded.
     """
     order = len(left) - 1
     top = order - 3  # integrating the u^2 shift lifts power s to s + 3
-    step = _f_step(g)
+    width = _packed_width(g.max_degree, order)
+    step = _f_step(g, width)
     d = g.degrees
     row = [None] * g.vertex_count  # row x0 of M_T, at u^T..u^(T+cut)
-    row[x0] = [[d[x0]]]
-    integrand = [[] for _ in range(top + 1)]
+    row[x0] = [d[x0]]
+    integrand = [TPOLY_ZERO] * (top + 1)
     for T in range(1, top + 2):
         cut = min(T, top + 1 - T)
         row = step(row, cut)
         for j, entry in enumerate(left[T]):
             if entry:
-                acc = row[j] = row[j] or [[] for _ in range(cut + 1)]
-                for slot, c in zip(acc, entry):
-                    _mul_into(slot, (d[j],), c.c)
+                acc = row[j] = row[j] or [0] * (cut + 1)
+                for p, c in enumerate(entry[: cut + 1]):
+                    acc[p] += d[j] * c
         # u^(T+p) of M_T / (T+1) - d_x0 f^T is u^(T-1+p) of the S = T-1 term
-        for acc, c in zip(integrand[T - 1:], row[x] or ()):
-            _mul_into(acc, (Fraction(1, T + 1),), c)
-        for acc, c in zip(integrand[T - 1:], left[T][x][: cut + 1]):
-            _mul_into(acc, (-d[x0],), c.c)
-    terms = [TPoly(c) * ONE_MINUS_T * Fraction(1, s + 3) for s, c in enumerate(integrand)]
+        scale = (T + 1) * d[x0]
+        own = left[T][x] or (0,) * (cut + 1)
+        for s, m, f in zip(range(T - 1, top + 1), row[x] or (), own):
+            c = m - scale * f
+            if c:
+                integrand[s] = integrand[s] + _unpack(c, width) * Fraction(1, T + 1)
+    terms = [c * ONE_MINUS_T * Fraction(1, s + 3) for s, c in enumerate(integrand)]
     return ([TPOLY_ZERO] * 3 + terms)[: order + 1]
 
 
@@ -159,12 +165,14 @@ def zeta_formula_series(g, x0, x, order):
     if order < 1:
         raise ValueError("order must be >= 1")
     left = _f_power_table(g, x0, order)
+    width = _packed_width(g.max_degree, order)
     exponent = [TPOLY_ZERO] * (order + 1)
 
     # -[log(I - f)](x0, x) = sum_k f^k(x0, x) / k
     for k in range(1, order + 1):
         for p, c in enumerate(left[k][x], start=k):
-            exponent[p] = exponent[p] + c * Fraction(1, k)
+            if c:
+                exponent[p] = exponent[p] + _unpack(c, width) * Fraction(1, k)
 
     if x == x0:
         # log (1-(1-t)^2 u^2)^(-(deg-2)/2) = (deg-2)/2 sum_k (1-t)^(2k) u^(2k) / k;

@@ -4,7 +4,9 @@ Most are deliberately dumb implementations that share no code with it.
 These read library code:
 - operator_reading_table is a foil rather than an oracle, built from the
   library's walk matrices and double sum;
-- commutator_exponent_loop reads the library's f^k table;
+- dense_f_powers, the reference for the formula route's f^k rows, and
+  commutator_exponent_loop, which reads it, build f from adjacency_poly and
+  qxt_poly and share only the exact kernel with the route;
 - cm_cbc, the dense cyclic-bump matrix that cbc_terms is checked against,
   reads cm_sequence and r_values;
 - heat_residual reads both heat routes, heat_kernel_bessel and
@@ -15,11 +17,13 @@ These read library code:
 
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 
 from bzk.graphs import InvalidParameter, _bfs_distances, build_graph
 from bzk.heat import heat_kernel_bessel, heat_kernel_spectral
-from bzk.operators import cm_sequence, r_values
-from bzk.series import ONE_MINUS_T, TPOLY_T, OperatorPoly, TPoly, USeries
+from bzk.operators import adjacency_poly, cm_sequence, qxt_poly, r_values
+from bzk.series import (ONE_MINUS_T, TPOLY_T, TPOLY_ZERO, OperatorPoly,
+                        OperatorSeries, TPoly, USeries)
 from bzk.zeta import _eigh_cached
 
 
@@ -118,50 +122,65 @@ def commutator_matrix(g):
     ]
 
 
-def commutator_exponent_loop(g, x0, x, order):
+@lru_cache(maxsize=4)
+def dense_f_powers(g, order):
+    """The powers f^0..f^order of the formula route's operator
+    f(u) = u A - u^2 (1-t)(D - (1-t)I), as dense OperatorSeries truncated at
+    u^order, from adjacency_poly and qxt_poly alone."""
+    n = g.vertex_count
+    f = OperatorSeries(
+        n, order,
+        [OperatorPoly.zero(n), adjacency_poly(g), -(qxt_poly(g).scale(ONE_MINUS_T))],
+    )
+    powers = [OperatorSeries.identity(n, order)]
+    for _ in range(order):
+        powers.append(f * powers[-1])
+    return tuple(powers)
+
+
+def commutator_exponent_loop(g, x0, x, order, powers):
     """The commutator integral's exponent coefficients (index = u-power) by
     the direct double sum over (a, b):
     int_0^u (1-t) s^2 sum_{a,b} (b+1)/(a+b+2) [f^a K f^b](x0, x) s^(a+b) ds.
-    Reuses the library's row tables zeta._f_power_table for f^a(x0, .) and
-    f^b(., x), as operator_reading_table reuses library code; f is symmetric,
-    so f^b(q, x) is row x of f^b at q."""
-    from bzk.series import ONE_MINUS_T, TPOLY_ZERO, TPoly, _mul_into
-    from bzk.zeta import _f_power_table
-
-    left = _f_power_table(g, x0, order)
+    f^a(x0, .) and f^b(., x) are read from powers = dense_f_powers(g, N) for
+    any N >= order, truncated at u^(order-3): the coefficients of the
+    integral do not depend on the order it is cut at."""
     exponent = [TPOLY_ZERO] * (order + 1)
     commutator = [[(q, kpq) for q, kpq in enumerate(row) if kpq]
                   for row in commutator_matrix(g)]
-    if any(commutator):
-        right = left if x == x0 else _f_power_table(g, x, order)
-        top = order - 3  # integrating the u^2 shift lifts power s to s + 3
-        integrand = [TPOLY_ZERO] * (order + 1)
-        for b in range(top + 1):
-            # [K f^b](p, x) for every p, as raw coefficient lists per u-power
-            kf = []
-            for terms in commutator:
-                acc = None
-                for q, kpq in terms:
-                    entry = right[b][q]
-                    if entry:
-                        acc = acc or [[] for _ in entry]
-                        for slot, c in zip(acc, entry):
-                            _mul_into(slot, (kpq,), c.c)
-                kf.append(acc)
-            for a in range(top - b + 1):
-                total = [[] for _ in range(top - a - b + 1)]
-                for lp, kp in zip(left[a], kf):
-                    if not lp or kp is None:
+    if not any(commutator):
+        return exponent
+    n = g.vertex_count
+    top = order - 3  # integrating the u^2 shift lifts power s to s + 3
+
+    def coefficients(k, i, j):
+        # u^0..u^top of f^k(i, j)
+        return [powers[k].c[m].rows[i][j] for m in range(top + 1)]
+
+    left_rows = [[coefficients(a, x0, p) for p in range(n)] for a in range(top + 1)]
+    integrand = [TPOLY_ZERO] * (top + 1)
+    for b in range(top + 1):
+        column = [coefficients(b, q, x) for q in range(n)]
+        # [K f^b](p, x) for every p, by u-power
+        kf = []
+        for terms in commutator:
+            acc = [TPOLY_ZERO] * (top + 1)
+            for q, kpq in terms:
+                acc = [s + c * kpq for s, c in zip(acc, column[q])]
+            kf.append(acc)
+        for a in range(top - b + 1):
+            total = [TPOLY_ZERO] * (top + 1)
+            for left, right in zip(left_rows[a], kf):
+                for i in range(a, top + 1):
+                    if left[i].is_zero():
                         continue
-                    for i, c in enumerate(lp[: len(total)]):
-                        for l, d in enumerate(kp[: len(total) - i]):
-                            _mul_into(total[i + l], c.c, d)
-                weight = Fraction(b + 1, a + b + 2)
-                for s, c in enumerate(total, start=a + b):
-                    if c:
-                        integrand[s] = integrand[s] + TPoly(c) * weight
-        for s in range(top + 1):
-            exponent[s + 3] = exponent[s + 3] + integrand[s] * ONE_MINUS_T * Fraction(1, s + 3)
+                    for l in range(b, top + 1 - i):
+                        if not right[l].is_zero():
+                            total[i + l] = total[i + l] + left[i] * right[l]
+            weight = Fraction(b + 1, a + b + 2)
+            integrand = [s + c * weight for s, c in zip(integrand, total)]
+    for s in range(top + 1):
+        exponent[s + 3] = integrand[s] * ONE_MINUS_T * Fraction(1, s + 3)
     return exponent
 
 

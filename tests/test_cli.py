@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bzk.cli import MAX_TAU_POINTS, MAX_ZETA_ORDER, main
+from bzk.cli import MAX_DENSE_VERTICES, MAX_TAU_POINTS, MAX_ZETA_ORDER, main
 from bzk.operators import TALLY_CAP
 from bzk.paths import MAX_ENUMERATION_LENGTH
 
@@ -335,3 +335,52 @@ def test_exact_commands_import_no_numpy():
     assert exact["codes"] == [0, 0, 0, 0]
     assert numeric["codes"] == [0, 0]
     assert numeric["numpy"] is True
+
+
+# Runs each command in a fresh interpreter whose address space is capped at
+# 1 GB, so a dense float route that builds its n x n data before the vertex
+# cap refuses the graph fails with MemoryError or the timeout instead of
+# taking the machine's memory.  numpy loads on the first float call, so a
+# refused command must leave it unloaded.
+_DENSE_CAP_PROBE = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from bzk.cli import main
+
+outcomes = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    outcomes.append([code, err.getvalue(), "numpy" in sys.modules])
+print(json.dumps(outcomes))
+"""
+
+
+def test_dense_float_routes_refuse_graphs_past_the_vertex_cap():
+    # cycle(513) sits just past a cap of 512 vertices, hypercube(12) far past
+    assert MAX_DENSE_VERTICES == 512
+    heat = ["heat", "--root", "0", "--tau-grid", "0:1:2"]
+    past = [heat + ["--family", "cycle", "--n", "513", "--route", route]
+            for route in ("spectral", "bessel", "both")]
+    past += [heat + ["--family", "hypercube", "--d", "12"],
+             ["zeta", "--family", "cycle", "--n", "513", "--root", "0", "--route", "spectral"],
+             ["zeta", "--family", "hypercube", "--d", "12", "--root", "0"]]
+    # the exact routes alone take any graph under the edge cap, and the
+    # dense routes take the graph at the cap
+    admitted = [["zeta", "--family", "cycle", "--n", "513", "--root", "0",
+                 "--route", "log", "--order", "4"],
+                heat + ["--family", "cycle", "--n", "512", "--route", "both"]]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _DENSE_CAP_PROBE, json.dumps(past + admitted)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    outcomes = json.loads(proc.stdout)
+    for argv, (code, err, numpy_loaded) in zip(past, outcomes):
+        label = "cycle(513) has 513" if "cycle" in argv else "hypercube(12) has 4096"
+        assert code == 2, argv
+        assert err == f"error: {label} vertices; the dense float routes take at most 512\n"
+        assert numpy_loaded is False, argv
+    assert [code for code, _, _ in outcomes[len(past):]] == [0, 0]

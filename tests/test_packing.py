@@ -1,0 +1,143 @@
+"""Packed t-polynomials: the round trip of series._pack and series._unpack,
+and the width bound of series._packed_width measured on the recursions that
+run packed (walk rows, f-powers, commutator rows and edge tallies)."""
+
+import random
+
+import pytest
+
+import bzk.edgewalk
+import bzk.operators
+import bzk.zeta
+from bzk.edgewalk import edge_closed_tallies
+from bzk.graphs import generate
+from bzk.operators import _rooted_walk, _walk_rows, cm_sequence
+from bzk.series import TPOLY_ZERO, TPoly, _pack, _packed_width, _unpack
+from bzk.zeta import _commutator_exponent, _f_power_table, zeta_formula_series
+from conftest import CORPUS, random_connected_graph
+
+
+@pytest.mark.parametrize("width", [2, 3, 8, 33, _packed_width(3, 10), _packed_width(6, 64)])
+def test_pack_round_trip(width):
+    half = 1 << (width - 1)
+    rng = random.Random(width)
+    for _ in range(500):
+        coeffs = [rng.randint(-half + 1, half - 1) for _ in range(rng.randint(0, 12))]
+        assert _unpack(_pack(coeffs, width), width) == TPoly(coeffs)
+    # the extreme digits, alone, between others and at the top
+    for c in (1, -1, half - 1, -(half - 1), -half):
+        for coeffs in ([c], [c, c], [0, c], [c, 0, -1], [1, c, 1], [-1, 0, c]):
+            assert _unpack(_pack(coeffs, width), width).c == tuple(coeffs), coeffs
+
+
+def test_unpack_is_canonical():
+    width = _packed_width(4, 12)
+    assert _pack([], width) == _pack([0, 0], width) == 0
+    assert _unpack(0, width) is TPOLY_ZERO
+    # trailing zeros are dropped, inner zeros kept
+    assert _unpack(_pack([3, 0, -2, 0, 0], width), width).c == (3, 0, -2)
+    assert _unpack(_pack([0, 0, 0, 5, 0], width), width).c == (0, 0, 0, 5)
+    # packing evaluates at t = 2^width, so sums and products carry over
+    a, b = [5, -7, 1], [-2, 0, 3, -1]
+    assert _unpack(_pack(a, width) + _pack(b, width), width) == TPoly(a) + TPoly(b)
+    assert _unpack(_pack(a, width) * _pack(b, width), width) == TPoly(a) * TPoly(b)
+
+
+def _bound_graphs():
+    graphs = dict(CORPUS)
+    graphs["star(6)"] = generate("star", 6)
+    rng = random.Random(1515)
+    for k in range(20):
+        graphs[f"random {k}"] = random_connected_graph(rng, rng.randint(2, 10))
+    return graphs
+
+
+def _clear_packed_caches():
+    bzk.operators._walk_rows.cache_clear()
+    bzk.operators._rooted_walk.cache_clear()
+    bzk.operators._closed_tallies.cache_clear()
+    bzk.zeta._f_power_table.cache_clear()
+
+
+def _largest(value, width):
+    """Largest |coefficient| of a packed value."""
+    return max((abs(c) for c in _unpack(value, width).c), default=0)
+
+
+def test_recursions_stay_inside_the_packed_width(monkeypatch, capsys):
+    # Every recursion runs at a width far past its own, so every value is
+    # exact, and each value's largest |coefficient| is compared with the
+    # bound 2^(width-1) of the width the recursion really uses.  Walk rows,
+    # f-tables and commutator rows run at order 16, edge tallies at order 12.
+    order, tally_order = 16, 12
+    wide = 4 * _packed_width(6, order)
+    seen = []  # (graph, what, largest |coefficient|, real width)
+
+    def record(what, name, real):
+        def unpack(v, width):
+            assert width == wide
+            seen.append((name, what, _largest(v, width), real))
+            return _unpack(v, width)
+        return unpack
+
+    steps = []
+    f_step = bzk.zeta._f_step
+
+    def recording_step(g, width):
+        step = f_step(g, width)
+
+        def recorded(prev, top):
+            steps.append(prev)
+            return step(prev, top)
+        return recorded
+
+    _clear_packed_caches()
+    try:
+        for module in (bzk.operators, bzk.zeta, bzk.edgewalk):
+            monkeypatch.setattr(module, "_packed_width", lambda d, m: wide)
+        for name, g in _bound_graphs().items():
+            real = _packed_width(g.max_degree, order)
+            n = g.vertex_count
+            # the decoded values: walk-row entries, rooted diagonals and
+            # defects, f-table entries at the target and commutator
+            # integrands, and edge tallies
+            for module in (bzk.operators, bzk.zeta):
+                monkeypatch.setattr(module, "_unpack", record("decoded", name, real))
+            monkeypatch.setattr(bzk.edgewalk, "_unpack",
+                                record("edge tally", name, _packed_width(g.max_degree, tally_order)))
+            cm_sequence(g, order)
+            for x0 in range(n):
+                _rooted_walk(g, x0, order)
+                zeta_formula_series(g, x0, (x0 + 1) % n, order)
+                edge_closed_tallies(g, x0, tally_order)
+            # every walk-row entry and f-table entry, decoded or not
+            for row in _walk_rows(g, order).values():
+                seen += [(name, "walk row", _largest(v, wide), real) for m in row for v in m]
+            for x in range(n):
+                seen += [(name, "f table", _largest(v, wide), real)
+                         for k in _f_power_table(g, x, order) for e in k for v in e]
+            # the commutator rows M_T(x0, .) at order 16 are those of order 17
+            # up to u^14; call T of the order-17 recursion's step reads M_T,
+            # counting from 0, at u^T, u^(T+1), ...
+            for x0 in range(n):
+                left = _f_power_table(g, x0, order + 1)
+                monkeypatch.setattr(bzk.zeta, "_f_step", recording_step)
+                steps.clear()
+                _commutator_exponent(g, x0, x0, left)
+                monkeypatch.setattr(bzk.zeta, "_f_step", f_step)
+                for k, row in enumerate(steps):
+                    for entry in filter(None, row):
+                        seen += [(name, "commutator row", _largest(v, wide), real)
+                                 for p, v in enumerate(entry) if k + p <= order - 2]
+    finally:
+        monkeypatch.undo()
+        _clear_packed_caches()
+    # |c| < 2^(width-1) exactly when c has at most width - 1 bits
+    tightest = {}
+    for name, what, largest, real in seen:
+        tightest[what] = min(tightest.get(what, (real,)), (real - 1 - largest.bit_length(), name))
+    assert set(tightest) == {"decoded", "walk row", "f table", "commutator row", "edge tally"}
+    with capsys.disabled():
+        print("\ntightest packed-width margins, in bits: " + "; ".join(
+            f"{what} {margin} ({name})" for what, (margin, name) in sorted(tightest.items())))
+    assert all(margin >= 0 for margin, _ in tightest.values())

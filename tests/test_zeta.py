@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from bzk.graphs import operators as graph_operators
-from bzk.operators import adjacency_poly, cm_sequence, qxt_poly
+from bzk.operators import cm_sequence
 from bzk.paths import primitive_rooted_closed_paths
-from bzk.series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_ZERO, OperatorPoly,
-                        OperatorSeries, TPoly, USeries)
+from bzk.series import (TPOLY_ONE, TPOLY_ZERO, TPoly, USeries, _packed_width,
+                        _unpack)
 from bzk.zeta import (DomainError, EigensolverFailure, NotRegular,
                       _commutator_exponent, _f_power_table, cbc_entries,
                       charpoly_exact, euler_product_series, isolate_real_roots,
@@ -21,7 +21,7 @@ from bzk.zeta import (DomainError, EigensolverFailure, NotRegular,
 from conftest import CORPUS, NON_TRANSITIVE, REGULAR, VERTEX_TRANSITIVE
 
 from _oracles import (binomial_power, cm_cbc, commutator_exponent_loop,
-                      commutator_matrix, poly_eval_fraction)
+                      commutator_matrix, dense_f_powers, poly_eval_fraction)
 from _paths import closed_geodesic_counts
 
 
@@ -139,24 +139,19 @@ def test_formula_route_exponentiates_once(monkeypatch):
 @pytest.mark.parametrize("name", list(CORPUS))
 def test_f_power_rows_match_dense_powers(name):
     # every row of the cached row recursion, rooted (j = x) and off the
-    # diagonal, against the entries of dense operator-series powers of f
+    # diagonal, decoded slot by slot, against the entries of dense
+    # operator-series powers of f
     g = CORPUS[name]
-    n = g.vertex_count
     order = 8
-    f = OperatorSeries(
-        n, order,
-        [OperatorPoly.zero(n), adjacency_poly(g), -(qxt_poly(g).scale(ONE_MINUS_T))],
-    )
-    powers = [OperatorSeries.identity(n, order)]
-    for _ in range(order):
-        powers.append(powers[-1] * f)
-    for x in range(n):
+    width = _packed_width(g.max_degree, order)
+    powers = dense_f_powers(g, order)
+    for x in range(g.vertex_count):
         rows = _f_power_table(g, x, order)
         assert _f_power_table(g, x, order) is rows
         assert len(rows) == order + 1
         for k, power in enumerate(powers):
-            for j in range(n):
-                padded = [TPOLY_ZERO] * k + list(rows[k][j])
+            for j in range(g.vertex_count):
+                padded = [TPOLY_ZERO] * k + [_unpack(c, width) for c in rows[k][j]]
                 assert USeries(order, padded) == power.entry(x, j)
 
 
@@ -175,17 +170,18 @@ def test_commutator_factor_trivial_on_regular():
     ("tree_ball(3,3)", [(0, 0), (0, 4), (5, 17), (17, 17), (21, 3)]),
 ])
 def test_commutator_recursion_matches_double_sum(name, pairs):
-    # the row recursion for M_T = sum_{a+b=T} f^a D f^b against the direct
-    # (a, b) double sum, on and off the diagonal
+    # the packed row recursion for M_T = sum_{a+b=T} f^a D f^b against the
+    # direct (a, b) double sum over dense powers of f, on and off the diagonal
     g = CORPUS[name]
     n = g.vertex_count
     if pairs is None:
         pairs = [(x0, x) for x0 in range(n) for x in range(n)]
+    powers = dense_f_powers(g, 16)
     live = 0
     for order in range(3, 17):
         for x0, x in pairs:
             got = _commutator_exponent(g, x0, x, _f_power_table(g, x0, order))
-            assert got == commutator_exponent_loop(g, x0, x, order), (order, x0, x)
+            assert got == commutator_exponent_loop(g, x0, x, order, powers), (order, x0, x)
             live += any(not c.is_zero() for c in got)
     assert live  # the term is not zero everywhere, so the comparison has teeth
 
