@@ -26,13 +26,13 @@ SCHEMA = 1
 MAX_ZETA_ORDER = 64
 
 # Most vertices a dense float route takes.  The spectral zeta route and both
-# heat routes build n x n data: the nested tuples of graphs.operators, numpy's
-# eigh of the Laplacian, and the Bessel route's table of walk matrices, one
-# n x n array per Bessel order.  On hypercube(9), 512 vertices, `bzk heat
-# --route bessel --tau-grid 0:5:2 --t 0.5` took 1.5 s and 316 MB, and the
-# spectral route 0.5 s and 48 MB; hypercube(10) took 7.5 s and 1.24 GB by the
-# Bessel route, and hypercube(11) ran out of a 1 GB address space.  The
-# Bessel table also grows with tau (550 MB at tau = 10 on hypercube(9)).
+# heat routes build n x n data: the nested tuples of graphs.operators and the
+# dense adjacency, and numpy's eigh of the Laplacian.  The Bessel route keeps
+# only the root's row of each walk matrix, so its memory no longer grows with
+# tau.  On hypercube(9), 512 vertices, `bzk heat --route bessel --t 0.5` took
+# 0.28 s and 40 MB per process at `--tau-grid 0:5:2`, 0.26 s and 40 MB at
+# 0:10:2, and exited 2 in 0.38 s at 0:20:2 (a Bessel multiplier outside the
+# float range); the spectral route took 0.29 s and 48 MB.
 MAX_DENSE_VERTICES = 512
 
 # Most tau points `bzk heat` evaluates.  On Petersen over tau in [0, 5] a point

@@ -254,6 +254,11 @@ def generate(family, *params):
     return builder(*params)
 
 
+def _check_vertex(g, v):
+    if v not in range(g.vertex_count):
+        raise ValueError(f"vertex {v!r} is not in range({g.vertex_count})")
+
+
 def operators(g):
     """Adjacency, valency and Laplacian matrices as nested int tuples."""
     n = g.vertex_count

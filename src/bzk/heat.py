@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import operators
+from .graphs import _check_vertex, operators
 from .operators import alpha
 from .zeta import (DomainError, EigensolverFailure, NotRegular, _eigh_cached,
                    _require_regular, local_spectrum)
@@ -131,20 +131,25 @@ def _even_tail(x, j_from):
 
 
 @lru_cache(maxsize=64)
-def _walk_matrix_table(g, t, count):
-    """Float walk matrices C_0..C_count at numeric t, by the recursion."""
+def _walk_matrix_table(g, t, count, x0):
+    """Row x0 of the float walk matrices C_0..C_count at numeric t, by the
+    recursion C_m = C_{m-1} A - w_m C_{m-2}, with w_2 = (1-t)(q+1) and
+    w_m = (1-t)(q+t) after it, run on the row alone."""
     import numpy as np
 
     adjacency, _, _ = operators(g)
-    n = g.vertex_count
     a = np.array(adjacency, dtype=float)
     q = g.regular_degree() - 1
-    mats = [np.eye(n), a.copy()]
-    if count >= 2:
-        mats.append(a @ a - (1.0 - t) * (q + 1) * np.eye(n))
-    for _ in range(3, count + 1):
-        mats.append(mats[-1] @ a - (1.0 - t) * (q + t) * mats[-2])
-    return mats[: count + 1]
+    rows = [np.zeros(g.vertex_count), a[x0].copy()]
+    rows[0][x0] = 1.0
+    weight = (1.0 - t) * (q + 1)
+    # a row past the float range turns inf or nan, which _bessel_column
+    # refuses with one error rather than numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2, count + 1):
+            rows.append(rows[-1] @ a - weight * rows[-2])
+            weight = (1.0 - t) * (q + t)
+    return rows[: count + 1]
 
 
 def _check_bessel_domain(g, t):
@@ -169,19 +174,19 @@ def series_weight(j, q, t):
 
 
 @lru_cache(maxsize=64)
-def _bessel_column(g, tau, t, tol):
+def _bessel_column(g, x0, tau, t, tol):
     """The target-independent part of heat_kernel_bessel at one
-    (graph, tau > 0, t, tol): (n_max, j_max, tail, inner), where inner[n] =
-    scaled[n] + d_1 sum_j (1-t)^(2j) scaled[n+2j] and scaled[k] =
+    (graph, root, tau > 0, t, tol): (n_max, j_max, tail, inner), where
+    inner[n] = scaled[n] + d_1 sum_j (1-t)^(2j) scaled[n+2j] and scaled[k] =
     ((1-t)(q+t))^(-k/2) e^{-(q+1)tau} I_k(2 sqrt((1-t)(q+t)) tau).
 
-    tail bounds the error at every root and target: the two truncation
+    tail bounds the error at every target of root x0: the two truncation
     majorants take (tol - bessel_share) and the Bessel remainders the rest.
     I_k is multiplied by at most s_k mult_k, with s_k = ((1-t)(q+t))^(-k/2)
     e^{-(q+1)tau} and mult_k = sum_{n+2j=k} peak_n w_j, where peak_n is the
-    largest |C_n(t)| entry, w_0 = 1 and w_j = |d_1| (1-t)^(2j); so I_k is
-    requested to share / (s_k mult_k) and s_k mult_k times its remainder
-    bound is added to tail.
+    largest |C_n(t)[x0, x]| over targets x, w_0 = 1 and w_j = |d_1| (1-t)^(2j);
+    so I_k is requested to share / (s_k mult_k) and s_k mult_k times its
+    remainder bound is added to tail.
     """
     import numpy as np
 
@@ -218,7 +223,7 @@ def _bessel_column(g, tau, t, tol):
     except OverflowError as exc:
         raise ParameterDomain("truncation bound did not converge") from exc
 
-    peak = [float(abs(m).max()) for m in _walk_matrix_table(g, t, n_max)]
+    peak = [float(abs(row).max()) for row in _walk_matrix_table(g, t, n_max, x0)]
     one_minus_t_sq = (1.0 - t) ** 2
     w = np.zeros(2 * j_max + 1)  # w_j at index 2j
     w[0] = 1.0
@@ -228,7 +233,7 @@ def _bessel_column(g, tau, t, tol):
     share = bessel_share / (top + 1)
     scaled = []
     damp = math.exp(-(q + 1.0) * tau)
-    # past the float range the walk matrices, or the multipliers, carry no
+    # past the float range the walk rows, or the multipliers, carry no
     # digits of the answer
     try:
         for k in range(top + 1):
@@ -255,11 +260,6 @@ def _bessel_column(g, tau, t, tol):
     return n_max, j_max, tail, tuple(inner)
 
 
-def _check_vertex(g, v):
-    if v not in range(g.vertex_count):
-        raise ValueError(f"vertex {v!r} is not in range({g.vertex_count})")
-
-
 def heat_kernel_bessel(g, x0, x, tau, t=0.0, tol=1e-8):
     """Heat kernel value from the Bessel double series.
 
@@ -269,8 +269,8 @@ def heat_kernel_bessel(g, x0, x, tau, t=0.0, tol=1e-8):
     multiplier needs.  The reported tail bound covers both the truncation
     majorant and the Bessel remainders, and is below tol.  The left side
     does not depend on t; t only reparametrizes the expansion.  Everything
-    but C_n(t)[x0,x] is one cached column per (graph, tau, t, tol), shared
-    by every root and target.
+    but C_n(t)[x0,x] is one cached column per (graph, root, tau, t, tol),
+    shared by every target.
     """
     _check_bessel_domain(g, t)
     _check_vertex(g, x0)
@@ -282,11 +282,11 @@ def heat_kernel_bessel(g, x0, x, tau, t=0.0, tol=1e-8):
     if tau == 0.0:
         return HeatKernelValue(0.0, x0, x, 1.0 if x == x0 else 0.0, "bessel", (0, 0), 0.0)
 
-    n_max, j_max, tail, inner = _bessel_column(g, tau, t, tol)
-    mats = _walk_matrix_table(g, t, n_max)
+    n_max, j_max, tail, inner = _bessel_column(g, x0, tau, t, tol)
+    rows = _walk_matrix_table(g, t, n_max, x0)
     value = 0.0
     for n in range(n_max + 1):
-        cn = mats[n][x0, x]
+        cn = rows[n][x]
         if cn == 0.0:
             continue
         value += cn * inner[n]
@@ -404,6 +404,8 @@ def check_transform_consistency(g, x0, x, u, t, *, tol=1e-9):
     import numpy as np
 
     q = _check_bessel_domain(g, t)
+    _check_vertex(g, x0)
+    _check_vertex(g, x)
     a = alpha(g, abs(t))
     if not 0.0 < u < 1.0 / a:
         raise DomainError(f"need 0 < u < 1/alpha = {1.0 / a:.6g}")
@@ -434,20 +436,12 @@ def check_transform_consistency(g, x0, x, u, t, *, tol=1e-9):
         n_max += 1
         if n_max > 2000:
             raise DomainError("series truncation did not converge")
-    j_max = 2
-    while m_t / (u * (1.0 - au)) * r ** (j_max + 1) / (1.0 - r) > tol * 1e-2:
-        j_max += 1
-        if j_max > 2000:
-            raise DomainError("series truncation did not converge")
-    mats = _walk_matrix_table(g, t, n_max)
-    inner = 1.0
-    weight = 1.0
-    for j in range(1, j_max + 1):
-        weight *= r
-        inner += d1 * weight
+    rows = _walk_matrix_table(g, t, n_max, x0)
+    # sum_j d_j r^j with d_0 = 1 and d_j = d_1 after it
+    inner = 1.0 + d1 * r * geom
     series = 0.0
     for n in range(n_max + 1):
-        cn = mats[n][x0, x]
+        cn = rows[n][x]
         if cn == 0.0:
             continue
         series += cn * inner * u ** (n - 1)

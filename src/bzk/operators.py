@@ -11,6 +11,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .edgewalk import edge_closed_tallies
+from .graphs import _check_vertex
 from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_T, TPOLY_ZERO, OperatorPoly,
                      OperatorSeries, TPoly, USeries, _pack, _packed_width, _unpack)
 
@@ -317,6 +318,7 @@ def check_no_tail_identity(g, x0, order):
     """
     if order < 4:
         raise ValueError("order must be >= 4")
+    _check_vertex(g, x0)
     _, notail = _closed_tallies(g, x0, order)
     walk = _rooted_walk(g, x0, order)
     deg = g.degrees[x0]
@@ -367,6 +369,7 @@ def check_cyclic_bump_identity(g, x0, order):
     """
     if order < 4:
         raise ValueError("order must be >= 4")
+    _check_vertex(g, x0)
     cbc_all, _ = _closed_tallies(g, x0, order)
     deg = g.degrees[x0]
     walk = _rooted_walk(g, x0, order)
@@ -457,6 +460,7 @@ def check_r_generating_identity(g, x0, order):
     sum_m R_m(x0) u^m = u^2 / ((1-(1-t)^2 u^2)(1-(1-t^2)u^2)) * DC(u)."""
     if order < 3:
         raise ValueError("order must be >= 3")
+    _check_vertex(g, x0)
     delta = _rooted_walk(g, x0, order).delta
     # the double sum, not the record's recursion, so the check stays independent
     r_series = _series_from(order, _r_double_sum(delta, order))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import operators
+from .graphs import _check_vertex, operators
 from .operators import _closed_tallies, _rooted_walk, _walk_row, alpha, cbc_terms
 from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_ZERO, TPoly, USeries, _pack,
                      _packed_width, _unpack)
@@ -44,6 +44,8 @@ def cbc_entries(g, x0, x, order):
     R_m(x0), from the walk-matrix rows of x0 and its neighbours.  Off the
     diagonal they read C_m(x0, x) from row x0 alone.
     """
+    _check_vertex(g, x0)
+    _check_vertex(g, x)
     if x == x0:
         walk = _rooted_walk(g, x0, order)
         c, r = walk.diag, walk.r
@@ -164,6 +166,8 @@ def zeta_formula_series(g, x0, x, order):
     series, summed into one exponent series and exponentiated once."""
     if order < 1:
         raise ValueError("order must be >= 1")
+    _check_vertex(g, x0)
+    _check_vertex(g, x)
     left = _f_power_table(g, x0, order)
     width = _packed_width(g.max_degree, order)
     exponent = [TPOLY_ZERO] * (order + 1)
@@ -218,6 +222,7 @@ def euler_product_series(g, x0, order):
     """
     if order < 1:
         raise ValueError("order must be >= 1")
+    _check_vertex(g, x0)
     cbc_all, _ = _closed_tallies(g, x0, order)
     coeffs = [TPOLY_ZERO] + [cbc_all[m] * Fraction(1, m) for m in range(1, order + 1)]
     return USeries(order, coeffs).exp()
@@ -435,6 +440,8 @@ R_TAIL_ORDER = 20
 def zeta_spectral_report(g, x0, x, u, t):
     """Spectral-route evaluation with the full numeric record."""
     q = _require_regular(g)
+    _check_vertex(g, x0)
+    _check_vertex(g, x)
     if not -1.0 < t < 1.0:
         raise DomainError("need |t| < 1")
     a = alpha(g, abs(t))

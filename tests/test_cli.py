@@ -384,3 +384,38 @@ def test_dense_float_routes_refuse_graphs_past_the_vertex_cap():
         assert err == f"error: {label} vertices; the dense float routes take at most 512\n"
         assert numpy_loaded is False, argv
     assert [code for code, _, _ in outcomes[len(past):]] == [0, 0]
+
+
+_CAP_RUN_PROBE = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from bzk.cli import main
+
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main(json.loads(sys.argv[1]))
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps([code, out.getvalue(), err.getvalue(), peak_mb]))
+"""
+
+
+def test_bessel_route_at_the_vertex_cap_stays_small():
+    # hypercube(9) has 512 vertices, the cap; the Bessel route used to keep
+    # one 512 x 512 matrix per order: 550 MB at tau = 10, and at tau = 20 a
+    # numpy MemoryError traceback in 1 GB
+    heat = ["heat", "--family", "hypercube", "--d", "9", "--route", "bessel",
+            "--root", "0", "--t", "0.5", "--tau-grid"]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outcomes = []
+    for grid in ("0:20:2", "0:10:2"):
+        proc = subprocess.run([sys.executable, "-c", _CAP_RUN_PROBE, json.dumps(heat + [grid])],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outcomes.append(json.loads(proc.stdout))
+    (code, out, err, _), (code_10, out_10, err_10, peak_mb) = outcomes
+    assert (code, out, err) == (2, "", "error: Bessel multiplier outside the float range\n")
+    assert code_10 == 0 and err_10 == ""
+    assert len(out_10.splitlines()) == 3
+    assert peak_mb < 100

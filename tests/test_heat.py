@@ -9,7 +9,7 @@ from bzk.heat import (DomainError, NonconvergentTail, NotRegular,
                       ParameterDomain, bessel_heat_package, bessel_i,
                       check_transform_consistency, heat_kernel_bessel,
                       heat_kernel_spectral, resolvent_transform)
-from bzk.graphs import generate
+from bzk.graphs import build_graph, generate
 from conftest import CORPUS
 
 from _oracles import heat_residual
@@ -85,21 +85,68 @@ def test_bessel_grid_and_tight_bessel_i_match_exact_sums():
         assert abs(tight - exact) <= 1e-13 * exact
 
 
+def _frucht():
+    """The Frucht graph: 3-regular on 12 vertices, with no automorphism but
+    the identity; the cycle i ~ i+1 plus the chords of its LCF notation."""
+    lcf = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
+    pairs = {tuple(sorted((i, (i + 1) % 12))) for i in range(12)}
+    pairs |= {tuple(sorted((i, (i + step) % 12))) for i, step in enumerate(lcf)}
+    return build_graph(12, sorted(pairs), label="frucht")
+
+
+FRUCHT = _frucht()
+
+
 def test_heat_bessel_tail_bound_covers_error():
     # the reported tail bound covers the whole error, Bessel remainders
-    # included, at every target, and stays below the requested tolerance
-    cases = [(generate("hypercube", 5), (0.5, -0.5), (1.5, 3.0, 5.0))]
-    cases += [(CORPUS[name], (-0.5, 0.0, 0.5, 0.9), (0.5, 1.0, 2.0, 4.0, 8.0))
+    # included, at every target, and stays below the requested tolerance.
+    # The Frucht graph is regular but not vertex-transitive: its roots have
+    # different row peaks, and so columns and bounds of their own
+    from bzk.heat import _walk_matrix_table
+
+    peaks = {tuple(float(abs(row).max()) for row in _walk_matrix_table(FRUCHT, 0.5, 12, x0))
+             for x0 in range(FRUCHT.vertex_count)}
+    assert len(peaks) > 1
+    every_t = (-0.5, 0.0, 0.5, 0.9)
+    cases = [(generate("hypercube", 5), (0.5, -0.5), (1.5, 3.0, 5.0), (0,))]
+    cases += [(CORPUS[name], every_t, (0.5, 1.0, 2.0, 4.0, 8.0), (0,))
               for name in ("petersen", "Q3", "K4")]
+    cases += [(FRUCHT, every_t, (0.5, 2.0, 5.0), range(FRUCHT.vertex_count))]
     for tol in (1e-6, 1e-10):
-        for g, ts, taus in cases:
+        for g, ts, taus, roots in cases:
             for t in ts:
                 for tau in taus:
+                    for x0 in roots:
+                        for x in range(g.vertex_count):
+                            res = heat_kernel_bessel(g, x0, x, tau, t, tol)
+                            want = heat_kernel_spectral(g, x0, x, tau).value
+                            assert abs(res.value - want) <= res.tail_bound + 1e-14
+                            assert res.tail_bound <= tol
+
+
+def test_walk_rows_match_exact_rows():
+    # the float rows against the exact packed rows of operators._walk_row,
+    # evaluated at the binary value of t; |C_n(t)| is at most alpha^n
+    from fractions import Fraction
+
+    from bzk.heat import _walk_matrix_table
+    from bzk.operators import _walk_row, alpha
+    from bzk.series import _packed_width, _unpack
+
+    count = 40
+    graphs = [CORPUS[name] for name in ("petersen", "Q3", "K4", "cycle(6)")]
+    for g in graphs + [generate("hypercube", 5), FRUCHT]:
+        width = _packed_width(g.max_degree, count)
+        for x0 in (0, g.vertex_count - 1):
+            exact = _walk_row(g, x0, count)
+            for t in (-0.5, 0.0, 0.5, 0.9):
+                rows = _walk_matrix_table(g, t, count, x0)
+                assert len(rows) == count + 1
+                scale = alpha(g, abs(t))
+                for n, (row, packed) in enumerate(zip(rows, exact)):
                     for x in range(g.vertex_count):
-                        res = heat_kernel_bessel(g, 0, x, tau, t, tol)
-                        want = heat_kernel_spectral(g, 0, x, tau).value
-                        assert abs(res.value - want) <= res.tail_bound + 1e-14
-                        assert res.tail_bound <= tol
+                        want = float(_unpack(packed[x], width).evaluate(Fraction(t)))
+                        assert abs(row[x] - want) <= 1e-14 * scale ** n
 
 
 def test_heat_bessel_initial_condition():
@@ -280,15 +327,17 @@ def test_bessel_column_warm_equals_cold():
     assert _column_values(points) == cold == warm
 
 
-def test_bessel_column_shared_by_roots_and_targets():
+def test_bessel_column_shared_by_targets():
+    # one column per (graph, root, tau, t): its peaks, and so its tail
+    # bound, are read from the root's rows
     from bzk.heat import _bessel_column
 
     points = _column_points()
-    columns = {(id(g), tau, t) for g, _, _, tau, t in points}
+    columns = {(id(g), x0, tau, t) for g, x0, _, tau, t in points}
     _bessel_column.cache_clear()
     _column_values(points)
     info = _bessel_column.cache_info()
-    assert info.misses == len(columns) == 8
+    assert info.misses == len(columns) == 16
     assert info.hits == len(points) - len(columns)
 
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from bzk.graphs import operators as graph_operators
-from bzk.operators import cm_sequence
+from bzk.heat import check_transform_consistency
+from bzk.operators import (check_cyclic_bump_identity, check_no_tail_identity,
+                           check_r_generating_identity, cm_sequence)
 from bzk.paths import primitive_rooted_closed_paths
 from bzk.series import (TPOLY_ONE, TPOLY_ZERO, TPoly, USeries, _packed_width,
                         _unpack)
@@ -390,3 +392,36 @@ def test_all_routes_agree_on_extra_transitive_graphs():
         log_series = zeta_log_series(g, 0, 0, 8)
         assert log_series == zeta_formula_series(g, 0, 0, 8)
         assert log_series == euler_product_series(g, 0, 8)
+
+
+# each library entry that takes vertices, as (x0, x) -> call; the per-root
+# ones ignore x
+_VERTEX_ENTRIES = {
+    "cbc_entries": lambda g, x0, x: cbc_entries(g, x0, x, 6),
+    "zeta_log_series": lambda g, x0, x: zeta_log_series(g, x0, x, 6),
+    "zeta_formula_series": lambda g, x0, x: zeta_formula_series(g, x0, x, 6),
+    "euler_product_series": lambda g, x0, x: euler_product_series(g, x0, 6),
+    "zeta_spectral_report": lambda g, x0, x: zeta_spectral_report(g, x0, x, 0.1, 0.0),
+    "check_transform_consistency":
+        lambda g, x0, x: check_transform_consistency(g, x0, x, 0.1, 0.0),
+    "check_no_tail_identity": lambda g, x0, x: check_no_tail_identity(g, x0, 6),
+    "check_cyclic_bump_identity": lambda g, x0, x: check_cyclic_bump_identity(g, x0, 6),
+    "check_r_generating_identity": lambda g, x0, x: check_r_generating_identity(g, x0, 6),
+}
+_PER_ROOT = ("euler_product_series", "check_no_tail_identity",
+             "check_cyclic_bump_identity", "check_r_generating_identity")
+
+
+@pytest.mark.parametrize("bad", [-1, 10])
+@pytest.mark.parametrize("entry", sorted(_VERTEX_ENTRIES))
+def test_out_of_range_vertices_are_refused(entry, bad):
+    # a negative vertex used to read vertex n - 1 (zeta_spectral_report gave
+    # 1.000256 at -1 on Petersen), and vertex n raised a bare IndexError
+    g = CORPUS["petersen"]
+    call = _VERTEX_ENTRIES[entry]
+    call(g, 0, 1)
+    with pytest.raises(ValueError, match="vertex"):
+        call(g, bad, 1)
+    if entry not in _PER_ROOT:
+        with pytest.raises(ValueError, match="vertex"):
+            call(g, 0, bad)
