@@ -7,6 +7,7 @@ twin pairing.  Its powers give the bump-weighted closed walks at a root in
 time polynomial in the length, where an enumeration grows like (d-1)^m.
 """
 
+from .graphs import _check_vertex
 from .series import _pack, _packed_width, _unpack
 
 # t - 1, lowest power first: the extra weight of the step that reverses an edge
@@ -32,6 +33,7 @@ def edge_closed_tallies(g, x0, order):
     """
     if order < 0:
         raise ValueError("order must be >= 0")
+    _check_vertex(g, x0)
     width = _packed_width(g.max_degree, order)
     t = _pack((0, 1), width)
     t_minus_one = _pack(_T_MINUS_ONE, width)

@@ -416,6 +416,8 @@ def local_spectrum(g, x0, x):
     """
     import numpy as np
 
+    _check_vertex(g, x0)
+    _check_vertex(g, x)
     v, groups, eigenvalues, mults = _verified_spectrum(g)
     weights = tuple(float(np.dot(v[x0, a:b], v[x, a:b])) for a, b in groups)
     return SpectralData(

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bzk.edgewalk import edge_closed_tallies
 from bzk.graphs import operators as graph_operators
 from bzk.heat import check_transform_consistency
 from bzk.operators import (check_cyclic_bump_identity, check_no_tail_identity,
@@ -407,9 +408,12 @@ _VERTEX_ENTRIES = {
     "check_no_tail_identity": lambda g, x0, x: check_no_tail_identity(g, x0, 6),
     "check_cyclic_bump_identity": lambda g, x0, x: check_cyclic_bump_identity(g, x0, 6),
     "check_r_generating_identity": lambda g, x0, x: check_r_generating_identity(g, x0, 6),
+    "edge_closed_tallies": lambda g, x0, x: edge_closed_tallies(g, x0, 6),
+    "local_spectrum": lambda g, x0, x: local_spectrum(g, x0, x),
 }
 _PER_ROOT = ("euler_product_series", "check_no_tail_identity",
-             "check_cyclic_bump_identity", "check_r_generating_identity")
+             "check_cyclic_bump_identity", "check_r_generating_identity",
+             "edge_closed_tallies")
 
 
 @pytest.mark.parametrize("bad", [-1, 10])
