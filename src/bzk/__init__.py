@@ -3,13 +3,10 @@ graphs, computed by independent routes and cross-verified in exact rational
 arithmetic."""
 
 from .edgewalk import edge_closed_tallies
-# the adjacency/valency/Laplacian builder is re-exported as graph_operators:
-# the bare name would collide with the bzk.operators submodule
 from .graphs import (DirectedEdge, Disconnected, DuplicateEdge, EmptyGraph,
                      Graph, GraphError, InvalidParameter, LoopEdge,
                      build_graph, generate, graph_to_json_dict, load_graph,
                      parse_edge_list, parse_graph_json)
-from .graphs import operators as graph_operators
 from .heat import (BesselEval, HeatKernelValue, NonconvergentTail,
                    ParameterDomain, PipelineReport, bessel_heat_package,
                    bessel_i, check_transform_consistency, heat_kernel_bessel,

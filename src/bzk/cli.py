@@ -26,13 +26,14 @@ SCHEMA = 1
 MAX_ZETA_ORDER = 64
 
 # Most vertices a dense float route takes.  The spectral zeta route and both
-# heat routes build n x n data: the nested tuples of graphs.operators and the
-# dense adjacency, and numpy's eigh of the Laplacian.  The Bessel route keeps
-# only the root's row of each walk matrix, so its memory no longer grows with
-# tau.  On hypercube(9), 512 vertices, `bzk heat --route bessel --t 0.5` took
-# 0.28 s and 40 MB per process at `--tau-grid 0:5:2`, 0.26 s and 40 MB at
-# 0:10:2, and exited 2 in 0.38 s at 0:20:2 (a Bessel multiplier outside the
-# float range); the spectral route took 0.29 s and 48 MB.
+# heat routes build n x n data: the float adjacency and Laplacian of
+# zeta._dense_operators, and numpy's eigh of the Laplacian.  The Bessel route
+# keeps only the root's row of each walk matrix, so its memory does not grow
+# with tau.  On hypercube(9), 512 vertices, `bzk heat --route bessel --t 0.5`
+# took 0.3 s and 34 MB per process at `--tau-grid 0:5:2` and at 0:10:2, and
+# exited 2 in 0.39 s at 0:20:2 (a Bessel multiplier outside the float range);
+# the spectral route took 0.36 s and 45 MB, and the 40-point Bessel grid
+# 0.5:8:40 took 0.8 s and 55 MB.
 MAX_DENSE_VERTICES = 512
 
 # Most tau points `bzk heat` evaluates.  On Petersen over tau in [0, 5] a point

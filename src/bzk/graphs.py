@@ -259,20 +259,6 @@ def _check_vertex(g, v):
         raise ValueError(f"vertex {v!r} is not in range({g.vertex_count})")
 
 
-def operators(g):
-    """Adjacency, valency and Laplacian matrices as nested int tuples."""
-    n = g.vertex_count
-    a = [[0] * n for _ in range(n)]
-    for e in g.edges:
-        a[e.origin][e.terminus] = 1
-    adjacency = tuple(tuple(row) for row in a)
-    valency = tuple(tuple(g.degrees[i] if i == j else 0 for j in range(n)) for i in range(n))
-    laplacian = tuple(
-        tuple(valency[i][j] - adjacency[i][j] for j in range(n)) for i in range(n)
-    )
-    return adjacency, valency, laplacian
-
-
 def graph_to_json_dict(g):
     return {"vertices": g.vertex_count, "edges": [list(p) for p in g.undirected_pairs()]}
 

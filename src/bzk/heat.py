@@ -8,9 +8,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import _check_vertex, operators
+from .graphs import _check_vertex
 from .operators import alpha
-from .zeta import (DomainError, EigensolverFailure, NotRegular, _eigh_cached,
+from .zeta import (DomainError, NotRegular, _dense_operators, _eigh_cached,
                    _require_regular, local_spectrum)
 
 
@@ -137,8 +137,7 @@ def _walk_matrix_table(g, t, count, x0):
     w_m = (1-t)(q+t) after it, run on the row alone."""
     import numpy as np
 
-    adjacency, _, _ = operators(g)
-    a = np.array(adjacency, dtype=float)
+    a, _ = _dense_operators(g)
     q = g.regular_degree() - 1
     rows = [np.zeros(g.vertex_count), a[x0].copy()]
     rows[0][x0] = 1.0
@@ -175,9 +174,11 @@ def series_weight(j, q, t):
 
 @lru_cache(maxsize=64)
 def _bessel_column(g, x0, tau, t, tol):
-    """The target-independent part of heat_kernel_bessel at one
-    (graph, root, tau > 0, t, tol): (n_max, j_max, tail, inner), where
-    inner[n] = scaled[n] + d_1 sum_j (1-t)^(2j) scaled[n+2j] and scaled[k] =
+    """heat_kernel_bessel at every target of root x0, at one
+    (graph, root, tau > 0, t, tol): (n_max, j_max, tail, values), where
+    values[x] = sum_n C_n(t)[x0, x] inner[n], from the root's rows of the
+    walk matrices, with inner[n] = scaled[n] + d_1 sum_j (1-t)^(2j)
+    scaled[n+2j] and scaled[k] =
     ((1-t)(q+t))^(-k/2) e^{-(q+1)tau} I_k(2 sqrt((1-t)(q+t)) tau).
 
     tail bounds the error at every target of root x0: the two truncation
@@ -223,7 +224,8 @@ def _bessel_column(g, x0, tau, t, tol):
     except OverflowError as exc:
         raise ParameterDomain("truncation bound did not converge") from exc
 
-    peak = [float(abs(row).max()) for row in _walk_matrix_table(g, t, n_max, x0)]
+    rows = _walk_matrix_table(g, t, n_max, x0)
+    peak = [float(abs(row).max()) for row in rows]
     one_minus_t_sq = (1.0 - t) ** 2
     w = np.zeros(2 * j_max + 1)  # w_j at index 2j
     w[0] = 1.0
@@ -249,15 +251,18 @@ def _bessel_column(g, x0, tau, t, tol):
             tail += weight * ev.tail_bound
     except OverflowError as exc:
         raise ParameterDomain("Bessel multiplier outside the float range") from exc
-    inner = []
-    for n in range(n_max + 1):
-        total = scaled[n]
+    # elementwise and in n order, so that each target sees the float
+    # operations of a scalar sum: a zero C_n(t)[x0, x] adds a zero, which
+    # leaves the sum unchanged, since every accepted row is finite
+    values = np.zeros(g.vertex_count)
+    for n, row in enumerate(rows):
+        inner = scaled[n]
         power = 1.0
         for j in range(1, j_max + 1):
             power *= one_minus_t_sq
-            total += d1 * power * scaled[n + 2 * j]
-        inner.append(total)
-    return n_max, j_max, tail, tuple(inner)
+            inner += d1 * power * scaled[n + 2 * j]
+        values = values + row * inner
+    return n_max, j_max, tail, values
 
 
 def heat_kernel_bessel(g, x0, x, tau, t=0.0, tol=1e-8):
@@ -268,9 +273,9 @@ def heat_kernel_bessel(g, x0, x, tau, t=0.0, tol=1e-8):
     truncated in n and j, with each I_k summed only as far as its
     multiplier needs.  The reported tail bound covers both the truncation
     majorant and the Bessel remainders, and is below tol.  The left side
-    does not depend on t; t only reparametrizes the expansion.  Everything
-    but C_n(t)[x0,x] is one cached column per (graph, root, tau, t, tol),
-    shared by every target.
+    does not depend on t; t only reparametrizes the expansion.  The value
+    is read from one cached column per (graph, root, tau, t, tol), which
+    holds the kernel at every target of the root.
     """
     _check_bessel_domain(g, t)
     _check_vertex(g, x0)
@@ -282,15 +287,8 @@ def heat_kernel_bessel(g, x0, x, tau, t=0.0, tol=1e-8):
     if tau == 0.0:
         return HeatKernelValue(0.0, x0, x, 1.0 if x == x0 else 0.0, "bessel", (0, 0), 0.0)
 
-    n_max, j_max, tail, inner = _bessel_column(g, x0, tau, t, tol)
-    rows = _walk_matrix_table(g, t, n_max, x0)
-    value = 0.0
-    for n in range(n_max + 1):
-        cn = rows[n][x]
-        if cn == 0.0:
-            continue
-        value += cn * inner[n]
-    return HeatKernelValue(tau, x0, x, value, "bessel", (n_max, j_max), tail)
+    n_max, j_max, tail, values = _bessel_column(g, x0, tau, t, tol)
+    return HeatKernelValue(tau, x0, x, values[x], "bessel", (n_max, j_max), tail)
 
 
 def heat_kernel_spectral(g, x0, x, tau):

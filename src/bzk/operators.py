@@ -415,42 +415,26 @@ def check_series_inverse_identity(g, order):
     """Verify that the walk-matrix series is a one-sided inverse of
     I - u A + (1-t)(D - (1-t)I) u^2, exactly as operator series.
 
-    Plain form: (sum C_m u^m) B = (1-(1-t)^2 u^2) I.  Folded form: summing
-    C_{m-2j} (1-t)^(2j) over j makes the product exactly I.
+    The check is (sum C_m u^m) B = (1-(1-t)^2 u^2) I.  The folded series
+    F_m = C_m + (1-t)^2 F_{m-2}, whose product with B is exactly I, needs no
+    check of its own: F = C S with the scalar unit series
+    S = (1-(1-t)^2 u^2)^(-1), so F B - I = S (C B - (1-(1-t)^2 u^2) I) fails
+    exactly where the plain form does, at the same first u-power.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
     n = g.vertex_count
-    cms = cm_sequence(g, order)
-    a = adjacency_poly(g)
-    qt = qxt_poly(g)
     b = OperatorSeries(
         n, order,
-        [OperatorPoly.identity(n), -a, qt.scale(ONE_MINUS_T)],
+        [OperatorPoly.identity(n), -adjacency_poly(g), qxt_poly(g).scale(ONE_MINUS_T)],
     )
-    s1 = OperatorSeries(n, order, cms)
-    one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
-
+    lhs = OperatorSeries(n, order, cm_sequence(g, order)) * b
+    rhs = OperatorSeries.scalar(_quadratic(order, ONE_MINUS_T * ONE_MINUS_T), n)
     failures = []
-    lhs1 = s1 * b
-    rhs1 = OperatorSeries.scalar(_quadratic(order, one_minus_t_sq), n)
-    if lhs1 != rhs1:
+    if lhs != rhs:
         for m in range(order + 1):
-            if lhs1.coefficient(m) != rhs1.coefficient(m):
+            if lhs.coefficient(m) != rhs.coefficient(m):
                 failures.append({"display": "plain", "u_power": m})
-                break
-
-    folded = [cms[0]]
-    for m in range(1, order + 1):
-        fm = cms[m]
-        if m >= 2:
-            fm = fm + folded[m - 2].scale(one_minus_t_sq)
-        folded.append(fm)
-    lhs2 = OperatorSeries(n, order, folded) * b
-    if lhs2 != OperatorSeries.identity(n, order):
-        for m in range(order + 1):
-            if lhs2.coefficient(m) != (OperatorPoly.identity(n) if m == 0 else OperatorPoly.zero(n)):
-                failures.append({"display": "folded", "u_power": m})
                 break
     return _report("walk-series-inverse", g, None, order, failures)
 

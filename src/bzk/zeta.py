@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import _check_vertex, operators
+from .graphs import _check_vertex
 from .operators import _closed_tallies, _rooted_walk, _walk_row, alpha, cbc_terms
 from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_ZERO, TPoly, USeries, _pack,
                      _packed_width, _unpack)
@@ -355,12 +355,24 @@ class SpectralData:
     multiplicities: tuple
 
 
+def _dense_operators(g):
+    """The dense float adjacency of g, built from its directed edges, and
+    its Laplacian diag(degrees) - adjacency, as numpy arrays."""
+    import numpy as np
+
+    n = g.vertex_count
+    adjacency = np.zeros((n, n))
+    for e in g.edges:
+        adjacency[e.origin, e.terminus] = 1.0
+    return adjacency, np.diag(np.array(g.degrees, dtype=float)) - adjacency
+
+
 @lru_cache(maxsize=32)
 def _eigh_cached(g):
     import numpy as np
 
-    _, _, laplacian = operators(g)
-    w, v = np.linalg.eigh(np.array(laplacian, dtype=float))
+    _, laplacian = _dense_operators(g)
+    w, v = np.linalg.eigh(laplacian)
     return w, v
 
 
@@ -391,8 +403,10 @@ def _verified_spectrum(g):
     eigenvalues = tuple(float(np.mean(w[a:b])) for a, b in groups)
     mults = tuple(b - a for a, b in groups)
     if g.vertex_count <= 10:
-        _, _, laplacian = operators(g)
-        p = charpoly_exact(laplacian)
+        # the Laplacian's floats are small integers, so they convert to
+        # exact Fractions
+        _, laplacian = _dense_operators(g)
+        p = charpoly_exact(laplacian.tolist())
         top = 2 * g.max_degree + 1
         roots = isolate_real_roots(p, Fraction(-1), Fraction(top))
         if len(roots) != len(groups):

@@ -28,6 +28,20 @@ from bzk.zeta import _eigh_cached
 
 
 
+def operators(g):
+    """Adjacency, valency and Laplacian matrices as nested int tuples."""
+    n = g.vertex_count
+    a = [[0] * n for _ in range(n)]
+    for e in g.edges:
+        a[e.origin][e.terminus] = 1
+    adjacency = tuple(tuple(row) for row in a)
+    valency = tuple(tuple(g.degrees[i] if i == j else 0 for j in range(n)) for i in range(n))
+    laplacian = tuple(
+        tuple(valency[i][j] - adjacency[i][j] for j in range(n)) for i in range(n)
+    )
+    return adjacency, valency, laplacian
+
+
 def bfs_girth(g):
     """Shortest cycle length by BFS from every vertex."""
     best = None
@@ -112,8 +126,6 @@ def operator_reading_table(g, x0, order):
 
 def commutator_matrix(g):
     """K = A D - D A as integer rows, from the dense graph matrices."""
-    from bzk.graphs import operators
-
     adjacency, valency, _ = operators(g)
     n = g.vertex_count
     return [

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from bzk.graphs import operators as graph_operators
+from _oracles import operators as graph_operators
 from bzk.heat import (bessel_heat_package, check_transform_consistency,
                       heat_kernel_bessel, heat_kernel_spectral,
                       resolvent_transform)

@@ -12,11 +12,11 @@ from pathlib import Path
 import pytest
 
 from _oracles import (ball, bfs_girth, canonical_rooted_tree, distances_from,
-                      quadratic_form)
+                      operators, quadratic_form)
 from bzk.graphs import (MAX_EDGES, Disconnected, DuplicateEdge, EmptyGraph,
                         InvalidParameter, LoopEdge, build_graph, generate,
-                        graph_to_json_dict, load_graph, operators,
-                        parse_edge_list, parse_graph_json)
+                        graph_to_json_dict, load_graph, parse_edge_list,
+                        parse_graph_json)
 from bzk.zeta import charpoly_exact
 from conftest import CORPUS
 

@@ -341,6 +341,22 @@ def test_bessel_column_shared_by_targets():
     assert info.hits == len(points) - len(columns)
 
 
+def test_bessel_column_computes_every_target_once():
+    # the column holds the kernel at every target of its root, so the walk
+    # rows are read once, by the column, and never per point
+    from bzk.heat import _bessel_column, _walk_matrix_table
+
+    g = CORPUS["petersen"]
+    _bessel_column.cache_clear()
+    _walk_matrix_table.cache_clear()
+    for x in range(g.vertex_count):
+        heat_kernel_bessel(g, 0, x, 2.0, 0.5, 1e-10)
+    column = _bessel_column.cache_info()
+    table = _walk_matrix_table.cache_info()
+    assert (column.misses, column.hits) == (1, 9)
+    assert (table.misses, table.hits) == (1, 0)
+
+
 def test_bessel_column_order_independent():
     import random
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bzk.graphs import generate, operators as graph_operators
+from bzk.graphs import generate
 from bzk.operators import (_rooted_walk, _walk_row, _walk_rows, adjacency_poly, alpha,
                            check_cyclic_bump_identity, check_no_tail_identity,
                            check_r_generating_identity, check_series_inverse_identity,
@@ -23,7 +23,8 @@ from bzk.series import ONE_MINUS_T, OperatorPoly, TPoly, _packed_width, _unpack
 from bzk.zeta import zeta_log_series
 from conftest import CORPUS, NON_TRANSITIVE, VERTEX_TRANSITIVE, random_connected_graph
 
-from _oracles import cm_cbc, int_matrix_power, operator_reading_table, poly_eval_fraction
+from _oracles import (cm_cbc, int_matrix_power, operator_reading_table,
+                      operators as graph_operators, poly_eval_fraction)
 from _paths import cm_bruteforce, enumerate_closed_weighted, non_backtracking_matrices
 
 
@@ -349,6 +350,40 @@ def test_series_inverse_and_r_generating_hold_everywhere(name):
     assert check_series_inverse_identity(g, 10).passed
     for x0 in range(g.vertex_count):
         assert check_r_generating_identity(g, x0, 10).passed
+
+
+@pytest.mark.parametrize("name", ["petersen", "path(4)"])
+def test_series_inverse_check_rejects_a_wrong_walk_matrix(name, monkeypatch):
+    # t^2 added to entry (0, 0) of C_5 first shows in the product's u^5
+    import bzk.operators
+
+    kept = bzk.operators.cm_sequence
+
+    def mutant(g, order):
+        cms = kept(g, order)
+        rows = [list(row) for row in cms[5].rows]
+        rows[0][0] = rows[0][0] + TPoly((0, 0, 1))
+        cms[5] = OperatorPoly(rows)
+        return cms
+
+    monkeypatch.setattr(bzk.operators, "cm_sequence", mutant)
+    report = check_series_inverse_identity(CORPUS[name], 10)
+    assert not report.passed
+    assert report.first_failure == {"display": "plain", "u_power": 5}
+
+
+@pytest.mark.parametrize("name", ["petersen", "path(4)"])
+def test_series_inverse_check_rejects_a_wrong_valency_term(name, monkeypatch):
+    # d - 1 - t in place of d - 1 + t changes B's u^2 coefficient
+    import bzk.operators
+
+    def mutant(g):
+        return OperatorPoly.diagonal([TPoly((d - 1, -1)) for d in g.degrees])
+
+    monkeypatch.setattr(bzk.operators, "qxt_poly", mutant)
+    report = check_series_inverse_identity(CORPUS[name], 10)
+    assert not report.passed
+    assert report.first_failure == {"display": "plain", "u_power": 2}
 
 
 @pytest.mark.parametrize("name", NON_TRANSITIVE)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from bzk.edgewalk import edge_closed_tallies
-from bzk.graphs import operators as graph_operators
 from bzk.heat import check_transform_consistency
 from bzk.operators import (check_cyclic_bump_identity, check_no_tail_identity,
                            check_r_generating_identity, cm_sequence)
@@ -24,7 +23,8 @@ from bzk.zeta import (DomainError, EigensolverFailure, NotRegular,
 from conftest import CORPUS, NON_TRANSITIVE, REGULAR, VERTEX_TRANSITIVE
 
 from _oracles import (binomial_power, cm_cbc, commutator_exponent_loop,
-                      commutator_matrix, dense_f_powers, poly_eval_fraction)
+                      commutator_matrix, dense_f_powers, operators as graph_operators,
+                      poly_eval_fraction)
 from _paths import closed_geodesic_counts
 
 
@@ -344,6 +344,21 @@ def test_isolate_real_roots_laplacian_spectra(name, spectrum):
     assert [mult for _, _, mult in roots] == list(spectrum.values())
     for (lo, hi, _), lam in zip(roots, spectrum):
         assert lo <= lam <= hi and hi - lo <= Fraction(1, 10**12)
+
+
+def test_dense_operators_match_int_reference():
+    # byte for byte the float arrays of the nested int tuples they replace
+    from bzk.graphs import parse_graph_json
+    from bzk.zeta import _dense_operators
+
+    one_vertex = parse_graph_json('{"vertices": 1, "edges": []}')
+    for g in list(CORPUS.values()) + [one_vertex]:
+        adjacency, _, laplacian = graph_operators(g)
+        dense_adjacency, dense_laplacian = _dense_operators(g)
+        for dense, reference in ((dense_adjacency, adjacency), (dense_laplacian, laplacian)):
+            want = np.array(reference, dtype=float)
+            assert dense.dtype == want.dtype and dense.shape == want.shape
+            assert dense.tobytes() == want.tobytes()
 
 
 def test_zeta_spectral_matches_log_series_example():
