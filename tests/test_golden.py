@@ -1,4 +1,4 @@
-"""Byte-for-byte stdout of thirteen CLI commands, pinned in tests/golden/.
+"""Byte-for-byte stdout of fourteen CLI commands, pinned in tests/golden/.
 
 The fixtures were written by the commands below; any change to an exact
 coefficient, a key or the JSON layout shows up here as a failed comparison.
@@ -65,6 +65,11 @@ CASES = [
     ("zeta_star6_log_o32.json", 0,
      ["zeta", "--family", "star", "--n", "6", "--root", "0",
       "--order", "32", "--route", "log"]),
+    # Petersen at the order cap: the longest exp in reach, whose scaled
+    # coefficients are the widest the exact routes pack (391 bits)
+    ("zeta_petersen_log_o64.json", 0,
+     ["zeta", "--family", "petersen", "--root", "0",
+      "--order", "64", "--route", "log"]),
 ]
 
 
