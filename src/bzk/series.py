@@ -2,12 +2,15 @@
 and square matrices over both.
 
 Coefficients are Python ints wherever possible and fractions.Fraction as soon
-as a division appears; both are exact.  Floating point enters only through the
-evaluate methods of TPoly, USeries and OperatorPoly, which the numeric routes
-call.
+as a division appears; both are exact.  The walk recursions and USeries.exp
+run on packed ints, a t-polynomial held as its value at t = 2^width
+(_pack, _unpack); exp scales its recurrence to integers and divides once per
+coefficient.  Floating point enters only through the evaluate methods of
+TPoly, USeries and OperatorPoly, which the numeric routes call.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class SeriesError(ValueError):
@@ -88,6 +91,22 @@ def _pack(coeffs, width):
     for c in reversed(coeffs):
         v = (v << width) + c
     return v
+
+
+def _scaled_exp(a, scale):
+    """B_0, ..., B_M for ints a[1..M] (a[0] is not read): B_0 = 1 and
+    B_n = sum_{k=1}^{n} a[k] scale^(k-1) (n-1)!/(n-k)! B_(n-k), the scaled
+    exp recurrence of USeries.exp.  The weights are folded in by Horner's
+    rule, from k = n down to 1: acc = acc (n-k) scale + a[k] B_(n-k)."""
+    out = [1]
+    for n in range(1, len(a)):
+        acc = 0
+        for k in range(n, 0, -1):
+            acc *= (n - k) * scale
+            if a[k]:
+                acc += a[k] * out[n - k]
+        out.append(acc)
+    return out
 
 
 def _unpack(v, width):
@@ -396,20 +415,41 @@ class USeries:
         return USeries(self.order, out)
 
     def exp(self):
-        """exp of a series with constant term 0, by the derivative
-        recurrence n b_n = sum_{k=1}^{n} k a_k b_(n-k), from b' = a' b;
-        O(order^2) coefficient products."""
+        """exp of a series with constant term 0, on packed integers, with one
+        division per coefficient.
+
+        From b' = a' b, n b_n = sum_{k=1}^{n} k a_k b_(n-k) (Brent and Kung).
+        Let L be the lcm of the denominators of the coefficients of the
+        k a_k, so that A_k = L k a_k has integer coefficients.  Then
+        B_n = n! L^n b_n satisfies B_0 = 1 and
+        B_n = sum_{k=1}^{n} A_k L^(k-1) (n-1)!/(n-k)! B_(n-k) in Z[t], which
+        _scaled_exp runs on the A_k packed at t = 2^width: each term is one
+        big-int product.  Each B_n is decoded once and divided by n! L^n.
+
+        The width is computed, not assumed.  Packing is a ring homomorphism,
+        so the packed B_n are exact whatever their size, and only the decode
+        needs every coefficient of B_n below 2^(width-1) in absolute value.
+        The l1 norm |p|_1 = sum |c_i| is subadditive and submultiplicative
+        and the weights L^(k-1) (n-1)!/(n-k)! are positive, so the same
+        recurrence on norms, N_0 = 1 and
+        N_n = sum_{k=1}^{n} |A_k|_1 L^(k-1) (n-1)!/(n-k)! N_(n-k),
+        run in exact ints, gives |c| <= |B_n|_1 <= N_n; the width
+        max_n N_n.bit_length() + 2 puts 2^(width-1) above every N_n.
+        O(order^2) products of packed ints.
+        """
         if not self.c[0].is_zero():
             raise BadConstantTerm("exp needs constant term 0")
-        da = self.derivative().c  # da[k-1] = k a_k
-        out = [TPOLY_ONE]
+        # k x has denominator x.denominator / gcd(k, x.denominator)
+        scale = lcm(*(x.denominator // gcd(k, x.denominator)
+                      for k, p in enumerate(self.c) for x in p.c))
+        scaled = [[k * x.numerator * scale // x.denominator for x in p.c]
+                  for k, p in enumerate(self.c)]
+        width = max(_scaled_exp([sum(map(abs, p)) for p in scaled], scale)).bit_length() + 2
+        packed = _scaled_exp([_pack(p, width) for p in scaled], scale)
+        out, denominator = [TPOLY_ONE], 1
         for n in range(1, self.order + 1):
-            acc = []
-            for k in range(1, n + 1):
-                a, b = da[k - 1].c, out[n - k].c
-                if a and b:
-                    _mul_into(acc, a, b)
-            out.append(TPoly(acc) * Fraction(1, n))
+            denominator *= n * scale
+            out.append(TPoly([Fraction(c, denominator) for c in _unpack(packed[n], width).c]))
         return USeries(self.order, out)
 
     def derivative(self):

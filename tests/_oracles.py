@@ -12,6 +12,8 @@ These read library code:
 - heat_residual reads both heat routes, heat_kernel_bessel and
   heat_kernel_spectral, and the cached eigendecomposition;
 - binomial_power reads USeries.log and USeries.exp;
+- fraction_exp, the reference for USeries.exp, runs the same derivative
+  recurrence on TPoly coefficient lists of Fractions instead of packed ints;
 - ball builds its subgraph with the library's BFS and build_graph.
 """
 
@@ -22,8 +24,9 @@ from functools import lru_cache
 from bzk.graphs import InvalidParameter, _bfs_distances, build_graph
 from bzk.heat import heat_kernel_bessel, heat_kernel_spectral
 from bzk.operators import adjacency_poly, cm_sequence, qxt_poly, r_values
-from bzk.series import (ONE_MINUS_T, TPOLY_T, TPOLY_ZERO, OperatorPoly,
-                        OperatorSeries, TPoly, USeries)
+from bzk.series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_T, TPOLY_ZERO,
+                        BadConstantTerm, OperatorPoly, OperatorSeries, TPoly,
+                        USeries, _mul_into)
 from bzk.zeta import _eigh_cached
 
 
@@ -202,6 +205,25 @@ def binomial_power(s, exponent):
     if not isinstance(s, USeries):
         raise TypeError("binomial_power expects a scalar USeries")
     return (s.log() * Fraction(exponent)).exp()
+
+
+def fraction_exp(s):
+    """exp of a series with constant term 0, by the derivative recurrence
+    n b_n = sum_{k=1}^{n} k a_k b_(n-k), from b' = a' b, on Fractions:
+    O(order^2) coefficient products and one division per term.  This was
+    USeries.exp before it ran on packed ints."""
+    if not s.c[0].is_zero():
+        raise BadConstantTerm("exp needs constant term 0")
+    da = s.derivative().c  # da[k-1] = k a_k
+    out = [TPOLY_ONE]
+    for n in range(1, s.order + 1):
+        acc = []
+        for k in range(1, n + 1):
+            a, b = da[k - 1].c, out[n - k].c
+            if a and b:
+                _mul_into(acc, a, b)
+        out.append(TPoly(acc) * Fraction(1, n))
+    return USeries(s.order, out)
 
 
 def distances_from(g, x0):

@@ -65,8 +65,8 @@ CASES = [
     ("zeta_star6_log_o32.json", 0,
      ["zeta", "--family", "star", "--n", "6", "--root", "0",
       "--order", "32", "--route", "log"]),
-    # Petersen at the order cap: the longest exp in reach, whose scaled
-    # coefficients are the widest the exact routes pack (391 bits)
+    # Petersen at the order cap: the longest exp in reach, packed at the
+    # widest width the exact routes use (391 bits a coefficient)
     ("zeta_petersen_log_o64.json", 0,
      ["zeta", "--family", "petersen", "--root", "0",
       "--order", "64", "--route", "log"]),

@@ -1,20 +1,27 @@
 """Packed t-polynomials: the round trip of series._pack and series._unpack,
-and the width bound of series._packed_width measured on the recursions that
-run packed (walk rows, f-powers, commutator rows and edge tallies)."""
+the width bound of series._packed_width measured on the recursions that run
+packed (walk rows, f-powers, commutator rows and edge tallies), and the
+computed width of the packed USeries.exp."""
 
 import random
+from fractions import Fraction
+from math import factorial, lcm
 
 import pytest
 
 import bzk.edgewalk
 import bzk.operators
+import bzk.series
 import bzk.zeta
 from bzk.edgewalk import edge_closed_tallies
 from bzk.graphs import generate
 from bzk.operators import _rooted_walk, _walk_rows, cm_sequence
-from bzk.series import TPOLY_ZERO, TPoly, _pack, _packed_width, _unpack
-from bzk.zeta import _commutator_exponent, _f_power_table, zeta_formula_series
+from bzk.series import TPOLY_ZERO, TPoly, USeries, _pack, _packed_width, _unpack
+from bzk.zeta import (_commutator_exponent, _f_power_table, zeta_formula_series,
+                      zeta_log_series)
 from conftest import CORPUS, random_connected_graph
+
+from _oracles import fraction_exp
 
 
 @pytest.mark.parametrize("width", [2, 3, 8, 33, _packed_width(3, 10), _packed_width(6, 64)])
@@ -141,3 +148,67 @@ def test_recursions_stay_inside_the_packed_width(monkeypatch, capsys):
         print("\ntightest packed-width margins, in bits: " + "; ".join(
             f"{what} {margin} ({name})" for what, (margin, name) in sorted(tightest.items())))
     assert all(margin >= 0 for margin, _ in tightest.values())
+
+
+def _route_exponents(monkeypatch):
+    """The series that the log and formula routes hand to USeries.exp: every
+    root of the corpus at order 16, on the diagonal and to the next vertex,
+    and star(6) at order 32 at its centre and a leaf, and between leaves."""
+    caught = []
+    packed_exp = USeries.exp
+
+    def recording(self):
+        caught.append((label, self))
+        return packed_exp(self)
+
+    monkeypatch.setattr(USeries, "exp", recording)
+    runs = [(name, g, 16, [(x0, x) for x0 in range(g.vertex_count)
+                           for x in (x0, (x0 + 1) % g.vertex_count)])
+            for name, g in CORPUS.items()]
+    runs.append(("star(6)", generate("star", 6), 32, [(0, 0), (1, 1), (1, 2)]))
+    for label, g, order, pairs in runs:
+        for x0, x in pairs:
+            zeta_log_series(g, x0, x, order)
+            zeta_formula_series(g, x0, x, order)
+    monkeypatch.undo()
+    return caught
+
+
+def test_exp_majorant_bounds_the_scaled_coefficients(monkeypatch, capsys):
+    # USeries.exp runs _scaled_exp twice: on the l1 norms |A_k|_1, which
+    # gives the majorant N_n and the width, then on the packed A_k.  The
+    # exact B_n = n! L^n b_n come from the Fraction recurrence, and each
+    # largest |coefficient| must be at most N_n and below 2^(width-1).
+    caught = _route_exponents(monkeypatch)
+    assert len(caught) == 2 * 2 * sum(g.vertex_count for g in CORPUS.values()) + 6
+    scaled_exp = bzk.series._scaled_exp
+    runs, widths = [], []
+
+    def recording_exp(a, scale):
+        runs.append(scaled_exp(a, scale))
+        return runs[-1]
+
+    def recording_unpack(v, width):
+        widths.append(width)
+        return _unpack(v, width)
+
+    tightest = None
+    for name, s in caught:
+        runs.clear()
+        widths.clear()
+        monkeypatch.setattr(bzk.series, "_scaled_exp", recording_exp)
+        monkeypatch.setattr(bzk.series, "_unpack", recording_unpack)
+        s.exp()
+        monkeypatch.undo()
+        assert len(runs) == 2 and len(set(widths)) == 1
+        majorant, width = runs[0], widths[0]
+        scale = lcm(*(Fraction(k * x).denominator for k, p in enumerate(s.c) for x in p.c))
+        for n, b in enumerate(fraction_exp(s).c):
+            largest = max((abs(c) for c in (b * (factorial(n) * scale ** n)).c), default=0)
+            assert largest <= majorant[n], (name, n)
+            if n:
+                margin = width - 1 - largest.bit_length()
+                assert margin >= 0, (name, n)
+                tightest = min(tightest or (margin, name), (margin, name))
+    with capsys.disabled():
+        print("\ntightest packed exp-width margin, in bits: %d (%s)" % tightest)

@@ -2,13 +2,17 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from bzk.series import (BadConstantTerm, OperatorPoly, OperatorSeries,
                         OrderMismatch, TPoly, USeries)
 
-from _oracles import binomial_power
+from bzk.graphs import generate
+from bzk.zeta import zeta_formula_series, zeta_log_series
+
+from _oracles import binomial_power, fraction_exp
 
 T = TPoly((0, 1))
 ONE = TPoly((1,))
@@ -183,6 +187,54 @@ def test_exp_log_recurrences_match_power_sums():
         USeries(4, [ONE, T]).exp()
     with pytest.raises(BadConstantTerm):
         USeries(4, [T, ONE]).log()
+
+
+def test_packed_exp_matches_fraction_recurrence():
+    # t-degree up to 6, signed numerators, zero coefficients inside a
+    # polynomial and whole zero u-coefficients inside the series; the
+    # denominators 2, 3, 5, 8 and 9 give an L above 1 on most series, up
+    # to their lcm 360; scales holds each series' L, the lcm of the
+    # denominators of the k a_k
+    rng = random.Random(1919)
+    scales = set()
+    for i in range(66):
+        order = i % 33
+        tail = []
+        for _ in range(order):
+            if rng.random() < 0.25:
+                tail.append(TPoly())
+                continue
+            tail.append(TPoly([Fraction(rng.randint(-40, 40), rng.choice((1, 1, 2, 3, 5, 8, 9)))
+                               if rng.random() < 0.7 else 0
+                               for _ in range(rng.randint(1, 7))]))
+        z = USeries(order, [TPoly()] + tail)
+        scales.add(lcm(*(Fraction(k * x).denominator for k, p in enumerate(z.c) for x in p.c)))
+        assert z.exp() == fraction_exp(z), i
+    assert 1 in scales and max(scales) == 360
+
+
+def test_packed_exp_matches_fraction_recurrence_on_route_exponents(monkeypatch):
+    # the exponents that the log and formula routes hand to exp at order 16,
+    # at a root and at a leaf, on and off the diagonal: hypercube(5) is
+    # regular, tree_ball(3,4) is not (its formula exponent has the
+    # commutator integral)
+    caught = []
+    packed_exp = USeries.exp
+
+    def recording(self):
+        caught.append(self)
+        return packed_exp(self)
+
+    monkeypatch.setattr(USeries, "exp", recording)
+    for g, pairs in ((generate("hypercube", 5), [(0, 0), (0, 1), (0, 3), (5, 26)]),
+                     (generate("tree_ball", 3, 4), [(0, 0), (22, 22), (0, 4), (22, 9)])):
+        for x0, x in pairs:
+            zeta_log_series(g, x0, x, 16)
+            zeta_formula_series(g, x0, x, 16)
+    monkeypatch.undo()
+    assert len(caught) == 16
+    for s in caught:
+        assert s.exp() == fraction_exp(s)
 
 
 def rand_operator_series(rng, n, order, density):
