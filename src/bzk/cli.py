@@ -22,8 +22,8 @@ from .operators import (TALLY_CAP, alpha, check_cyclic_bump_identity,
 SCHEMA = 1
 
 # Highest order `bzk zeta` computes.  The exact routes grow steeply past it:
-# on Petersen the log route takes about 0.2 s a process at order 64 and, run
-# through the library, 1.4 s at 96, most of it in USeries.exp.
+# on Petersen the log route takes 0.2 to 0.3 s a process at order 64 and,
+# run through the library, 0.9 to 1.6 s at 96, most of it in USeries.exp.
 MAX_ZETA_ORDER = 64
 
 # Most vertices a dense float route takes.  The spectral zeta route and both

@@ -6,10 +6,9 @@ from math import lcm
 
 import pytest
 
+from bzk.graphs import generate
 from bzk.series import (BadConstantTerm, OperatorPoly, OperatorSeries,
                         OrderMismatch, TPoly, USeries)
-
-from bzk.graphs import generate
 from bzk.zeta import zeta_formula_series, zeta_log_series
 
 from _oracles import binomial_power, fraction_exp
