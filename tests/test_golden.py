@@ -1,4 +1,4 @@
-"""Byte-for-byte stdout of fourteen CLI commands, pinned in tests/golden/.
+"""Byte-for-byte stdout of fifteen CLI commands, pinned in tests/golden/.
 
 The fixtures were written by the commands below; any change to an exact
 coefficient, a key or the JSON layout shows up here as a failed comparison.
@@ -70,6 +70,11 @@ CASES = [
     ("zeta_petersen_log_o64.json", 0,
      ["zeta", "--family", "petersen", "--root", "0",
       "--order", "64", "--route", "log"]),
+    # the formula route at the order cap: the longest formula exponent in
+    # reach, where the scale of its exp matters most
+    ("zeta_petersen_rhs_o64.json", 0,
+     ["zeta", "--family", "petersen", "--root", "0",
+      "--order", "64", "--route", "rhs"]),
 ]
 
 
