@@ -41,6 +41,18 @@ MAX_DENSE_VERTICES = 512
 # costs about 0.66 ms by both routes, so the cap takes about 7 s.
 MAX_TAU_POINTS = 10_000
 
+# Most Bessel work `bzk heat` takes on one grid, in terms.  A tau point with
+# cutoffs (n_max, j_max) from heat._bessel_cutoffs sums (n_max+1)(j_max+1)
+# terms of the double series, and builds n_max+1 rows of the walk matrices
+# on n vertices, n^2 products each, which cost about as much as n^2 / 2048
+# terms.  The sum runs on the cutoffs alone, before any point is evaluated.
+# Near the cap, Petersen by both routes took 11 s at `--tau-grid 0:20:3800`
+# and 9 s at 0:38:1100, and hypercube(9), 512 vertices, 3.5 s by the Bessel
+# route at 0.5:8:1100 with --t 0.5.  Petersen's 0:5:10000 needs 5.3 million
+# terms and runs; its 0:50:10000 needs about 270 million, which took minutes,
+# and is refused at tau = 20 in 0.2 s.
+MAX_BESSEL_TERMS = 20_000_000
+
 
 def _add_graph_arguments(sub):
     sub.add_argument("--graph", help="graph file (JSON or edge list)")
@@ -216,6 +228,31 @@ def cmd_zeta(args):
     return 0
 
 
+def _check_bessel_work(g, taus, t, tol):
+    """Refuse a grid whose Bessel work, summed in grid order, passes
+    MAX_BESSEL_TERMS.  A point that the Bessel route itself refuses ends the
+    sum, so that the grid loop reports it as before."""
+    try:
+        heatmod._check_bessel_domain(g, t)
+    except ValueError:
+        return
+    row_terms = g.vertex_count ** 2 // 2048
+    work = 0
+    for tau in taus:
+        if tau < 0.0:
+            return
+        if tau == 0.0:
+            continue
+        try:
+            n_max, j_max, _ = heatmod._bessel_cutoffs(g, tau, t, tol)
+        except ValueError:
+            return
+        work += (n_max + 1) * (j_max + 1 + row_terms)
+        if work > MAX_BESSEL_TERMS:
+            raise SystemExit2(f"--tau-grid passes the Bessel work cap of {MAX_BESSEL_TERMS} "
+                              f"terms at tau = {tau:g}")
+
+
 def cmd_heat(args):
     lo, hi, count = args.tau_grid
     if count > MAX_TAU_POINTS:
@@ -225,6 +262,8 @@ def cmd_heat(args):
     x0 = _vertex(g, args.root, "--root")
     x = _vertex(g, args.target, "--target") if args.target is not None else x0
     taus = [lo + (hi - lo) * k / (count - 1) if count > 1 else lo for k in range(count)]
+    if args.route in ("bessel", "both"):
+        _check_bessel_work(g, taus, args.t, args.tol)
     rows = []
     for tau in taus:
         vb = vs = ""

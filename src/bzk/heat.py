@@ -105,29 +105,85 @@ def _bessel_grid(n, taus, tol=1e-14):
             return total
 
 
-def _exp_tail(x, n_from):
-    """Upper bound on sum_{k >= n_from} x^k / k!."""
-    if n_from <= 0:
-        return math.exp(x)
+def _exp_tails(x, n_from):
+    """Upper bounds on sum_{k >= n} x^k / k! for n = n_from, n_from + 1, ...,
+    n_from >= 1: one float product per step, with the same operations, in
+    the same order, as recomputing x^n / n! from 1 at every n."""
     term = 1.0
-    for k in range(1, n_from + 1):
+    for k in range(1, n_from):
         term *= x / k
-    if x < n_from + 1:
-        return term / (1.0 - x / (n_from + 1))
-    return term * math.exp(x)
+    n = n_from
+    while True:
+        term *= x / n
+        if x < n + 1:
+            yield term / (1.0 - x / (n + 1))
+        else:
+            yield term * math.exp(x)
+        n += 1
 
 
-def _even_tail(x, j_from):
-    """Upper bound on sum_{j >= j_from} x^(2j) / (2j)!."""
-    if j_from <= 0:
-        return math.cosh(x)
+def _even_tails(x, j_from):
+    """Upper bounds on sum_{j' >= j} x^(2j') / (2j')! for j = j_from,
+    j_from + 1, ..., j_from >= 1, by the same one-step products as
+    _exp_tails."""
     term = 1.0
-    for k in range(1, 2 * j_from + 1):
+    for k in range(1, 2 * j_from - 1):
         term *= x / k
-    ratio = x * x / ((2 * j_from + 1) * (2 * j_from + 2))
-    if ratio < 1.0:
-        return term / (1.0 - ratio)
-    return term * math.cosh(x)
+    j = j_from
+    while True:
+        term *= x / (2 * j - 1)
+        term *= x / (2 * j)
+        ratio = x * x / ((2 * j + 1) * (2 * j + 2))
+        if ratio < 1.0:
+            yield term / (1.0 - ratio)
+        else:
+            yield term * math.cosh(x)
+        j += 1
+
+
+# the most terms of each sum in the Bessel double series
+MAX_BESSEL_CUTOFF = 600
+
+
+def _bessel_cutoffs(g, tau, t, tol):
+    """(n_max, j_max, tail) of the Bessel double series at one (graph,
+    tau > 0, t, tol): the truncation in n and in j, from the factorial
+    majorant, and the bound on what the two truncations drop.  term(n, j) is
+    at most m_t pref (a tau)^n / n! (b tau)^(2j) / (2j)!, and each cutoff is
+    the first that puts its sum's tail under half of tol - tol 1e-2; the
+    other 1e-2 of tol is left to the Bessel remainders of _bessel_column.
+    At large tau the majorant overflows before MAX_BESSEL_CUTOFF is
+    reached; either way ParameterDomain is raised.  Each cutoff costs one
+    float product per term, so a grid's work is bounded before any of it
+    is done."""
+    q = g.regular_degree() - 1
+    c = (1.0 - t) * (q + t)
+    arg = 2.0 * math.sqrt(c) * tau
+    a = alpha(g, abs(t))
+    b = abs(1.0 - t)
+    m_t = max(1.0, abs(series_weight(1, q, t)))
+    pref = math.exp(arg - (q + 1.0) * tau)
+    budget = (tol - tol * 1e-2) / 2.0
+    try:
+        n_max = 1
+        n_tails = _exp_tails(a * tau, 2)
+        n_tail = m_t * pref * math.cosh(b * tau) * next(n_tails)
+        while n_tail > budget:
+            n_max += 1
+            if n_max > MAX_BESSEL_CUTOFF:
+                raise ParameterDomain("truncation bound did not converge")
+            n_tail = m_t * pref * math.cosh(b * tau) * next(n_tails)
+        j_max = 1
+        j_tails = _even_tails(b * tau, 2)
+        j_tail = m_t * pref * math.exp(a * tau) * next(j_tails)
+        while j_tail > budget:
+            j_max += 1
+            if j_max > MAX_BESSEL_CUTOFF:
+                raise ParameterDomain("truncation bound did not converge")
+            j_tail = m_t * pref * math.exp(a * tau) * next(j_tails)
+    except OverflowError as exc:
+        raise ParameterDomain("truncation bound did not converge") from exc
+    return n_max, j_max, n_tail + j_tail
 
 
 @lru_cache(maxsize=64)
@@ -195,34 +251,9 @@ def _bessel_column(g, x0, tau, t, tol):
     c = (1.0 - t) * (q + t)
     root_c = math.sqrt(c)
     arg = 2.0 * root_c * tau
-    a = alpha(g, abs(t))
-    b = abs(1.0 - t)
     d1 = series_weight(1, q, t)
-    m_t = max(1.0, abs(d1))
-    pref = math.exp(arg - (q + 1.0) * tau)
     bessel_share = tol * 1e-2
-    budget = (tol - bessel_share) / 2.0
-
-    # truncation from the factorial majorant: term(n, j) is at most
-    # m_t * pref * (a tau)^n / n! * (b tau)^(2j) / (2j)!; at large tau the
-    # majorant overflows before the 600-term cap is reached
-    try:
-        n_max = 1
-        while m_t * pref * math.cosh(b * tau) * _exp_tail(a * tau, n_max + 1) > budget:
-            n_max += 1
-            if n_max > 600:
-                raise ParameterDomain("truncation bound did not converge")
-        j_max = 1
-        while m_t * pref * math.exp(a * tau) * _even_tail(b * tau, j_max + 1) > budget:
-            j_max += 1
-            if j_max > 600:
-                raise ParameterDomain("truncation bound did not converge")
-        tail = (
-            m_t * pref * math.cosh(b * tau) * _exp_tail(a * tau, n_max + 1)
-            + m_t * pref * math.exp(a * tau) * _even_tail(b * tau, j_max + 1)
-        )
-    except OverflowError as exc:
-        raise ParameterDomain("truncation bound did not converge") from exc
+    n_max, j_max, tail = _bessel_cutoffs(g, tau, t, tol)
 
     rows = _walk_matrix_table(g, t, n_max, x0)
     peak = [float(abs(row).max()) for row in rows]

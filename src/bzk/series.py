@@ -2,10 +2,13 @@
 and square matrices over both.
 
 Coefficients are Python ints wherever possible and fractions.Fraction as soon
-as a division appears; both are exact.  The walk recursions and USeries.exp
-run on packed ints, a t-polynomial held as its value at t = 2^width
-(_pack, _unpack); exp scales its recurrence to integers and divides once per
-coefficient.  Floating point enters only through the evaluate methods of
+as a division appears; both are exact.  The walk recursions and the exp
+recurrence run on packed ints, a t-polynomial held as its value at
+t = 2^width (_pack, _digits, _unpack).  The exact routes build their exponent
+series already scaled to integers, scale k a_k as raw int lists, and hand it
+to _exp_from_scaled, so the only Fraction of a route is exp's one division
+per output coefficient; USeries.exp scales a Fraction series and runs the
+same entry.  Floating point enters only through the evaluate methods of
 TPoly, USeries and OperatorPoly, which the numeric routes call.
 """
 
@@ -109,23 +112,54 @@ def _scaled_exp(a, scale):
     return out
 
 
-def _unpack(v, width):
-    """The TPoly whose packed form is v, by balanced base-2^width digits:
-    each digit is taken in [-2^(width-1), 2^(width-1)), so negative
-    coefficients come back with their sign.  Exact when every coefficient
-    is below 2^(width-1) in absolute value; see _packed_width.  A nonzero
-    leading digit c_d puts |v| above 2^(d width - 1), so v has at most
-    v.bit_length() // width + 1 digits."""
-    if not v:
-        return TPOLY_ZERO
+def _digits(v, width):
+    """The raw coefficient list, lowest t-power first, whose packed form is
+    v, by balanced base-2^width digits: each digit is taken in
+    [-2^(width-1), 2^(width-1)), so negative coefficients come back with
+    their sign.  Exact when every coefficient is below 2^(width-1) in
+    absolute value; see _packed_width.  A nonzero leading digit c_d puts |v|
+    above 2^(d width - 1), so v has at most v.bit_length() // width + 1
+    digits; the list may end in zeros, and is empty for v = 0."""
     half = 1 << (width - 1)
     mask = (1 << width) - 1
     coeffs = []
-    for _ in range(v.bit_length() // width + 1):
-        c = ((v + half) & mask) - half
-        coeffs.append(c)
-        v = (v - c) >> width
-    return TPoly(coeffs)
+    if v:
+        for _ in range(v.bit_length() // width + 1):
+            c = ((v + half) & mask) - half
+            coeffs.append(c)
+            v = (v - c) >> width
+    return coeffs
+
+
+def _unpack(v, width):
+    """The TPoly whose packed form is v; see _digits."""
+    return TPoly(_digits(v, width)) if v else TPOLY_ZERO
+
+
+def _exp_from_scaled(order, scaled, scale):
+    """exp of the series sum_k a_k u^k, truncated at order, given as the raw
+    int coefficient lists scaled[k] = scale k a_k, lowest t-power first, for
+    k = 0..order (scaled[0] = 0 a_0 is empty).
+
+    The scale is first reduced to the smallest L for which every L k a_k is
+    integral: L = scale / gcd(scale, every coefficient), which is the lcm of
+    the denominators of the coefficients of the k a_k.  The rest is
+    USeries.exp's scaled recurrence on A_k = L k a_k.  A larger scale gives
+    the same series but puts n times log2 of the excess into every
+    coefficient of B_n: unreduced, the formula route's lcm(1, ..., 64) takes
+    Petersen's order-64 exp from about 0.14 s to 3 s in-process.
+    """
+    common = gcd(scale, *(c for p in scaled for c in p))
+    if common > 1:
+        scale //= common
+        scaled = [[c // common for c in p] for p in scaled]
+    width = max(_scaled_exp([sum(map(abs, p)) for p in scaled], scale)).bit_length() + 2
+    packed = _scaled_exp([_pack(p, width) for p in scaled], scale)
+    out, denominator = [TPOLY_ONE], 1
+    for n in range(1, order + 1):
+        denominator *= n * scale
+        out.append(TPoly([Fraction(c, denominator) for c in _digits(packed[n], width)]))
+    return USeries(order, out)
 
 
 class TPoly:
@@ -425,6 +459,9 @@ class USeries:
         B_n = sum_{k=1}^{n} A_k L^(k-1) (n-1)!/(n-k)! B_(n-k) in Z[t], which
         _scaled_exp runs on the A_k packed at t = 2^width: each term is one
         big-int product.  Each B_n is decoded once and divided by n! L^n.
+        This method computes L and the A_k from the Fractions of the series
+        and runs _exp_from_scaled; the exact routes build their A_k as ints
+        and call _exp_from_scaled directly.
 
         The width is computed, not assumed.  Packing is a ring homomorphism,
         so the packed B_n are exact whatever their size, and only the decode
@@ -444,13 +481,7 @@ class USeries:
                       for k, p in enumerate(self.c) for x in p.c))
         scaled = [[k * x.numerator * scale // x.denominator for x in p.c]
                   for k, p in enumerate(self.c)]
-        width = max(_scaled_exp([sum(map(abs, p)) for p in scaled], scale)).bit_length() + 2
-        packed = _scaled_exp([_pack(p, width) for p in scaled], scale)
-        out, denominator = [TPOLY_ONE], 1
-        for n in range(1, self.order + 1):
-            denominator *= n * scale
-            out.append(TPoly([Fraction(c, denominator) for c in _unpack(packed[n], width).c]))
-        return USeries(self.order, out)
+        return _exp_from_scaled(self.order, scaled, scale)
 
     def derivative(self):
         out = [self.c[k + 1] * (k + 1) for k in range(self.order)]

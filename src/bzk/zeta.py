@@ -15,8 +15,8 @@ from functools import lru_cache
 
 from .graphs import _check_vertex
 from .operators import _closed_tallies, _rooted_walk, _walk_row, alpha, cbc_terms
-from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_ZERO, TPoly, USeries, _pack,
-                     _packed_width, _unpack)
+from .series import (ONE_MINUS_T, TPOLY_ZERO, TPoly, _digits, _exp_from_scaled,
+                     _pack, _packed_width, _unpack)
 
 
 class DomainError(ValueError):
@@ -62,11 +62,14 @@ def zeta_log_coefficients(g, x0, x, order):
 
 
 def zeta_log_series(g, x0, x, order):
-    """exp of the cyclic-bump log-series, truncated at the given order."""
+    """exp of the cyclic-bump log-series, truncated at the given order.
+
+    m (entry_m / m) is entry_m, so the exponent reaches the exp recurrence
+    as the integer entries at scale 1."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    coeffs = zeta_log_coefficients(g, x0, x, order)
-    return USeries(order, coeffs).exp()
+    ent = cbc_entries(g, x0, x, order)
+    return _exp_from_scaled(order, [()] + [p.c for p in ent[1:]], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +120,34 @@ def _f_power_table(g, x, order):
     return tuple(rows)
 
 
-def _commutator_exponent(g, x0, x, left):
-    """Exponent coefficients, by u-power up to order, of the commutator term
+def _add_into(acc, coeffs, factor):
+    """acc += factor coeffs for raw int coefficient lists, growing acc as
+    needed."""
+    if len(acc) < len(coeffs):
+        acc.extend([0] * (len(coeffs) - len(acc)))
+    for i, c in enumerate(coeffs):
+        if c:
+            acc[i] += factor * c
+
+
+def _times_one_minus_t(p):
+    """(1-t) p for a raw int coefficient list p."""
+    return [a - b for a, b in zip(p + [0], [0] + p)] if p else []
+
+
+def _commutator_exponent(g, x0, x, left, scale):
+    """The commutator term's share of the scaled exponent: entry m is
+    scale m a_m, as a raw int list, for the coefficients a_m by u-power up
+    to order of
     int_0^u (1-t) s^2 sum_{a,b} (b+1)/(a+b+2) [f^a K f^b](x0, x) s^(a+b) ds
-    with K = A D - D A, from left = _f_power_table(g, x0, order).
+    with K = A D - D A, from left = _f_power_table(g, x0, order).  scale
+    must be a multiple of 1, ..., order - 1.
 
     f D - D f = u K, so sum_{a+b=S} (b+1) f^a K f^b = (M_(S+1) - (S+2) D f^(S+1)) / u
     with M_T = sum_{a+b=T} f^a D f^b = M_(T-1) f + f^T D and M_0 = D.  Row x0
     of M_T runs packed, as left does; only entry x of M_T - (T+1) d_x0 f^T is
-    decoded.
+    decoded, and added times scale/(T+1).  Integrating lifts the u^s of the
+    integrand to u^(s+3) with a 1/(s+3), which the m = s+3 of m a_m cancels.
     """
     order = len(left) - 1
     top = order - 3  # integrating the u^2 shift lifts power s to s + 3
@@ -134,7 +156,7 @@ def _commutator_exponent(g, x0, x, left):
     d = g.degrees
     row = [None] * g.vertex_count  # row x0 of M_T, at u^T..u^(T+cut)
     row[x0] = [d[x0]]
-    integrand = [TPOLY_ZERO] * (top + 1)
+    integrand = [[] for _ in range(top + 1)]  # scale times, by u-power
     for T in range(1, top + 2):
         cut = min(T, top + 1 - T)
         row = step(row, cut)
@@ -144,14 +166,15 @@ def _commutator_exponent(g, x0, x, left):
                 for p, c in enumerate(entry[: cut + 1]):
                     acc[p] += d[j] * c
         # u^(T+p) of M_T / (T+1) - d_x0 f^T is u^(T-1+p) of the S = T-1 term
-        scale = (T + 1) * d[x0]
+        rooted = (T + 1) * d[x0]
+        share = scale // (T + 1)
         own = left[T][x] or (0,) * (cut + 1)
         for s, m, f in zip(range(T - 1, top + 1), row[x] or (), own):
-            c = m - scale * f
+            c = m - rooted * f
             if c:
-                integrand[s] = integrand[s] + _unpack(c, width) * Fraction(1, T + 1)
-    terms = [c * ONE_MINUS_T * Fraction(1, s + 3) for s, c in enumerate(integrand)]
-    return ([TPOLY_ZERO] * 3 + terms)[: order + 1]
+                _add_into(integrand[s], _digits(c, width), share)
+    terms = [_times_one_minus_t(c) for c in integrand]
+    return ([[]] * 3 + terms)[: order + 1]
 
 
 def _common_neighbours(g, x, y):
@@ -160,49 +183,62 @@ def _common_neighbours(g, x, y):
     return len(set(g.neighbors(x)).intersection(g.neighbors(y)))
 
 
-def zeta_formula_series(g, x0, x, order):
-    """Closed-formula route: the logs of the prefactor, the matrix-log
-    factor, the commutator integral, the length-2 correction and the defect
-    series, summed into one exponent series and exponentiated once."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    _check_vertex(g, x0)
-    _check_vertex(g, x)
+def _formula_exponent(g, x0, x, order):
+    """(scaled, scale) for the formula route's exponent series a: the logs
+    of the prefactor, the matrix-log factor, the commutator integral, the
+    length-2 correction and the defect series, summed as
+    scaled[m] = scale m a_m, raw int lists, at scale = lcm(1, ..., order),
+    which every denominator below divides."""
     left = _f_power_table(g, x0, order)
     width = _packed_width(g.max_degree, order)
-    exponent = [TPOLY_ZERO] * (order + 1)
+    scale = math.lcm(*range(1, order + 1))
+    scaled = [[] for _ in range(order + 1)]
 
-    # -[log(I - f)](x0, x) = sum_k f^k(x0, x) / k
+    # -[log(I - f)](x0, x) = sum_k f^k(x0, x) / k: scale p / k at u^p
     for k in range(1, order + 1):
         for p, c in enumerate(left[k][x], start=k):
             if c:
-                exponent[p] = exponent[p] + _unpack(c, width) * Fraction(1, k)
+                _add_into(scaled[p], _digits(c, width), scale * p // k)
 
     if x == x0:
-        # log (1-(1-t)^2 u^2)^(-(deg-2)/2) = (deg-2)/2 sum_k (1-t)^(2k) u^(2k) / k;
-        # the prefactor is 1 off the diagonal
-        half = Fraction(g.degrees[x0] - 2, 2)
+        # log (1-(1-t)^2 u^2)^(-(deg-2)/2) = (deg-2)/2 sum_k (1-t)^(2k) u^(2k) / k,
+        # so m a_m at m = 2k is (deg-2) (1-t)^(2k); the prefactor is 1 off
+        # the diagonal
         square = ONE_MINUS_T * ONE_MINUS_T
-        power = TPOLY_ONE
+        power = TPoly((scale * (g.degrees[x0] - 2),))
         for k in range(1, order // 2 + 1):
             power = power * square
-            exponent[2 * k] = exponent[2 * k] + power * (half / k)
+            _add_into(scaled[2 * k], power.c, 1)
         # sum_{m>=3} (1-t) R_m(x0) / m u^m; the defect operator is diagonal
         r = _rooted_walk(g, x0, order).r
         for m in range(3, order + 1):
-            exponent[m] = exponent[m] + ONE_MINUS_T * r[m] * Fraction(1, m)
+            _add_into(scaled[m], _times_one_minus_t(list(r[m].c)), scale)
     elif order >= 2:
         # [t D - C_2](x0, x) (1-t) u^2 / 2; C_2(x, x) = t deg(x), so only the
         # off-diagonal -A^2(x0, x) survives
         common = _common_neighbours(g, x0, x)
-        exponent[2] = exponent[2] - ONE_MINUS_T * Fraction(common, 2)
+        _add_into(scaled[2], (-common, common), scale)
 
     # the commutator integral, over K = A D - D A; on a connected graph K is
     # zero exactly when the graph is regular
     if g.regular_degree() is None:
-        exponent = [a + b for a, b in zip(exponent, _commutator_exponent(g, x0, x, left))]
+        for acc, p in zip(scaled, _commutator_exponent(g, x0, x, left, scale)):
+            _add_into(acc, p, 1)
+    return scaled, scale
 
-    return USeries(order, exponent).exp()
+
+def zeta_formula_series(g, x0, x, order):
+    """Closed-formula route: the logs of its five factors, summed into one
+    exponent series in integers by _formula_exponent and exponentiated once
+    by series._exp_from_scaled, which reduces lcm(1, ..., order) to the
+    smallest scale before its recurrence.  The walk recursions are decoded
+    once, into raw digits, and no Fraction appears before exp's final
+    division."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    _check_vertex(g, x0)
+    _check_vertex(g, x)
+    return _exp_from_scaled(order, *_formula_exponent(g, x0, x, order))
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +260,8 @@ def euler_product_series(g, x0, order):
         raise ValueError("order must be >= 1")
     _check_vertex(g, x0)
     cbc_all, _ = _closed_tallies(g, x0, order)
-    coeffs = [TPOLY_ZERO] + [cbc_all[m] * Fraction(1, m) for m in range(1, order + 1)]
-    return USeries(order, coeffs).exp()
+    # m (cbc_all[m] / m) is the integer tally, so the scale is 1
+    return _exp_from_scaled(order, [()] + [p.c for p in cbc_all[1:]], 1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,23 +11,31 @@ These read library code:
   reads cm_sequence and r_values;
 - heat_residual reads both heat routes, heat_kernel_bessel and
   heat_kernel_spectral, and the cached eigendecomposition;
+- formula_exponent, the reference for the formula route's integer exponent,
+  and fraction_commutator_exponent, which it reads, sum the same factors
+  from the route's own f-power table, f-step and rooted walk, in Fractions;
 - binomial_power reads USeries.log and USeries.exp;
 - fraction_exp, the reference for USeries.exp, runs the same derivative
   recurrence on TPoly coefficient lists of Fractions instead of packed ints;
-- ball builds its subgraph with the library's BFS and build_graph.
+- ball builds its subgraph with the library's BFS and build_graph;
+- bessel_cutoffs_recomputed, the reference for heat._bessel_cutoffs, runs
+  the same majorant with every tail recomputed from 1 (exp_tail,
+  even_tail), and reads the library's alpha and series_weight.
 """
 
+import math
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 
 from bzk.graphs import InvalidParameter, _bfs_distances, build_graph
-from bzk.heat import heat_kernel_bessel, heat_kernel_spectral
-from bzk.operators import adjacency_poly, cm_sequence, qxt_poly, r_values
+from bzk.heat import ParameterDomain, heat_kernel_bessel, heat_kernel_spectral, series_weight
+from bzk.operators import (_rooted_walk, adjacency_poly, alpha, cm_sequence, qxt_poly,
+                           r_values)
 from bzk.series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_T, TPOLY_ZERO,
                         BadConstantTerm, OperatorPoly, OperatorSeries, TPoly,
-                        USeries, _mul_into)
-from bzk.zeta import _eigh_cached
+                        USeries, _mul_into, _packed_width, _unpack)
+from bzk.zeta import _common_neighbours, _eigh_cached, _f_power_table, _f_step
 
 
 
@@ -199,6 +207,71 @@ def commutator_exponent_loop(g, x0, x, order, powers):
     return exponent
 
 
+def fraction_commutator_exponent(g, x0, x, left):
+    """The commutator term's exponent coefficients by u-power, in Fractions:
+    the row recursion of zeta._commutator_exponent before the formula route
+    summed its exponent in integers, with each decoded integrand entry
+    divided by T + 1 and each coefficient by s + 3."""
+    order = len(left) - 1
+    top = order - 3  # integrating the u^2 shift lifts power s to s + 3
+    width = _packed_width(g.max_degree, order)
+    step = _f_step(g, width)
+    d = g.degrees
+    row = [None] * g.vertex_count  # row x0 of M_T, at u^T..u^(T+cut)
+    row[x0] = [d[x0]]
+    integrand = [TPOLY_ZERO] * (top + 1)
+    for T in range(1, top + 2):
+        cut = min(T, top + 1 - T)
+        row = step(row, cut)
+        for j, entry in enumerate(left[T]):
+            if entry:
+                acc = row[j] = row[j] or [0] * (cut + 1)
+                for p, c in enumerate(entry[: cut + 1]):
+                    acc[p] += d[j] * c
+        scale = (T + 1) * d[x0]
+        own = left[T][x] or (0,) * (cut + 1)
+        for s, m, f in zip(range(T - 1, top + 1), row[x] or (), own):
+            c = m - scale * f
+            if c:
+                integrand[s] = integrand[s] + _unpack(c, width) * Fraction(1, T + 1)
+    terms = [c * ONE_MINUS_T * Fraction(1, s + 3) for s, c in enumerate(integrand)]
+    return ([TPOLY_ZERO] * 3 + terms)[: order + 1]
+
+
+def formula_exponent(g, x0, x, order):
+    """The formula route's exponent series a_0..a_order as TPolys of
+    Fractions, summed factor by factor as zeta_formula_series did before it
+    summed them in integers: the matrix log sum_k f^k(x0, x)/k, and on the
+    diagonal the prefactor's log (deg-2)/2 sum_k (1-t)^(2k) u^(2k)/k and the
+    defect series (1-t) R_m / m, off it the length-2 correction
+    -(1-t) common/2 u^2, and the commutator integral on graphs that are not
+    regular."""
+    left = _f_power_table(g, x0, order)
+    width = _packed_width(g.max_degree, order)
+    exponent = [TPOLY_ZERO] * (order + 1)
+    for k in range(1, order + 1):
+        for p, c in enumerate(left[k][x], start=k):
+            if c:
+                exponent[p] = exponent[p] + _unpack(c, width) * Fraction(1, k)
+    if x == x0:
+        half = Fraction(g.degrees[x0] - 2, 2)
+        square = ONE_MINUS_T * ONE_MINUS_T
+        power = TPOLY_ONE
+        for k in range(1, order // 2 + 1):
+            power = power * square
+            exponent[2 * k] = exponent[2 * k] + power * (half / k)
+        r = _rooted_walk(g, x0, order).r
+        for m in range(3, order + 1):
+            exponent[m] = exponent[m] + ONE_MINUS_T * r[m] * Fraction(1, m)
+    elif order >= 2:
+        common = _common_neighbours(g, x0, x)
+        exponent[2] = exponent[2] - ONE_MINUS_T * Fraction(common, 2)
+    if g.regular_degree() is None:
+        exponent = [a + b for a, b in
+                    zip(exponent, fraction_commutator_exponent(g, x0, x, left))]
+    return exponent
+
+
 def binomial_power(s, exponent):
     """(constant-term-1 series) ** exponent for rational exponents, as
     exp(exponent * log s)."""
@@ -224,6 +297,72 @@ def fraction_exp(s):
                 _mul_into(acc, a, b)
         out.append(TPoly(acc) * Fraction(1, n))
     return USeries(s.order, out)
+
+
+def series_from_scaled(order, scaled, scale):
+    """The series sum_k a_k u^k, as a USeries of Fractions, from the raw int
+    lists scaled[k] = scale k a_k that the routes hand to
+    series._exp_from_scaled."""
+    return USeries(order, [TPoly(p) * Fraction(1, k * scale) if k else TPOLY_ZERO
+                           for k, p in enumerate(scaled)])
+
+
+def exp_tail(x, n_from):
+    """Upper bound on sum_{k >= n_from} x^k / k!, x^n / n! recomputed from 1."""
+    if n_from <= 0:
+        return math.exp(x)
+    term = 1.0
+    for k in range(1, n_from + 1):
+        term *= x / k
+    if x < n_from + 1:
+        return term / (1.0 - x / (n_from + 1))
+    return term * math.exp(x)
+
+
+def even_tail(x, j_from):
+    """Upper bound on sum_{j >= j_from} x^(2j) / (2j)!, recomputed from 1."""
+    if j_from <= 0:
+        return math.cosh(x)
+    term = 1.0
+    for k in range(1, 2 * j_from + 1):
+        term *= x / k
+    ratio = x * x / ((2 * j_from + 1) * (2 * j_from + 2))
+    if ratio < 1.0:
+        return term / (1.0 - ratio)
+    return term * math.cosh(x)
+
+
+def bessel_cutoffs_recomputed(g, tau, t, tol):
+    """(n_max, j_max, tail) of heat._bessel_cutoffs by the loops that
+    _bessel_column ran before the cutoffs had a helper of their own: every
+    candidate cutoff recomputes its tail from 1 with exp_tail or even_tail,
+    at O(cutoff) products each.  ParameterDomain where the helper raises it."""
+    q = g.regular_degree() - 1
+    c = (1.0 - t) * (q + t)
+    arg = 2.0 * math.sqrt(c) * tau
+    a = alpha(g, abs(t))
+    b = abs(1.0 - t)
+    m_t = max(1.0, abs(series_weight(1, q, t)))
+    pref = math.exp(arg - (q + 1.0) * tau)
+    budget = (tol - tol * 1e-2) / 2.0
+    try:
+        n_max = 1
+        while m_t * pref * math.cosh(b * tau) * exp_tail(a * tau, n_max + 1) > budget:
+            n_max += 1
+            if n_max > 600:
+                raise ParameterDomain("truncation bound did not converge")
+        j_max = 1
+        while m_t * pref * math.exp(a * tau) * even_tail(b * tau, j_max + 1) > budget:
+            j_max += 1
+            if j_max > 600:
+                raise ParameterDomain("truncation bound did not converge")
+        tail = (
+            m_t * pref * math.cosh(b * tau) * exp_tail(a * tau, n_max + 1)
+            + m_t * pref * math.exp(a * tau) * even_tail(b * tau, j_max + 1)
+        )
+    except OverflowError as exc:
+        raise ParameterDomain("truncation bound did not converge") from exc
+    return n_max, j_max, tail
 
 
 def distances_from(g, x0):

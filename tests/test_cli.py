@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from bzk.cli import MAX_DENSE_VERTICES, MAX_TAU_POINTS, MAX_ZETA_ORDER, main
+from bzk.cli import (MAX_BESSEL_TERMS, MAX_DENSE_VERTICES, MAX_TAU_POINTS, MAX_ZETA_ORDER,
+                     main)
 from bzk.operators import TALLY_CAP
 from bzk.paths import MAX_ENUMERATION_LENGTH
 
@@ -199,6 +200,51 @@ def test_heat_non_finite_input_is_usage_error(capsys, option):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {option[0]}" in captured.err
+
+
+def test_heat_bessel_work_past_cap_refused_up_front(capsys):
+    # Petersen over tau in [0, 50] needs about 270 million Bessel terms
+    # (minutes); the cap refuses it from the cutoffs alone, before any
+    # column is summed, and only the routes that run the Bessel series
+    from bzk import heat
+
+    grid = ["heat", "--family", "petersen", "--root", "0", "--tau-grid", "0:50:10000"]
+    heat._bessel_column.cache_clear()
+    for route in ("bessel", "both"):
+        code, out, err = run(capsys, *grid, "--route", route)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --tau-grid passes the Bessel work cap of "
+                              f"{MAX_BESSEL_TERMS} terms at tau = ")
+        assert err.count("\n") == 1
+    assert heat._bessel_column.cache_info().misses == 0
+    code, out, _ = run(capsys, *grid, "--route", "spectral")
+    assert code == 0 and len(out.splitlines()) == 10_001
+
+
+def test_heat_bessel_work_under_cap_accepted(monkeypatch):
+    # the grid the tau point cap was sized on stays well inside the work
+    # cap: the check passes it without evaluating a point
+    from bzk import cli
+    from bzk.graphs import generate
+
+    taus = [5.0 * k / 9999 for k in range(10_000)]
+    cli._check_bessel_work(generate("petersen"), taus, 0.0, 1e-8)
+    # the sum is what refuses: a cap one term below it refuses the grid
+    work = []
+    cutoffs = cli.heatmod._bessel_cutoffs
+
+    def counted(g, tau, t, tol):
+        n_max, j_max, tail = cutoffs(g, tau, t, tol)
+        work.append((n_max + 1) * (j_max + 1))
+        return n_max, j_max, tail
+
+    monkeypatch.setattr(cli.heatmod, "_bessel_cutoffs", counted)
+    cli._check_bessel_work(generate("petersen"), taus, 0.0, 1e-8)
+    assert 5_000_000 < sum(work) < MAX_BESSEL_TERMS
+    monkeypatch.setattr(cli, "MAX_BESSEL_TERMS", sum(work) - 1)
+    with pytest.raises(cli.SystemExit2):
+        cli._check_bessel_work(generate("petersen"), taus, 0.0, 1e-8)
 
 
 def test_heat_overflowing_tau_is_usage_error(capsys):

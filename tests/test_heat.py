@@ -387,3 +387,45 @@ def test_heat_input_guards():
         with pytest.raises(ValueError, match="tol must be"):
             heat_kernel_bessel(g, 0, 1, 1.0, 0.0, tol)
     assert _bessel_column.cache_info().currsize == 0
+
+
+def test_incremental_tails_equal_recomputed_tails():
+    # one product per step gives the same floats, bit for bit, as
+    # recomputing x^n / n! from 1 at every n, on both sides of the switch
+    # to the exponential bound and into overflow
+    from bzk.heat import _even_tails, _exp_tails
+
+    from _oracles import even_tail, exp_tail
+
+    for x in (0.0, 1e-3, 0.7, 3.0, 19.5, 47.2, 151.0, 600.0, 700.0):
+        for start in (1, 2, 5):
+            for n, got in zip(range(start, start + 400), _exp_tails(x, start)):
+                assert got == exp_tail(x, n), (x, n)
+            for j, got in zip(range(start, start + 300), _even_tails(x, start)):
+                assert got == even_tail(x, j), (x, j)
+
+
+def test_bessel_cutoffs_equal_the_recomputing_loops():
+    # the cutoffs and tail that every Bessel column and the CLI's work cap
+    # read, against the loops that recompute each tail from 1, through the
+    # tau range where the majorant overflows or passes 600 terms
+    from bzk.heat import ParameterDomain, _bessel_cutoffs
+
+    from _oracles import bessel_cutoffs_recomputed
+
+    outcomes = set()
+    for g in (CORPUS["petersen"], CORPUS["K4"], generate("hypercube", 5), generate("cycle", 8)):
+        for t in (-0.9, -0.5, 0.0, 0.5, 0.95):
+            for tol in (1e-6, 1e-10, 1e-13):
+                for tau in (1e-3, 0.5, 2.0, 7.5, 20.0, 50.0, 120.0, 400.0, 1000.0):
+                    try:
+                        want = bessel_cutoffs_recomputed(g, tau, t, tol)
+                    except ParameterDomain as exc:
+                        with pytest.raises(ParameterDomain, match=str(exc)):
+                            _bessel_cutoffs(g, tau, t, tol)
+                        outcomes.add("refused")
+                        continue
+                    assert _bessel_cutoffs(g, tau, t, tol) == want, (g.label, t, tol, tau)
+                    outcomes.add("accepted")
+    assert outcomes == {"accepted", "refused"}
+

@@ -1,8 +1,10 @@
 """Packed t-polynomials: the round trip of series._pack and series._unpack,
 the width bound of series._packed_width measured on the recursions that run
 packed (walk rows, f-powers, commutator rows and edge tallies), and the
-computed width of the packed USeries.exp."""
+computed width and scale of the packed exp recurrence that the routes reach
+through series._exp_from_scaled."""
 
+import math
 import random
 from fractions import Fraction
 from math import factorial, lcm
@@ -16,12 +18,13 @@ import bzk.zeta
 from bzk.edgewalk import edge_closed_tallies
 from bzk.graphs import generate
 from bzk.operators import _rooted_walk, _walk_rows, cm_sequence
-from bzk.series import TPOLY_ZERO, TPoly, USeries, _pack, _packed_width, _unpack
-from bzk.zeta import (_commutator_exponent, _f_power_table, zeta_formula_series,
-                      zeta_log_series)
+from bzk.series import (TPOLY_ZERO, TPoly, USeries, _digits, _pack, _packed_width,
+                        _unpack)
+from bzk.zeta import (_commutator_exponent, _f_power_table, euler_product_series,
+                      zeta_formula_series, zeta_log_series)
 from conftest import CORPUS, random_connected_graph
 
-from _oracles import fraction_exp
+from _oracles import fraction_exp, series_from_scaled
 
 
 @pytest.mark.parametrize("width", [2, 3, 8, 33, _packed_width(3, 10), _packed_width(6, 64)])
@@ -80,12 +83,12 @@ def test_recursions_stay_inside_the_packed_width(monkeypatch, capsys):
     wide = 4 * _packed_width(6, order)
     seen = []  # (graph, what, largest |coefficient|, real width)
 
-    def record(what, name, real):
-        def unpack(v, width):
+    def record(what, name, real, decode=_unpack):
+        def recorded(v, width):
             assert width == wide
             seen.append((name, what, _largest(v, width), real))
-            return _unpack(v, width)
-        return unpack
+            return decode(v, width)
+        return recorded
 
     steps = []
     f_step = bzk.zeta._f_step
@@ -107,9 +110,10 @@ def test_recursions_stay_inside_the_packed_width(monkeypatch, capsys):
             n = g.vertex_count
             # the decoded values: walk-row entries, rooted diagonals and
             # defects, f-table entries at the target and commutator
-            # integrands, and edge tallies
+            # integrands (raw digits), and edge tallies
             for module in (bzk.operators, bzk.zeta):
                 monkeypatch.setattr(module, "_unpack", record("decoded", name, real))
+            monkeypatch.setattr(bzk.zeta, "_digits", record("decoded", name, real, _digits))
             monkeypatch.setattr(bzk.edgewalk, "_unpack",
                                 record("edge tally", name, _packed_width(g.max_degree, tally_order)))
             cm_sequence(g, order)
@@ -130,7 +134,7 @@ def test_recursions_stay_inside_the_packed_width(monkeypatch, capsys):
                 left = _f_power_table(g, x0, order + 1)
                 monkeypatch.setattr(bzk.zeta, "_f_step", recording_step)
                 steps.clear()
-                _commutator_exponent(g, x0, x0, left)
+                _commutator_exponent(g, x0, x0, left, math.lcm(*range(1, order + 2)))
                 monkeypatch.setattr(bzk.zeta, "_f_step", f_step)
                 for k, row in enumerate(steps):
                     for entry in filter(None, row):
@@ -150,34 +154,49 @@ def test_recursions_stay_inside_the_packed_width(monkeypatch, capsys):
     assert all(margin >= 0 for margin, _ in tightest.values())
 
 
-def _route_exponents(monkeypatch):
-    """The series that the log and formula routes hand to USeries.exp: every
-    root of the corpus at order 16, on the diagonal and to the next vertex,
-    and star(6) at order 32 at its centre and a leaf, and between leaves."""
+def _exp_scale(s):
+    """The scale USeries.exp computes: the lcm of the denominators of the
+    coefficients of the k a_k."""
+    return lcm(*(Fraction(k * x).denominator for k, p in enumerate(s.c) for x in p.c))
+
+
+def _caught_exponents(monkeypatch, runs):
+    """(label, order, scaled, scale) for every call that the routes make to
+    series._exp_from_scaled, through zeta's binding of it, while each
+    (label, call) of runs is made."""
     caught = []
-    packed_exp = USeries.exp
+    exp_from_scaled = bzk.zeta._exp_from_scaled
 
-    def recording(self):
-        caught.append((label, self))
-        return packed_exp(self)
+    def recording(order, scaled, scale):
+        caught.append((label, order, scaled, scale))
+        return exp_from_scaled(order, scaled, scale)
 
-    monkeypatch.setattr(USeries, "exp", recording)
-    runs = [(name, g, 16, [(x0, x) for x0 in range(g.vertex_count)
-                           for x in (x0, (x0 + 1) % g.vertex_count)])
-            for name, g in CORPUS.items()]
-    runs.append(("star(6)", generate("star", 6), 32, [(0, 0), (1, 1), (1, 2)]))
-    for label, g, order, pairs in runs:
-        for x0, x in pairs:
-            zeta_log_series(g, x0, x, order)
-            zeta_formula_series(g, x0, x, order)
+    monkeypatch.setattr(bzk.zeta, "_exp_from_scaled", recording)
+    for label, call in runs:
+        call()
     monkeypatch.undo()
     return caught
 
 
+def _route_exponents(monkeypatch):
+    """The scaled series that the log and formula routes hand to
+    _exp_from_scaled: every root of the corpus at order 16, on the diagonal
+    and to the next vertex, and star(6) at order 32 at its centre and a
+    leaf, and between leaves."""
+    graphs = [(name, g, 16, [(x0, x) for x0 in range(g.vertex_count)
+                             for x in (x0, (x0 + 1) % g.vertex_count)])
+              for name, g in CORPUS.items()]
+    graphs.append(("star(6)", generate("star", 6), 32, [(0, 0), (1, 1), (1, 2)]))
+    runs = [(name, lambda route=route, g=g, x0=x0, x=x, order=order: route(g, x0, x, order))
+            for name, g, order, pairs in graphs for x0, x in pairs
+            for route in (zeta_log_series, zeta_formula_series)]
+    return _caught_exponents(monkeypatch, runs)
+
+
 def test_exp_majorant_bounds_the_scaled_coefficients(monkeypatch, capsys):
-    # USeries.exp runs _scaled_exp twice: on the l1 norms |A_k|_1, which
-    # gives the majorant N_n and the width, then on the packed A_k.  The
-    # exact B_n = n! L^n b_n come from the Fraction recurrence, and each
+    # _exp_from_scaled runs _scaled_exp twice: on the l1 norms |A_k|_1,
+    # which gives the majorant N_n and the width, then on the packed A_k.
+    # The exact B_n = n! L^n b_n come from the Fraction recurrence, and each
     # largest |coefficient| must be at most N_n and below 2^(width-1).
     caught = _route_exponents(monkeypatch)
     assert len(caught) == 2 * 2 * sum(g.vertex_count for g in CORPUS.values()) + 6
@@ -188,21 +207,22 @@ def test_exp_majorant_bounds_the_scaled_coefficients(monkeypatch, capsys):
         runs.append(scaled_exp(a, scale))
         return runs[-1]
 
-    def recording_unpack(v, width):
+    def recording_digits(v, width):
         widths.append(width)
-        return _unpack(v, width)
+        return _digits(v, width)
 
     tightest = None
-    for name, s in caught:
+    for name, order, scaled, given in caught:
         runs.clear()
         widths.clear()
         monkeypatch.setattr(bzk.series, "_scaled_exp", recording_exp)
-        monkeypatch.setattr(bzk.series, "_unpack", recording_unpack)
-        s.exp()
+        monkeypatch.setattr(bzk.series, "_digits", recording_digits)
+        bzk.series._exp_from_scaled(order, scaled, given)
         monkeypatch.undo()
         assert len(runs) == 2 and len(set(widths)) == 1
         majorant, width = runs[0], widths[0]
-        scale = lcm(*(Fraction(k * x).denominator for k, p in enumerate(s.c) for x in p.c))
+        s = series_from_scaled(order, scaled, given)
+        scale = _exp_scale(s)
         for n, b in enumerate(fraction_exp(s).c):
             largest = max((abs(c) for c in (b * (factorial(n) * scale ** n)).c), default=0)
             assert largest <= majorant[n], (name, n)
@@ -212,3 +232,38 @@ def test_exp_majorant_bounds_the_scaled_coefficients(monkeypatch, capsys):
                 tightest = min(tightest or (margin, name), (margin, name))
     with capsys.disabled():
         print("\ntightest packed exp-width margin, in bits: %d (%s)" % tightest)
+
+
+def test_routes_reach_the_exp_recurrence_at_the_smallest_scale(monkeypatch):
+    # Every (scaled, scale) that the log, formula and Euler routes pass to
+    # _exp_from_scaled must reach _scaled_exp with exactly the scale that
+    # USeries.exp computes for the same series, the lcm of the denominators
+    # of the k a_k.  The formula route passes lcm(1..order); a larger scale
+    # leaves every output unchanged but slows exp down steeply with the
+    # order, so only this test sees it.
+    caught = _route_exponents(monkeypatch)
+    runs = [(name, lambda g=g, x0=x0: euler_product_series(g, x0, 12))
+            for name, g in CORPUS.items() for x0 in range(g.vertex_count)]
+    g = generate("tree_ball", 3, 3)
+    runs += [("tree_ball(3,3)", lambda route=route, order=order: route(g, 5, x, order))
+             for route in (zeta_log_series, zeta_formula_series)
+             for order in (20, 64) for x in (5, 17)]
+    caught += _caught_exponents(monkeypatch, runs)
+    scaled_exp = bzk.series._scaled_exp
+    scales = []
+
+    def recording_exp(a, scale):
+        scales.append(scale)
+        return scaled_exp(a, scale)
+
+    reduced = 0
+    for name, order, scaled, given in caught:
+        scales.clear()
+        monkeypatch.setattr(bzk.series, "_scaled_exp", recording_exp)
+        bzk.series._exp_from_scaled(order, scaled, given)
+        monkeypatch.undo()
+        want = _exp_scale(series_from_scaled(order, scaled, given))
+        assert scales == [want, want], (name, order, given)
+        reduced += want < given
+    # the formula route's lcm(1..order) is reduced on most of its exponents
+    assert reduced > len(caught) // 4

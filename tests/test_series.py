@@ -6,12 +6,13 @@ from math import lcm
 
 import pytest
 
+import bzk.zeta
 from bzk.graphs import generate
 from bzk.series import (BadConstantTerm, OperatorPoly, OperatorSeries,
-                        OrderMismatch, TPoly, USeries)
+                        OrderMismatch, TPoly, USeries, _exp_from_scaled)
 from bzk.zeta import zeta_formula_series, zeta_log_series
 
-from _oracles import binomial_power, fraction_exp
+from _oracles import binomial_power, fraction_exp, series_from_scaled
 
 T = TPoly((0, 1))
 ONE = TPoly((1,))
@@ -213,18 +214,18 @@ def test_packed_exp_matches_fraction_recurrence():
 
 
 def test_packed_exp_matches_fraction_recurrence_on_route_exponents(monkeypatch):
-    # the exponents that the log and formula routes hand to exp at order 16,
-    # at a root and at a leaf, on and off the diagonal: hypercube(5) is
-    # regular, tree_ball(3,4) is not (its formula exponent has the
-    # commutator integral)
+    # the scaled exponents that the log and formula routes hand to
+    # _exp_from_scaled at order 16, at a root and at a leaf, on and off the
+    # diagonal: hypercube(5) is regular, tree_ball(3,4) is not (its formula
+    # exponent has the commutator integral)
     caught = []
-    packed_exp = USeries.exp
+    exp_from_scaled = bzk.zeta._exp_from_scaled
 
-    def recording(self):
-        caught.append(self)
-        return packed_exp(self)
+    def recording(order, scaled, scale):
+        caught.append((order, scaled, scale))
+        return exp_from_scaled(order, scaled, scale)
 
-    monkeypatch.setattr(USeries, "exp", recording)
+    monkeypatch.setattr(bzk.zeta, "_exp_from_scaled", recording)
     for g, pairs in ((generate("hypercube", 5), [(0, 0), (0, 1), (0, 3), (5, 26)]),
                      (generate("tree_ball", 3, 4), [(0, 0), (22, 22), (0, 4), (22, 9)])):
         for x0, x in pairs:
@@ -232,8 +233,9 @@ def test_packed_exp_matches_fraction_recurrence_on_route_exponents(monkeypatch):
             zeta_formula_series(g, x0, x, 16)
     monkeypatch.undo()
     assert len(caught) == 16
-    for s in caught:
-        assert s.exp() == fraction_exp(s)
+    for order, scaled, scale in caught:
+        s = series_from_scaled(order, scaled, scale)
+        assert _exp_from_scaled(order, scaled, scale) == fraction_exp(s) == s.exp()
 
 
 def rand_operator_series(rng, n, order, density):

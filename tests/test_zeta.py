@@ -1,12 +1,14 @@
 """Zeta routes: log-series, closed formula, Euler product, spectral."""
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import bzk.zeta
 from bzk.edgewalk import edge_closed_tallies
 from bzk.heat import check_transform_consistency
 from bzk.operators import (check_cyclic_bump_identity, check_no_tail_identity,
@@ -14,17 +16,21 @@ from bzk.operators import (check_cyclic_bump_identity, check_no_tail_identity,
 from bzk.paths import primitive_rooted_closed_paths
 from bzk.series import (TPOLY_ONE, TPOLY_ZERO, TPoly, USeries, _packed_width,
                         _unpack)
+from bzk.graphs import generate
 from bzk.zeta import (DomainError, EigensolverFailure, NotRegular,
-                      _commutator_exponent, _f_power_table, cbc_entries,
+                      _commutator_exponent, _f_power_table, _formula_exponent,
+                      cbc_entries,
                       charpoly_exact, euler_product_series, isolate_real_roots,
                       local_spectrum, zeta_formula_series,
                       zeta_log_coefficients, zeta_log_series,
                       zeta_spectral_report)
-from conftest import CORPUS, NON_TRANSITIVE, REGULAR, VERTEX_TRANSITIVE
+from conftest import (CORPUS, NON_TRANSITIVE, REGULAR, VERTEX_TRANSITIVE,
+                      random_connected_graph)
 
 from _oracles import (binomial_power, cm_cbc, commutator_exponent_loop,
-                      commutator_matrix, dense_f_powers, operators as graph_operators,
-                      poly_eval_fraction)
+                      commutator_matrix, dense_f_powers, formula_exponent,
+                      operators as graph_operators, poly_eval_fraction,
+                      series_from_scaled)
 from _paths import closed_geodesic_counts
 
 
@@ -119,17 +125,19 @@ def test_formula_route_low_orders_every_pair(name):
 
 
 def test_formula_route_exponentiates_once(monkeypatch):
+    # the route hands its integer exponent to series._exp_from_scaled,
+    # through zeta's binding of it, once
     calls = []
-    exp = USeries.exp
+    exp = bzk.zeta._exp_from_scaled
 
-    def counted(self):
-        calls.append(self.order)
-        return exp(self)
+    def counted(order, scaled, scale):
+        calls.append(order)
+        return exp(order, scaled, scale)
 
     def forbidden(self):
         raise AssertionError("the formula route takes no series log")
 
-    monkeypatch.setattr(USeries, "exp", counted)
+    monkeypatch.setattr(bzk.zeta, "_exp_from_scaled", counted)
     monkeypatch.setattr(USeries, "log", forbidden)
     # the tree ball is not regular, so the commutator term is live too
     g = CORPUS["tree_ball(3,3)"]
@@ -137,6 +145,44 @@ def test_formula_route_exponentiates_once(monkeypatch):
         calls.clear()
         zeta_formula_series(g, x0, x, 8)
         assert calls == [8]
+
+
+def _formula_exponent_graphs():
+    graphs = dict(CORPUS)
+    rng = random.Random(2020)
+    for k in range(6):
+        graphs[f"random {k}"] = random_connected_graph(rng, rng.randint(3, 9))
+    return graphs
+
+
+FORMULA_EXPONENT_GRAPHS = _formula_exponent_graphs()
+
+
+@pytest.mark.parametrize("name", list(FORMULA_EXPONENT_GRAPHS))
+def test_formula_exponent_matches_fraction_assembly(name):
+    # the route's integer exponent scale m a_m, divided by m scale, against
+    # the factor-by-factor Fraction sum it replaced, at every root, on the
+    # diagonal and to the next vertex and one farther away, orders 1 to 16
+    g = FORMULA_EXPONENT_GRAPHS[name]
+    n = g.vertex_count
+    pairs = [(x0, x) for x0 in range(n) for x in {x0, (x0 + 1) % n, (x0 + n // 2) % n}]
+    for order in range(1, 17):
+        for x0, x in pairs:
+            scaled, scale = _formula_exponent(g, x0, x, order)
+            assert scale == math.lcm(*range(1, order + 1))
+            assert len(scaled) == order + 1 and not any(scaled[0])
+            got = series_from_scaled(order, scaled, scale)
+            assert list(got.c) == formula_exponent(g, x0, x, order), (order, x0, x)
+
+
+def test_formula_exponent_matches_fraction_assembly_star6_order32():
+    # the longest formula exponent in the golden files: star(6), at the
+    # centre, at a leaf, and between two leaves with the commutator term
+    g = generate("star", 6)
+    for x0, x in [(0, 0), (1, 1), (1, 2), (0, 3)]:
+        scaled, scale = _formula_exponent(g, x0, x, 32)
+        got = series_from_scaled(32, scaled, scale)
+        assert list(got.c) == formula_exponent(g, x0, x, 32), (x0, x)
 
 
 @pytest.mark.parametrize("name", list(CORPUS))
@@ -182,10 +228,13 @@ def test_commutator_recursion_matches_double_sum(name, pairs):
     powers = dense_f_powers(g, 16)
     live = 0
     for order in range(3, 17):
+        # the recursion returns scale m a_m; a_m is compared
+        scale = math.lcm(*range(1, order + 1))
         for x0, x in pairs:
-            got = _commutator_exponent(g, x0, x, _f_power_table(g, x0, order))
-            assert got == commutator_exponent_loop(g, x0, x, order, powers), (order, x0, x)
-            live += any(not c.is_zero() for c in got)
+            scaled = _commutator_exponent(g, x0, x, _f_power_table(g, x0, order), scale)
+            got = series_from_scaled(order, scaled, scale)
+            assert list(got.c) == commutator_exponent_loop(g, x0, x, order, powers), (order, x0, x)
+            live += not got.is_zero()
     assert live  # the term is not zero everywhere, so the comparison has teeth
 
 
