@@ -22,8 +22,10 @@ from .operators import (TALLY_CAP, alpha, check_cyclic_bump_identity,
 SCHEMA = 1
 
 # Highest order `bzk zeta` computes.  The exact routes grow steeply past it:
-# on Petersen the log route takes 0.2 to 0.3 s a process at order 64 and,
-# run through the library, 0.9 to 1.6 s at 96, most of it in USeries.exp.
+# on Petersen at order 64 a process takes 0.16 to 0.27 s by the log route and
+# 0.22 to 0.34 s by the formula route; run through the library, order 96
+# takes 0.9 s by the log route and 1.2 s by the formula route, most of it in
+# the exp recurrence, series._scaled_exp.
 MAX_ZETA_ORDER = 64
 
 # Most vertices a dense float route takes.  The spectral zeta route and both
