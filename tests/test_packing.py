@@ -4,7 +4,6 @@ packed (walk rows, f-powers, commutator rows and edge tallies), and the
 computed width and scale of the packed exp recurrence that the routes reach
 through series._exp_from_scaled."""
 
-import math
 import random
 from fractions import Fraction
 from math import factorial, lcm
@@ -18,8 +17,7 @@ import bzk.zeta
 from bzk.edgewalk import edge_closed_tallies
 from bzk.graphs import generate
 from bzk.operators import _rooted_walk, _walk_rows, cm_sequence
-from bzk.series import (TPOLY_ZERO, TPoly, USeries, _digits, _pack, _packed_width,
-                        _unpack)
+from bzk.series import TPOLY_ZERO, TPoly, _digits, _pack, _packed_width, _unpack
 from bzk.zeta import (_commutator_exponent, _f_power_table, euler_product_series,
                       zeta_formula_series, zeta_log_series)
 from conftest import CORPUS, random_connected_graph
@@ -134,7 +132,7 @@ def test_recursions_stay_inside_the_packed_width(monkeypatch, capsys):
                 left = _f_power_table(g, x0, order + 1)
                 monkeypatch.setattr(bzk.zeta, "_f_step", recording_step)
                 steps.clear()
-                _commutator_exponent(g, x0, x0, left, math.lcm(*range(1, order + 2)))
+                _commutator_exponent(g, x0, x0, left, lcm(*range(1, order + 2)))
                 monkeypatch.setattr(bzk.zeta, "_f_step", f_step)
                 for k, row in enumerate(steps):
                     for entry in filter(None, row):
