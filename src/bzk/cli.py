@@ -36,7 +36,8 @@ MAX_ZETA_ORDER = 64
 # took 0.3 s and 34 MB per process at `--tau-grid 0:5:2` and at 0:10:2, and
 # exited 2 in 0.39 s at 0:20:2 (a Bessel multiplier outside the float range);
 # the spectral route took 0.36 s and 45 MB, and the 40-point Bessel grid
-# 0.5:8:40 took 0.8 s and 55 MB.
+# 0.5:8:40, which builds the root's rows once for the whole grid, took 0.27
+# to 0.36 s and 35 MB.
 MAX_DENSE_VERTICES = 512
 
 # Most tau points `bzk heat` evaluates.  On Petersen over tau in [0, 5] a point
@@ -45,14 +46,19 @@ MAX_TAU_POINTS = 10_000
 
 # Most Bessel work `bzk heat` takes on one grid, in terms.  A tau point with
 # cutoffs (n_max, j_max) from heat._bessel_cutoffs sums (n_max+1)(j_max+1)
-# terms of the double series, and builds n_max+1 rows of the walk matrices
-# on n vertices, n^2 products each, which cost about as much as n^2 / 2048
-# terms.  The sum runs on the cutoffs alone, before any point is evaluated.
-# Near the cap, Petersen by both routes took 11 s at `--tau-grid 0:20:3800`
-# and 9 s at 0:38:1100, and hypercube(9), 512 vertices, 3.5 s by the Bessel
-# route at 0.5:8:1100 with --t 0.5.  Petersen's 0:5:10000 needs 5.3 million
-# terms and runs; its 0:50:10000 needs about 270 million, which took minutes,
-# and is refused at tau = 20 in 0.2 s.
+# terms of the double series and reads n_max+1 rows of the walk matrices on
+# n vertices; a row costs n^2 products, about as much as n^2 / 2048 terms.
+# The sum counts those rows at every point, but the rows are built once per
+# (t, root) and grown as the cutoffs rise, so a grid builds only its largest
+# n_max + 1 of them: the row term is an upper bound, which errs only toward
+# refusing.  The sum runs on the cutoffs alone, before any point is
+# evaluated.  Near the cap, Petersen by both routes took 7.8 s at
+# `--tau-grid 0:20:3800` and 7.1 s at 0:38:1100, and hypercube(9), 512
+# vertices, 1.7 to 2.0 s and 35 MB by the Bessel route at 0.5:8:1100 with
+# --t 0.5, where the sum reads 18.9 million terms, 16.7 million of them row
+# terms.  Petersen's 0:5:10000 needs 5.3 million terms and runs; its
+# 0:50:10000 needs about 270 million, which took minutes, and is refused at
+# tau = 20 in 0.2 s.
 MAX_BESSEL_TERMS = 20_000_000
 
 

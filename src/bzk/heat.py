@@ -186,25 +186,57 @@ def _bessel_cutoffs(g, tau, t, tol):
     return n_max, j_max, n_tail + j_tail
 
 
-@lru_cache(maxsize=64)
-def _walk_matrix_table(g, t, count, x0):
-    """Row x0 of the float walk matrices C_0..C_count at numeric t, by the
-    recursion C_m = C_{m-1} A - w_m C_{m-2}, with w_2 = (1-t)(q+1) and
-    w_m = (1-t)(q+t) after it, run on the row alone."""
-    import numpy as np
+class _WalkTable:
+    """Row x0 of the float walk matrices C_0, C_1, ... at one numeric t, by
+    the recursion C_m = C_{m-1} A - w_m C_{m-2}, with w_2 = (1-t)(q+1) and
+    w_m = (1-t)(q+t) after it, run on the row alone, and each row's peak
+    max_x |C_m(t)[x0, x]|.
 
-    a, _ = _dense_operators(g)
-    q = g.regular_degree() - 1
-    rows = [np.zeros(g.vertex_count), a[x0].copy()]
-    rows[0][x0] = 1.0
-    weight = (1.0 - t) * (q + 1)
-    # a row past the float range turns inf or nan, which _bessel_column
-    # refuses with one error rather than numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(2, count + 1):
-            rows.append(rows[-1] @ a - weight * rows[-2])
-            weight = (1.0 - t) * (q + t)
-    return rows[: count + 1]
+    grown is one tuple (rows, peaks), rows read-only.  A growth continues
+    the recursion from the last two rows and binds a new tuple, so a tuple
+    once read never changes, and the rows up to any count are bit for bit
+    those of one pass to that count."""
+
+    def __init__(self, g, t, x0):
+        import numpy as np
+
+        self._a, _ = _dense_operators(g)
+        q = g.regular_degree() - 1
+        self._w2, self._w = (1.0 - t) * (q + 1), (1.0 - t) * (q + t)
+        first = np.zeros(g.vertex_count)
+        first[x0] = 1.0
+        second = self._a[x0].copy()
+        for row in (first, second):
+            row.flags.writeable = False
+        self.grown = ((first, second), (1.0, float(abs(second).max())))
+
+    def upto(self, count):
+        """(rows, peaks) of C_0..C_count, growing the table if it is
+        shorter."""
+        import numpy as np
+
+        grown = self.grown
+        if len(grown[0]) <= count:
+            rows, peaks = map(list, grown)
+            # a row past the float range turns inf or nan, which
+            # _bessel_column refuses with one error rather than numpy's
+            # warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                for m in range(len(rows), count + 1):
+                    weight = self._w2 if m == 2 else self._w
+                    row = rows[-1] @ self._a - weight * rows[-2]
+                    row.flags.writeable = False
+                    rows.append(row)
+                    peaks.append(float(abs(row).max()))
+            grown = self.grown = (tuple(rows), tuple(peaks))
+        return grown[0][: count + 1], grown[1][: count + 1]
+
+
+@lru_cache(maxsize=64)
+def _walk_matrix_table(g, t, x0):
+    """The _WalkTable of root x0 at numeric t, shared by every count and
+    tau that reads it."""
+    return _WalkTable(g, t, x0)
 
 
 def _check_bessel_domain(g, t):
@@ -255,13 +287,12 @@ def _bessel_column(g, x0, tau, t, tol):
     bessel_share = tol * 1e-2
     n_max, j_max, tail = _bessel_cutoffs(g, tau, t, tol)
 
-    rows = _walk_matrix_table(g, t, n_max, x0)
-    peak = [float(abs(row).max()) for row in rows]
+    rows, peaks = _walk_matrix_table(g, t, x0).upto(n_max)
     one_minus_t_sq = (1.0 - t) ** 2
     w = np.zeros(2 * j_max + 1)  # w_j at index 2j
     w[0] = 1.0
     w[2::2] = abs(d1) * one_minus_t_sq ** np.arange(1, j_max + 1)
-    mult = np.convolve(peak, w).tolist()
+    mult = np.convolve(peaks, w).tolist()
     top = n_max + 2 * j_max
     share = bessel_share / (top + 1)
     scaled = []
@@ -465,7 +496,7 @@ def check_transform_consistency(g, x0, x, u, t, *, tol=1e-9):
         n_max += 1
         if n_max > 2000:
             raise DomainError("series truncation did not converge")
-    rows = _walk_matrix_table(g, t, n_max, x0)
+    rows, _ = _walk_matrix_table(g, t, x0).upto(n_max)
     # sum_j d_j r^j with d_0 = 1 and d_j = d_1 after it
     inner = 1.0 + d1 * r * geom
     series = 0.0

@@ -269,23 +269,39 @@ def euler_product_series(g, x0, order):
 
 
 def charpoly_exact(mat):
-    """Monic characteristic polynomial det(lambda I - M), ascending
-    Fraction coefficients, by the trace recursion."""
+    """Monic characteristic polynomial det(lambda I - M) of a square matrix
+    of ints, Fractions or floats, as ascending Fraction coefficients.
+
+    The trace recursion (Faddeev-LeVerrier) runs on B = D M, an int matrix,
+    with D the lcm of the entries' denominators: from M_0 = I, for k = 1..n,
+    P = B M_(k-1), c_(n-k) = -tr(P) / k and M_k = P + c_(n-k) I.  Each
+    product reads the nonzero entries of each row of B, d + 1 of them on a
+    Laplacian of degree d.  B's coefficients are ints, so every division by
+    k is exact, and a remainder raises ArithmeticError.  det(lambda I - B)
+    = D^n det(lambda/D I - M), so M's coefficient c_i is B's over D^(n-i).
+    """
     n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    coeff = [Fraction(0)] * (n + 1)
-    coeff[n] = Fraction(1)
-    m = [row[:] for row in a]
-    coeff[n - 1] = -sum(m[i][i] for i in range(n))
-    for k in range(2, n + 1):
+    entries = [[Fraction(x) for x in row] for row in mat]
+    scale = math.lcm(*(x.denominator for row in entries for x in row))
+    nonzero = [[(j, x.numerator * (scale // x.denominator)) for j, x in enumerate(row) if x]
+               for row in entries]
+    coeff = [0] * n + [1]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        product = []
+        for row in nonzero:
+            acc = [0] * n
+            for j, b in row:
+                acc = [s + b * x for s, x in zip(acc, m[j])]
+            product.append(acc)
+        c, rem = divmod(-sum(product[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError(f"trace recursion: step {k} does not divide exactly")
+        coeff[n - k] = c
         for i in range(n):
-            m[i][i] += coeff[n - k + 1]
-        m = [
-            [sum(a[i][l] * m[l][j] for l in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        coeff[n - k] = -sum(m[i][i] for i in range(n)) / k
-    return coeff
+            product[i][i] += c
+        m = product
+    return [Fraction(c, scale ** (n - i)) for i, c in enumerate(coeff)]
 
 
 def _gcd(a, b):
@@ -439,10 +455,12 @@ def _verified_spectrum(g):
     eigenvalues = tuple(float(np.mean(w[a:b])) for a, b in groups)
     mults = tuple(b - a for a, b in groups)
     if g.vertex_count <= 10:
-        # the Laplacian's floats are small integers, so they convert to
-        # exact Fractions
-        _, laplacian = _dense_operators(g)
-        p = charpoly_exact(laplacian.tolist())
+        laplacian = [[0] * g.vertex_count for _ in range(g.vertex_count)]
+        for i, d in enumerate(g.degrees):
+            laplacian[i][i] = d
+        for e in g.edges:
+            laplacian[e.origin][e.terminus] -= 1
+        p = charpoly_exact(laplacian)
         top = 2 * g.max_degree + 1
         roots = isolate_real_roots(p, Fraction(-1), Fraction(top))
         if len(roots) != len(groups):

@@ -20,7 +20,12 @@ These read library code:
 - ball builds its subgraph with the library's BFS and build_graph;
 - bessel_cutoffs_recomputed, the reference for heat._bessel_cutoffs, runs
   the same majorant with every tail recomputed from 1 (exp_tail,
-  even_tail), and reads the library's alpha and series_weight.
+  even_tail), and reads the library's alpha and series_weight;
+- walk_matrix_rows, the reference for the grown table of
+  heat._walk_matrix_table, builds the rows in one pass over the library's
+  dense adjacency;
+- fraction_charpoly, the reference for zeta.charpoly_exact, runs the same
+  trace recursion on dense Fraction matrices, with no scaling.
 """
 
 import math
@@ -35,7 +40,8 @@ from bzk.operators import (_rooted_walk, adjacency_poly, alpha, cm_sequence, qxt
 from bzk.series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_T, TPOLY_ZERO,
                         BadConstantTerm, OperatorPoly, OperatorSeries, TPoly,
                         USeries, _mul_into, _packed_width, _unpack)
-from bzk.zeta import _common_neighbours, _eigh_cached, _f_power_table, _f_step
+from bzk.zeta import (_common_neighbours, _dense_operators, _eigh_cached, _f_power_table,
+                      _f_step)
 
 
 
@@ -363,6 +369,44 @@ def bessel_cutoffs_recomputed(g, tau, t, tol):
     except OverflowError as exc:
         raise ParameterDomain("truncation bound did not converge") from exc
     return n_max, j_max, tail
+
+
+def walk_matrix_rows(g, t, count, x0):
+    """Row x0 of the float walk matrices C_0..C_count at numeric t, built in
+    one pass by the recursion C_m = C_(m-1) A - w_m C_(m-2), with
+    w_2 = (1-t)(q+1) and w_m = (1-t)(q+t) after it."""
+    import numpy as np
+
+    a, _ = _dense_operators(g)
+    q = g.regular_degree() - 1
+    rows = [np.zeros(g.vertex_count), a[x0].copy()]
+    rows[0][x0] = 1.0
+    weight = (1.0 - t) * (q + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2, count + 1):
+            rows.append(rows[-1] @ a - weight * rows[-2])
+            weight = (1.0 - t) * (q + t)
+    return rows[: count + 1]
+
+
+def fraction_charpoly(mat):
+    """Monic characteristic polynomial det(lambda I - M), ascending
+    Fraction coefficients, by the trace recursion on Fraction matrices."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    coeff = [Fraction(0)] * (n + 1)
+    coeff[n] = Fraction(1)
+    m = [row[:] for row in a]
+    coeff[n - 1] = -sum(m[i][i] for i in range(n))
+    for k in range(2, n + 1):
+        for i in range(n):
+            m[i][i] += coeff[n - k + 1]
+        m = [
+            [sum(a[i][l] * m[l][j] for l in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        coeff[n - k] = -sum(m[i][i] for i in range(n)) / k
+    return coeff
 
 
 def distances_from(g, x0):

@@ -12,7 +12,7 @@ from bzk.heat import (DomainError, NonconvergentTail, NotRegular,
 from bzk.graphs import build_graph, generate
 from conftest import CORPUS
 
-from _oracles import heat_residual
+from _oracles import heat_residual, walk_matrix_rows
 
 
 def test_bessel_at_zero():
@@ -104,7 +104,7 @@ def test_heat_bessel_tail_bound_covers_error():
     # different row peaks, and so columns and bounds of their own
     from bzk.heat import _walk_matrix_table
 
-    peaks = {tuple(float(abs(row).max()) for row in _walk_matrix_table(FRUCHT, 0.5, 12, x0))
+    peaks = {_walk_matrix_table(FRUCHT, 0.5, x0).upto(12)[1]
              for x0 in range(FRUCHT.vertex_count)}
     assert len(peaks) > 1
     every_t = (-0.5, 0.0, 0.5, 0.9)
@@ -140,7 +140,7 @@ def test_walk_rows_match_exact_rows():
         for x0 in (0, g.vertex_count - 1):
             exact = _walk_row(g, x0, count)
             for t in (-0.5, 0.0, 0.5, 0.9):
-                rows = _walk_matrix_table(g, t, count, x0)
+                rows, _ = _walk_matrix_table(g, t, x0).upto(count)
                 assert len(rows) == count + 1
                 scale = alpha(g, abs(t))
                 for n, (row, packed) in enumerate(zip(rows, exact)):
@@ -355,6 +355,65 @@ def test_bessel_column_computes_every_target_once():
     table = _walk_matrix_table.cache_info()
     assert (column.misses, column.hits) == (1, 9)
     assert (table.misses, table.hits) == (1, 0)
+
+
+WALK_TABLE_CASES = [(g, t) for g in (CORPUS["petersen"], generate("hypercube", 5), FRUCHT)
+                    for t in (-0.5, 0.0, 0.5, 0.9)]
+
+
+def test_grown_walk_table_matches_one_pass():
+    # at every count the grown rows are, byte for byte, those of one pass to
+    # that count, whether the table grows a row at a time or in jumps; the
+    # peaks are the rows' own maxima
+    from bzk.heat import _WalkTable
+
+    for g, t in WALK_TABLE_CASES:
+        for x0 in (0, g.vertex_count - 1):
+            one_pass = {}
+            for counts in (range(41), (3, 4, 9, 25, 40)):
+                table = _WalkTable(g, t, x0)
+                for count in counts:
+                    if count not in one_pass:
+                        one_pass[count] = walk_matrix_rows(g, t, count, x0)
+                    rows, peaks = table.upto(count)
+                    assert len(rows) == len(peaks) == count + 1
+                    want = one_pass[count]
+                    assert [r.tobytes() for r in rows] == [r.tobytes() for r in want]
+                    assert peaks == tuple(float(abs(r).max()) for r in want)
+
+
+def test_grown_walk_table_keeps_handed_out_tuples():
+    # a growth binds a new tuple and leaves the ones already read as they
+    # were; the rows themselves are read-only
+    from bzk.heat import _WalkTable
+
+    for g, t in WALK_TABLE_CASES:
+        table = _WalkTable(g, t, 0)
+        taken = table.upto(6)
+        grown = table.grown
+        before = ([r.tobytes() for r in taken[0]], taken[1],
+                  [r.tobytes() for r in grown[0]], grown[1])
+        table.upto(30)
+        assert table.grown is not grown and len(table.grown[0]) == 31
+        assert ([r.tobytes() for r in taken[0]], taken[1],
+                [r.tobytes() for r in grown[0]], grown[1]) == before
+        assert not any(r.flags.writeable for r in table.grown[0])
+        with pytest.raises(ValueError):
+            taken[0][1][0] = 5.0
+
+
+def test_walk_table_shared_by_a_tau_grid():
+    # one table per (graph, t, root): the ten columns of a tau grid build it
+    # once and grow it as their cutoffs rise
+    from bzk.heat import _bessel_column, _walk_matrix_table
+
+    g = generate("hypercube", 5)
+    _bessel_column.cache_clear()
+    _walk_matrix_table.cache_clear()
+    for tau in [0.5 * k for k in range(1, 11)]:
+        heat_kernel_bessel(g, 3, 0, tau, 0.5, 1e-10)
+    info = _walk_matrix_table.cache_info()
+    assert (info.misses, info.hits) == (1, 9)
 
 
 def test_bessel_column_order_independent():

@@ -29,8 +29,8 @@ from conftest import (CORPUS, NON_TRANSITIVE, REGULAR, VERTEX_TRANSITIVE,
 
 from _oracles import (binomial_power, cm_cbc, commutator_exponent_loop,
                       commutator_matrix, dense_f_powers, formula_exponent,
-                      operators as graph_operators, poly_eval_fraction,
-                      series_from_scaled)
+                      fraction_charpoly, operators as graph_operators,
+                      poly_eval_fraction, series_from_scaled)
 from _paths import closed_geodesic_counts
 
 
@@ -380,6 +380,27 @@ def test_charpoly_and_root_isolation():
     assert m2 == 2 and lo2 <= 1 <= hi2
     ident = [[2, 0], [0, 2]]
     assert charpoly_exact(ident) == [Fraction(4), Fraction(-4), Fraction(1)]
+
+
+def test_charpoly_matches_fraction_recursion():
+    # the int recursion on D M against the Fraction recursion on M: corpus
+    # and random Laplacians (D = 1), and random rational matrices, where the
+    # denominators up to 3 put D at 2, 3 or 6 and the division by D^(n-i)
+    # shows
+    rng = random.Random(2121)
+    mats = [graph_operators(g)[2] for g in CORPUS.values()]
+    mats += [graph_operators(random_connected_graph(rng, rng.randint(2, 10)))[2]
+             for _ in range(20)]
+    scaled = 0
+    for _ in range(30):
+        n = rng.randint(1, 10)
+        mat = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.6 else 0
+                for _ in range(n)] for _ in range(n)]
+        scaled += math.lcm(*(Fraction(x).denominator for row in mat for x in row)) > 1
+        mats.append(mat)
+    assert scaled >= 25
+    for mat in mats:
+        assert charpoly_exact(mat) == fraction_charpoly(mat)
 
 
 @pytest.mark.parametrize("name,spectrum", [
