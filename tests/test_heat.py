@@ -410,10 +410,12 @@ def test_walk_table_shared_by_a_tau_grid():
     g = generate("hypercube", 5)
     _bessel_column.cache_clear()
     _walk_matrix_table.cache_clear()
-    for tau in [0.5 * k for k in range(1, 11)]:
-        heat_kernel_bessel(g, 3, 0, tau, 0.5, 1e-10)
+    cutoffs = [heat_kernel_bessel(g, 3, 0, 0.5 * k, 0.5, 1e-10).truncation[0]
+               for k in range(1, 11)]
     info = _walk_matrix_table.cache_info()
     assert (info.misses, info.hits) == (1, 9)
+    assert len(set(cutoffs)) > 1
+    assert len(_walk_matrix_table(g, 0.5, 3).grown[0]) == max(cutoffs) + 1
 
 
 def test_bessel_column_order_independent():
