@@ -48,17 +48,16 @@ MAX_TAU_POINTS = 10_000
 # cutoffs (n_max, j_max) from heat._bessel_cutoffs sums (n_max+1)(j_max+1)
 # terms of the double series and reads n_max+1 rows of the walk matrices on
 # n vertices; a row costs n^2 products, about as much as n^2 / 2048 terms.
-# The sum counts those rows at every point, but the rows are built once per
-# (t, root) and grown as the cutoffs rise, so a grid builds only its largest
-# n_max + 1 of them: the row term is an upper bound, which errs only toward
-# refusing.  The sum runs on the cutoffs alone, before any point is
-# evaluated.  Near the cap, Petersen by both routes took 7.8 s at
-# `--tau-grid 0:20:3800` and 7.1 s at 0:38:1100, and hypercube(9), 512
-# vertices, 1.7 to 2.0 s and 35 MB by the Bessel route at 0.5:8:1100 with
-# --t 0.5, where the sum reads 18.9 million terms, 16.7 million of them row
-# terms.  Petersen's 0:5:10000 needs 5.3 million terms and runs; its
-# 0:50:10000 needs about 270 million, which took minutes, and is refused at
-# tau = 20 in 0.2 s.
+# The rows are built once per (t, root) and grown as the cutoffs rise, so a
+# point is charged only for the rows beyond the most that an earlier point
+# read.  The sum runs on the cutoffs alone, before any point is evaluated.
+# Near the cap, Petersen by both routes took 7.8 s at `--tau-grid
+# 0:20:3800` and 7.1 s at 0:38:1100.  On hypercube(9), 512 vertices, by the
+# Bessel route with --t 0.5, 0.5:8:1200 sums 2.32 million terms and 207 rows
+# (26,496 terms) and took 2.9 to 3.6 s and 35 MB; 0.5:8:10000, the tau point
+# cap, sums 19.3 million terms and took 27 s and 39 MB.  Petersen's
+# 0:5:10000 needs 5.3 million terms and runs; its 0:50:10000 needs about 270
+# million, which took minutes, and is refused at tau = 20 in 0.2 s.
 MAX_BESSEL_TERMS = 20_000_000
 
 
@@ -245,7 +244,7 @@ def _check_bessel_work(g, taus, t, tol):
     except ValueError:
         return
     row_terms = g.vertex_count ** 2 // 2048
-    work = 0
+    work = rows_built = 0
     for tau in taus:
         if tau < 0.0:
             return
@@ -255,7 +254,8 @@ def _check_bessel_work(g, taus, t, tol):
             n_max, j_max, _ = heatmod._bessel_cutoffs(g, tau, t, tol)
         except ValueError:
             return
-        work += (n_max + 1) * (j_max + 1 + row_terms)
+        work += (n_max + 1) * (j_max + 1) + max(0, n_max + 1 - rows_built) * row_terms
+        rows_built = max(rows_built, n_max + 1)
         if work > MAX_BESSEL_TERMS:
             raise SystemExit2(f"--tau-grid passes the Bessel work cap of {MAX_BESSEL_TERMS} "
                               f"terms at tau = {tau:g}")

@@ -2,7 +2,9 @@
 
 Builds the walk-matrix rows by recursion, each root's walk data and defect
 values, the cyclic-bump operators, and machine-checks the generating-function
-identities coefficient by coefficient in exact arithmetic.
+identities coefficient by coefficient in exact arithmetic.  The checks run on
+the packed rows of _walk_row, the series-inverse check by neighbour sums, so
+none forms a dense matrix; cm_sequence, r_values and delta_diag are dense.
 """
 
 import math
@@ -12,8 +14,8 @@ from typing import NamedTuple
 
 from .edgewalk import edge_closed_tallies
 from .graphs import _check_vertex
-from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_T, TPOLY_ZERO, OperatorPoly,
-                     OperatorSeries, TPoly, USeries, _pack, _packed_width, _unpack)
+from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_T, TPOLY_ZERO, OperatorPoly, TPoly,
+                     USeries, _pack, _packed_width, _unpack)
 
 
 @dataclass
@@ -36,38 +38,18 @@ class IdentityReport:
         }
 
 
-def adjacency_poly(g):
-    n = g.vertex_count
-    rows = [[TPOLY_ZERO] * n for _ in range(n)]
-    for e in g.edges:
-        rows[e.origin][e.terminus] = TPOLY_ONE
-    return OperatorPoly(rows)
-
-
-def qxt_poly(g):
-    """Valency minus (1-t) on the diagonal."""
-    return OperatorPoly.diagonal([TPoly((d - 1, 1)) for d in g.degrees])
-
-
 def cm_sequence(g, order):
     """Walk matrices C_0..C_order, assembled from the rows of _walk_row.
 
-    Each entry is decoded once: C_m is symmetric, so entry (y, x) below the
-    diagonal is the TPoly already decoded at (x, y)."""
+    Entry (y, x) of C_m is decoded from row y, so each matrix shows its rows
+    exactly as _walk_row built them, the entries it read off other rows
+    included."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    n = g.vertex_count
     width = _packed_width(g.max_degree, order)
-    rows = [_walk_row(g, y, order) for y in range(n)]
-    out = []
-    for m in range(order + 1):
-        entries = []
-        for y, row in enumerate(rows):
-            packed = row[m]
-            entries.append([entries[x][y] for x in range(y)]
-                           + [_unpack(packed[x], width) for x in range(y, n)])
-        out.append(OperatorPoly(entries))
-    return out
+    rows = [_walk_row(g, y, order) for y in range(g.vertex_count)]
+    return [OperatorPoly([[_unpack(v, width) for v in row[m]] for row in rows])
+            for m in range(order + 1)]
 
 
 @lru_cache(maxsize=8)
@@ -411,31 +393,49 @@ def check_cyclic_bump_identity(g, x0, order):
     return _report("cyclic-bump-series", g, x0, order, failures)
 
 
+def _inverse_weight(d):
+    """B's u^2 weight (1-t)(d - 1 + t) at degree d, as raw t-coefficients,
+    kept apart from _walk_row's weights so that the two cannot err together."""
+    return (d - 1, 2 - d, -1)
+
+
 def check_series_inverse_identity(g, order):
     """Verify that the walk-matrix series is a one-sided inverse of
-    I - u A + (1-t)(D - (1-t)I) u^2, exactly as operator series.
+    B = I - u A + (1-t)(D - (1-t)I) u^2, exactly as operator series.
 
-    The check is (sum C_m u^m) B = (1-(1-t)^2 u^2) I.  The folded series
-    F_m = C_m + (1-t)^2 F_{m-2}, whose product with B is exactly I, needs no
-    check of its own: F = C S with the scalar unit series
+    The check is (sum C_m u^m) B = (1-(1-t)^2 u^2) I.  Entry (y, x) of its
+    u^m coefficient is the neighbour sum
+    C_m(y, x) - sum_{z ~ x} C_(m-1)(y, z) + (1-t)(d_x - 1 + t) C_(m-2)(y, x),
+    taken on the packed rows of _walk_row, with nothing decoded, and compared
+    packed with the right side's entry.  A zero packed difference is a zero
+    polynomial: by _packed_width's l1 bound |C_m|_1 <= (3D)^m, the difference
+    has l1 norm at most 2 (3D)^m + 4 <= P < 2^(width-1), and packing is
+    one-to-one on polynomials whose coefficients are below 2^(width-1) in
+    absolute value.  The report names the smallest failing u-power.
+
+    The folded series F_m = C_m + (1-t)^2 F_{m-2}, whose product with B is
+    exactly I, needs no check of its own: F = C S with the scalar unit series
     S = (1-(1-t)^2 u^2)^(-1), so F B - I = S (C B - (1-(1-t)^2 u^2) I) fails
     exactly where the plain form does, at the same first u-power.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
     n = g.vertex_count
-    b = OperatorSeries(
-        n, order,
-        [OperatorPoly.identity(n), -adjacency_poly(g), qxt_poly(g).scale(ONE_MINUS_T)],
-    )
-    lhs = OperatorSeries(n, order, cm_sequence(g, order)) * b
-    rhs = OperatorSeries.scalar(_quadratic(order, ONE_MINUS_T * ONE_MINUS_T), n)
+    width = _packed_width(g.max_degree, order)
+    nbrs = [g.neighbors(x) for x in range(n)]
+    weights = [_pack(_inverse_weight(d), width) for d in g.degrees]
+    zero = (0,) * n
+    # row[m + 2] is C_m(y, .), behind two zero rows for C_(-2) and C_(-1)
+    rows = [(zero, zero) + _walk_row(g, y, order) for y in range(n)]
     failures = []
-    if lhs != rhs:
-        for m in range(order + 1):
-            if lhs.coefficient(m) != rhs.coefficient(m):
-                failures.append({"display": "plain", "u_power": m})
-                break
+    for m in range(order + 1):
+        # the diagonal of (1-(1-t)^2 u^2) I at u^m
+        unit = 1 if m == 0 else _pack((-1, 2, -1), width) if m == 2 else 0
+        if any(c - sum(map(row[m + 1].__getitem__, nbrs[x])) + weights[x] * row[m][x]
+               != (unit if x == y else 0)
+               for y, row in enumerate(rows) for x, c in enumerate(row[m + 2])):
+            failures.append({"display": "plain", "u_power": m})
+            break
     return _report("walk-series-inverse", g, None, order, failures)
 
 

@@ -644,12 +644,6 @@ class OperatorSeries:
     def identity(n, order):
         return OperatorSeries(n, order, (OperatorPoly.identity(n),))
 
-    @staticmethod
-    def scalar(s, n):
-        """Embed a scalar USeries as s * I."""
-        ident = OperatorPoly.identity(n)
-        return OperatorSeries(n, s.order, [ident.scale(p) for p in s.c])
-
     def _check(self, other):
         if self.order != other.order:
             raise OrderMismatch(f"orders {self.order} and {other.order}")

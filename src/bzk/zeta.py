@@ -455,12 +455,8 @@ def _verified_spectrum(g):
     eigenvalues = tuple(float(np.mean(w[a:b])) for a, b in groups)
     mults = tuple(b - a for a, b in groups)
     if g.vertex_count <= 10:
-        laplacian = [[0] * g.vertex_count for _ in range(g.vertex_count)]
-        for i, d in enumerate(g.degrees):
-            laplacian[i][i] = d
-        for e in g.edges:
-            laplacian[e.origin][e.terminus] -= 1
-        p = charpoly_exact(laplacian)
+        # the float Laplacian's entries are integers, so the charpoly is exact
+        p = charpoly_exact(_dense_operators(g)[1].tolist())
         top = 2 * g.max_degree + 1
         roots = isolate_real_roots(p, Fraction(-1), Fraction(top))
         if len(roots) != len(groups):

@@ -4,9 +4,15 @@ Most are deliberately dumb implementations that share no code with it.
 These read library code:
 - operator_reading_table is a foil rather than an oracle, built from the
   library's walk matrices and double sum;
+- adjacency_poly and qxt_poly are A and D - (1-t)I as dense OperatorPoly,
+  built from g.edges and g.degrees alone;
 - dense_f_powers, the reference for the formula route's f^k rows, and
   commutator_exponent_loop, which reads it, build f from adjacency_poly and
   qxt_poly and share only the exact kernel with the route;
+- dense_series_inverse_check, the reference for
+  operators.check_series_inverse_identity, which runs by neighbour sums on
+  the packed walk rows, multiplies the dense OperatorSeries of cm_sequence's
+  matrices by B built from adjacency_poly and qxt_poly;
 - cm_cbc, the dense cyclic-bump matrix that cbc_terms is checked against,
   reads cm_sequence and r_values;
 - heat_residual reads both heat routes, heat_kernel_bessel and
@@ -35,8 +41,7 @@ from functools import lru_cache
 
 from bzk.graphs import InvalidParameter, _bfs_distances, build_graph
 from bzk.heat import ParameterDomain, heat_kernel_bessel, heat_kernel_spectral, series_weight
-from bzk.operators import (_rooted_walk, adjacency_poly, alpha, cm_sequence, qxt_poly,
-                           r_values)
+from bzk.operators import IdentityReport, _rooted_walk, alpha, cm_sequence, r_values
 from bzk.series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_T, TPOLY_ZERO,
                         BadConstantTerm, OperatorPoly, OperatorSeries, TPoly,
                         USeries, _mul_into, _packed_width, _unpack)
@@ -149,6 +154,38 @@ def commutator_matrix(g):
         [adjacency[i][j] * (valency[j][j] - valency[i][i]) for j in range(n)]
         for i in range(n)
     ]
+
+
+def adjacency_poly(g):
+    n = g.vertex_count
+    rows = [[TPOLY_ZERO] * n for _ in range(n)]
+    for e in g.edges:
+        rows[e.origin][e.terminus] = TPOLY_ONE
+    return OperatorPoly(rows)
+
+
+def qxt_poly(g):
+    """Valency minus (1-t) on the diagonal."""
+    return OperatorPoly.diagonal([TPoly((d - 1, 1)) for d in g.degrees])
+
+
+def dense_series_inverse_check(g, order):
+    """The report of operators.check_series_inverse_identity, by the dense
+    product (sum C_m u^m) B of n x n OperatorSeries, with
+    B = I - u A + (1-t)(D - (1-t)I) u^2, compared coefficient by coefficient
+    with (1-(1-t)^2 u^2) I."""
+    if order < 2:
+        raise ValueError("order must be >= 2")
+    n = g.vertex_count
+    ident = OperatorPoly.identity(n)
+    b = OperatorSeries(n, order, [ident, -adjacency_poly(g), qxt_poly(g).scale(ONE_MINUS_T)])
+    lhs = OperatorSeries(n, order, cm_sequence(g, order)) * b
+    rhs = [ident, OperatorPoly.zero(n), ident.scale(-(ONE_MINUS_T * ONE_MINUS_T))]
+    rhs += [OperatorPoly.zero(n)] * (order - 2)
+    failure = next(({"display": "plain", "u_power": m}
+                    for m in range(order + 1) if lhs.coefficient(m) != rhs[m]), None)
+    return IdentityReport(identity="walk-series-inverse", graph=g.label, root=None,
+                          order=order, passed=failure is None, first_failure=failure)
 
 
 @lru_cache(maxsize=4)

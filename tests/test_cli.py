@@ -247,6 +247,36 @@ def test_heat_bessel_work_under_cap_accepted(monkeypatch):
         cli._check_bessel_work(generate("petersen"), taus, 0.0, 1e-8)
 
 
+def test_heat_bessel_work_counts_each_walk_row_once(monkeypatch):
+    # the rows of one (t, root) are built once and grown, so a grid is
+    # charged for its largest n_max + 1 rows, not for n_max + 1 rows at every
+    # tau: hypercube(9)'s 1,200-point grid is 2.32 million terms plus 207
+    # rows, and was refused at tau = 7.88741 when every tau paid for its rows
+    from bzk import cli
+    from bzk.graphs import generate
+
+    g = generate("hypercube", 9)
+    taus = [0.5 + 7.5 * k / 1199 for k in range(1200)]
+    cutoffs = []
+    bessel_cutoffs = cli.heatmod._bessel_cutoffs
+
+    def counted(g, tau, t, tol):
+        n_max, j_max, tail = bessel_cutoffs(g, tau, t, tol)
+        cutoffs.append((n_max + 1, j_max + 1))
+        return n_max, j_max, tail
+
+    monkeypatch.setattr(cli.heatmod, "_bessel_cutoffs", counted)
+    cli._check_bessel_work(g, taus, 0.5, 1e-8)
+    row_terms = 512 ** 2 // 2048
+    assert max(rows for rows, _ in cutoffs) == 207
+    assert sum(rows * (j + row_terms) for rows, j in cutoffs) > MAX_BESSEL_TERMS
+    monkeypatch.undo()
+    # Petersen's rows cost under one term, so its refusal does not move
+    petersen = [50.0 * k / 9999 for k in range(10_000)]
+    with pytest.raises(cli.SystemExit2, match=r"at tau = 20\.042$"):
+        cli._check_bessel_work(generate("petersen"), petersen, 0.0, 1e-8)
+
+
 def test_heat_overflowing_tau_is_usage_error(capsys):
     code, out, err = run(capsys, "heat", "--family", "petersen", "--root", "0",
                          "--tau-grid", "0:1000:2", "--route", "bessel")

@@ -5,26 +5,29 @@ and provably fail beyond length 5 elsewhere; both facts are pinned here (the
 defect polynomial is frozen from the enumeration oracle).
 """
 
+import inspect
 import json
 import math
 import random
+import textwrap
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bzk.graphs import generate
-from bzk.operators import (_rooted_walk, _walk_row, _walk_rows, adjacency_poly, alpha,
+from bzk.operators import (_rooted_walk, _walk_row, _walk_rows, alpha,
                            check_cyclic_bump_identity, check_no_tail_identity,
                            check_r_generating_identity, check_series_inverse_identity,
-                           cm_sequence, delta_diag, qxt_poly, r_values)
+                           cm_sequence, delta_diag, r_values)
 from bzk.paths import rooted_closed_tallies
 from bzk.series import ONE_MINUS_T, OperatorPoly, TPoly, _packed_width, _unpack
 from bzk.zeta import zeta_log_series
 from conftest import CORPUS, NON_TRANSITIVE, VERTEX_TRANSITIVE, random_connected_graph
 
-from _oracles import (cm_cbc, int_matrix_power, operator_reading_table,
-                      operators as graph_operators, poly_eval_fraction)
+from _oracles import (adjacency_poly, cm_cbc, dense_series_inverse_check, int_matrix_power,
+                      operator_reading_table, operators as graph_operators,
+                      poly_eval_fraction, qxt_poly)
 from _paths import cm_bruteforce, enumerate_closed_weighted, non_backtracking_matrices
 
 
@@ -352,38 +355,81 @@ def test_series_inverse_and_r_generating_hold_everywhere(name):
         assert check_r_generating_identity(g, x0, 10).passed
 
 
+@pytest.fixture
+def fresh_walk_rows():
+    """An empty walk-row cache before and after the test, so that no row
+    built or changed by the test outlives it."""
+    _walk_rows.cache_clear()
+    yield
+    _walk_rows.cache_clear()
+
+
+def _random_graph_cases():
+    rng = random.Random(2022)
+    return [(random_connected_graph(rng, rng.randint(2, 9)), order) for order in range(2, 13)]
+
+
+@pytest.mark.parametrize("g, order",
+                         [(CORPUS[name], order) for name in CORPUS for order in (2, 3, 6, 12)]
+                         + _random_graph_cases(),
+                         ids=lambda v: getattr(v, "label", str(v)))
+def test_series_inverse_check_matches_dense_product(g, order):
+    # the neighbour sums on the packed rows against the dense operator product
+    report = check_series_inverse_identity(g, order)
+    assert report.passed
+    assert report == dense_series_inverse_check(g, order)
+
+
+def _both_series_inverse_reports(g, order):
+    return check_series_inverse_identity(g, order), dense_series_inverse_check(g, order)
+
+
 @pytest.mark.parametrize("name", ["petersen", "path(4)"])
-def test_series_inverse_check_rejects_a_wrong_walk_matrix(name, monkeypatch):
-    # t^2 added to entry (0, 0) of C_5 first shows in the product's u^5
-    import bzk.operators
-
-    kept = bzk.operators.cm_sequence
-
-    def mutant(g, order):
-        cms = kept(g, order)
-        rows = [list(row) for row in cms[5].rows]
-        rows[0][0] = rows[0][0] + TPoly((0, 0, 1))
-        cms[5] = OperatorPoly(rows)
-        return cms
-
-    monkeypatch.setattr(bzk.operators, "cm_sequence", mutant)
-    report = check_series_inverse_identity(CORPUS[name], 10)
-    assert not report.passed
-    assert report.first_failure == {"display": "plain", "u_power": 5}
+def test_series_inverse_check_rejects_a_wrong_walk_matrix(name, fresh_walk_rows):
+    # t^2 added to entry (0, 0) of C_5 in the kept rows first shows at u^5
+    g = CORPUS[name]
+    row = [list(c) for c in _walk_row(g, 0, 10)]
+    row[5][0] += 1 << (2 * _packed_width(g.max_degree, 10))
+    _walk_rows(g, 10)[0] = tuple(map(tuple, row))
+    for report in _both_series_inverse_reports(g, 10):
+        assert not report.passed
+        assert report.first_failure == {"display": "plain", "u_power": 5}
 
 
 @pytest.mark.parametrize("name", ["petersen", "path(4)"])
 def test_series_inverse_check_rejects_a_wrong_valency_term(name, monkeypatch):
-    # d - 1 - t in place of d - 1 + t changes B's u^2 coefficient
+    # d - 1 - t in place of d - 1 + t changes B's u^2 coefficient, in the
+    # check's own weight and in the dense reference's D - (1-t)I alike
     import bzk.operators
 
-    def mutant(g):
-        return OperatorPoly.diagonal([TPoly((d - 1, -1)) for d in g.degrees])
+    import _oracles
 
-    monkeypatch.setattr(bzk.operators, "qxt_poly", mutant)
-    report = check_series_inverse_identity(CORPUS[name], 10)
-    assert not report.passed
-    assert report.first_failure == {"display": "plain", "u_power": 2}
+    monkeypatch.setattr(bzk.operators, "_inverse_weight", lambda d: (d - 1, -d, 1))
+    monkeypatch.setattr(_oracles, "qxt_poly", lambda g: OperatorPoly.diagonal(
+        [TPoly((d - 1, -1)) for d in g.degrees]))
+    for report in _both_series_inverse_reports(CORPUS[name], 10):
+        assert not report.passed
+        assert report.first_failure == {"display": "plain", "u_power": 2}
+
+
+@pytest.mark.parametrize("name", ["petersen", "path(4)", "tree_ball(3,3)"])
+def test_series_inverse_check_rejects_a_broken_symmetry_shortcut(name, monkeypatch,
+                                                                 fresh_walk_rows):
+    # _walk_row reads entry (y, x) off a kept row x as C_m(x, y); the mutant
+    # reads row x's diagonal C_m(x, x) there, which the rows built after row
+    # x carry from u^2 on
+    import bzk.operators
+
+    source = textwrap.dedent(inspect.getsource(bzk.operators._walk_row))
+    shortcut = "known[x][m][y] if known[x] is not None"
+    assert source.count(shortcut) == 1
+    built = {}
+    exec(source.replace(shortcut, "known[x][m][x] if known[x] is not None"),
+         vars(bzk.operators), built)
+    monkeypatch.setattr(bzk.operators, "_walk_row", built["_walk_row"])
+    for report in _both_series_inverse_reports(CORPUS[name], 10):
+        assert not report.passed
+        assert report.first_failure == {"display": "plain", "u_power": 2}
 
 
 @pytest.mark.parametrize("name", NON_TRANSITIVE)

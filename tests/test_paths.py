@@ -8,7 +8,7 @@ from bzk.paths import primitive_rooted_closed_paths, rooted_closed_tallies
 from bzk.series import TPoly
 from conftest import CORPUS
 
-from _oracles import int_matrix_power, poly_eval_fraction
+from _oracles import adjacency_poly, int_matrix_power, poly_eval_fraction
 from _paths import (NotClosed, bump_count, closed_geodesic_counts,
                     cm_bruteforce, cyclic_bump_count,
                     enumerate_closed_weighted, has_tail,
@@ -74,8 +74,6 @@ def test_enumerate_edge_filters():
 
 
 def test_cm_bruteforce_is_adjacency_at_length_one():
-    from bzk.operators import adjacency_poly
-
     for g in CORPUS.values():
         assert cm_bruteforce(g, 1) == adjacency_poly(g)
 
