@@ -21,6 +21,10 @@ from .operators import (TALLY_CAP, alpha, check_cyclic_bump_identity,
 
 SCHEMA = 1
 
+# Lowest order `bzk verify` takes: the no-tail and cyclic-bump checks compare
+# their displays from u^4 on.
+MIN_VERIFY_ORDER = 4
+
 # Highest order `bzk zeta` computes.  The exact routes grow steeply past it:
 # on Petersen at order 64 a process takes 0.16 to 0.27 s by the log route and
 # 0.22 to 0.34 s by the formula route; run through the library, order 96
@@ -138,11 +142,13 @@ def _emit_csv(args, header, rows):
 def cmd_verify(args):
     # default output stops where the enumeration oracle does, so every tally
     # it reports has an independent reference; a checked run past the cap
-    # waits for its own flag.  Refuse a larger order before building walk
-    # tables of that order.
+    # waits for its own flag.  Refuse a larger order, and one below what
+    # the per-root checks need, before the graph or any walk table is built.
     order = args.order
     if order > TALLY_CAP:
         raise SystemExit2(f"--order {order} exceeds the enumeration cap {TALLY_CAP}")
+    if order < MIN_VERIFY_ORDER:
+        raise SystemExit2(f"--order must be >= {MIN_VERIFY_ORDER}")
     g = _resolve_graph(args)
     root = _vertex(g, args.root, "--root")
     roots = [root] if root is not None else list(range(g.vertex_count))

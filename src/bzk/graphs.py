@@ -5,8 +5,7 @@ bump bookkeeping is O(1).  Graph values are immutable after construction.
 """
 
 import json
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 
 class GraphError(ValueError):
@@ -33,12 +32,8 @@ class InvalidParameter(GraphError):
     """Bad generator or builder parameter."""
 
 
-@dataclass(frozen=True)
-class DirectedEdge:
-    id: int
-    origin: int
-    terminus: int
-    twin: int
+# immutable and hashable, == by fields
+DirectedEdge = namedtuple("DirectedEdge", ("id", "origin", "terminus", "twin"))
 
 
 class Graph:

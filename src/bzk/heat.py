@@ -5,11 +5,11 @@ in zeta.py, each function that needs numpy imports it on its first call.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import _check_vertex
 from .operators import alpha
+from .records import Record
 from .zeta import (DomainError, NotRegular, _dense_operators, _eigh_cached,
                    _require_regular, local_spectrum)
 
@@ -22,24 +22,28 @@ class NonconvergentTail(DomainError):
     """The supplied growth bound exceeds the transform's decay rate."""
 
 
-@dataclass
-class BesselEval:
-    order: int
-    argument: float
-    value: float
-    terms_used: int
-    tail_bound: float
+class BesselEval(Record):
+    __slots__ = ("order", "argument", "value", "terms_used", "tail_bound")
+
+    def __init__(self, order, argument, value, terms_used, tail_bound):
+        self.order = order
+        self.argument = argument
+        self.value = value
+        self.terms_used = terms_used
+        self.tail_bound = tail_bound
 
 
-@dataclass
-class HeatKernelValue:
-    tau: float
-    x0: int
-    x: int
-    value: float
-    route: str
-    truncation: tuple | None = None
-    tail_bound: float = 0.0
+class HeatKernelValue(Record):
+    __slots__ = ("tau", "x0", "x", "value", "route", "truncation", "tail_bound")
+
+    def __init__(self, tau, x0, x, value, route, truncation=None, tail_bound=0.0):
+        self.tau = tau
+        self.x0 = x0
+        self.x = x
+        self.value = value
+        self.route = route
+        self.truncation = truncation
+        self.tail_bound = tail_bound
 
 
 # I_n(tau) <= e^tau, and e^700 is about 1e304: up to this argument no partial
@@ -427,17 +431,20 @@ def bessel_heat_package(k, q, t):
     return f, 2.0 * root_c - q, 1.0
 
 
-@dataclass
-class PipelineReport:
-    graph: str
-    x0: int
-    x: int
-    u: float
-    t: float
-    quadrature: float
-    series: float
-    spectral_sum: float
-    max_deviation: float
+class PipelineReport(Record):
+    __slots__ = ("graph", "x0", "x", "u", "t", "quadrature", "series", "spectral_sum",
+                 "max_deviation")
+
+    def __init__(self, graph, x0, x, u, t, quadrature, series, spectral_sum, max_deviation):
+        self.graph = graph
+        self.x0 = x0
+        self.x = x
+        self.u = u
+        self.t = t
+        self.quadrature = quadrature
+        self.series = series
+        self.spectral_sum = spectral_sum
+        self.max_deviation = max_deviation
 
     def to_json(self):
         return {

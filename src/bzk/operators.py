@@ -3,29 +3,44 @@
 Builds the walk-matrix rows by recursion, each root's walk data and defect
 values, the cyclic-bump operators, and machine-checks the generating-function
 identities coefficient by coefficient in exact arithmetic.  The checks run on
-the packed rows of _walk_row, the series-inverse check by neighbour sums, so
-none forms a dense matrix; cm_sequence, r_values and delta_diag are dense.
+packed ints (series._pack), so none forms a dense matrix or a USeries.  The
+series-inverse check takes neighbour sums on the packed rows of _walk_row.
+A per-root check holds each side of a display as a list of packed ints
+indexed by u-power: multiplying by 1 - a u^2 is one product and one sum per
+power, dividing by it is out[m] = s[m] + a out[m-2], and a shift by u^2 is
+an index offset.  cbc_terms and _r_double_sum run packed too.
+
+A per-root check takes its width from the inputs it reads.  Its combination
+is written with sums and products by fixed weights only, each sign folded
+into a weight, so run on the inputs' l1 norms with each weight replaced by
+its l1 norm (_lift and _weight with width None) it bounds the l1 norm of
+every compared side: the norm is subadditive and submultiplicative.  At
+_norm_width of the largest sum of two compared sides' bounds, a zero packed
+difference is a zero polynomial, and a nonzero one decodes.  cm_sequence,
+r_values and delta_diag are dense.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .edgewalk import edge_closed_tallies
 from .graphs import _check_vertex
-from .series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_T, TPOLY_ZERO, OperatorPoly, TPoly,
-                     USeries, _pack, _packed_width, _unpack)
+from .records import Record
+from .series import (ONE_MINUS_T, TPOLY_ZERO, OperatorPoly, TPoly, _pack, _packed_width,
+                     _unpack)
 
 
-@dataclass
-class IdentityReport:
-    identity: str
-    graph: str
-    root: int | None
-    order: int
-    passed: bool
-    first_failure: dict | None = None
+class IdentityReport(Record):
+    __slots__ = ("identity", "graph", "root", "order", "passed", "first_failure")
+
+    def __init__(self, identity, graph, root, order, passed, first_failure=None):
+        self.identity = identity
+        self.graph = graph
+        self.root = root
+        self.order = order
+        self.passed = passed
+        self.first_failure = first_failure
 
     def to_json(self):
         return {
@@ -98,6 +113,35 @@ def _walk_row(g, y, order):
     return rows
 
 
+def _weight(coeffs, width):
+    """A fixed polynomial, as raw coefficients lowest t-power first, packed
+    at width (series._pack), or with width None its l1 norm sum |c_i|."""
+    return sum(map(abs, coeffs)) if width is None else _pack(coeffs, width)
+
+
+def _lift(polys, width):
+    """A list of TPoly, each packed at width or, with width None, replaced
+    by its l1 norm; None stays None."""
+    if polys is None:
+        return None
+    return [_weight(p.c, width) for p in polys]
+
+
+def _norm_width(bound):
+    """The smallest width with 2^(width-1) > bound: packing is one-to-one on
+    polynomials of l1 norm at most bound, and _unpack recovers them."""
+    return bound.bit_length() + 1
+
+
+def _decoded(combine, *polys):
+    """combine(width, *inputs) for TPoly lists (or None), decoded to TPoly.
+    combine first runs with width None on the l1 norms of the inputs, and
+    the largest of its outputs gives the width; then it runs packed."""
+    bound = max(combine(None, *(_lift(p, None) for p in polys)), default=0)
+    width = _norm_width(bound)
+    return [_unpack(v, width) for v in combine(width, *(_lift(p, width) for p in polys))]
+
+
 def delta_diag(g, c):
     """Laplacian applied to the diagonal function y -> C(y, y).
 
@@ -127,41 +171,34 @@ def r_values(g, order, *, cms=None):
     if cms is None:
         cms = cm_sequence(g, order - 2)
     deltas = [delta_diag(g, cms[k]) for k in range(order - 1)]
-    per_vertex = [_r_double_sum([row[x] for row in deltas], order)
+    per_vertex = [_decoded(lambda width, delta: _r_double_sum(delta, order, width),
+                           [row[x] for row in deltas])
                   for x in range(g.vertex_count)]
     return [list(row) for row in zip(*per_vertex)]
 
 
-def _r_double_sum(delta, order):
+def _r_double_sum(delta, order, width):
     """R_0..R_order at one vertex x by the double sum of r_values, from its
-    defect values delta[k] = [Laplacian defect of C_k](x), k <= order - 2."""
-    one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
-    one_minus_t2 = TPoly((1, 0, -1))
+    defect values delta[k] = [Laplacian defect of C_k](x), k <= order - 2,
+    packed at width, or their l1 norms with width None (see _lift)."""
+    one_minus_t_sq = _weight((1, -2, 1), width)
+    one_minus_t2 = _weight((1, 0, -1), width)
     # a_j = sum_{i=1}^{j} (1-t)^(2(j-i)) (1-t^2)^(i-1)
-    a = [TPOLY_ZERO, TPOLY_ONE]
-    power = TPOLY_ONE  # (1-t^2)^(j-1)
+    a = [0, 1]
+    power = 1  # (1-t^2)^(j-1)
     for _ in range(2, (order + 1) // 2 + 1):
-        power = power * one_minus_t2
+        power *= one_minus_t2
         a.append(a[-1] * one_minus_t_sq + power)
-    out = [TPOLY_ZERO] * min(order + 1, 3)
+    out = [0] * min(order + 1, 3)
     for m in range(3, order + 1):
-        acc = TPOLY_ZERO
-        for j in range(1, (m + 1) // 2):
-            d = delta[m - 2 * j]
-            if not d.is_zero():
-                acc = acc + a[j] * d
-        out.append(acc)
+        out.append(sum(a[j] * delta[m - 2 * j] for j in range(1, (m + 1) // 2)))
     return out
 
 
-class RootedWalk(NamedTuple):
-    """The walk data of one root x0 for every length m <= order, each a tuple
-    indexed by m: diag[m] = C_m(x0, x0), delta[m] = [Laplacian defect of
-    C_m](x0) and r[m] = R_m(x0)."""
-
-    diag: tuple
-    delta: tuple
-    r: tuple
+RootedWalk = namedtuple("RootedWalk", ("diag", "delta", "r"))
+RootedWalk.__doc__ = """The walk data of one root x0 for every length m <= order, each a tuple
+indexed by m: diag[m] = C_m(x0, x0), delta[m] = [Laplacian defect of
+C_m](x0) and r[m] = R_m(x0)."""
 
 
 @lru_cache(maxsize=64)
@@ -193,9 +230,11 @@ def _rooted_walk(g, x0, order):
     return RootedWalk(diag=diag, delta=delta, r=tuple(r))
 
 
-def cbc_terms(c, deg, r=None):
+def cbc_terms(c, deg, width, r=None):
     """Cyclic-bump entries (x0, x) for every length m < len(c), from the
-    walk-matrix entries c[m] = C_m(x0, x) and the degree of x0.
+    walk-matrix entries c[m] = C_m(x0, x) and the degree of x0, packed at
+    width, or their l1 norms with width None (see _lift); the entries come
+    out the same way, so with width None each bounds its entry's l1 norm.
 
     Lengths 0 and 1 keep C_m, length 2 is t C_2, and for m >= 3
     C_m - (deg - 2 + 2t) s_m with s_m = sum_{1 <= j < m/2} (1-t)^(2j-1) C_{m-2j}.
@@ -206,21 +245,23 @@ def cbc_terms(c, deg, r=None):
     its two-step recursion.
     """
     order = len(c) - 1
-    one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
+    one_minus_t = _weight((1, -1), width)
+    one_minus_t_sq = _weight((1, -2, 1), width)
+    minus_dfac = _weight((2 - deg, -2), width)
     entries = list(c)
     if order >= 2:
-        entries[2] = c[2] * TPOLY_T
-    s_prev2, s_prev1 = TPOLY_ZERO, TPOLY_ZERO  # s[1], s[2]
-    dfac = TPoly((deg - 2, 2))
-    valency = ONE_MINUS_T * TPoly((0, deg))  # (1-t)^(m-1) t deg at the last even m
+        entries[2] = c[2] * _weight((0, 1), width)
+    s_prev2 = s_prev1 = 0  # s[1], s[2]
+    # -(1-t)^(m-1) t deg at the last even m
+    minus_valency = _weight((0, -deg, deg), width)
     for m in range(3, order + 1):
-        s_m = ONE_MINUS_T * c[m - 2] + one_minus_t_sq * s_prev2
-        ent = c[m] - dfac * s_m
+        s_m = one_minus_t * c[m - 2] + one_minus_t_sq * s_prev2
+        ent = c[m] + minus_dfac * s_m
         if r is not None:
-            ent = ent + ONE_MINUS_T * r[m]
+            ent += one_minus_t * r[m]
             if m % 2 == 0:
-                valency = valency * one_minus_t_sq
-                ent = ent - valency
+                minus_valency *= one_minus_t_sq
+                ent += minus_valency
         entries[m] = ent
         s_prev2, s_prev1 = s_prev1, s_m
     return entries
@@ -239,25 +280,56 @@ def alpha(g, t_abs):
 # identity checks
 
 
-def _series_from(order, terms, start=1):
-    """USeries with coefficient terms[m] at u^m for start <= m < len(terms)."""
-    coeffs = [TPOLY_ZERO] * (order + 1)
-    for m in range(start, min(len(terms), order + 1)):
-        coeffs[m] = terms[m]
-    return USeries(order, coeffs)
+def _times_even(s, *weights):
+    """The series s (1 + w_1 u^2 + w_2 u^4 + ...), truncated at its order,
+    by u-power, for the weights w_k packed (or l1 norms with s)."""
+    out = list(s)
+    for k, w in enumerate(weights, start=1):
+        for m in range(2 * k, len(s)):
+            out[m] += w * s[m - 2 * k]
+    return out
 
 
-def _quadratic(order, a):
-    """1 - a u^2 as a USeries."""
-    return USeries(order, [TPOLY_ONE, TPOLY_ZERO, -a])
+def _over_quadratic(s, a):
+    """The series s / (1 - a u^2), truncated at its order, by u-power:
+    out[m] = s[m] + a out[m-2]."""
+    out = list(s)
+    for m in range(2, len(s)):
+        out[m] += a * out[m - 2]
+    return out
 
 
-def _first_difference(lhs, rhs):
-    for m in range(lhs.order + 1):
-        if lhs.coefficient(m) != rhs.coefficient(m):
-            diff = lhs.coefficient(m) - rhs.coefficient(m)
-            return {"u_power": m, "difference": str(diff)}
-    return None
+def _shifted(terms, k=0):
+    """The series sum_{m >= 1} terms[m] u^(m+k), truncated at the order
+    len(terms) - 1, by u-power: the u^0 term is dropped, and k shifts."""
+    return [0] * (k + 1) + list(terms[1:len(terms) - k])
+
+
+def _check_sides(identity, g, x0, order, sides):
+    """The report of a per-root check whose displays sides(g, x0, order,
+    width) gives as (display, lhs, rhs), each side a list of packed ints by
+    u-power; the first display that differs fails at its smallest u-power.
+
+    sides runs twice.  With width None it gives l1 majorants of every side
+    (see the module docstring), and the largest sum of two compared bounds
+    gives the width through _sides_width.  At that width a zero packed
+    difference is a zero polynomial, so sides compare as ints and only a
+    failing difference is decoded."""
+    width = _sides_width(sides(g, x0, order, None))
+    for display, lhs, rhs in sides(g, x0, order, width):
+        m = next((m for m, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
+        if m is not None:
+            return _report(identity, g, x0, order, [{
+                "display": display, "u_power": m,
+                "difference": str(_unpack(lhs[m] - rhs[m], width))}])
+    return _report(identity, g, x0, order, [])
+
+
+def _sides_width(bounds):
+    """The width for displays whose sides are the l1 majorants bounds, as
+    sides(..., None) gives them: every difference of two compared sides has
+    norm at most their sum."""
+    return _norm_width(max(a + b for _, lhs, rhs in bounds for a, b in zip(lhs, rhs)))
 
 
 def _report(identity, g, root, order, failures):
@@ -288,6 +360,36 @@ def _closed_tallies(g, x0, order):
     return tuple(tuple(tally) for tally in edge_closed_tallies(g, x0, order))
 
 
+def _no_tail_sides(g, x0, order, width):
+    """The two displays of check_no_tail_identity at width; see
+    _check_sides."""
+    _, notail = _closed_tallies(g, x0, order)
+    walk = _rooted_walk(g, x0, order)
+    deg = g.degrees[x0]
+    tally, c, delta, r = (_lift(p, width) for p in (notail, walk.diag, walk.delta, walk.r))
+    one_minus_t_sq = _weight((1, -2, 1), width)
+    lhs = _times_even(_shifted(tally), _weight((-1, 2, -1), width))
+    rhs = [a + b for a, b in zip(
+        _times_even(_shifted(c), _weight((1 - deg, 0, -1), width)),
+        _over_quadratic(_shifted(delta, 2), _weight((1, 0, -1), width)))]
+    rhs[2] += _weight((0, -deg), width)
+    # per length: C_m - (deg-2+2t) acc_m + R_m, less (1-t)^(m-2) deg t at
+    # even m, with acc_m = sum_{1 <= j < m/2} (1-t)^(2(j-1)) C_(m-2j)
+    minus_dfac = _weight((2 - deg, -2), width)
+    minus_valency = _weight((0, -deg), width)
+    per_length = [0, 0, 0]
+    acc_prev2 = acc_prev1 = 0  # acc[1], acc[2]
+    for m in range(3, order + 1):
+        acc = c[m - 2] + one_minus_t_sq * acc_prev2
+        value = c[m] + minus_dfac * acc + r[m]
+        if m % 2 == 0:
+            minus_valency *= one_minus_t_sq
+            value += minus_valency
+        per_length.append(value)
+        acc_prev2, acc_prev1 = acc_prev1, acc
+    return [("series", lhs, rhs), ("per-length", [0, 0, 0] + tally[3:], per_length)]
+
+
 def check_no_tail_identity(g, x0, order):
     """Verify the closed-form identities tying the tail-free closed-walk
     series to the walk-matrix series at one root.
@@ -296,48 +398,38 @@ def check_no_tail_identity(g, x0, order):
     (1-(deg-(1-t^2)) u^2) C(u) - deg t u^2 + u^2 (1-(1-t^2)u^2)^(-1) DC(u)
     where N is the tail-free cyclic-bump tally series, C the diagonal
     walk-matrix series, DC the Laplacian-defect series.  Display two is the
-    per-length expansion for m >= 3.  Both compared exactly.
+    per-length expansion for m >= 3.  Both compared exactly, on packed ints
+    (see _check_sides).
     """
     if order < 4:
         raise ValueError("order must be >= 4")
     _check_vertex(g, x0)
-    _, notail = _closed_tallies(g, x0, order)
+    return _check_sides("no-tail-series", g, x0, order, _no_tail_sides)
+
+
+def _cyclic_bump_sides(g, x0, order, width):
+    """The two displays of check_cyclic_bump_identity at width; see
+    _check_sides."""
+    cbc_all, _ = _closed_tallies(g, x0, order)
     walk = _rooted_walk(g, x0, order)
     deg = g.degrees[x0]
-    c_terms = walk.diag
-    n_series = _series_from(order, notail)
-    c_series = _series_from(order, c_terms)
-    d_series = _series_from(order, walk.delta)
+    tally, c, delta, r = (_lift(p, width) for p in (cbc_all, walk.diag, walk.delta, walk.r))
     one_minus_t2 = TPoly((1, 0, -1))
-    one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
-
-    failures = []
-    lhs = _quadratic(order, one_minus_t_sq) * n_series
-    rhs = (
-        _quadratic(order, TPoly((deg - 1, 0, 1))) * c_series
-        - USeries(order, [TPOLY_ZERO, TPOLY_ZERO, TPoly((0, deg))])
-        + _quadratic(order, one_minus_t2).inverse() * d_series.shift(2)
-    )
-    diff = _first_difference(lhs, rhs)
-    if diff:
-        failures.append({"display": "series", **diff})
-
-    # even[k] = (1-t)^(2k)
-    even = [TPOLY_ONE]
-    for _ in range(1, (order + 1) // 2):
-        even.append(even[-1] * one_minus_t_sq)
-    for m in range(3, order + 1):
-        acc = TPOLY_ZERO
-        for j in range(1, (m + 1) // 2):
-            acc = acc + even[j - 1] * c_terms[m - 2 * j]
-        rhs_m = c_terms[m] - TPoly((deg - 2, 2)) * acc + walk.r[m]
-        if m % 2 == 0:
-            rhs_m = rhs_m - even[m // 2 - 1] * TPoly((0, deg))
-        if notail[m] != rhs_m:
-            failures.append({"display": "per-length", "u_power": m,
-                             "difference": str(notail[m] - rhs_m)})
-            break
-    return _report("no-tail-series", g, x0, order, failures)
+    minus_one_minus_t2 = _weight((-1, 0, 1), width)
+    lhs = _times_even(_times_even(_shifted(tally), _weight((-1, 2, -1), width)),
+                      minus_one_minus_t2)
+    # the bracket 1 - (1-t)(deg+2t) u^2 + (1-t^2)(1-t)(deg-1+t) u^4 times C
+    bracket = _times_even(_shifted(c), _weight((-ONE_MINUS_T * TPoly((deg, 2))).c, width),
+                          _weight((one_minus_t2 * ONE_MINUS_T * TPoly((deg - 1, 1))).c, width))
+    # -(1-(1-t^2)u^2) t deg (1-t) u^2
+    valency = [0] * (order + 1)
+    valency[2] = _weight((0, -deg, deg), width)
+    valency = _times_even(valency, minus_one_minus_t2)
+    one_minus_t = _weight((1, -1), width)
+    rhs = [a + one_minus_t * b + v
+           for a, b, v in zip(bracket, _shifted(delta, 2), valency)]
+    terms = cbc_terms(c, deg, width, r)
+    return [("series", lhs, rhs), ("per-length", [0, 0, 0] + tally[3:], [0, 0, 0] + terms[3:])]
 
 
 def check_cyclic_bump_identity(g, x0, order):
@@ -347,50 +439,13 @@ def check_cyclic_bump_identity(g, x0, order):
     The series display multiplies out to polynomial coefficients; the
     per-length display checks every m >= 3 against the closed-walk tally.  The
     final valency term is read as -(1-(1-t^2)u^2) t deg (1-t) u^2, which is
-    what the summed per-length identities produce.
+    what the summed per-length identities produce.  Both compared on packed
+    ints (see _check_sides).
     """
     if order < 4:
         raise ValueError("order must be >= 4")
     _check_vertex(g, x0)
-    cbc_all, _ = _closed_tallies(g, x0, order)
-    deg = g.degrees[x0]
-    walk = _rooted_walk(g, x0, order)
-    cbc_series = _series_from(order, cbc_all)
-    c_series = _series_from(order, walk.diag)
-    d_series = _series_from(order, walk.delta)
-    one_minus_t2 = TPoly((1, 0, -1))
-    one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
-
-    failures = []
-    lhs = _quadratic(order, one_minus_t2) * _quadratic(order, one_minus_t_sq) * cbc_series
-    bracket = USeries(
-        order,
-        [
-            TPOLY_ONE,
-            TPOLY_ZERO,
-            -(ONE_MINUS_T * TPoly((deg, 2))),
-            TPOLY_ZERO,
-            one_minus_t2 * ONE_MINUS_T * TPoly((deg - 1, 1)),
-        ],
-    )
-    rhs = (
-        bracket * c_series
-        + d_series.shift(2) * ONE_MINUS_T
-        - _quadratic(order, one_minus_t2) * USeries(
-            order, [TPOLY_ZERO, TPOLY_ZERO, TPoly((0, deg)) * ONE_MINUS_T]
-        )
-    )
-    diff = _first_difference(lhs, rhs)
-    if diff:
-        failures.append({"display": "series", **diff})
-
-    terms = cbc_terms(walk.diag, deg, walk.r)
-    for m in range(3, order + 1):
-        if cbc_all[m] != terms[m]:
-            failures.append({"display": "per-length", "u_power": m,
-                             "difference": str(cbc_all[m] - terms[m])})
-            break
-    return _report("cyclic-bump-series", g, x0, order, failures)
+    return _check_sides("cyclic-bump-series", g, x0, order, _cyclic_bump_sides)
 
 
 def _inverse_weight(d):
@@ -439,24 +494,22 @@ def check_series_inverse_identity(g, order):
     return _report("walk-series-inverse", g, None, order, failures)
 
 
+def _r_generating_sides(g, x0, order, width):
+    """The display of check_r_generating_identity at width; see
+    _check_sides."""
+    delta = _lift(_rooted_walk(g, x0, order).delta, width)
+    # the double sum, not the record's recursion, so the check stays independent
+    lhs = _r_double_sum(delta, order, width)
+    rhs = _over_quadratic(_over_quadratic(_shifted(delta, 2), _weight((1, -2, 1), width)),
+                          _weight((1, 0, -1), width))
+    return [("series", lhs, rhs)]
+
+
 def check_r_generating_identity(g, x0, order):
     """Verify the closed form of the defect generating function:
-    sum_m R_m(x0) u^m = u^2 / ((1-(1-t)^2 u^2)(1-(1-t^2)u^2)) * DC(u)."""
+    sum_m R_m(x0) u^m = u^2 / ((1-(1-t)^2 u^2)(1-(1-t^2)u^2)) * DC(u),
+    on packed ints (see _check_sides)."""
     if order < 3:
         raise ValueError("order must be >= 3")
     _check_vertex(g, x0)
-    delta = _rooted_walk(g, x0, order).delta
-    # the double sum, not the record's recursion, so the check stays independent
-    r_series = _series_from(order, _r_double_sum(delta, order))
-    d_series = _series_from(order, delta)
-    one_minus_t2 = TPoly((1, 0, -1))
-    rhs = (
-        _quadratic(order, ONE_MINUS_T * ONE_MINUS_T).inverse()
-        * _quadratic(order, one_minus_t2).inverse()
-        * d_series.shift(2)
-    )
-    failures = []
-    diff = _first_difference(r_series, rhs)
-    if diff:
-        failures.append({"display": "series", **diff})
-    return _report("defect-generating-function", g, x0, order, failures)
+    return _check_sides("defect-generating-function", g, x0, order, _r_generating_sides)

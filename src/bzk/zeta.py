@@ -9,12 +9,12 @@ so the exact routes run without loading it.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .graphs import _check_vertex
-from .operators import _closed_tallies, _rooted_walk, _walk_row, alpha, cbc_terms
+from .operators import _closed_tallies, _decoded, _rooted_walk, _walk_row, alpha, cbc_terms
+from .records import Record
 from .series import (ONE_MINUS_T, TPOLY_ZERO, TPoly, _digits, _exp_from_scaled,
                      _pack, _packed_width, _unpack)
 
@@ -39,10 +39,11 @@ def cbc_entries(g, x0, x, order):
     """Cyclic-bump operator entries (x0, x) for every length m <= order.
 
     Same values as cm_cbc(g, m)[x0, x], the dense test reference in
-    tests/_oracles.py, from operators.cbc_terms.  The
-    rooted entries (x = x0) read the root's RootedWalk: C_m(x0, x0) and
-    R_m(x0), from the walk-matrix rows of x0 and its neighbours.  Off the
-    diagonal they read C_m(x0, x) from row x0 alone.
+    tests/_oracles.py, from operators.cbc_terms, run on packed ints at the
+    width that its run on l1 norms gives (operators._decoded) and decoded
+    once.  The rooted entries (x = x0) read the root's RootedWalk:
+    C_m(x0, x0) and R_m(x0), from the walk-matrix rows of x0 and its
+    neighbours.  Off the diagonal they read C_m(x0, x) from row x0 alone.
     """
     _check_vertex(g, x0)
     _check_vertex(g, x)
@@ -52,7 +53,8 @@ def cbc_entries(g, x0, x, order):
     else:
         width = _packed_width(g.max_degree, order)
         c, r = [_unpack(row[x], width) for row in _walk_row(g, x0, order)], None
-    return cbc_terms(c, g.degrees[x0], r)
+    deg = g.degrees[x0]
+    return _decoded(lambda width, c, r: cbc_terms(c, deg, width, r), c, r)
 
 
 def zeta_log_coefficients(g, x0, x, order):
@@ -392,19 +394,21 @@ def isolate_real_roots(p, lo, hi):
 # spectral route
 
 
-@dataclass
-class SpectralData:
+class SpectralData(Record):
     """Distinct Laplacian eigenvalues with local pair weights.
 
     weights[i] is the (x0, x) entry of the eigenprojection for
     eigenvalues[i]; multiplicities records the eigenspace dimensions.
     """
 
-    x0: int
-    x: int
-    eigenvalues: tuple
-    weights: tuple
-    multiplicities: tuple
+    __slots__ = ("x0", "x", "eigenvalues", "weights", "multiplicities")
+
+    def __init__(self, x0, x, eigenvalues, weights, multiplicities):
+        self.x0 = x0
+        self.x = x
+        self.eigenvalues = eigenvalues
+        self.weights = weights
+        self.multiplicities = multiplicities
 
 
 def _dense_operators(g):

@@ -3,7 +3,7 @@
 Most are deliberately dumb implementations that share no code with it.
 These read library code:
 - operator_reading_table is a foil rather than an oracle, built from the
-  library's walk matrices and double sum;
+  library's walk matrices and packed double sum;
 - adjacency_poly and qxt_poly are A and D - (1-t)I as dense OperatorPoly,
   built from g.edges and g.degrees alone;
 - dense_f_powers, the reference for the formula route's f^k rows, and
@@ -13,6 +13,15 @@ These read library code:
   operators.check_series_inverse_identity, which runs by neighbour sums on
   the packed walk rows, multiplies the dense OperatorSeries of cm_sequence's
   matrices by B built from adjacency_poly and qxt_poly;
+- useries_no_tail_check, useries_cyclic_bump_check and
+  useries_r_generating_check, the references for the three per-root
+  identity checks, which run on packed ints at a width taken from the l1
+  norms of their inputs, build each display from USeries products of TPoly
+  coefficients; they read the library's closed-walk tallies and rooted
+  walk records through bzk.operators, so that a test that replaces either
+  replaces it for both sides.  Their per-length and defect displays read
+  tpoly_cbc_terms and tpoly_r_double_sum, the TPoly references for the
+  packed operators.cbc_terms and operators._r_double_sum;
 - cm_cbc, the dense cyclic-bump matrix that cbc_terms is checked against,
   reads cm_sequence and r_values;
 - heat_residual reads both heat routes, heat_kernel_bessel and
@@ -39,6 +48,7 @@ from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 
+import bzk.operators
 from bzk.graphs import InvalidParameter, _bfs_distances, build_graph
 from bzk.heat import ParameterDomain, heat_kernel_bessel, heat_kernel_spectral, series_weight
 from bzk.operators import IdentityReport, _rooted_walk, alpha, cm_sequence, r_values
@@ -133,7 +143,7 @@ def operator_reading_table(g, x0, order):
     Laplacian of y -> C_m(y, y).  Built from the library's walk matrices and
     double sum, so that a test can put it in place of operators._rooted_walk
     and show the unchanged cyclic-bump check rejecting this reading."""
-    from bzk.operators import RootedWalk, _r_double_sum, cm_sequence
+    from bzk.operators import RootedWalk, _decoded, _r_double_sum, cm_sequence
 
     cms = cm_sequence(g, order)
     delta = []
@@ -142,8 +152,9 @@ def operator_reading_table(g, x0, order):
         for y in g.neighbors(x0):
             acc = acc - c.entry(y, x0)
         delta.append(acc)
+    r = _decoded(lambda width, d: _r_double_sum(d, order, width), delta)
     return RootedWalk(diag=tuple(c.entry(x0, x0) for c in cms), delta=tuple(delta),
-                      r=tuple(_r_double_sum(delta, order)))
+                      r=tuple(r))
 
 
 def commutator_matrix(g):
@@ -186,6 +197,197 @@ def dense_series_inverse_check(g, order):
                     for m in range(order + 1) if lhs.coefficient(m) != rhs[m]), None)
     return IdentityReport(identity="walk-series-inverse", graph=g.label, root=None,
                           order=order, passed=failure is None, first_failure=failure)
+
+
+def _series_from(order, terms, start=1):
+    """USeries with coefficient terms[m] at u^m for start <= m < len(terms)."""
+    coeffs = [TPOLY_ZERO] * (order + 1)
+    for m in range(start, min(len(terms), order + 1)):
+        coeffs[m] = terms[m]
+    return USeries(order, coeffs)
+
+
+def _quadratic(order, a):
+    """1 - a u^2 as a USeries."""
+    return USeries(order, [TPOLY_ONE, TPOLY_ZERO, -a])
+
+
+def _first_difference(lhs, rhs):
+    for m in range(lhs.order + 1):
+        if lhs.coefficient(m) != rhs.coefficient(m):
+            diff = lhs.coefficient(m) - rhs.coefficient(m)
+            return {"u_power": m, "difference": str(diff)}
+    return None
+
+
+def _useries_report(identity, g, root, order, failures):
+    return IdentityReport(identity=identity, graph=g.label, root=root, order=order,
+                          passed=not failures,
+                          first_failure=failures[0] if failures else None)
+
+
+def tpoly_r_double_sum(delta, order):
+    """R_0..R_order at one vertex by the double sum of operators.r_values on
+    TPoly, from its defect values delta[k], k <= order - 2: the reference
+    for the packed operators._r_double_sum."""
+    one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
+    one_minus_t2 = TPoly((1, 0, -1))
+    # a_j = sum_{i=1}^{j} (1-t)^(2(j-i)) (1-t^2)^(i-1)
+    a = [TPOLY_ZERO, TPOLY_ONE]
+    power = TPOLY_ONE  # (1-t^2)^(j-1)
+    for _ in range(2, (order + 1) // 2 + 1):
+        power = power * one_minus_t2
+        a.append(a[-1] * one_minus_t_sq + power)
+    out = [TPOLY_ZERO] * min(order + 1, 3)
+    for m in range(3, order + 1):
+        acc = TPOLY_ZERO
+        for j in range(1, (m + 1) // 2):
+            d = delta[m - 2 * j]
+            if not d.is_zero():
+                acc = acc + a[j] * d
+        out.append(acc)
+    return out
+
+
+def tpoly_cbc_terms(c, deg, r=None):
+    """The cyclic-bump entries of the packed operators.cbc_terms, on TPoly
+    inputs c[m] = C_m(x0, x) and r[m] = R_m(x0), by the same two-step
+    recursion for s_m."""
+    order = len(c) - 1
+    one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
+    entries = list(c)
+    if order >= 2:
+        entries[2] = c[2] * TPOLY_T
+    s_prev2, s_prev1 = TPOLY_ZERO, TPOLY_ZERO  # s[1], s[2]
+    dfac = TPoly((deg - 2, 2))
+    valency = ONE_MINUS_T * TPoly((0, deg))  # (1-t)^(m-1) t deg at the last even m
+    for m in range(3, order + 1):
+        s_m = ONE_MINUS_T * c[m - 2] + one_minus_t_sq * s_prev2
+        ent = c[m] - dfac * s_m
+        if r is not None:
+            ent = ent + ONE_MINUS_T * r[m]
+            if m % 2 == 0:
+                valency = valency * one_minus_t_sq
+                ent = ent - valency
+        entries[m] = ent
+        s_prev2, s_prev1 = s_prev1, s_m
+    return entries
+
+
+def useries_no_tail_check(g, x0, order):
+    """The report of operators.check_no_tail_identity by USeries products of
+    TPoly coefficients.  Reads operators._closed_tallies and
+    operators._rooted_walk through the module, so a test that replaces
+    either replaces it here too."""
+    if order < 4:
+        raise ValueError("order must be >= 4")
+    _, notail = bzk.operators._closed_tallies(g, x0, order)
+    walk = bzk.operators._rooted_walk(g, x0, order)
+    deg = g.degrees[x0]
+    c_terms = walk.diag
+    n_series = _series_from(order, notail)
+    c_series = _series_from(order, c_terms)
+    d_series = _series_from(order, walk.delta)
+    one_minus_t2 = TPoly((1, 0, -1))
+    one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
+
+    failures = []
+    lhs = _quadratic(order, one_minus_t_sq) * n_series
+    rhs = (
+        _quadratic(order, TPoly((deg - 1, 0, 1))) * c_series
+        - USeries(order, [TPOLY_ZERO, TPOLY_ZERO, TPoly((0, deg))])
+        + _quadratic(order, one_minus_t2).inverse() * d_series.shift(2)
+    )
+    diff = _first_difference(lhs, rhs)
+    if diff:
+        failures.append({"display": "series", **diff})
+
+    # even[k] = (1-t)^(2k)
+    even = [TPOLY_ONE]
+    for _ in range(1, (order + 1) // 2):
+        even.append(even[-1] * one_minus_t_sq)
+    for m in range(3, order + 1):
+        acc = TPOLY_ZERO
+        for j in range(1, (m + 1) // 2):
+            acc = acc + even[j - 1] * c_terms[m - 2 * j]
+        rhs_m = c_terms[m] - TPoly((deg - 2, 2)) * acc + walk.r[m]
+        if m % 2 == 0:
+            rhs_m = rhs_m - even[m // 2 - 1] * TPoly((0, deg))
+        if notail[m] != rhs_m:
+            failures.append({"display": "per-length", "u_power": m,
+                             "difference": str(notail[m] - rhs_m)})
+            break
+    return _useries_report("no-tail-series", g, x0, order, failures)
+
+
+def useries_cyclic_bump_check(g, x0, order):
+    """The report of operators.check_cyclic_bump_identity by USeries
+    products of TPoly coefficients, its per-length display from
+    tpoly_cbc_terms.  Reads operators._closed_tallies and
+    operators._rooted_walk through the module."""
+    if order < 4:
+        raise ValueError("order must be >= 4")
+    cbc_all, _ = bzk.operators._closed_tallies(g, x0, order)
+    deg = g.degrees[x0]
+    walk = bzk.operators._rooted_walk(g, x0, order)
+    cbc_series = _series_from(order, cbc_all)
+    c_series = _series_from(order, walk.diag)
+    d_series = _series_from(order, walk.delta)
+    one_minus_t2 = TPoly((1, 0, -1))
+    one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
+
+    failures = []
+    lhs = _quadratic(order, one_minus_t2) * _quadratic(order, one_minus_t_sq) * cbc_series
+    bracket = USeries(
+        order,
+        [
+            TPOLY_ONE,
+            TPOLY_ZERO,
+            -(ONE_MINUS_T * TPoly((deg, 2))),
+            TPOLY_ZERO,
+            one_minus_t2 * ONE_MINUS_T * TPoly((deg - 1, 1)),
+        ],
+    )
+    rhs = (
+        bracket * c_series
+        + d_series.shift(2) * ONE_MINUS_T
+        - _quadratic(order, one_minus_t2) * USeries(
+            order, [TPOLY_ZERO, TPOLY_ZERO, TPoly((0, deg)) * ONE_MINUS_T]
+        )
+    )
+    diff = _first_difference(lhs, rhs)
+    if diff:
+        failures.append({"display": "series", **diff})
+
+    terms = tpoly_cbc_terms(walk.diag, deg, walk.r)
+    for m in range(3, order + 1):
+        if cbc_all[m] != terms[m]:
+            failures.append({"display": "per-length", "u_power": m,
+                             "difference": str(cbc_all[m] - terms[m])})
+            break
+    return _useries_report("cyclic-bump-series", g, x0, order, failures)
+
+
+def useries_r_generating_check(g, x0, order):
+    """The report of operators.check_r_generating_identity by USeries
+    products of TPoly coefficients, its left side from tpoly_r_double_sum.
+    Reads operators._rooted_walk through the module."""
+    if order < 3:
+        raise ValueError("order must be >= 3")
+    delta = bzk.operators._rooted_walk(g, x0, order).delta
+    r_series = _series_from(order, tpoly_r_double_sum(delta, order))
+    d_series = _series_from(order, delta)
+    one_minus_t2 = TPoly((1, 0, -1))
+    rhs = (
+        _quadratic(order, ONE_MINUS_T * ONE_MINUS_T).inverse()
+        * _quadratic(order, one_minus_t2).inverse()
+        * d_series.shift(2)
+    )
+    failures = []
+    diff = _first_difference(r_series, rhs)
+    if diff:
+        failures.append({"display": "series", **diff})
+    return _useries_report("defect-generating-function", g, x0, order, failures)
 
 
 @lru_cache(maxsize=4)
@@ -481,8 +683,8 @@ def cm_cbc(g, m, *, cms=None):
     m >= 3 the walk matrix corrected by the diagonal factor
     (D - 2(1-t) I) sum_j (1-t)^(2j-1) C_{m-2j}, the defect diagonal, and the
     even-length valency term.  Its diagonal equals the cyclic-bump tally of
-    closed walks.  The library computes entries by cbc_terms; this literal
-    matrix form is their reference.
+    closed walks.  The library computes entries by cbc_terms, packed; this
+    literal matrix form is their reference.
     """
     if m < 0:
         raise ValueError("m must be >= 0")

@@ -11,7 +11,7 @@ import pytest
 
 from bzk.cli import (MAX_BESSEL_TERMS, MAX_DENSE_VERTICES, MAX_TAU_POINTS, MAX_ZETA_ORDER,
                      main)
-from bzk.operators import TALLY_CAP
+from bzk.operators import TALLY_CAP, _walk_rows
 from bzk.paths import MAX_ENUMERATION_LENGTH
 
 
@@ -290,12 +290,18 @@ def test_heat_overflowing_tau_is_usage_error(capsys):
     ("verify", "--family", "cycle", "--n", "4", "--order", "-1"),
     ("zeta", "--family", "cycle", "--n", "4", "--root", "0", "--order", "0"),
     ("euler", "--family", "cycle", "--n", "4", "--root", "0", "--order", "0"),
-])
+] + [("verify", "--family", "cycle", "--n", "4", "--order", str(order)) for order in (0, 1, 2)])
 def test_order_below_minimum_is_usage_error(capsys, argv):
+    # verify refuses every order below 4 with one line, before it builds a
+    # walk row; --order 2 and 3 used to build them all first
+    misses = _walk_rows.cache_info().misses
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if argv[0] == "verify":
+        assert err == "error: --order must be >= 4\n"
+    assert _walk_rows.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("command", [("graphs",), ("verify", "--order", "6")])
@@ -383,6 +389,8 @@ def run(*argv):
 
 def stage(codes):
     print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
+                      "dataclasses": "dataclasses" in sys.modules,
+                      "inspect": "inspect" in sys.modules,
                       "bzk": sorted(m for m in sys.modules if m.startswith("bzk"))}))
 
 stage([])
@@ -397,7 +405,9 @@ stage([run("zeta", "--family", "petersen", "--root", "0", "--route", "spectral",
 
 
 def test_exact_commands_import_no_numpy():
-    # the exact layer never loads numpy; the first float call does
+    # the exact layer never loads numpy; the first float call does.  No
+    # command of the exact layer loads dataclasses or inspect either, whose
+    # import costs about 10 ms a process
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -407,6 +417,8 @@ def test_exact_commands_import_no_numpy():
     imported, exact, numeric = (json.loads(line) for line in proc.stdout.splitlines())
     for stage in (imported, exact):
         assert stage["numpy"] is False
+        assert stage["dataclasses"] is False
+        assert stage["inspect"] is False
         assert {"bzk.heat", "bzk.zeta"} <= set(stage["bzk"])
     assert exact["codes"] == [0, 0, 0, 0]
     assert numeric["codes"] == [0, 0]

@@ -27,7 +27,8 @@ from conftest import CORPUS, NON_TRANSITIVE, VERTEX_TRANSITIVE, random_connected
 
 from _oracles import (adjacency_poly, cm_cbc, dense_series_inverse_check, int_matrix_power,
                       operator_reading_table, operators as graph_operators,
-                      poly_eval_fraction, qxt_poly)
+                      poly_eval_fraction, qxt_poly, useries_cyclic_bump_check,
+                      useries_no_tail_check, useries_r_generating_check)
 from _paths import cm_bruteforce, enumerate_closed_weighted, non_backtracking_matrices
 
 
@@ -463,19 +464,103 @@ def test_operator_interpretation_fails_check_on_path4(monkeypatch):
 
 def test_cyclic_bump_per_length_display_reads_cbc_terms(monkeypatch):
     # the per-length display checks the entries of operators.cbc_terms, the
-    # code that the log route reads through zeta.cbc_entries
+    # code that the log route reads through zeta.cbc_entries; the reference
+    # reads its TPoly twin, shifted alike
     import bzk.operators
 
-    exact = bzk.operators.cbc_terms
+    import _oracles
 
-    def shifted(c, deg, r=None):
-        out = exact(c, deg, r)
+    exact = bzk.operators.cbc_terms
+    exact_reference = _oracles.tpoly_cbc_terms
+
+    def shifted(c, deg, width, r=None):
+        out = exact(c, deg, width, r)
+        # t^9 packed, or its l1 norm 1 in the run on norms that sizes the width
+        out[5] += 1 if width is None else 1 << (9 * width)
+        return out
+
+    def shifted_reference(c, deg, r=None):
+        out = exact_reference(c, deg, r)
         out[5] = out[5] + TPoly((0,) * 9 + (1,))
         return out
 
     monkeypatch.setattr(bzk.operators, "cbc_terms", shifted)
+    monkeypatch.setattr(_oracles, "tpoly_cbc_terms", shifted_reference)
     rep = check_cyclic_bump_identity(CORPUS["K4"], 0, 8)
     assert rep.first_failure == {"display": "per-length", "u_power": 5, "difference": "-t^9"}
+    assert rep == _oracles.useries_cyclic_bump_check(CORPUS["K4"], 0, 8)
+
+
+# each per-root check with its USeries reference from tests/_oracles.py
+_PER_ROOT_CHECKS = [(check_no_tail_identity, useries_no_tail_check),
+                    (check_cyclic_bump_identity, useries_cyclic_bump_check),
+                    (check_r_generating_identity, useries_r_generating_check)]
+
+
+def _agreement_graphs():
+    graphs = [(name, g) for name, g in CORPUS.items()]
+    graphs.append(("star(6)", generate("star", 6)))
+    rng = random.Random(2323)
+    graphs += [(f"random {k}", random_connected_graph(rng, rng.randint(2, 10)))
+               for k in range(15)]
+    return graphs
+
+
+_AGREEMENT_GRAPHS = _agreement_graphs()
+
+
+@pytest.mark.parametrize("order", [4, 5, 8, 12])
+@pytest.mark.parametrize("name, g", _AGREEMENT_GRAPHS, ids=[n for n, _ in _AGREEMENT_GRAPHS])
+def test_packed_checks_match_useries_references(name, g, order):
+    # the packed displays against USeries products of TPoly coefficients, at
+    # every root, failing reports and their decoded differences included
+    failing = 0
+    for x0 in range(g.vertex_count):
+        for check, reference in _PER_ROOT_CHECKS:
+            report = check(g, x0, order)
+            assert report == reference(g, x0, order), (x0, check.__name__)
+            failing += not report.passed
+    if name in NON_TRANSITIVE and order >= 8:
+        assert failing > 0
+
+
+def test_packed_checks_match_references_under_the_operator_reading(monkeypatch):
+    # the rejected reading of the defect term, read by both sides
+    import bzk.operators
+
+    monkeypatch.setattr(bzk.operators, "_rooted_walk", operator_reading_table)
+    for name in ("path(4)", "star(4)", "petersen"):
+        g = CORPUS[name]
+        for x0 in range(g.vertex_count):
+            for check, reference in _PER_ROOT_CHECKS:
+                assert check(g, x0, 10) == reference(g, x0, 10), (name, x0, check.__name__)
+
+
+@pytest.mark.parametrize("which, failing", [(0, check_cyclic_bump_identity),
+                                            (1, check_no_tail_identity)],
+                         ids=["cbc_all", "no_tail"])
+def test_tally_checks_reject_a_wrong_tally(monkeypatch, which, failing):
+    # t added to one tally of _closed_tallies at m = 7 shows at u^7 in the
+    # check that reads it, alike in the packed check and in its reference
+    import bzk.operators
+
+    tallies = bzk.operators._closed_tallies
+
+    def shifted(g, x0, order):
+        out = [list(tally) for tally in tallies(g, x0, order)]
+        out[which][7] = out[which][7] + TPoly((0, 1))
+        return tuple(map(tuple, out))
+
+    monkeypatch.setattr(bzk.operators, "_closed_tallies", shifted)
+    g = CORPUS["petersen"]
+    for check, reference in _PER_ROOT_CHECKS[:2]:
+        report = check(g, 0, 10)
+        assert report == reference(g, 0, 10)
+        if check is failing:
+            assert report.first_failure == {"display": "series", "u_power": 7,
+                                            "difference": "t"}
+        else:
+            assert report.passed
 
 
 def test_adjacency_poly_matches_operators():

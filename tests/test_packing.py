@@ -265,3 +265,48 @@ def test_routes_reach_the_exp_recurrence_at_the_smallest_scale(monkeypatch):
         reduced += want < given
     # the formula route's lcm(1..order) is reduced on most of its exponents
     assert reduced > len(caught) // 4
+
+
+def test_identity_checks_at_four_times_their_width(monkeypatch, capsys):
+    # Each per-root check sizes its width by running its displays on the l1
+    # norms of its inputs.  At 4x that width every report is the same, and
+    # every compared side's largest |coefficient|, exact at 4x, is below
+    # 2^(width-1) of the width the check really uses.  The cbc entries of
+    # zeta.cbc_entries, sized the same way by operators._decoded, are the
+    # same at 4x their width too.
+    from bzk.operators import (_cyclic_bump_sides, _no_tail_sides, _r_generating_sides,
+                               _sides_width, check_cyclic_bump_identity,
+                               check_no_tail_identity, check_r_generating_identity)
+    from bzk.zeta import cbc_entries
+
+    checks = [(check_no_tail_identity, _no_tail_sides),
+              (check_cyclic_bump_identity, _cyclic_bump_sides),
+              (check_r_generating_identity, _r_generating_sides)]
+    norm_width = bzk.operators._norm_width
+    tightest = None
+    failing = 0
+    for name, g in _bound_graphs().items():
+        n = g.vertex_count
+        for order in (4, 8, 12):
+            for x0 in range(n):
+                for check, sides in checks:
+                    report = check(g, x0, order)
+                    failing += not report.passed
+                    width = _sides_width(sides(g, x0, order, None))
+                    for _, lhs, rhs in sides(g, x0, order, 4 * width):
+                        for v in lhs + rhs:
+                            margin = width - 1 - _largest(v, 4 * width).bit_length()
+                            assert margin >= 0, (name, order, x0, check.__name__)
+                            tightest = min(tightest or (margin, name), (margin, name))
+                    monkeypatch.setattr(bzk.operators, "_sides_width",
+                                        lambda bounds: 4 * _sides_width(bounds))
+                    assert check(g, x0, order) == report
+                    monkeypatch.undo()
+                entries = [cbc_entries(g, x0, x, order) for x in (x0, (x0 + 1) % n)]
+                monkeypatch.setattr(bzk.operators, "_norm_width", lambda bound: 4 * norm_width(bound))
+                assert [cbc_entries(g, x0, x, order) for x in (x0, (x0 + 1) % n)] == entries
+                monkeypatch.undo()
+    # the non-transitive graphs decode failing differences at this width
+    assert failing > 0
+    with capsys.disabled():
+        print("\ntightest identity-check width margin, in bits: %d (%s)" % tightest)
