@@ -21,8 +21,8 @@ from .operators import (TALLY_CAP, alpha, check_cyclic_bump_identity,
 
 SCHEMA = 1
 
-# Lowest order `bzk verify` takes: the no-tail and cyclic-bump checks compare
-# their displays from u^4 on.
+# Lowest order `bzk verify` takes, the least that the no-tail and cyclic-bump
+# checks accept.
 MIN_VERIFY_ORDER = 4
 
 # Highest order `bzk zeta` computes.  The exact routes grow steeply past it:
