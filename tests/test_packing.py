@@ -1,8 +1,9 @@
 """Packed t-polynomials: the round trip of series._pack and series._unpack,
 the width bound of series._packed_width measured on the recursions that run
-packed (walk rows, f-powers, commutator rows and edge tallies), and the
+packed (walk rows, f-powers, commutator rows and edge tallies), the
 computed width and scale of the packed exp recurrence that the routes reach
-through series._exp_from_scaled."""
+through series._exp_from_scaled, and the computed widths of the per-root
+identity checks and the cyclic-bump entries."""
 
 import random
 from fractions import Fraction
@@ -16,9 +17,11 @@ import bzk.series
 import bzk.zeta
 from bzk.edgewalk import edge_closed_tallies
 from bzk.graphs import generate
-from bzk.operators import _rooted_walk, _walk_rows, cm_sequence
+from bzk.operators import (_cyclic_bump_sides, _no_tail_sides, _r_generating_sides,
+                           _rooted_walk, _sides_width, _walk_rows, check_cyclic_bump_identity,
+                           check_no_tail_identity, check_r_generating_identity, cm_sequence)
 from bzk.series import TPOLY_ZERO, TPoly, _digits, _pack, _packed_width, _unpack
-from bzk.zeta import (_commutator_exponent, _f_power_table, euler_product_series,
+from bzk.zeta import (_commutator_exponent, _f_power_table, cbc_entries, euler_product_series,
                       zeta_formula_series, zeta_log_series)
 from conftest import CORPUS, random_connected_graph
 
@@ -274,11 +277,6 @@ def test_identity_checks_at_four_times_their_width(monkeypatch, capsys):
     # 2^(width-1) of the width the check really uses.  The cbc entries of
     # zeta.cbc_entries, sized the same way by operators._decoded, are the
     # same at 4x their width too.
-    from bzk.operators import (_cyclic_bump_sides, _no_tail_sides, _r_generating_sides,
-                               _sides_width, check_cyclic_bump_identity,
-                               check_no_tail_identity, check_r_generating_identity)
-    from bzk.zeta import cbc_entries
-
     checks = [(check_no_tail_identity, _no_tail_sides),
               (check_cyclic_bump_identity, _cyclic_bump_sides),
               (check_r_generating_identity, _r_generating_sides)]
