@@ -3,8 +3,10 @@
 Builds the walk-matrix rows by recursion, each root's walk data and defect
 values, the cyclic-bump operators, and machine-checks the generating-function
 identities coefficient by coefficient in exact arithmetic.  The checks run on
-packed ints (series._pack), so none forms a dense matrix or a USeries.  The
-series-inverse check takes neighbour sums on the packed rows of _walk_row.
+packed ints (series._pack), so none forms a dense matrix or a USeries.  One
+recursion, _walk_rows, builds the rows of a tuple of roots in one pass, each
+root a base-2^R digit of every packed entry; the series-inverse check takes
+neighbour sums on those packed rows.
 A per-root check holds each side of a display as a list of packed ints
 indexed by u-power: multiplying by 1 - a u^2 is one product and one sum per
 power, dividing by it is out[m] = s[m] + a out[m-2], and a shift by u^2 is
@@ -16,8 +18,9 @@ into a weight, so run on the inputs' l1 norms with each weight replaced by
 its l1 norm (_lift and _weight with width None) it bounds the l1 norm of
 every compared side: the norm is subadditive and submultiplicative.  At
 _norm_width of the largest sum of two compared sides' bounds, a zero packed
-difference is a zero polynomial, and a nonzero one decodes.  cm_sequence,
-r_values and delta_diag are dense.
+difference is a zero polynomial, and a nonzero one decodes.  _rooted_walk's
+defect recursion takes its width the same way.  cm_sequence, r_values and
+delta_diag are dense.
 """
 
 import math
@@ -27,8 +30,8 @@ from functools import lru_cache
 from .edgewalk import edge_closed_tallies
 from .graphs import _check_vertex
 from .records import Record
-from .series import (ONE_MINUS_T, TPOLY_ZERO, OperatorPoly, TPoly, _pack, _packed_width,
-                     _unpack)
+from .series import (ONE_MINUS_T, TPOLY_ZERO, OperatorPoly, TPoly, _digits, _pack,
+                     _packed_width, _unpack)
 
 
 class IdentityReport(Record):
@@ -54,63 +57,79 @@ class IdentityReport(Record):
 
 
 def cm_sequence(g, order):
-    """Walk matrices C_0..C_order, assembled from the rows of _walk_row.
-
-    Entry (y, x) of C_m is decoded from row y, so each matrix shows its rows
-    exactly as _walk_row built them, the entries it read off other rows
-    included."""
+    """Walk matrices C_0..C_order, decoded from one pass of _walk_rows over
+    every vertex: entry (y, x) of C_m is root digit y of rows[m][x]."""
     if order < 0:
         raise ValueError("order must be >= 0")
+    n = g.vertex_count
     width = _packed_width(g.max_degree, order)
-    rows = [_walk_row(g, y, order) for y in range(g.vertex_count)]
-    return [OperatorPoly([[_unpack(v, width) for v in row[m]] for row in rows])
-            for m in range(order + 1)]
+    shift = _root_width(width, order)
+    out = []
+    for row in _walk_rows(g, tuple(range(n)), order):
+        columns = [_digits(v, shift) for v in row]
+        out.append(OperatorPoly([[_unpack(col[y], width) if y < len(col) else TPOLY_ZERO
+                                  for col in columns] for y in range(n)]))
+    return out
 
 
-@lru_cache(maxsize=8)
-def _walk_rows(g, order):
-    """The rows of g's walk matrices through the given order that _walk_row
-    has built so far, by vertex."""
-    return {}
+def _root_width(width, order):
+    """R = (order + 1) width, the bits per root in a pass of _walk_rows."""
+    return (order + 1) * width
 
 
-def _walk_row(g, y, order):
-    """Row y of the walk matrices C_0..C_order, packed: rows[m][x] is
-    C_m(y, x) as the int of series._pack at _packed_width(max degree, order).
+def _root_digit(v, r, shift):
+    """Balanced base-2^shift digit r of v, taken in [-2^(shift-1),
+    2^(shift-1)) as series._digits takes it: the digits below r sum to a
+    value in that range scaled by 2^(r shift), so adding half of 2^(r shift)
+    and shifting drops them exactly."""
+    low = r * shift
+    high = (v + ((1 << low) >> 1)) >> low
+    half = 1 << (shift - 1)
+    return ((high + half) & ((1 << shift) - 1)) - half
+
+
+def _walk_rows(g, roots, order):
+    """Rows of the walk matrices C_0..C_order at a tuple of roots, in one
+    pass: rows[m][x] = sum_r C_m(roots[r], x) 2^(r R), where C_m(y, x) is
+    the int of series._pack at W = _packed_width(max degree, order) and
+    R = _root_width(W, order) = (order + 1) W.  With one root, rows[m][x] is
+    the packed C_m(root, x) itself.
 
     C_0 = I, C_1 = adjacency, C_2 = C_1^2 - (1-t) (Q + I), and for m >= 3
     C_m = C_{m-1} C_1 - (1-t) C_{m-2} (D - (1-t) I).  Each product is taken
     as a neighbour sum and a scaling,
     C_m(y, x) = sum_{z ~ x} C_{m-1}(y, z) - (1-t)(d_x - 1 + t) C_{m-2}(y, x),
     which packed is one big-int sum and one product by the packed weight.
-    Each row is built once per graph and order and kept in _walk_rows.  C_m
-    is symmetric, so where row x is already kept, C_m(y, x) is its entry
-    C_m(x, y).  Zero entries are 0.  Callers decode with series._unpack only
-    the entries they read.
+    Both are linear, so each acts on every root's digit at once: a pass
+    costs one neighbour sum and one product per (m, x), whatever the number
+    of roots.
+
+    Each root's digit decodes exactly.  C_m has t-degree at most m <= order,
+    and by _packed_width's bound each coefficient c_i has
+    |c_i| <= 2^(W-1) - 1, so the packed entry sum_{i <= order} c_i 2^(i W)
+    has absolute value at most (2^(W-1) - 1)(2^R - 1)/(2^W - 1) < 2^(R-1):
+    it is the balanced base-2^R digit r of rows[m][x], which _root_digit and
+    series._digits read.  A zero entry is a zero digit.
     """
-    kept = _walk_rows(g, order)
-    if y in kept:
-        return kept[y]
     n = g.vertex_count
     width = _packed_width(g.max_degree, order)
+    shift = _root_width(width, order)
     nbrs = [g.neighbors(x) for x in range(n)]
-    known = [kept.get(x) for x in range(n)]
     # the scalings -(1-t) d_x for C_2 and -(1-t)(d_x - 1 + t) after it
     first_weights = [_pack((-d, d), width) for d in g.degrees]
     step_weights = [_pack((1 - d, d - 2, 1), width) for d in g.degrees]
-    rows = [tuple(int(x == y) for x in range(n))]
+    unit = [0] * n
+    for r, y in enumerate(roots):
+        unit[y] += 1 << (r * shift)
+    rows = [tuple(unit)]
     if order >= 1:
-        adjacent = set(nbrs[y])
-        rows.append(tuple(int(x in adjacent) for x in range(n)))
+        rows.append(tuple(sum(map(unit.__getitem__, nb)) for nb in nbrs))
     for m in range(2, order + 1):
         weights = first_weights if m == 2 else step_weights
-        last, older = rows[-1], rows[-2]
-        rows.append(tuple(
-            known[x][m][y] if known[x] is not None
-            else sum(map(last.__getitem__, nbrs[x])) + weights[x] * older[x]
-            for x in range(n)))
-    kept[y] = rows = tuple(rows)
-    return rows
+        last = rows[-1].__getitem__
+        rows.append(tuple(sum(map(last, nb)) + w * c
+                          for nb, w, c in zip(nbrs, weights, rows[-2])))
+    return tuple(rows)
 
 
 def _weight(coeffs, width):
@@ -203,31 +222,41 @@ C_m](x0) and r[m] = R_m(x0)."""
 
 @lru_cache(maxsize=64)
 def _rooted_walk(g, x0, order):
-    """The RootedWalk of x0 through the given order, from the walk-matrix rows
-    of x0 and its neighbours.
+    """The RootedWalk of x0 through the given order, from one pass of
+    _walk_rows over x0 and its neighbours.
 
     The defect reads only diagonals: [DC_m](x0) = d C_m(x0, x0) - sum_{y ~ x0}
-    C_m(y, y), summed packed and decoded once per length.  R_m comes from its
-    generating recursion
-    R_m = DC_{m-2} + ((1-t)^2 + (1-t^2)) R_{m-2} - (1-t)^2 (1-t^2) R_{m-4},
-    which equals the double sum of r_values.
+    C_m(y, y), each diagonal a root digit of the pass, summed packed and
+    decoded once per length.  R_m comes from its generating recursion
+    (_r_recursion), run on packed ints at the width of its l1 majorant
+    (_decoded) and decoded once.
     """
     width = _packed_width(g.max_degree, order)
-    diag = [row[x0] for row in _walk_row(g, x0, order)]
-    delta = [c * g.degrees[x0] for c in diag]
-    for y in g.neighbors(x0):
-        delta = [acc - row[y] for acc, row in zip(delta, _walk_row(g, y, order))]
-    diag = tuple(_unpack(c, width) for c in diag)
-    delta = tuple(_unpack(c, width) for c in delta)
-    one_minus_t_sq = ONE_MINUS_T * ONE_MINUS_T
-    one_minus_t2 = TPoly((1, 0, -1))
-    mix = one_minus_t_sq + one_minus_t2
-    prod = one_minus_t_sq * one_minus_t2
-    r = [TPOLY_ZERO] * min(order + 1, 3)
+    shift = _root_width(width, order)
+    roots = (x0, *g.neighbors(x0))
+    deg = g.degrees[x0]
+    diag, delta = [], []
+    for row in _walk_rows(g, roots, order):
+        own = _root_digit(row[x0], 0, shift)
+        diag.append(_unpack(own, width))
+        delta.append(_unpack(deg * own - sum(_root_digit(row[y], r, shift)
+                                             for r, y in enumerate(roots) if r), width))
+    r = _decoded(lambda width, delta: _r_recursion(delta, order, width), delta)
+    return RootedWalk(diag=tuple(diag), delta=tuple(delta), r=tuple(r))
+
+
+def _r_recursion(delta, order, width):
+    """R_0..R_order at one vertex by the generating recursion
+    R_m = DC_{m-2} + ((1-t)^2 + (1-t^2)) R_{m-2} - (1-t)^2 (1-t^2) R_{m-4},
+    which equals the double sum of r_values (_r_double_sum), from the defect
+    values delta[k], packed at width, or their l1 norms with width None (see
+    _lift)."""
+    mix = _weight((2, -2), width)
+    minus_prod = _weight((-1, 2, 0, -2, 1), width)
+    r = [0] * min(order + 1, 3)
     for m in range(3, order + 1):
-        older = r[m - 4] if m >= 4 else TPOLY_ZERO
-        r.append(delta[m - 2] + mix * r[m - 2] - prod * older)
-    return RootedWalk(diag=diag, delta=delta, r=tuple(r))
+        r.append(delta[m - 2] + mix * r[m - 2] + (minus_prod * r[m - 4] if m >= 4 else 0))
+    return r
 
 
 def cbc_terms(c, deg, width, r=None):
@@ -450,7 +479,7 @@ def check_cyclic_bump_identity(g, x0, order):
 
 def _inverse_weight(d):
     """B's u^2 weight (1-t)(d - 1 + t) at degree d, as raw t-coefficients,
-    kept apart from _walk_row's weights so that the two cannot err together."""
+    kept apart from _walk_rows' weights so that the two cannot err together."""
     return (d - 1, 2 - d, -1)
 
 
@@ -460,13 +489,17 @@ def check_series_inverse_identity(g, order):
 
     The check is (sum C_m u^m) B = (1-(1-t)^2 u^2) I.  Entry (y, x) of its
     u^m coefficient is the neighbour sum
-    C_m(y, x) - sum_{z ~ x} C_(m-1)(y, z) + (1-t)(d_x - 1 + t) C_(m-2)(y, x),
-    taken on the packed rows of _walk_row, with nothing decoded, and compared
-    packed with the right side's entry.  A zero packed difference is a zero
-    polynomial: by _packed_width's l1 bound |C_m|_1 <= (3D)^m, the difference
-    has l1 norm at most 2 (3D)^m + 4 <= P < 2^(width-1), and packing is
-    one-to-one on polynomials whose coefficients are below 2^(width-1) in
-    absolute value.  The report names the smallest failing u-power.
+    C_m(y, x) - sum_{z ~ x} C_(m-1)(y, z) + (1-t)(d_x - 1 + t) C_(m-2)(y, x).
+    The roots y run in groups of max degree + 1, one pass of _walk_rows
+    each, and for every (m, x) the sum is taken on the pass's packed rows,
+    with nothing decoded, and compared with the group's packed unit: the
+    right side's entry at root digit r of x when x is the group's r-th root,
+    zero elsewhere.  A zero packed difference is a zero polynomial at every
+    root: by _packed_width's l1 bound |C_m|_1 <= (3D)^m, each root's
+    difference has t-degree at most m and l1 norm at most 2 (3D)^m + 4 <= P
+    < 2^(W-1), so it is a balanced base-2^R digit (see _walk_rows), and
+    packing is one-to-one on such digits.  The report names the smallest
+    failing u-power over all groups.
 
     The folded series F_m = C_m + (1-t)^2 F_{m-2}, whose product with B is
     exactly I, needs no check of its own: F = C S with the scalar unit series
@@ -477,20 +510,27 @@ def check_series_inverse_identity(g, order):
         raise ValueError("order must be >= 2")
     n = g.vertex_count
     width = _packed_width(g.max_degree, order)
+    shift = _root_width(width, order)
     nbrs = [g.neighbors(x) for x in range(n)]
     weights = [_pack(_inverse_weight(d), width) for d in g.degrees]
+    # the diagonal of (1-(1-t)^2 u^2) I at u^0 and u^2
+    units = {0: 1, 2: _pack((-1, 2, -1), width)}
     zero = (0,) * n
-    # row[m + 2] is C_m(y, .), behind two zero rows for C_(-2) and C_(-1)
-    rows = [(zero, zero) + _walk_row(g, y, order) for y in range(n)]
-    failures = []
-    for m in range(order + 1):
-        # the diagonal of (1-(1-t)^2 u^2) I at u^m
-        unit = 1 if m == 0 else _pack((-1, 2, -1), width) if m == 2 else 0
-        if any(c - sum(map(row[m + 1].__getitem__, nbrs[x])) + weights[x] * row[m][x]
-               != (unit if x == y else 0)
-               for y, row in enumerate(rows) for x, c in enumerate(row[m + 2])):
-            failures.append({"display": "plain", "u_power": m})
-            break
+    size = g.max_degree + 1
+    first = order + 1
+    for start in range(0, n, size):
+        stop = min(start + size, n)
+        # rows[m + 2] is the pass at C_m, behind two zero rows for C_(-2) and C_(-1)
+        rows = (zero, zero) + _walk_rows(g, tuple(range(start, stop)), order)
+        for m in range(first):
+            older, last = rows[m], rows[m + 1]
+            unit = units.get(m, 0)
+            if any(c - sum(map(last.__getitem__, nbrs[x])) + weights[x] * older[x]
+                   != (unit << ((x - start) * shift) if start <= x < stop else 0)
+                   for x, c in enumerate(rows[m + 2])):
+                first = m
+                break
+    failures = [{"display": "plain", "u_power": first}] if first <= order else []
     return _report("walk-series-inverse", g, None, order, failures)
 
 

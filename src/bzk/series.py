@@ -81,6 +81,12 @@ def _packed_width(max_degree, order):
     - edge tallies, V_(k+1)[e] = S_k[tail e] + (t-1) V_k[twin e] with S_k a
       sum of at most D values: a factor D + 2 <= 3D per step, and a tally
       sums at most D^2 of them, so <= D^2 (3D)^k.
+
+    A pass of operators._walk_rows packs several roots' walk rows into one
+    int per entry, root r at 2^(r R) with R = (order + 1) width.  C_m has
+    t-degree at most m <= order and, by the bound above, coefficients below
+    2^(width-1), so each root's packed entry is below 2^(R-1) in absolute
+    value: it is one balanced base-2^R digit, which decodes exactly.
     """
     big_d = max(max_degree, 2)
     bound = big_d * big_d * (order + 2) * (3 * big_d) ** order

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .graphs import _check_vertex
-from .operators import _closed_tallies, _decoded, _rooted_walk, _walk_row, alpha, cbc_terms
+from .operators import _closed_tallies, _decoded, _rooted_walk, _walk_rows, alpha, cbc_terms
 from .records import Record
 from .series import (ONE_MINUS_T, TPOLY_ZERO, TPoly, _digits, _exp_from_scaled,
                      _pack, _packed_width, _unpack)
@@ -42,8 +42,9 @@ def cbc_entries(g, x0, x, order):
     tests/_oracles.py, from operators.cbc_terms, run on packed ints at the
     width that its run on l1 norms gives (operators._decoded) and decoded
     once.  The rooted entries (x = x0) read the root's RootedWalk:
-    C_m(x0, x0) and R_m(x0), from the walk-matrix rows of x0 and its
-    neighbours.  Off the diagonal they read C_m(x0, x) from row x0 alone.
+    C_m(x0, x0) and R_m(x0), from one pass of operators._walk_rows over x0
+    and its neighbours.  Off the diagonal they read C_m(x0, x) from a pass
+    over x0 alone, whose packed rows are the entries themselves.
     """
     _check_vertex(g, x0)
     _check_vertex(g, x)
@@ -52,7 +53,7 @@ def cbc_entries(g, x0, x, order):
         c, r = walk.diag, walk.r
     else:
         width = _packed_width(g.max_degree, order)
-        c, r = [_unpack(row[x], width) for row in _walk_row(g, x0, order)], None
+        c, r = [_unpack(row[x], width) for row in _walk_rows(g, (x0,), order)], None
     deg = g.degrees[x0]
     return _decoded(lambda width, c, r: cbc_terms(c, deg, width, r), c, r)
 

@@ -11,7 +11,7 @@ import pytest
 
 from bzk.cli import (MAX_BESSEL_TERMS, MAX_DENSE_VERTICES, MAX_TAU_POINTS, MAX_ZETA_ORDER,
                      main)
-from bzk.operators import TALLY_CAP, _walk_rows
+from bzk.operators import TALLY_CAP
 from bzk.paths import MAX_ENUMERATION_LENGTH
 
 
@@ -291,17 +291,28 @@ def test_heat_overflowing_tau_is_usage_error(capsys):
     ("zeta", "--family", "cycle", "--n", "4", "--root", "0", "--order", "0"),
     ("euler", "--family", "cycle", "--n", "4", "--root", "0", "--order", "0"),
 ] + [("verify", "--family", "cycle", "--n", "4", "--order", str(order)) for order in (0, 1, 2)])
-def test_order_below_minimum_is_usage_error(capsys, argv):
-    # verify refuses every order below 4 with one line, before it builds a
-    # walk row; --order 2 and 3 used to build them all first
-    misses = _walk_rows.cache_info().misses
+def test_order_below_minimum_is_usage_error(capsys, monkeypatch, argv):
+    # verify refuses every order below 4 with one line, before it makes a
+    # pass of the walk recursion; --order 2 and 3 used to run it first
+    import bzk.operators
+    import bzk.zeta
+
+    passes = []
+    walk_rows = bzk.operators._walk_rows
+
+    def counted(g, roots, order):
+        passes.append(roots)
+        return walk_rows(g, roots, order)
+
+    for module in (bzk.operators, bzk.zeta):
+        monkeypatch.setattr(module, "_walk_rows", counted)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     if argv[0] == "verify":
         assert err == "error: --order must be >= 4\n"
-    assert _walk_rows.cache_info().misses == misses
+    assert passes == []
 
 
 @pytest.mark.parametrize("command", [("graphs",), ("verify", "--order", "6")])

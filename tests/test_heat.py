@@ -125,27 +125,31 @@ def test_heat_bessel_tail_bound_covers_error():
 
 
 def test_walk_rows_match_exact_rows():
-    # the float rows against the exact packed rows of operators._walk_row,
-    # evaluated at the binary value of t; |C_n(t)| is at most alpha^n
+    # the float rows against the exact packed rows of operators._walk_rows,
+    # one pass over the two roots, each read as its root digit and evaluated
+    # at the binary value of t; |C_n(t)| is at most alpha^n
     from fractions import Fraction
 
     from bzk.heat import _walk_matrix_table
-    from bzk.operators import _walk_row, alpha
+    from bzk.operators import _root_digit, _root_width, _walk_rows, alpha
     from bzk.series import _packed_width, _unpack
 
     count = 40
     graphs = [CORPUS[name] for name in ("petersen", "Q3", "K4", "cycle(6)")]
     for g in graphs + [generate("hypercube", 5), FRUCHT]:
         width = _packed_width(g.max_degree, count)
-        for x0 in (0, g.vertex_count - 1):
-            exact = _walk_row(g, x0, count)
+        shift = _root_width(width, count)
+        roots = (0, g.vertex_count - 1)
+        exact = _walk_rows(g, roots, count)
+        for r, x0 in enumerate(roots):
             for t in (-0.5, 0.0, 0.5, 0.9):
                 rows, _ = _walk_matrix_table(g, t, x0).upto(count)
                 assert len(rows) == count + 1
                 scale = alpha(g, abs(t))
                 for n, (row, packed) in enumerate(zip(rows, exact)):
                     for x in range(g.vertex_count):
-                        want = float(_unpack(packed[x], width).evaluate(Fraction(t)))
+                        entry = _unpack(_root_digit(packed[x], r, shift), width)
+                        want = float(entry.evaluate(Fraction(t)))
                         assert abs(row[x] - want) <= 1e-14 * scale ** n
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from bzk.graphs import generate
-from bzk.operators import (_rooted_walk, _walk_row, _walk_rows, alpha,
+from bzk.operators import (_root_digit, _root_width, _rooted_walk, _walk_rows, alpha,
                            check_cyclic_bump_identity, check_no_tail_identity,
                            check_r_generating_identity, check_series_inverse_identity,
                            cm_sequence, delta_diag, r_values)
@@ -135,19 +135,19 @@ def test_r_m_nonzero_on_path4():
     assert all(v.is_zero() for v in r_values(g, 5)[5])
 
 
-def _decoded(g, row, order):
-    """Every entry of a packed walk-matrix row of _walk_row, as TPoly."""
+def _decoded(g, rows, order):
+    """Every entry of a one-root pass of _walk_rows, as TPoly: with one root
+    the packed rows are the entries themselves."""
     width = _packed_width(g.max_degree, order)
-    return tuple(tuple(_unpack(v, width) for v in entries) for entries in row)
+    return tuple(tuple(_unpack(v, width) for v in entries) for entries in rows)
 
 
 @pytest.mark.parametrize("name", list(CORPUS))
 def test_walk_table_matches_matrices_and_double_sum(name):
     # every root's RootedWalk against the walk matrices, delta_diag and the
-    # double sum of r_values; every row built alone against the rows that
-    # cm_sequence builds in turn, sharing the symmetric entries
+    # double sum of r_values; every root's one-root pass against the rows of
+    # the pass over all roots that cm_sequence decodes
     g = CORPUS[name]
-    _walk_rows.cache_clear()
     cms = cm_sequence(g, 12)
     deltas = [delta_diag(g, c) for c in cms]
     rv = r_values(g, 12)
@@ -157,11 +157,9 @@ def test_walk_table_matches_matrices_and_double_sum(name):
         assert walk.diag == tuple(c.entry(x0, x0) for c in cms)
         assert walk.delta == tuple(row[x0] for row in deltas)
         assert walk.r == tuple(row[x0] for row in rv)
-        _walk_rows.cache_clear()
-        row = _walk_row(g, x0, 12)
-        assert _walk_row(g, x0, 12) is row
-        assert _decoded(g, row, 12) == tuple(c.rows[x0] for c in cms)
-        assert _decoded(g, _walk_row(g, x0, 5), 5) == _decoded(g, row, 12)[:6]
+        rows = _decoded(g, _walk_rows(g, (x0,), 12), 12)
+        assert rows == tuple(c.rows[x0] for c in cms)
+        assert _decoded(g, _walk_rows(g, (x0,), 5), 5) == rows[:6]
     # every closed length-2 walk is a bump pair: C_2(x, x) = t deg(x)
     assert cms[2].diag() == [TPoly((0, d)) for d in g.degrees]
 
@@ -180,58 +178,102 @@ def test_rooted_walk_matches_dense_products_on_random_graphs():
         deltas = [delta_diag(g, c) for c in dense]
         rv = r_values(g, 16, cms=dense)
         for x0 in rng.sample(range(g.vertex_count), min(3, g.vertex_count)):
-            assert _decoded(g, _walk_row(g, x0, 16), 16) == tuple(c.rows[x0] for c in dense)
+            assert _decoded(g, _walk_rows(g, (x0,), 16), 16) == tuple(c.rows[x0] for c in dense)
             walk = _rooted_walk(g, x0, 16)
             assert walk.diag == tuple(c.entry(x0, x0) for c in dense)
             assert walk.delta == tuple(row[x0] for row in deltas)
             assert walk.r == tuple(row[x0] for row in rv)
 
 
-def test_rooted_walk_builds_only_the_rows_it_reads():
-    # a root reads its own row and its neighbours' diagonals: 4 rows at the
-    # centre of tree_ball(3,4), 2 at leaf 22
-    g = generate("tree_ball", 3, 4)
-    for x0, rows in ((0, [0, 1, 2, 3]), (22, [10, 22])):
-        _walk_rows.cache_clear()
-        zeta_log_series(g, x0, x0, 16)
-        assert sorted(_walk_rows(g, 16)) == rows
-
-
-def _record_row_stores(monkeypatch):
-    """Every row store that operators._walk_row reads, in call order."""
+def _pass_matches_one_root_rows(g, roots, order):
+    """Whether every root digit of the pass of operators._walk_rows over
+    roots equals the packed entry of that root's one-root pass, both read
+    through the module, so that a test may replace _walk_rows."""
     import bzk.operators
 
-    stores = []
-    kept = bzk.operators._walk_rows
-
-    def recorded(g, order):
-        stores.append(kept(g, order))
-        return stores[-1]
-
-    monkeypatch.setattr(bzk.operators, "_walk_rows", recorded)
-    return stores
+    shift = _root_width(_packed_width(g.max_degree, order), order)
+    rows = bzk.operators._walk_rows(g, roots, order)
+    return all(_root_digit(v, r, shift) == own
+               for r, y in enumerate(roots)
+               for row, own_row in zip(rows, bzk.operators._walk_rows(g, (y,), order))
+               for v, own in zip(row, own_row))
 
 
-def test_verify_builds_walk_data_once_per_graph(monkeypatch, capsys):
-    # one row store for the graph, holding each of its 10 rows: every row is
-    # built once and shared by the series-inverse check and every root
+def _root_tuples(g, rng):
+    """Root tuples for a pass: every vertex with its neighbours, a few
+    random tuples (repeats allowed) and every vertex at once."""
+    n = g.vertex_count
+    tuples = [(x0, *g.neighbors(x0)) for x0 in range(n)]
+    tuples += [tuple(rng.choices(range(n), k=rng.randint(1, n + 2))) for _ in range(3)]
+    return tuples + [tuple(range(n))]
+
+
+@pytest.mark.parametrize("g", list(CORPUS.values())
+                         + [random_connected_graph(random.Random(2424 + k), 2 + k % 9)
+                            for k in range(10)],
+                         ids=lambda g: g.label)
+def test_pass_digits_equal_one_root_rows(g):
+    # the pass over a root tuple holds, in root digit r, the packed rows of
+    # roots[r] alone, digit by digit, at every order 0..16
+    rng = random.Random(g.vertex_count)
+    for order in range(17):
+        for roots in _root_tuples(g, rng):
+            assert _pass_matches_one_root_rows(g, roots, order), (roots, order)
+
+
+def _record_passes(monkeypatch):
+    """The roots of every pass of operators._walk_rows, in call order, through
+    the bindings in operators and zeta; the root walks are emptied first, so
+    that every root read is a miss."""
+    import bzk.operators
+    import bzk.zeta
+
+    passes = []
+    walk_rows = bzk.operators._walk_rows
+
+    def recorded(g, roots, order):
+        passes.append(tuple(roots))
+        return walk_rows(g, roots, order)
+
+    for module in (bzk.operators, bzk.zeta):
+        monkeypatch.setattr(module, "_walk_rows", recorded)
+    bzk.operators._rooted_walk.cache_clear()
+    return passes
+
+
+def test_rooted_walk_makes_one_pass_over_the_root_and_its_neighbours(monkeypatch):
+    # a root's walk is one pass over the root and its neighbours: 4 roots at
+    # the centre of tree_ball(3,4), 2 at leaf 22
+    g = generate("tree_ball", 3, 4)
+    passes = _record_passes(monkeypatch)
+    for x0, roots in ((0, (0, 1, 2, 3)), (22, (22, 10))):
+        passes.clear()
+        zeta_log_series(g, x0, x0, 16)
+        assert passes == [roots]
+        assert roots == (x0, *g.neighbors(x0))
+
+
+def test_verify_passes_are_check_groups_then_one_per_root(monkeypatch, capsys):
+    # the series-inverse check runs its roots in groups of max degree + 1,
+    # and each root's walk (a miss of _rooted_walk) is one pass over the root
+    # and its neighbours, shared by its checks and routes
     from bzk.cli import main
 
-    stores = _record_row_stores(monkeypatch)
+    g = CORPUS["petersen"]
+    passes = _record_passes(monkeypatch)
     assert main(["verify", "--family", "petersen", "--order", "10"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
-    assert len({id(store) for store in stores}) == 1
-    assert sorted(stores[0]) == list(range(10))
+    groups = [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9)]
+    assert passes == groups + [(x0, *g.neighbors(x0)) for x0 in range(10)]
 
 
-def test_off_diagonal_zeta_builds_one_row(monkeypatch, capsys):
+def test_off_diagonal_zeta_makes_one_pass_over_the_root(monkeypatch, capsys):
     from bzk.cli import main
 
-    stores = _record_row_stores(monkeypatch)
+    passes = _record_passes(monkeypatch)
     assert main(["zeta", "--family", "petersen", "--root", "0", "--target", "3",
                  "--order", "16", "--route", "log"]) == 0
-    assert len({id(store) for store in stores}) == 1
-    assert list(stores[0]) == [0]
+    assert passes == [(0,)]
 
 
 def test_verify_runs_one_edge_tally_per_root(monkeypatch, capsys):
@@ -356,15 +398,6 @@ def test_series_inverse_and_r_generating_hold_everywhere(name):
         assert check_r_generating_identity(g, x0, 10).passed
 
 
-@pytest.fixture
-def fresh_walk_rows():
-    """An empty walk-row cache before and after the test, so that no row
-    built or changed by the test outlives it."""
-    _walk_rows.cache_clear()
-    yield
-    _walk_rows.cache_clear()
-
-
 def _random_graph_cases():
     rng = random.Random(2022)
     return [(random_connected_graph(rng, rng.randint(2, 9)), order) for order in range(2, 13)]
@@ -385,14 +418,26 @@ def _both_series_inverse_reports(g, order):
     return check_series_inverse_identity(g, order), dense_series_inverse_check(g, order)
 
 
-@pytest.mark.parametrize("name", ["petersen", "path(4)"])
-def test_series_inverse_check_rejects_a_wrong_walk_matrix(name, fresh_walk_rows):
-    # t^2 added to entry (0, 0) of C_5 in the kept rows first shows at u^5
-    g = CORPUS[name]
-    row = [list(c) for c in _walk_row(g, 0, 10)]
-    row[5][0] += 1 << (2 * _packed_width(g.max_degree, 10))
-    _walk_rows(g, 10)[0] = tuple(map(tuple, row))
-    for report in _both_series_inverse_reports(g, 10):
+@pytest.mark.parametrize("name, y", [("petersen", 0), ("petersen", 5), ("path(4)", 1),
+                                     ("path(4)", 3)])
+def test_series_inverse_check_rejects_a_wrong_walk_matrix(name, y, monkeypatch):
+    # t^2 added to entry (y, y) of C_5, in root y's digit of every pass that
+    # holds y, first shows at u^5: y = 5 is the second root of its group on
+    # Petersen, y = 3 the first of path(4)'s second group
+    import bzk.operators
+
+    walk_rows = bzk.operators._walk_rows
+
+    def wrong(g, roots, order):
+        width = _packed_width(g.max_degree, order)
+        rows = [list(row) for row in walk_rows(g, roots, order)]
+        for r, root in enumerate(roots):
+            if root == y:
+                rows[5][y] += 1 << (2 * width + r * _root_width(width, order))
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(bzk.operators, "_walk_rows", wrong)
+    for report in _both_series_inverse_reports(CORPUS[name], 10):
         assert not report.passed
         assert report.first_failure == {"display": "plain", "u_power": 5}
 
@@ -414,23 +459,27 @@ def test_series_inverse_check_rejects_a_wrong_valency_term(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["petersen", "path(4)", "tree_ball(3,3)"])
-def test_series_inverse_check_rejects_a_broken_symmetry_shortcut(name, monkeypatch,
-                                                                 fresh_walk_rows):
-    # _walk_row reads entry (y, x) off a kept row x as C_m(x, y); the mutant
-    # reads row x's diagonal C_m(x, x) there, which the rows built after row
-    # x carry from u^2 on
+def test_series_inverse_check_rejects_a_narrowed_root_width(name, monkeypatch):
+    # the mutant packs a pass's roots R - W apart, one t-digit closer than
+    # the R at which the check places its unit and every reader decodes: the
+    # check fails from u^0 on, at the group's second root, and the pass's
+    # digits no longer equal the one-root rows
     import bzk.operators
 
-    source = textwrap.dedent(inspect.getsource(bzk.operators._walk_row))
-    shortcut = "known[x][m][y] if known[x] is not None"
-    assert source.count(shortcut) == 1
+    source = textwrap.dedent(inspect.getsource(bzk.operators._walk_rows))
+    spacing = "shift = _root_width(width, order)\n"
+    assert source.count(spacing) == 1
     built = {}
-    exec(source.replace(shortcut, "known[x][m][x] if known[x] is not None"),
+    exec(source.replace(spacing, "shift = _root_width(width, order) - width\n"),
          vars(bzk.operators), built)
-    monkeypatch.setattr(bzk.operators, "_walk_row", built["_walk_row"])
-    for report in _both_series_inverse_reports(CORPUS[name], 10):
+    g = CORPUS[name]
+    roots = (0, *g.neighbors(0))
+    assert _pass_matches_one_root_rows(g, roots, 10)
+    monkeypatch.setattr(bzk.operators, "_walk_rows", built["_walk_rows"])
+    assert not _pass_matches_one_root_rows(g, roots, 10)
+    for report in _both_series_inverse_reports(g, 10):
         assert not report.passed
-        assert report.first_failure == {"display": "plain", "u_power": 2}
+        assert report.first_failure == {"display": "plain", "u_power": 0}
 
 
 @pytest.mark.parametrize("name", NON_TRANSITIVE)

@@ -18,8 +18,9 @@ import bzk.zeta
 from bzk.edgewalk import edge_closed_tallies
 from bzk.graphs import generate
 from bzk.operators import (_cyclic_bump_sides, _no_tail_sides, _r_generating_sides,
-                           _rooted_walk, _sides_width, _walk_rows, check_cyclic_bump_identity,
-                           check_no_tail_identity, check_r_generating_identity, cm_sequence)
+                           _root_width, _rooted_walk, _sides_width, _walk_rows,
+                           check_cyclic_bump_identity, check_no_tail_identity,
+                           check_r_generating_identity, cm_sequence)
 from bzk.series import TPOLY_ZERO, TPoly, _digits, _pack, _packed_width, _unpack
 from bzk.zeta import (_commutator_exponent, _f_power_table, cbc_entries, euler_product_series,
                       zeta_formula_series, zeta_log_series)
@@ -64,7 +65,6 @@ def _bound_graphs():
 
 
 def _clear_packed_caches():
-    bzk.operators._walk_rows.cache_clear()
     bzk.operators._rooted_walk.cache_clear()
     bzk.operators._closed_tallies.cache_clear()
     bzk.zeta._f_power_table.cache_clear()
@@ -80,16 +80,34 @@ def test_recursions_stay_inside_the_packed_width(monkeypatch, capsys):
     # exact, and each value's largest |coefficient| is compared with the
     # bound 2^(width-1) of the width the recursion really uses.  Walk rows,
     # f-tables and commutator rows run at order 16, edge tallies at order 12.
+    # Each walk-row entry is read as a root digit of a pass over every
+    # vertex, and its t-degree is held to m, which the root digit width
+    # R = (order + 1) W needs.  R_m of a rooted walk is decoded at the width
+    # of its l1 majorant (operators._decoded), which
+    # test_identity_checks_at_four_times_their_width measures, so its
+    # decoding is not recorded here.
     order, tally_order = 16, 12
     wide = 4 * _packed_width(6, order)
     seen = []  # (graph, what, largest |coefficient|, real width)
+    majorant = []  # nonempty while operators._decoded runs
 
     def record(what, name, real, decode=_unpack):
         def recorded(v, width):
+            if majorant:
+                return decode(v, width)
             assert width == wide
             seen.append((name, what, _largest(v, width), real))
             return decode(v, width)
         return recorded
+
+    decoded = bzk.operators._decoded
+
+    def sized_by_majorant(combine, *polys):
+        majorant.append(combine)
+        try:
+            return decoded(combine, *polys)
+        finally:
+            majorant.pop()
 
     steps = []
     f_step = bzk.zeta._f_step
@@ -114,6 +132,7 @@ def test_recursions_stay_inside_the_packed_width(monkeypatch, capsys):
             # integrands (raw digits), and edge tallies
             for module in (bzk.operators, bzk.zeta):
                 monkeypatch.setattr(module, "_unpack", record("decoded", name, real))
+            monkeypatch.setattr(bzk.operators, "_decoded", sized_by_majorant)
             monkeypatch.setattr(bzk.zeta, "_digits", record("decoded", name, real, _digits))
             monkeypatch.setattr(bzk.edgewalk, "_unpack",
                                 record("edge tally", name, _packed_width(g.max_degree, tally_order)))
@@ -122,9 +141,14 @@ def test_recursions_stay_inside_the_packed_width(monkeypatch, capsys):
                 _rooted_walk(g, x0, order)
                 zeta_formula_series(g, x0, (x0 + 1) % n, order)
                 edge_closed_tallies(g, x0, tally_order)
-            # every walk-row entry and f-table entry, decoded or not
-            for row in _walk_rows(g, order).values():
-                seen += [(name, "walk row", _largest(v, wide), real) for m in row for v in m]
+            # every walk-row entry, as a root digit of the pass over every
+            # vertex, and every f-table entry, decoded or not
+            shift = _root_width(wide, order)
+            for m, row in enumerate(_walk_rows(g, tuple(range(n)), order)):
+                for v in row:
+                    for entry in _digits(v, shift):
+                        assert len(_digits(entry, wide)) <= m + 1
+                        seen.append((name, "walk row", _largest(entry, wide), real))
             for x in range(n):
                 seen += [(name, "f table", _largest(v, wide), real)
                          for k in _f_power_table(g, x, order) for e in k for v in e]
@@ -275,8 +299,8 @@ def test_identity_checks_at_four_times_their_width(monkeypatch, capsys):
     # norms of its inputs.  At 4x that width every report is the same, and
     # every compared side's largest |coefficient|, exact at 4x, is below
     # 2^(width-1) of the width the check really uses.  The cbc entries of
-    # zeta.cbc_entries, sized the same way by operators._decoded, are the
-    # same at 4x their width too.
+    # zeta.cbc_entries and the defect values of operators._rooted_walk, sized
+    # the same way by operators._decoded, are the same at 4x their width too.
     checks = [(check_no_tail_identity, _no_tail_sides),
               (check_cyclic_bump_identity, _cyclic_bump_sides),
               (check_r_generating_identity, _r_generating_sides)]
@@ -301,8 +325,12 @@ def test_identity_checks_at_four_times_their_width(monkeypatch, capsys):
                     assert check(g, x0, order) == report
                     monkeypatch.undo()
                 entries = [cbc_entries(g, x0, x, order) for x in (x0, (x0 + 1) % n)]
+                walk = _rooted_walk(g, x0, order)
                 monkeypatch.setattr(bzk.operators, "_norm_width", lambda bound: 4 * norm_width(bound))
                 assert [cbc_entries(g, x0, x, order) for x in (x0, (x0 + 1) % n)] == entries
+                # the defect recursion of the root's walk, sized the same way
+                _rooted_walk.cache_clear()
+                assert _rooted_walk(g, x0, order) == walk
                 monkeypatch.undo()
     # the non-transitive graphs decode failing differences at this width
     assert failing > 0
