@@ -241,9 +241,10 @@ def _record_passes(monkeypatch):
     return passes
 
 
-def test_rooted_walk_makes_one_pass_over_the_root_and_its_neighbours(monkeypatch):
-    # a root's walk is one pass over the root and its neighbours: 4 roots at
-    # the centre of tree_ball(3,4), 2 at leaf 22
+def test_rooted_walk_builds_only_the_rows_it_reads(monkeypatch):
+    # a root reads its own diagonal and its neighbours', so its walk is one
+    # pass over the root and its neighbours: 4 roots at the centre of
+    # tree_ball(3,4), 2 at leaf 22
     g = generate("tree_ball", 3, 4)
     passes = _record_passes(monkeypatch)
     for x0, roots in ((0, (0, 1, 2, 3)), (22, (22, 10))):
@@ -267,7 +268,8 @@ def test_verify_passes_are_check_groups_then_one_per_root(monkeypatch, capsys):
     assert passes == groups + [(x0, *g.neighbors(x0)) for x0 in range(10)]
 
 
-def test_off_diagonal_zeta_makes_one_pass_over_the_root(monkeypatch, capsys):
+def test_off_diagonal_zeta_builds_one_row(monkeypatch, capsys):
+    # the entries (x0, x) are row x0's: one pass over x0 alone
     from bzk.cli import main
 
     passes = _record_passes(monkeypatch)
@@ -418,28 +420,29 @@ def _both_series_inverse_reports(g, order):
     return check_series_inverse_identity(g, order), dense_series_inverse_check(g, order)
 
 
-@pytest.mark.parametrize("name, y", [("petersen", 0), ("petersen", 5), ("path(4)", 1),
-                                     ("path(4)", 3)])
-def test_series_inverse_check_rejects_a_wrong_walk_matrix(name, y, monkeypatch):
+@pytest.mark.parametrize("name", ["petersen", "path(4)"])
+def test_series_inverse_check_rejects_a_wrong_walk_matrix(name, monkeypatch):
     # t^2 added to entry (y, y) of C_5, in root y's digit of every pass that
-    # holds y, first shows at u^5: y = 5 is the second root of its group on
-    # Petersen, y = 3 the first of path(4)'s second group
+    # holds y, first shows at u^5: y = 0 leads the first group, y = 5 is the
+    # second root of its group on Petersen and y = 3 the first of path(4)'s
+    # second group
     import bzk.operators
 
     walk_rows = bzk.operators._walk_rows
+    g = CORPUS[name]
+    for y in (0, 5 if name == "petersen" else 3):
+        def wrong(g, roots, order):
+            width = _packed_width(g.max_degree, order)
+            rows = [list(row) for row in walk_rows(g, roots, order)]
+            for r, root in enumerate(roots):
+                if root == y:
+                    rows[5][y] += 1 << (2 * width + r * _root_width(width, order))
+            return tuple(map(tuple, rows))
 
-    def wrong(g, roots, order):
-        width = _packed_width(g.max_degree, order)
-        rows = [list(row) for row in walk_rows(g, roots, order)]
-        for r, root in enumerate(roots):
-            if root == y:
-                rows[5][y] += 1 << (2 * width + r * _root_width(width, order))
-        return tuple(map(tuple, rows))
-
-    monkeypatch.setattr(bzk.operators, "_walk_rows", wrong)
-    for report in _both_series_inverse_reports(CORPUS[name], 10):
-        assert not report.passed
-        assert report.first_failure == {"display": "plain", "u_power": 5}
+        monkeypatch.setattr(bzk.operators, "_walk_rows", wrong)
+        for report in _both_series_inverse_reports(g, 10):
+            assert not report.passed
+            assert report.first_failure == {"display": "plain", "u_power": 5}
 
 
 @pytest.mark.parametrize("name", ["petersen", "path(4)"])
