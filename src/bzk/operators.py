@@ -495,9 +495,10 @@ def check_series_inverse_identity(g, order):
     with nothing decoded, and compared with the group's packed unit: the
     right side's entry at root digit r of x when x is the group's r-th root,
     zero elsewhere.  A zero packed difference is a zero polynomial at every
-    root: by _packed_width's l1 bound |C_m|_1 <= (3D)^m, each root's
-    difference has t-degree at most m and l1 norm at most 2 (3D)^m + 4 <= P
-    < 2^(W-1), so it is a balanced base-2^R digit (see _walk_rows), and
+    root: each root's difference has t-degree at most m and l1 norm at most
+    N_m + D N_(m-1) + 2D N_(m-2) + 4 <= P < 2^(W-1), one of the bounds that
+    _packed_width takes its width from, so it is a balanced base-2^R digit
+    (see _walk_rows), and
     packing is one-to-one on such digits.  The report names the smallest
     failing u-power over all groups.
 

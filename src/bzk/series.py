@@ -13,7 +13,8 @@ TPoly, USeries and OperatorPoly, which the numeric routes call.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache
+from math import comb, gcd, lcm
 
 
 class SeriesError(ValueError):
@@ -54,43 +55,70 @@ def _mul_into(acc, a, b):
                     acc[i + j] += x * y
 
 
+@lru_cache(maxsize=256)
 def _packed_width(max_degree, order):
     """Bits per t-coefficient in the packed form of the walk recursions.
 
-    The walk-matrix rows, the rows of f^k and the commutator rows M_T of the
-    formula route, and the edge tallies run on packed integers: the
-    t-polynomial c_0 + c_1 t + ... + c_d t^d becomes the single int
-    sum_i c_i 2^(i width).  Packing evaluates at t = 2^width, a ring
-    homomorphism from Z[t] to Z, so sums and products of packed ints are
-    exact whatever their size, and _unpack recovers a polynomial whenever
-    every coefficient has |c| < 2^(width-1).
+    The walk-matrix rows, the formula route's f-power and commutator rows,
+    and the edge tallies run on packed integers: the t-polynomial
+    c_0 + c_1 t + ... + c_d t^d becomes the single int sum_i c_i 2^(i width).
+    Packing evaluates at t = 2^width, a ring homomorphism from Z[t] to Z, so
+    sums and products of packed ints are exact whatever their size, and
+    _unpack recovers a polynomial whenever every coefficient has
+    |c| < 2^(width-1).
 
-    With D = max(max_degree, 2) every coefficient that the recursions build
-    through length `order` has |c| <= P = D^2 (order+2) (3D)^order, and
-    width = P.bit_length() + 1 gives 2^(width-1) > P.  The proof bounds the
-    l1 norm |p|_1 = sum |c_i|, which is subadditive and submultiplicative:
+    width = P.bit_length() + 1 gives 2^(width-1) > P, where P is the largest
+    of the bounds below on the l1 norm |p|_1 = sum |c_i| of every value that
+    a recursion through length `order` decodes, compares, or holds as a digit
+    of a larger packed int, with D = max(max_degree, 2).  The norm bounds
+    every |c_i| and is subadditive and submultiplicative, so each bound is
+    its recursion run on norms:
     - walk rows, C_m(y, x) = sum_{z ~ x} C_(m-1)(y, z) + w_x C_(m-2)(y, x),
-      and f-powers, (v f)(j) = u sum_{i ~ j} v(i) + u^2 w_j v(j): at most D
-      neighbours and a weight w = (1-d, d-2, 1) or (-d, d) with |w|_1 <= 2D,
-      so the largest norm grows by at most a factor D + 2D = 3D per step and
-      stays <= (3D)^m from 1 at m = 0 and 1.  The defect d C_m(x0, x0) -
-      sum_{y ~ x0} C_m(y, y) of a rooted record is <= 2D (3D)^m;
-    - the commutator rows, M_T = M_(T-1) f + f^T D with M_0 = D: by
-      induction |M_T|_1 <= (T+1) D (3D)^T, and the integrand entry
-      M_T - (T+1) d_x0 f^T, T <= order - 2, is <= 2 (T+1) D (3D)^T;
-    - edge tallies, V_(k+1)[e] = S_k[tail e] + (t-1) V_k[twin e] with S_k a
-      sum of at most D values: a factor D + 2 <= 3D per step, and a tally
-      sums at most D^2 of them, so <= D^2 (3D)^k.
+      with at most D neighbours and a weight w = (-d, d) or (1-d, d-2, 1) of
+      norm at most 2D: |C_m|_1 <= N_m, with N_0 = N_1 = 1 and
+      N_m = D N_(m-1) + 2D N_(m-2);
+    - the defect d C_m(x0, x0) - sum_{y ~ x0} C_m(y, y) of a rooted walk:
+      2D N_m;
+    - the series-inverse difference C_m(y, x) - sum_{z ~ x} C_(m-1)(y, z)
+      + w_x C_(m-2)(y, x) - unit, the unit of norm at most 4:
+      N_m + D N_(m-1) + 2D N_(m-2) + 4, with N_(-1) = N_(-2) = 0;
+    - f-power digits: with s = (1-t) u^2, f = u A - s (D - 1 + t), so the
+      u^(k+p) coefficient of f^k(x0, j) is (1-t)^p Q_p(j), and a step is
+      Q_p(j) <- sum_{i ~ j} Q_p(i) - (d_j - 1 + t) Q_(p-1)(j), with
+      |d - 1 + t|_1 <= D: |Q_p|_1 <= D^k binom(k, p), for the digits
+      p <= min(k, order - k) that the route keeps;
+    - commutator digits: M_T = M_(T-1) f + f^T D from M_0 = D has the same
+      digits, stepped the same way plus d_j times those of f^T, so by
+      induction digit p of M_T is at most (T+1) D^(T+1) binom(T, p), and
+      the decoded M_T - (T+1) d_x0 f^T at most twice that, for
+      T <= order - 2 and the kept p <= min(T, order - 2 - T);
+    - edge tallies: a tally at length k sums t^cbc over at most D^k walks:
+      D^order.
+    Each width is computed once per (max_degree, order).  For D <= 16 and
+    order <= 64 it is never wider than the closed form
+    D^2 (order+2) (3D)^order that it replaced (tests/test_packing.py).
 
     A pass of operators._walk_rows packs several roots' walk rows into one
     int per entry, root r at 2^(r R) with R = (order + 1) width.  C_m has
     t-degree at most m <= order and, by the bound above, coefficients below
     2^(width-1), so each root's packed entry is below 2^(R-1) in absolute
-    value: it is one balanced base-2^R digit, which decodes exactly.
+    value: it is one balanced base-2^R digit, which decodes exactly.  The
+    formula route packs the u-powers of an entry the same way, digit p of
+    t-degree at most p <= order // 2 (zeta._digit_width).
     """
     big_d = max(max_degree, 2)
-    bound = big_d * big_d * (order + 2) * (3 * big_d) ** order
-    return bound.bit_length() + 1
+    walk = [1, 1]
+    while len(walk) <= order:
+        walk.append(big_d * walk[-1] + 2 * big_d * walk[-2])
+    walk = walk[:order + 1]
+    bounds = [2 * big_d * n for n in walk]
+    padded = [0, 0] + walk
+    bounds += [n + big_d * a + 2 * big_d * b + 4 for n, a, b in zip(walk, padded[1:], padded)]
+    bounds += [big_d ** k * comb(k, min(k // 2, order - k)) for k in range(order + 1)]
+    bounds += [2 * (T + 1) * big_d ** (T + 1) * comb(T, min(T // 2, order - 2 - T))
+               for T in range(order - 1)]
+    bounds.append(big_d ** order)
+    return max(bounds).bit_length() + 1
 
 
 def _pack(coeffs, width):

@@ -11,6 +11,7 @@ so the exact routes run without loading it.
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .graphs import _check_vertex
 from .operators import _closed_tallies, _decoded, _rooted_walk, _walk_rows, alpha, cbc_terms
@@ -79,48 +80,105 @@ def zeta_log_series(g, x0, x, order):
 # closed product-formula route
 
 
-def _f_step(g, width):
-    """step(v, top) = v f for f(u) = u A - u^2 (1-t)(D - (1-t)I): per vertex
-    j, the packed ints (series._pack at this width) of u^k, u^(k+1), ... of
-    v(j), None for zero, go to those of u^(k+1)..u^(k+1+top) of
-    (v f)(j) = u sum_{i ~ j} v(i) - u^2 (1-t)(d_j - 1 + t) v(j)."""
-    nbrs = [g.neighbors(j) for j in range(g.vertex_count)]
-    # -(1-t)(d - 1 + t), lowest t-power first
-    weights = [_pack((1 - d, d - 2, 1), width) for d in g.degrees]
+def _f_weight(d):
+    """The u^2 weight of f at degree d over -s, s = (1-t) u^2: d - 1 + t, as
+    raw t-coefficients, lowest power first."""
+    return (d - 1, 1)
 
-    def step(prev, top):
-        cur = [None] * len(prev)
-        for j, own in enumerate(prev):
-            live = [prev[i] for i in nbrs[j] if prev[i] is not None]
-            if own is None and not live:
-                continue
-            entry = [sum(slot) for slot in zip(*live)][: top + 1] if live else []
-            entry += [0] * (top + 1 - len(entry))
-            if own is not None:
-                w = weights[j]
-                for p in range(1, min(len(own), top) + 1):
-                    entry[p] += w * own[p - 1]
-            cur[j] = entry
+
+def _digit_width(width, order):
+    """U = (order // 2 + 1) width, the bits per u-power digit of an entry of
+    the formula route's rows: digit p has t-degree at most p <= order // 2."""
+    return (order // 2 + 1) * width
+
+
+def _f_step(g, width, shift):
+    """step(prev, digits, plus=None) = prev f for the formula route's
+    f = u A - u^2 (1-t)(D - (1-t)I) = u A - s (D - 1 + t), s = (1-t) u^2, on
+    rows of packed ints: entry j of a row v at u^k is sum_p Q_p(j) 2^(p shift),
+    with Q_p(j) the u^(k+p) coefficient of v(j) over (1-t)^p, packed at width
+    (series._pack).  Each u^2 of f carries one (1-t), so digit p of (v f)(j),
+    at u^(k+1), is sum_{i ~ j} Q_p(i) - (d_j - 1 + t) Q_(p-1)(j): one
+    neighbour sum, one weight product and one shift per entry.
+
+    With plus, a row at u^(k+1) in the same layout, each entry j also gets
+    d_j plus(j), the f^T D of the commutator rows.  digits, when not None,
+    keeps the lowest `digits` u-powers of each nonzero entry, by one balanced
+    residue mod 2^(digits shift); the kept digits are balanced base-2^shift
+    digits (see _f_power_table), so they sum to a value inside the residue's
+    range, whatever the digits above them hold."""
+    nbrs = [g.neighbors(j) for j in range(g.vertex_count)]
+    weights = [-_pack(_f_weight(d), width) for d in g.degrees]
+    degrees = g.degrees
+
+    def step(prev, digits, plus=None):
+        get = prev.__getitem__
+        if plus is None:
+            cur = [sum(map(get, nb)) + ((w * v) << shift)
+                   for nb, w, v in zip(nbrs, weights, prev)]
+        else:
+            cur = [sum(map(get, nb)) + ((w * v) << shift) + d * p
+                   for nb, w, v, d, p in zip(nbrs, weights, prev, degrees, plus)]
+        if digits is not None:
+            bits = digits * shift
+            half, mask = 1 << (bits - 1), (1 << bits) - 1
+            cur = [((v + half) & mask) - half if v else 0 for v in cur]
         return cur
 
     return step
 
 
-@lru_cache(maxsize=32)
-def _f_power_table(g, x, order):
-    """Row x of the powers f^0..f^order of f, row k-1 times f by _f_step.
+def _cut(k, top):
+    """The u-power digits that a row at u^k keeps when its powers stop at
+    u^top: all of them (None) while 2k <= top, whose k + 1 digits all fit,
+    and top - k + 1 on the shrinking half."""
+    return top - k + 1 if 2 * k > top else None
 
-    rows[k][j] holds the u^k..u^min(2k, order) coefficients of f^k(x, j), the
-    only u-powers f^k can have, as a tuple of packed ints at
-    _packed_width(max degree, order); a zero entry is ()."""
-    step = _f_step(g, _packed_width(g.max_degree, order))
-    prev = [None] * g.vertex_count
-    prev[x] = [1]
-    rows = [tuple(() if j != x else (1,) for j in range(g.vertex_count))]
+
+@lru_cache(maxsize=32)
+def _f_power_table(g, x0, x, order):
+    """The target entries of one streamed pass over row x0 of the formula
+    route's f-powers and, on graphs that are not regular, its commutator
+    rows: (powers, integrand), with powers[k] the entry f^k(x0, x) for
+    k = 0..order and integrand[T-1] the entry (M_T - (T+1) d_x0 f^T)(x0, x)
+    for T = 1..order-2 (see _commutator_exponent).  Each entry is a tuple of
+    digits, digit p the raw t-coefficients of Q_p, its u^(k+p) (u^(T+p))
+    coefficient over (1-t)^p, for p <= min(k, order - k)
+    (p <= min(T, order - 2 - T)).
+
+    Row x0 of f^k steps from the unit at x0, and row x0 of
+    M_T = M_(T-1) f + f^T D from M_0 = D in lockstep with it (_f_step), at
+    W = _packed_width(max degree, order) and U = _digit_width(W, order);
+    only entry x of each is decoded, and no row is kept past the next step.
+    Q_p has t-degree at most p <= order // 2 and, by _packed_width's bound,
+    coefficients below 2^(W-1), so it is a balanced base-2^U digit that
+    series._digits reads.  Digit p of a step reads digits p and p - 1 of the
+    row before it, so a row is cut only on its shrinking half (_cut), and
+    the digits it keeps stay exact.  K = A D - D A is zero exactly when a
+    connected graph is regular, and then the commutator rows are not run."""
+    width = _packed_width(g.max_degree, order)
+    shift = _digit_width(width, order)
+    step = _f_step(g, width, shift)
+    d = g.degrees
+
+    def decoded(v, count):
+        return tuple(tuple(_digits(q, width)) for q in _digits(v, shift)[:count])
+
+    power = [0] * g.vertex_count
+    power[x0] = 1
+    rows = None
+    if g.regular_degree() is None and order >= 3:
+        rows = [0] * g.vertex_count
+        rows[x0] = d[x0]
+    powers, integrand = [decoded(power[x], 1)], []
     for k in range(1, order + 1):
-        prev = step(prev, min(k, order - k))
-        rows.append(tuple(() if e is None else tuple(e) for e in prev))
-    return tuple(rows)
+        power = step(power, _cut(k, order))
+        powers.append(decoded(power[x], min(k, order - k) + 1))
+        if rows is not None and k <= order - 2:
+            rows = step(rows, _cut(k, order - 2), power)
+            integrand.append(decoded(rows[x] - (k + 1) * d[x0] * power[x],
+                                     min(k, order - 2 - k) + 1))
+    return tuple(powers), tuple(integrand)
 
 
 def _add_into(acc, coeffs, factor):
@@ -138,46 +196,49 @@ def _times_one_minus_t(p):
     return [a - b for a, b in zip(p + [0], [0] + p)] if p else []
 
 
-def _commutator_exponent(g, x0, x, left, scale):
-    """The commutator term's share of the scaled exponent: entry m is
-    scale m a_m, as a raw int list, for the coefficients a_m by u-power up
-    to order of
+def _restored(order, terms):
+    """Raw int lists s_0..s_order, with s_m the sum of share (1-t)^q Q over
+    the terms (m, q, share, Q), Q a raw int coefficient sequence: the shares
+    are summed per (m, q), and the powers of 1 - t restored once per m by
+    Horner's rule, from the highest q down."""
+    by_power = [[] for _ in range(order + 1)]
+    for m, q, share, coeffs in terms:
+        slots = by_power[m]
+        slots.extend([] for _ in range(q + 1 - len(slots)))
+        _add_into(slots[q], coeffs, share)
+    out = []
+    for slots in by_power:
+        acc = []
+        for c in reversed(slots):
+            acc = _times_one_minus_t(acc)
+            _add_into(acc, c, 1)
+        out.append(acc)
+    return out
+
+
+def _log_terms(powers, scale):
+    """The matrix-log factor's terms for _restored:
+    -[log(I - f)](x0, x) = sum_k f^k(x0, x) / k, so digit p of f^k, at
+    u^m with m = k + p, adds scale m / k times (1-t)^p Q_p to scale m a_m."""
+    return ((k + p, p, scale * (k + p) // k, q)
+            for k, entry in enumerate(powers) if k for p, q in enumerate(entry))
+
+
+def _commutator_exponent(integrand, scale):
+    """The commutator term's terms for _restored, from the integrand entries
+    of _f_power_table: its share of scale m a_m for the coefficients a_m of
     int_0^u (1-t) s^2 sum_{a,b} (b+1)/(a+b+2) [f^a K f^b](x0, x) s^(a+b) ds
-    with K = A D - D A, from left = _f_power_table(g, x0, order).  scale
-    must be a multiple of 1, ..., order - 1.
+    with K = A D - D A.  scale must be a multiple of 1, ..., order - 1.
 
     f D - D f = u K, so sum_{a+b=S} (b+1) f^a K f^b = (M_(S+1) - (S+2) D f^(S+1)) / u
-    with M_T = sum_{a+b=T} f^a D f^b = M_(T-1) f + f^T D and M_0 = D.  Row x0
-    of M_T runs packed, as left does; only entry x of M_T - (T+1) d_x0 f^T is
-    decoded, and added times scale/(T+1).  Integrating lifts the u^s of the
-    integrand to u^(s+3) with a 1/(s+3), which the m = s+3 of m a_m cancels.
-    """
-    order = len(left) - 1
-    top = order - 3  # integrating the u^2 shift lifts power s to s + 3
-    width = _packed_width(g.max_degree, order)
-    step = _f_step(g, width)
-    d = g.degrees
-    row = [None] * g.vertex_count  # row x0 of M_T, at u^T..u^(T+cut)
-    row[x0] = [d[x0]]
-    integrand = [[] for _ in range(top + 1)]  # scale times, by u-power
-    for T in range(1, top + 2):
-        cut = min(T, top + 1 - T)
-        row = step(row, cut)
-        for j, entry in enumerate(left[T]):
-            if entry:
-                acc = row[j] = row[j] or [0] * (cut + 1)
-                for p, c in enumerate(entry[: cut + 1]):
-                    acc[p] += d[j] * c
-        # u^(T+p) of M_T / (T+1) - d_x0 f^T is u^(T-1+p) of the S = T-1 term
-        rooted = (T + 1) * d[x0]
-        share = scale // (T + 1)
-        own = left[T][x] or (0,) * (cut + 1)
-        for s, m, f in zip(range(T - 1, top + 1), row[x] or (), own):
-            c = m - rooted * f
-            if c:
-                _add_into(integrand[s], _digits(c, width), share)
-    terms = [_times_one_minus_t(c) for c in integrand]
-    return ([[]] * 3 + terms)[: order + 1]
+    with M_T = sum_{a+b=T} f^a D f^b.  Digit p of the T-th integrand entry is
+    at u^(T+p) of M_T - (T+1) d_x0 f^T, so u^(T-1+p) of the S = T - 1 term,
+    and it is added times scale/(T+1).  Integrating lifts the u^s of the
+    integrand to u^(s+3) with a factor (1-t)/(s+3), whose 1/(s+3) the
+    m = s+3 of m a_m cancels: digit p adds scale/(T+1) (1-t)^(p+1) Q_p at
+    u^(T+p+2)."""
+    return ((T + p + 2, p + 1, scale // (T + 1), q)
+            for T, entry in enumerate(integrand, start=1) for p, q in enumerate(entry))
 
 
 def _common_neighbours(g, x, y):
@@ -191,17 +252,13 @@ def _formula_exponent(g, x0, x, order):
     of the prefactor, the matrix-log factor, the commutator integral, the
     length-2 correction and the defect series, summed as
     scaled[m] = scale m a_m, raw int lists, at scale = lcm(1, ..., order),
-    which every denominator below divides."""
-    left = _f_power_table(g, x0, order)
-    width = _packed_width(g.max_degree, order)
+    which every denominator below divides.  The matrix log and the
+    commutator integral read the target entries of _f_power_table, which
+    are empty of commutator digits on regular graphs."""
+    powers, integrand = _f_power_table(g, x0, x, order)
     scale = math.lcm(*range(1, order + 1))
-    scaled = [[] for _ in range(order + 1)]
-
-    # -[log(I - f)](x0, x) = sum_k f^k(x0, x) / k: scale p / k at u^p
-    for k in range(1, order + 1):
-        for p, c in enumerate(left[k][x], start=k):
-            if c:
-                _add_into(scaled[p], _digits(c, width), scale * p // k)
+    scaled = _restored(order, chain(_log_terms(powers, scale),
+                                    _commutator_exponent(integrand, scale)))
 
     if x == x0:
         # log (1-(1-t)^2 u^2)^(-(deg-2)/2) = (deg-2)/2 sum_k (1-t)^(2k) u^(2k) / k,
@@ -221,12 +278,6 @@ def _formula_exponent(g, x0, x, order):
         # off-diagonal -A^2(x0, x) survives
         common = _common_neighbours(g, x0, x)
         _add_into(scaled[2], (-common, common), scale)
-
-    # the commutator integral, over K = A D - D A; on a connected graph K is
-    # zero exactly when the graph is regular
-    if g.regular_degree() is None:
-        for acc, p in zip(scaled, _commutator_exponent(g, x0, x, left, scale)):
-            _add_into(acc, p, 1)
     return scaled, scale
 
 

@@ -6,9 +6,10 @@ These read library code:
   library's walk matrices and packed double sum;
 - adjacency_poly and qxt_poly are A and D - (1-t)I as dense OperatorPoly,
   built from g.edges and g.degrees alone;
-- dense_f_powers, the reference for the formula route's f^k rows, and
-  commutator_exponent_loop, which reads it, build f from adjacency_poly and
-  qxt_poly and share only the exact kernel with the route;
+- dense_f_powers, the reference for the formula route's f^k entries, and
+  commutator_exponent_loop and _dense_commutator_rows, which read it, build
+  f from adjacency_poly and qxt_poly and share only the exact kernel with
+  the route;
 - dense_series_inverse_check, the reference for
   operators.check_series_inverse_identity, which runs by neighbour sums on
   the packed walk rows, multiplies the dense OperatorSeries of cm_sequence's
@@ -27,8 +28,9 @@ These read library code:
 - heat_residual reads both heat routes, heat_kernel_bessel and
   heat_kernel_spectral, and the cached eigendecomposition;
 - formula_exponent, the reference for the formula route's integer exponent,
-  and fraction_commutator_exponent, which it reads, sum the same factors
-  from the route's own f-power table, f-step and rooted walk, in Fractions;
+  and fraction_commutator_exponent, which it reads, sum the same factors in
+  Fractions from dense_f_powers and _dense_commutator_rows, with no step
+  code of the route, and the route's own rooted walk;
 - binomial_power reads USeries.log and USeries.exp;
 - fraction_exp, the reference for USeries.exp, runs the same derivative
   recurrence on TPoly coefficient lists of Fractions instead of packed ints;
@@ -54,9 +56,8 @@ from bzk.heat import ParameterDomain, heat_kernel_bessel, heat_kernel_spectral, 
 from bzk.operators import IdentityReport, _rooted_walk, alpha, cm_sequence, r_values
 from bzk.series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_T, TPOLY_ZERO,
                         BadConstantTerm, OperatorPoly, OperatorSeries, TPoly,
-                        USeries, _mul_into, _packed_width, _unpack)
-from bzk.zeta import (_common_neighbours, _dense_operators, _eigh_cached, _f_power_table,
-                      _f_step)
+                        USeries, _mul_into)
+from bzk.zeta import _common_neighbours, _dense_operators, _eigh_cached
 
 
 
@@ -452,52 +453,68 @@ def commutator_exponent_loop(g, x0, x, order, powers):
     return exponent
 
 
-def fraction_commutator_exponent(g, x0, x, left):
-    """The commutator term's exponent coefficients by u-power, in Fractions:
-    the row recursion of zeta._commutator_exponent before the formula route
-    summed its exponent in integers, with each decoded integrand entry
-    divided by T + 1 and each coefficient by s + 3."""
-    order = len(left) - 1
-    top = order - 3  # integrating the u^2 shift lifts power s to s + 3
-    width = _packed_width(g.max_degree, order)
-    step = _f_step(g, width)
+@lru_cache(maxsize=4)
+def _dense_commutator_rows(g, x0, order):
+    """Row x0 of M_T = sum_{a+b=T} f^a D f^b for T = 0..order-2, each entry
+    a list of TPoly by u-power 0..order-2, by M_0 = D and
+    M_T = M_(T-1) f + f^T D: the product with f is a dense row-times-matrix
+    product over the nonzero entries of f, and f^T D reads row x0 of f^T;
+    both come from dense_f_powers(g, order)."""
+    powers = dense_f_powers(g, order)
+    n = g.vertex_count
     d = g.degrees
-    row = [None] * g.vertex_count  # row x0 of M_T, at u^T..u^(T+cut)
-    row[x0] = [d[x0]]
-    integrand = [TPOLY_ZERO] * (top + 1)
-    for T in range(1, top + 2):
-        cut = min(T, top + 1 - T)
-        row = step(row, cut)
-        for j, entry in enumerate(left[T]):
-            if entry:
-                acc = row[j] = row[j] or [0] * (cut + 1)
-                for p, c in enumerate(entry[: cut + 1]):
-                    acc[p] += d[j] * c
-        scale = (T + 1) * d[x0]
-        own = left[T][x] or (0,) * (cut + 1)
-        for s, m, f in zip(range(T - 1, top + 1), row[x] or (), own):
-            c = m - scale * f
-            if c:
-                integrand[s] = integrand[s] + _unpack(c, width) * Fraction(1, T + 1)
-    terms = [c * ONE_MINUS_T * Fraction(1, s + 3) for s, c in enumerate(integrand)]
-    return ([TPOLY_ZERO] * 3 + terms)[: order + 1]
+    top = order - 2
+    nonzero = [(i, j, m, mat.rows[i][j]) for m, mat in enumerate(powers[1].c)
+               for i in range(n) for j in range(n) if not mat.rows[i][j].is_zero()]
+    row = [[TPOLY_ZERO] * (top + 1) for _ in range(n)]
+    row[x0][0] = TPoly((d[x0],))
+    rows = [row]
+    for T in range(1, top + 1):
+        nxt = [[powers[T].c[m].rows[x0][j] * d[j] for m in range(top + 1)] for j in range(n)]
+        for i, j, shift, w in nonzero:
+            for m in range(shift, top + 1):
+                if not row[i][m - shift].is_zero():
+                    nxt[j][m] = nxt[j][m] + row[i][m - shift] * w
+        row = nxt
+        rows.append(row)
+    return tuple(rows)
+
+
+def fraction_commutator_exponent(g, x0, x, order):
+    """The commutator term's exponent coefficients by u-power, in Fractions,
+    through the identity sum_{a+b=S} (b+1) f^a K f^b
+    = (M_(S+1) - (S+2) D f^(S+1)) / u on the dense rows of
+    _dense_commutator_rows and dense_f_powers: u^(T+p) of
+    (M_T - (T+1) d_x0 f^T)(x0, x) / (T+1) is u^(T-1+p) of the integrand,
+    which integrating lifts to u^(T+p+2) times (1-t)/(T+p+2).
+    commutator_exponent_loop sums the same integral over (a, b) directly."""
+    exponent = [TPOLY_ZERO] * (order + 1)
+    if order < 3:
+        return exponent
+    powers = dense_f_powers(g, order)
+    rows = _dense_commutator_rows(g, x0, order)
+    deg = g.degrees[x0]
+    for T in range(1, order - 1):
+        for m in range(T, order - 1):
+            c = rows[T][x][m] - powers[T].c[m].rows[x0][x] * ((T + 1) * deg)
+            exponent[m + 2] = exponent[m + 2] + c * ONE_MINUS_T * Fraction(1, (T + 1) * (m + 2))
+    return exponent
 
 
 def formula_exponent(g, x0, x, order):
     """The formula route's exponent series a_0..a_order as TPolys of
-    Fractions, summed factor by factor as zeta_formula_series did before it
-    summed them in integers: the matrix log sum_k f^k(x0, x)/k, and on the
-    diagonal the prefactor's log (deg-2)/2 sum_k (1-t)^(2k) u^(2k)/k and the
-    defect series (1-t) R_m / m, off it the length-2 correction
-    -(1-t) common/2 u^2, and the commutator integral on graphs that are not
-    regular."""
-    left = _f_power_table(g, x0, order)
-    width = _packed_width(g.max_degree, order)
+    Fractions, summed factor by factor: the matrix log sum_k f^k(x0, x)/k
+    from dense_f_powers, and on the diagonal the prefactor's log
+    (deg-2)/2 sum_k (1-t)^(2k) u^(2k)/k and the defect series
+    (1-t) R_m / m from the library's rooted walk, off it the length-2
+    correction -(1-t) common/2 u^2, and the commutator integral of
+    fraction_commutator_exponent on graphs that are not regular.  Each
+    coefficient a_m is the same at every order >= m."""
+    powers = dense_f_powers(g, order)
     exponent = [TPOLY_ZERO] * (order + 1)
     for k in range(1, order + 1):
-        for p, c in enumerate(left[k][x], start=k):
-            if c:
-                exponent[p] = exponent[p] + _unpack(c, width) * Fraction(1, k)
+        for m in range(k, order + 1):
+            exponent[m] = exponent[m] + powers[k].c[m].rows[x0][x] * Fraction(1, k)
     if x == x0:
         half = Fraction(g.degrees[x0] - 2, 2)
         square = ONE_MINUS_T * ONE_MINUS_T
@@ -513,7 +530,7 @@ def formula_exponent(g, x0, x, order):
         exponent[2] = exponent[2] - ONE_MINUS_T * Fraction(common, 2)
     if g.regular_degree() is None:
         exponent = [a + b for a, b in
-                    zip(exponent, fraction_commutator_exponent(g, x0, x, left))]
+                    zip(exponent, fraction_commutator_exponent(g, x0, x, order))]
     return exponent
 
 

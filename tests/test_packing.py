@@ -1,12 +1,14 @@
 """Packed t-polynomials: the round trip of series._pack and series._unpack,
 the width bound of series._packed_width measured on the recursions that run
-packed (walk rows, f-powers, commutator rows and edge tallies), the
+packed (walk rows, f-powers, commutator rows and edge tallies) at orders 16
+and 64 and held under the closed form it replaced, the
 computed width and scale of the packed exp recurrence that the routes reach
 through series._exp_from_scaled, and the computed widths of the per-root
 identity checks and the cyclic-bump entries."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
 
 import pytest
@@ -18,18 +20,17 @@ import bzk.zeta
 from bzk.edgewalk import edge_closed_tallies
 from bzk.graphs import generate
 from bzk.operators import (_cyclic_bump_sides, _no_tail_sides, _r_generating_sides,
-                           _root_width, _rooted_walk, _sides_width, _walk_rows,
+                           _rooted_walk, _sides_width, _walk_rows,
                            check_cyclic_bump_identity, check_no_tail_identity,
-                           check_r_generating_identity, cm_sequence)
+                           check_r_generating_identity)
 from bzk.series import TPOLY_ZERO, TPoly, _digits, _pack, _packed_width, _unpack
-from bzk.zeta import (_commutator_exponent, _f_power_table, cbc_entries, euler_product_series,
-                      zeta_formula_series, zeta_log_series)
+from bzk.zeta import cbc_entries, euler_product_series, zeta_formula_series, zeta_log_series
 from conftest import CORPUS, random_connected_graph
 
 from _oracles import fraction_exp, series_from_scaled
 
 
-@pytest.mark.parametrize("width", [2, 3, 8, 33, _packed_width(3, 10), _packed_width(6, 64)])
+@pytest.mark.parametrize("width", [2, 3, 8, 33, 40, 280, _packed_width(3, 10), _packed_width(6, 64)])
 def test_pack_round_trip(width):
     half = 1 << (width - 1)
     rng = random.Random(width)
@@ -75,28 +76,93 @@ def _largest(value, width):
     return max((abs(c) for c in _unpack(value, width).c), default=0)
 
 
-def test_recursions_stay_inside_the_packed_width(monkeypatch, capsys):
-    # Every recursion runs at a width far past its own, so every value is
-    # exact, and each value's largest |coefficient| is compared with the
-    # bound 2^(width-1) of the width the recursion really uses.  Walk rows,
-    # f-tables and commutator rows run at order 16, edge tallies at order 12.
-    # Each walk-row entry is read as a root digit of a pass over every
-    # vertex, and its t-degree is held to m, which the root digit width
-    # R = (order + 1) W needs.  R_m of a rooted walk is decoded at the width
-    # of its l1 majorant (operators._decoded), which
-    # test_identity_checks_at_four_times_their_width measures, so its
-    # decoding is not recorded here.
-    order, tally_order = 16, 12
-    wide = 4 * _packed_width(6, order)
-    seen = []  # (graph, what, largest |coefficient|, real width)
+@lru_cache(maxsize=None)
+def _ones(count, width):
+    """The int with a 1 in each of its count lowest base-2^width digits."""
+    return ((1 << (count * width)) - 1) // ((1 << width) - 1)
+
+
+def _coefficient_bits(v, width, at_least=0):
+    """The bit length of the largest |c| over the balanced base-2^width
+    digits c of v, each with |c| < 2^(width-1), or at_least if that is
+    larger.  Every |c| < 2^b exactly when adding 2^b to every digit of v and
+    of -v leaves each in [0, 2^(b+1)); the sums show that, in a few big-int
+    operations, as no bit at b + 1 or above in any digit, since the lowest
+    digit out of range sets one there, by overflow or by the borrow of a
+    negative value.  One such test at b = at_least settles most calls, and
+    the rest bisect above it."""
+    ones = _ones(abs(v).bit_length() // width + 2, width)
+
+    def fits(b):
+        high = ((1 << width) - (1 << (b + 1))) * ones
+        return not ((v + (ones << b)) & high or (-v + (ones << b)) & high)
+
+    if at_least >= width - 1 or fits(at_least):
+        return at_least
+    low, high = at_least + 1, width - 1
+    while low < high:
+        mid = (low + high) // 2
+        if fits(mid):
+            high = mid
+        else:
+            low = mid + 1
+    return low
+
+
+def test_coefficient_bits_reads_the_largest_digit():
+    rng = random.Random(7)
+    for width in (8, 16, 40):
+        half = 1 << (width - 1)
+        for _ in range(300):
+            coeffs = [rng.choice([0, 1, -1, half - 1, -half + 1, rng.randint(-half + 1, half - 1)])
+                      for _ in range(rng.randint(0, 9))]
+            want = max((abs(c).bit_length() for c in coeffs), default=0)
+            v = _pack(coeffs, width)
+            assert _coefficient_bits(v, width) == want, coeffs
+            assert _coefficient_bits(v, width, 3) == max(want, 3), coeffs
+
+
+def _closed_form_width(max_degree, order):
+    """The width D^2 (order+2) (3D)^order, D = max(max degree, 2), that
+    series._packed_width took before it read the recursions' own growth;
+    its docstring proved it a bound on every coefficient they build."""
+    big_d = max(max_degree, 2)
+    return (big_d * big_d * (order + 2) * (3 * big_d) ** order).bit_length() + 1
+
+
+def _packed_width_margins(monkeypatch, graphs, order, tally_order, roots):
+    """{what: (margin, graph)}: the fewest bits to spare, 2^(width-1) over
+    the largest |coefficient|, of every value that the recursions decode,
+    compare or hold as a digit, each against the width the recursion really
+    uses.  Every recursion runs at the old closed-form width or wider, which
+    bounds every coefficient, so every value is exact.
+
+    Decoded: the rooted diagonals and defects, and the digits of the formula
+    route's target entries and commutator integrands, from each root to the
+    next vertex.  Held: every entry of every row that the formula route
+    steps (_f_step wrapped), and every walk-row entry of a pass over the
+    root alone, with its t-degree held to m, which the root digit width
+    R = (order + 1) W needs.  Edge tallies run at tally_order.  roots(g)
+    names the roots.  R_m of a rooted walk is decoded at the width of its l1
+    majorant (operators._decoded), which
+    test_identity_checks_at_four_times_their_width measures, so its decoding
+    is not recorded here."""
+    real = {name: _packed_width(g.max_degree, order) for name, g in graphs.items()}
+    wide = 8 * -(-max(_closed_form_width(g.max_degree, max(order, tally_order))
+                      for g in graphs.values()) // 8)
+    digit_shift = bzk.zeta._digit_width(wide, order)
+    most = {}  # (graph, what) -> bits of the largest |coefficient| seen
     majorant = []  # nonempty while operators._decoded runs
 
-    def record(what, name, real, decode=_unpack):
+    def seen(name, what, v):
+        key = (name, what)
+        most[key] = _coefficient_bits(v, wide, most.get(key, 0))
+
+    def record(what, name, decode):
         def recorded(v, width):
-            if majorant:
-                return decode(v, width)
-            assert width == wide
-            seen.append((name, what, _largest(v, width), real))
+            if not majorant and width != digit_shift:
+                assert width == wide
+                seen(name, what, v)
             return decode(v, width)
         return recorded
 
@@ -109,74 +175,83 @@ def test_recursions_stay_inside_the_packed_width(monkeypatch, capsys):
         finally:
             majorant.pop()
 
-    steps = []
     f_step = bzk.zeta._f_step
 
-    def recording_step(g, width):
-        step = f_step(g, width)
+    def recording_step(g, width, shift):
+        assert (width, shift) == (wide, digit_shift)
+        step = f_step(g, width, shift)
 
-        def recorded(prev, top):
-            steps.append(prev)
-            return step(prev, top)
+        def recorded(prev, digits, plus=None):
+            cur = step(prev, digits, plus)
+            what = "f power" if plus is None else "commutator row"
+            for v in cur:
+                if v:
+                    seen(name, what, v)
+            return cur
         return recorded
 
     _clear_packed_caches()
     try:
         for module in (bzk.operators, bzk.zeta, bzk.edgewalk):
             monkeypatch.setattr(module, "_packed_width", lambda d, m: wide)
-        for name, g in _bound_graphs().items():
-            real = _packed_width(g.max_degree, order)
+        monkeypatch.setattr(bzk.operators, "_decoded", sized_by_majorant)
+        monkeypatch.setattr(bzk.zeta, "_f_step", recording_step)
+        for name, g in graphs.items():
             n = g.vertex_count
-            # the decoded values: walk-row entries, rooted diagonals and
-            # defects, f-table entries at the target and commutator
-            # integrands (raw digits), and edge tallies
-            for module in (bzk.operators, bzk.zeta):
-                monkeypatch.setattr(module, "_unpack", record("decoded", name, real))
-            monkeypatch.setattr(bzk.operators, "_decoded", sized_by_majorant)
-            monkeypatch.setattr(bzk.zeta, "_digits", record("decoded", name, real, _digits))
-            monkeypatch.setattr(bzk.edgewalk, "_unpack",
-                                record("edge tally", name, _packed_width(g.max_degree, tally_order)))
-            cm_sequence(g, order)
-            for x0 in range(n):
+            monkeypatch.setattr(bzk.operators, "_unpack", record("decoded", name, _unpack))
+            monkeypatch.setattr(bzk.zeta, "_digits", record("decoded", name, _digits))
+            monkeypatch.setattr(bzk.edgewalk, "_unpack", record("edge tally", name, _unpack))
+            for x0 in roots(g):
                 _rooted_walk(g, x0, order)
                 zeta_formula_series(g, x0, (x0 + 1) % n, order)
                 edge_closed_tallies(g, x0, tally_order)
-            # every walk-row entry, as a root digit of the pass over every
-            # vertex, and every f-table entry, decoded or not
-            shift = _root_width(wide, order)
-            for m, row in enumerate(_walk_rows(g, tuple(range(n)), order)):
-                for v in row:
-                    for entry in _digits(v, shift):
-                        assert len(_digits(entry, wide)) <= m + 1
-                        seen.append((name, "walk row", _largest(entry, wide), real))
-            for x in range(n):
-                seen += [(name, "f table", _largest(v, wide), real)
-                         for k in _f_power_table(g, x, order) for e in k for v in e]
-            # the commutator rows M_T(x0, .) at order 16 are those of order 17
-            # up to u^14; call T of the order-17 recursion's step reads M_T,
-            # counting from 0, at u^T, u^(T+1), ...
-            for x0 in range(n):
-                left = _f_power_table(g, x0, order + 1)
-                monkeypatch.setattr(bzk.zeta, "_f_step", recording_step)
-                steps.clear()
-                _commutator_exponent(g, x0, x0, left, lcm(*range(1, order + 2)))
-                monkeypatch.setattr(bzk.zeta, "_f_step", f_step)
-                for k, row in enumerate(steps):
-                    for entry in filter(None, row):
-                        seen += [(name, "commutator row", _largest(v, wide), real)
-                                 for p, v in enumerate(entry) if k + p <= order - 2]
+                for m, row in enumerate(_walk_rows(g, (x0,), order)):
+                    for v in row:
+                        assert abs(v).bit_length() <= (m + 1) * wide - 1
+                        seen(name, "walk row", v)
     finally:
         monkeypatch.undo()
         _clear_packed_caches()
     # |c| < 2^(width-1) exactly when c has at most width - 1 bits
     tightest = {}
-    for name, what, largest, real in seen:
-        tightest[what] = min(tightest.get(what, (real,)), (real - 1 - largest.bit_length(), name))
-    assert set(tightest) == {"decoded", "walk row", "f table", "commutator row", "edge tally"}
+    for (name, what), bits in most.items():
+        g = graphs[name]
+        width = _packed_width(g.max_degree, tally_order if what == "edge tally" else order)
+        tightest[what] = min(tightest.get(what, (width,)), (width - 1 - bits, name))
+    assert set(tightest) == {"decoded", "walk row", "f power", "commutator row", "edge tally"}
+    return tightest
+
+
+def _check_margins(tightest, order, capsys):
     with capsys.disabled():
-        print("\ntightest packed-width margins, in bits: " + "; ".join(
+        print(f"\ntightest packed-width margins at order {order}, in bits: " + "; ".join(
             f"{what} {margin} ({name})" for what, (margin, name) in sorted(tightest.items())))
     assert all(margin >= 0 for margin, _ in tightest.values())
+
+
+def test_recursions_stay_inside_the_packed_width(monkeypatch, capsys):
+    # order 16 on the corpus, star(6) and 20 seeded random graphs; the edge
+    # tallies at order 12, where the library caps them
+    margins = _packed_width_margins(monkeypatch, _bound_graphs(), 16, 12,
+                                    lambda g: range(g.vertex_count))
+    _check_margins(margins, 16, capsys)
+
+
+def test_recursions_stay_inside_the_packed_width_at_order_64(monkeypatch, capsys):
+    # order 64, the zeta order cap, on the corpus, the edge tallies too, at
+    # roots 0, 1 and n - 1, which meet every orbit of each corpus graph's
+    # automorphisms (the centre, a middle vertex and a leaf of tree_ball(3,3))
+    margins = _packed_width_margins(monkeypatch, dict(CORPUS), 64, 64,
+                                    lambda g: sorted({0, 1, g.vertex_count - 1}))
+    _check_margins(margins, 64, capsys)
+
+
+def test_packed_width_never_above_the_closed_form():
+    # the width from the recursions' own growth against the closed form
+    # that it replaced
+    for max_degree in range(17):
+        for order in range(65):
+            assert _packed_width(max_degree, order) <= _closed_form_width(max_degree, order)
 
 
 def _exp_scale(s):

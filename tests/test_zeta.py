@@ -14,11 +14,10 @@ from bzk.heat import check_transform_consistency
 from bzk.operators import (check_cyclic_bump_identity, check_no_tail_identity,
                            check_r_generating_identity, cm_sequence)
 from bzk.paths import primitive_rooted_closed_paths
-from bzk.series import (TPOLY_ONE, TPOLY_ZERO, TPoly, USeries, _packed_width,
-                        _unpack)
+from bzk.series import ONE_MINUS_T, TPOLY_ONE, TPOLY_ZERO, TPoly, USeries
 from bzk.graphs import generate
 from bzk.zeta import (DomainError, EigensolverFailure, NotRegular,
-                      _commutator_exponent, _f_power_table, _formula_exponent,
+                      _commutator_exponent, _f_power_table, _formula_exponent, _restored,
                       cbc_entries,
                       charpoly_exact, euler_product_series, isolate_real_roots,
                       local_spectrum, zeta_formula_series,
@@ -161,18 +160,21 @@ FORMULA_EXPONENT_GRAPHS = _formula_exponent_graphs()
 @pytest.mark.parametrize("name", list(FORMULA_EXPONENT_GRAPHS))
 def test_formula_exponent_matches_fraction_assembly(name):
     # the route's integer exponent scale m a_m, divided by m scale, against
-    # the factor-by-factor Fraction sum it replaced, at every root, on the
-    # diagonal and to the next vertex and one farther away, orders 1 to 16
+    # the factor-by-factor Fraction sum on dense powers of f, at every root,
+    # on the diagonal and to the next vertex and one farther away, orders 1
+    # to 16; a_m does not depend on the order past m, so the reference is
+    # summed once at order 16 and cut
     g = FORMULA_EXPONENT_GRAPHS[name]
     n = g.vertex_count
     pairs = [(x0, x) for x0 in range(n) for x in {x0, (x0 + 1) % n, (x0 + n // 2) % n}]
-    for order in range(1, 17):
-        for x0, x in pairs:
+    for x0, x in pairs:
+        want = formula_exponent(g, x0, x, 16)
+        for order in range(1, 17):
             scaled, scale = _formula_exponent(g, x0, x, order)
             assert scale == math.lcm(*range(1, order + 1))
             assert len(scaled) == order + 1 and not any(scaled[0])
             got = series_from_scaled(order, scaled, scale)
-            assert list(got.c) == formula_exponent(g, x0, x, order), (order, x0, x)
+            assert list(got.c) == want[:order + 1], (order, x0, x)
 
 
 def test_formula_exponent_matches_fraction_assembly_star6_order32():
@@ -185,23 +187,31 @@ def test_formula_exponent_matches_fraction_assembly_star6_order32():
         assert list(got.c) == formula_exponent(g, x0, x, 32), (x0, x)
 
 
+def _restored_entry(order, k, digits):
+    """The u-series of a target entry of _f_power_table at u^k: digit p is
+    its u^(k+p) coefficient over (1-t)^p."""
+    coeffs = [TPOLY_ZERO] * (order + 1)
+    for p, q in enumerate(digits):
+        coeffs[k + p] = TPoly(q) * ONE_MINUS_T ** p
+    return USeries(order, coeffs)
+
+
 @pytest.mark.parametrize("name", list(CORPUS))
 def test_f_power_rows_match_dense_powers(name):
-    # every row of the cached row recursion, rooted (j = x) and off the
-    # diagonal, decoded slot by slot, against the entries of dense
-    # operator-series powers of f
+    # the target entries f^k(x0, x) of the streamed pass, at every (x0, x)
+    # pair, each digit restored by its power of 1 - t, against the entries
+    # of dense operator-series powers of f
     g = CORPUS[name]
     order = 8
-    width = _packed_width(g.max_degree, order)
     powers = dense_f_powers(g, order)
-    for x in range(g.vertex_count):
-        rows = _f_power_table(g, x, order)
-        assert _f_power_table(g, x, order) is rows
-        assert len(rows) == order + 1
-        for k, power in enumerate(powers):
-            for j in range(g.vertex_count):
-                padded = [TPOLY_ZERO] * k + [_unpack(c, width) for c in rows[k][j]]
-                assert USeries(order, padded) == power.entry(x, j)
+    for x0 in range(g.vertex_count):
+        for x in range(g.vertex_count):
+            table, _ = _f_power_table(g, x0, x, order)
+            assert _f_power_table(g, x0, x, order)[0] is table
+            assert len(table) == order + 1
+            for k, power in enumerate(powers):
+                assert len(table[k]) <= min(k, order - k) + 1
+                assert _restored_entry(order, k, table[k]) == power.entry(x0, x), (x0, x, k)
 
 
 def test_commutator_factor_trivial_on_regular():
@@ -219,8 +229,9 @@ def test_commutator_factor_trivial_on_regular():
     ("tree_ball(3,3)", [(0, 0), (0, 4), (5, 17), (17, 17), (21, 3)]),
 ])
 def test_commutator_recursion_matches_double_sum(name, pairs):
-    # the packed row recursion for M_T = sum_{a+b=T} f^a D f^b against the
-    # direct (a, b) double sum over dense powers of f, on and off the diagonal
+    # the commutator rows M_T = sum_{a+b=T} f^a D f^b of the streamed pass,
+    # through their decoded target entries, against the direct (a, b) double
+    # sum over dense powers of f, on and off the diagonal
     g = CORPUS[name]
     n = g.vertex_count
     if pairs is None:
@@ -231,11 +242,52 @@ def test_commutator_recursion_matches_double_sum(name, pairs):
         # the recursion returns scale m a_m; a_m is compared
         scale = math.lcm(*range(1, order + 1))
         for x0, x in pairs:
-            scaled = _commutator_exponent(g, x0, x, _f_power_table(g, x0, order), scale)
+            _, integrand = _f_power_table(g, x0, x, order)
+            scaled = _restored(order, _commutator_exponent(integrand, scale))
             got = series_from_scaled(order, scaled, scale)
             assert list(got.c) == commutator_exponent_loop(g, x0, x, order, powers), (order, x0, x)
             live += not got.is_zero()
     assert live  # the term is not zero everywhere, so the comparison has teeth
+
+
+# formula-route mutants, each a name in bzk.zeta and its replacement made
+# from the real one
+FORMULA_MUTANTS = {
+    # U one W-digit short, so digit p = order // 2 spills into the next
+    "digit width narrowed": ("_digit_width",
+                             lambda real: lambda width, order: real(width, order) - width),
+    # (1-t)^(q+1) restored where (1-t)^q belongs
+    "restore off by one power": ("_restored",
+                                 lambda real: lambda order, terms: real(
+                                     order, ((m, q + 1, share, c) for m, q, share, c in terms))),
+    # the step weight d - 2 + t in place of d - 1 + t
+    "weight d - 2 + t": ("_f_weight", lambda real: lambda d: (d - 2, 1)),
+}
+
+
+def _formula_equals_log(order):
+    """Whether the formula and log routes agree at order on Petersen and
+    tree_ball(3,3), on and off the diagonal, built afresh: the f table is
+    emptied before and after."""
+    cases = [("petersen", [(0, 0), (0, 1)]),
+             ("tree_ball(3,3)", [(0, 0), (0, 4), (5, 5), (5, 17), (17, 17)])]
+    bzk.zeta._f_power_table.cache_clear()
+    try:
+        return all(zeta_formula_series(CORPUS[name], x0, x, order)
+                   == zeta_log_series(CORPUS[name], x0, x, order)
+                   for name, pairs in cases for x0, x in pairs)
+    finally:
+        bzk.zeta._f_power_table.cache_clear()
+
+
+@pytest.mark.parametrize("mutant", list(FORMULA_MUTANTS))
+def test_formula_route_mutants_fail(monkeypatch, mutant):
+    # the log route shares no step, width or restore code with the formula
+    # route, so a broken formula route shows as a disagreement at order 16
+    assert _formula_equals_log(16)
+    name, make = FORMULA_MUTANTS[mutant]
+    monkeypatch.setattr(bzk.zeta, name, make(getattr(bzk.zeta, name)))
+    assert not _formula_equals_log(16)
 
 
 @pytest.mark.parametrize("name", VERTEX_TRANSITIVE)
