@@ -4,9 +4,10 @@ Builds the walk-matrix rows by recursion, each root's walk data and defect
 values, the cyclic-bump operators, and machine-checks the generating-function
 identities coefficient by coefficient in exact arithmetic.  The checks run on
 packed ints (series._pack), so none forms a dense matrix or a USeries.  One
-recursion, _walk_rows, builds the rows of a tuple of roots in one pass, each
-root a base-2^R digit of every packed entry; the series-inverse check takes
-neighbour sums on those packed rows.
+recursion, _walk_rows, streams the rows of a tuple of roots in one pass, each
+root a balanced base-2^R digit of every packed entry (series._digit_width),
+and keeps only the last two rows; every caller reads the rows as they come,
+and the series-inverse check takes neighbour sums on them.
 A per-root check holds each side of a display as a list of packed ints
 indexed by u-power: multiplying by 1 - a u^2 is one product and one sum per
 power, dividing by it is out[m] = s[m] + a out[m-2], and a shift by u^2 is
@@ -30,8 +31,8 @@ from functools import lru_cache
 from .edgewalk import edge_closed_tallies
 from .graphs import _check_vertex
 from .records import Record
-from .series import (ONE_MINUS_T, TPOLY_ZERO, OperatorPoly, TPoly, _digits, _pack,
-                     _packed_width, _unpack)
+from .series import (ONE_MINUS_T, TPOLY_ZERO, OperatorPoly, TPoly, _digit, _digit_width,
+                     _digits, _pack, _packed_width, _unpack)
 
 
 class IdentityReport(Record):
@@ -58,12 +59,13 @@ class IdentityReport(Record):
 
 def cm_sequence(g, order):
     """Walk matrices C_0..C_order, decoded from one pass of _walk_rows over
-    every vertex: entry (y, x) of C_m is root digit y of rows[m][x]."""
+    every vertex as its rows stream: entry (y, x) of C_m is root digit y of
+    entry x of row m."""
     if order < 0:
         raise ValueError("order must be >= 0")
     n = g.vertex_count
     width = _packed_width(g.max_degree, order)
-    shift = _root_width(width, order)
+    shift = _digit_width(width, order)
     out = []
     for row in _walk_rows(g, tuple(range(n)), order):
         columns = [_digits(v, shift) for v in row]
@@ -72,28 +74,14 @@ def cm_sequence(g, order):
     return out
 
 
-def _root_width(width, order):
-    """R = (order + 1) width, the bits per root in a pass of _walk_rows."""
-    return (order + 1) * width
-
-
-def _root_digit(v, r, shift):
-    """Balanced base-2^shift digit r of v, taken in [-2^(shift-1),
-    2^(shift-1)) as series._digits takes it: the digits below r sum to a
-    value in that range scaled by 2^(r shift), so adding half of 2^(r shift)
-    and shifting drops them exactly."""
-    low = r * shift
-    high = (v + ((1 << low) >> 1)) >> low
-    half = 1 << (shift - 1)
-    return ((high + half) & ((1 << shift) - 1)) - half
-
-
 def _walk_rows(g, roots, order):
-    """Rows of the walk matrices C_0..C_order at a tuple of roots, in one
-    pass: rows[m][x] = sum_r C_m(roots[r], x) 2^(r R), where C_m(y, x) is
-    the int of series._pack at W = _packed_width(max degree, order) and
-    R = _root_width(W, order) = (order + 1) W.  With one root, rows[m][x] is
-    the packed C_m(root, x) itself.
+    """Yield the rows of the walk matrices C_0..C_order at a tuple of roots,
+    in one pass: row m is the tuple whose entry x is
+    sum_r C_m(roots[r], x) 2^(r R), where C_m(y, x) is the int of
+    series._pack at W = _packed_width(max degree, order) and
+    R = _digit_width(W, order) = (order + 1) W.  With one root, entry x is
+    the packed C_m(root, x) itself.  The pass keeps only the last two rows,
+    which the recursion reads; a caller that stops early builds no more.
 
     C_0 = I, C_1 = adjacency, C_2 = C_1^2 - (1-t) (Q + I), and for m >= 3
     C_m = C_{m-1} C_1 - (1-t) C_{m-2} (D - (1-t) I).  Each product is taken
@@ -104,16 +92,14 @@ def _walk_rows(g, roots, order):
     costs one neighbour sum and one product per (m, x), whatever the number
     of roots.
 
-    Each root's digit decodes exactly.  C_m has t-degree at most m <= order,
-    and by _packed_width's bound each coefficient c_i has
-    |c_i| <= 2^(W-1) - 1, so the packed entry sum_{i <= order} c_i 2^(i W)
-    has absolute value at most (2^(W-1) - 1)(2^R - 1)/(2^W - 1) < 2^(R-1):
-    it is the balanced base-2^R digit r of rows[m][x], which _root_digit and
-    series._digits read.  A zero entry is a zero digit.
+    Each root's digit decodes exactly: C_m has t-degree at most m <= order
+    and, by _packed_width's bound, coefficients below 2^(W-1), so it is the
+    balanced base-2^R digit r of its entry (series._digit_width), which
+    series._digit and series._digits read.  A zero entry is a zero digit.
     """
     n = g.vertex_count
     width = _packed_width(g.max_degree, order)
-    shift = _root_width(width, order)
+    shift = _digit_width(width, order)
     nbrs = [g.neighbors(x) for x in range(n)]
     # the scalings -(1-t) d_x for C_2 and -(1-t)(d_x - 1 + t) after it
     first_weights = [_pack((-d, d), width) for d in g.degrees]
@@ -121,15 +107,17 @@ def _walk_rows(g, roots, order):
     unit = [0] * n
     for r, y in enumerate(roots):
         unit[y] += 1 << (r * shift)
-    rows = [tuple(unit)]
+    last = tuple(unit)
+    yield last
     if order >= 1:
-        rows.append(tuple(sum(map(unit.__getitem__, nb)) for nb in nbrs))
+        older, last = last, tuple(sum(map(unit.__getitem__, nb)) for nb in nbrs)
+        yield last
     for m in range(2, order + 1):
         weights = first_weights if m == 2 else step_weights
-        last = rows[-1].__getitem__
-        rows.append(tuple(sum(map(last, nb)) + w * c
-                          for nb, w, c in zip(nbrs, weights, rows[-2])))
-    return tuple(rows)
+        get = last.__getitem__
+        older, last = last, tuple(sum(map(get, nb)) + w * c
+                                  for nb, w, c in zip(nbrs, weights, older))
+        yield last
 
 
 def _weight(coeffs, width):
@@ -232,14 +220,14 @@ def _rooted_walk(g, x0, order):
     (_decoded) and decoded once.
     """
     width = _packed_width(g.max_degree, order)
-    shift = _root_width(width, order)
+    shift = _digit_width(width, order)
     roots = (x0, *g.neighbors(x0))
     deg = g.degrees[x0]
     diag, delta = [], []
     for row in _walk_rows(g, roots, order):
-        own = _root_digit(row[x0], 0, shift)
+        own = _digit(row[x0], 0, shift)
         diag.append(_unpack(own, width))
-        delta.append(_unpack(deg * own - sum(_root_digit(row[y], r, shift)
+        delta.append(_unpack(deg * own - sum(_digit(row[y], r, shift)
                                              for r, y in enumerate(roots) if r), width))
     r = _decoded(lambda width, delta: _r_recursion(delta, order, width), delta)
     return RootedWalk(diag=tuple(diag), delta=tuple(delta), r=tuple(r))
@@ -491,16 +479,17 @@ def check_series_inverse_identity(g, order):
     u^m coefficient is the neighbour sum
     C_m(y, x) - sum_{z ~ x} C_(m-1)(y, z) + (1-t)(d_x - 1 + t) C_(m-2)(y, x).
     The roots y run in groups of max degree + 1, one pass of _walk_rows
-    each, and for every (m, x) the sum is taken on the pass's packed rows,
-    with nothing decoded, and compared with the group's packed unit: the
-    right side's entry at root digit r of x when x is the group's r-th root,
-    zero elsewhere.  A zero packed difference is a zero polynomial at every
-    root: each root's difference has t-degree at most m and l1 norm at most
+    each, and for every (m, x) the sum is taken on the pass's packed rows as
+    they stream, the row at C_m and the two before it, with nothing decoded,
+    and compared with the group's packed unit: the right side's entry at
+    root digit r of x when x is the group's r-th root, zero elsewhere.  A
+    zero packed difference is a zero polynomial at every root: each root's
+    difference has t-degree at most m and l1 norm at most
     N_m + D N_(m-1) + 2D N_(m-2) + 4 <= P < 2^(W-1), one of the bounds that
     _packed_width takes its width from, so it is a balanced base-2^R digit
-    (see _walk_rows), and
-    packing is one-to-one on such digits.  The report names the smallest
-    failing u-power over all groups.
+    (see _walk_rows), and packing is one-to-one on such digits.  A pass
+    stops below the smallest failing u-power found so far, and the report
+    names the smallest over all groups.
 
     The folded series F_m = C_m + (1-t)^2 F_{m-2}, whose product with B is
     exactly I, needs no check of its own: F = C S with the scalar unit series
@@ -511,26 +500,27 @@ def check_series_inverse_identity(g, order):
         raise ValueError("order must be >= 2")
     n = g.vertex_count
     width = _packed_width(g.max_degree, order)
-    shift = _root_width(width, order)
+    shift = _digit_width(width, order)
     nbrs = [g.neighbors(x) for x in range(n)]
     weights = [_pack(_inverse_weight(d), width) for d in g.degrees]
     # the diagonal of (1-(1-t)^2 u^2) I at u^0 and u^2
     units = {0: 1, 2: _pack((-1, 2, -1), width)}
-    zero = (0,) * n
     size = g.max_degree + 1
     first = order + 1
     for start in range(0, n, size):
         stop = min(start + size, n)
-        # rows[m + 2] is the pass at C_m, behind two zero rows for C_(-2) and C_(-1)
-        rows = (zero, zero) + _walk_rows(g, tuple(range(start, stop)), order)
-        for m in range(first):
-            older, last = rows[m], rows[m + 1]
+        # the rows at C_(m-2) and C_(m-1), zero before C_0; the pass runs at
+        # order, so its root digits are shift apart, and stops below the
+        # smallest failing u-power found so far
+        older = last = (0,) * n
+        for m, row in zip(range(first), _walk_rows(g, tuple(range(start, stop)), order)):
             unit = units.get(m, 0)
             if any(c - sum(map(last.__getitem__, nbrs[x])) + weights[x] * older[x]
                    != (unit << ((x - start) * shift) if start <= x < stop else 0)
-                   for x, c in enumerate(rows[m + 2])):
+                   for x, c in enumerate(row)):
                 first = m
                 break
+            older, last = last, row
     failures = [{"display": "plain", "u_power": first}] if first <= order else []
     return _report("walk-series-inverse", g, None, order, failures)
 

@@ -98,13 +98,10 @@ def _packed_width(max_degree, order):
     order <= 64 it is never wider than the closed form
     D^2 (order+2) (3D)^order that it replaced (tests/test_packing.py).
 
-    A pass of operators._walk_rows packs several roots' walk rows into one
-    int per entry, root r at 2^(r R) with R = (order + 1) width.  C_m has
-    t-degree at most m <= order and, by the bound above, coefficients below
-    2^(width-1), so each root's packed entry is below 2^(R-1) in absolute
-    value: it is one balanced base-2^R digit, which decodes exactly.  The
-    formula route packs the u-powers of an entry the same way, digit p of
-    t-degree at most p <= order // 2 (zeta._digit_width).
+    A pass of operators._walk_rows packs each root's C_m, of t-degree at
+    most order, as one digit of _digit_width(width, order) bits, and the
+    formula route each u-power digit, of t-degree at most order // 2, as one
+    of _digit_width(width, order // 2) bits.
     """
     big_d = max(max_degree, 2)
     walk = [1, 1]
@@ -146,6 +143,29 @@ def _scaled_exp(a, scale):
     return out
 
 
+def _digit_width(width, degree):
+    """U = (degree + 1) width: a t-polynomial of t-degree at most degree,
+    each coefficient below 2^(width-1) in absolute value, packs to at most
+    (2^(width-1) - 1)(2^U - 1)/(2^width - 1) < 2^(U-1), so it is one
+    balanced base-2^U digit, which _digit and _digits read exactly."""
+    return (degree + 1) * width
+
+
+def _balanced(v, bits):
+    """The residue of v mod 2^bits taken in [-2^(bits-1), 2^(bits-1)): the
+    lowest balanced base-2^bits digit of v, as _digits takes it."""
+    half = 1 << (bits - 1)
+    return ((v + half) & ((1 << bits) - 1)) - half
+
+
+def _digit(v, r, width):
+    """Balanced base-2^width digit r of v, as _digits takes it: the digits
+    below r sum to a value in [-2^(r width - 1), 2^(r width - 1)), so
+    adding half of 2^(r width) and shifting drops them exactly."""
+    low = r * width
+    return _balanced((v + ((1 << low) >> 1)) >> low, width)
+
+
 def _digits(v, width):
     """The raw coefficient list, lowest t-power first, whose packed form is
     v, by balanced base-2^width digits: each digit is taken in
@@ -154,12 +174,10 @@ def _digits(v, width):
     absolute value; see _packed_width.  A nonzero leading digit c_d puts |v|
     above 2^(d width - 1), so v has at most v.bit_length() // width + 1
     digits; the list may end in zeros, and is empty for v = 0."""
-    half = 1 << (width - 1)
-    mask = (1 << width) - 1
     coeffs = []
     if v:
         for _ in range(v.bit_length() // width + 1):
-            c = ((v + half) & mask) - half
+            c = _balanced(v, width)
             coeffs.append(c)
             v = (v - c) >> width
     return coeffs

@@ -16,8 +16,8 @@ from itertools import chain
 from .graphs import _check_vertex
 from .operators import _closed_tallies, _decoded, _rooted_walk, _walk_rows, alpha, cbc_terms
 from .records import Record
-from .series import (ONE_MINUS_T, TPOLY_ZERO, TPoly, _digits, _exp_from_scaled,
-                     _pack, _packed_width, _unpack)
+from .series import (TPOLY_ZERO, TPoly, _balanced, _digit_width, _digits,
+                     _exp_from_scaled, _pack, _packed_width, _unpack)
 
 
 class DomainError(ValueError):
@@ -86,12 +86,6 @@ def _f_weight(d):
     return (d - 1, 1)
 
 
-def _digit_width(width, order):
-    """U = (order // 2 + 1) width, the bits per u-power digit of an entry of
-    the formula route's rows: digit p has t-degree at most p <= order // 2."""
-    return (order // 2 + 1) * width
-
-
 def _f_step(g, width, shift):
     """step(prev, digits, plus=None) = prev f for the formula route's
     f = u A - u^2 (1-t)(D - (1-t)I) = u A - s (D - 1 + t), s = (1-t) u^2, on
@@ -121,8 +115,7 @@ def _f_step(g, width, shift):
                    for nb, w, v, d, p in zip(nbrs, weights, prev, degrees, plus)]
         if digits is not None:
             bits = digits * shift
-            half, mask = 1 << (bits - 1), (1 << bits) - 1
-            cur = [((v + half) & mask) - half if v else 0 for v in cur]
+            cur = [_balanced(v, bits) if v else 0 for v in cur]
         return cur
 
     return step
@@ -148,7 +141,7 @@ def _f_power_table(g, x0, x, order):
 
     Row x0 of f^k steps from the unit at x0, and row x0 of
     M_T = M_(T-1) f + f^T D from M_0 = D in lockstep with it (_f_step), at
-    W = _packed_width(max degree, order) and U = _digit_width(W, order);
+    W = _packed_width(max degree, order) and U = _digit_width(W, order // 2);
     only entry x of each is decoded, and no row is kept past the next step.
     Q_p has t-degree at most p <= order // 2 and, by _packed_width's bound,
     coefficients below 2^(W-1), so it is a balanced base-2^U digit that
@@ -157,7 +150,7 @@ def _f_power_table(g, x0, x, order):
     the digits it keeps stay exact.  K = A D - D A is zero exactly when a
     connected graph is regular, and then the commutator rows are not run."""
     width = _packed_width(g.max_degree, order)
-    shift = _digit_width(width, order)
+    shift = _digit_width(width, order // 2)
     step = _f_step(g, width, shift)
     d = g.degrees
 
@@ -250,35 +243,30 @@ def _common_neighbours(g, x, y):
 def _formula_exponent(g, x0, x, order):
     """(scaled, scale) for the formula route's exponent series a: the logs
     of the prefactor, the matrix-log factor, the commutator integral, the
-    length-2 correction and the defect series, summed as
+    length-2 correction and the defect series, each a stream of terms
+    (m, q, share, Q) that _restored sums as
     scaled[m] = scale m a_m, raw int lists, at scale = lcm(1, ..., order),
     which every denominator below divides.  The matrix log and the
     commutator integral read the target entries of _f_power_table, which
     are empty of commutator digits on regular graphs."""
     powers, integrand = _f_power_table(g, x0, x, order)
     scale = math.lcm(*range(1, order + 1))
-    scaled = _restored(order, chain(_log_terms(powers, scale),
-                                    _commutator_exponent(integrand, scale)))
-
+    terms = [_log_terms(powers, scale), _commutator_exponent(integrand, scale)]
     if x == x0:
         # log (1-(1-t)^2 u^2)^(-(deg-2)/2) = (deg-2)/2 sum_k (1-t)^(2k) u^(2k) / k,
         # so m a_m at m = 2k is (deg-2) (1-t)^(2k); the prefactor is 1 off
         # the diagonal
-        square = ONE_MINUS_T * ONE_MINUS_T
-        power = TPoly((scale * (g.degrees[x0] - 2),))
-        for k in range(1, order // 2 + 1):
-            power = power * square
-            _add_into(scaled[2 * k], power.c, 1)
+        share = scale * (g.degrees[x0] - 2)
+        terms.append((2 * k, 0, share, [(-1) ** i * math.comb(2 * k, i) for i in range(2 * k + 1)])
+                     for k in range(1, order // 2 + 1))
         # sum_{m>=3} (1-t) R_m(x0) / m u^m; the defect operator is diagonal
         r = _rooted_walk(g, x0, order).r
-        for m in range(3, order + 1):
-            _add_into(scaled[m], _times_one_minus_t(list(r[m].c)), scale)
+        terms.append((m, 1, scale, r[m].c) for m in range(3, order + 1))
     elif order >= 2:
         # [t D - C_2](x0, x) (1-t) u^2 / 2; C_2(x, x) = t deg(x), so only the
         # off-diagonal -A^2(x0, x) survives
-        common = _common_neighbours(g, x0, x)
-        _add_into(scaled[2], (-common, common), scale)
-    return scaled, scale
+        terms.append([(2, 1, -scale * _common_neighbours(g, x0, x), (1,))])
+    return _restored(order, chain.from_iterable(terms)), scale
 
 
 def zeta_formula_series(g, x0, x, order):

@@ -131,26 +131,30 @@ def test_walk_rows_match_exact_rows():
     from fractions import Fraction
 
     from bzk.heat import _walk_matrix_table
-    from bzk.operators import _root_digit, _root_width, _walk_rows, alpha
-    from bzk.series import _packed_width, _unpack
+    from bzk.operators import _walk_rows, alpha
+    from bzk.series import _digit, _digit_width, _packed_width, _unpack
 
     count = 40
     graphs = [CORPUS[name] for name in ("petersen", "Q3", "K4", "cycle(6)")]
     for g in graphs + [generate("hypercube", 5), FRUCHT]:
         width = _packed_width(g.max_degree, count)
-        shift = _root_width(width, count)
+        shift = _digit_width(width, count)
         roots = (0, g.vertex_count - 1)
-        exact = _walk_rows(g, roots, count)
+        # the pass streams, so it is kept here to be read once per (root, t)
+        exact = tuple(_walk_rows(g, roots, count))
         for r, x0 in enumerate(roots):
             for t in (-0.5, 0.0, 0.5, 0.9):
                 rows, _ = _walk_matrix_table(g, t, x0).upto(count)
                 assert len(rows) == count + 1
                 scale = alpha(g, abs(t))
+                compared = 0
                 for n, (row, packed) in enumerate(zip(rows, exact)):
                     for x in range(g.vertex_count):
-                        entry = _unpack(_root_digit(packed[x], r, shift), width)
+                        entry = _unpack(_digit(packed[x], r, shift), width)
                         want = float(entry.evaluate(Fraction(t)))
                         assert abs(row[x] - want) <= 1e-14 * scale ** n
+                        compared += 1
+                assert compared == (count + 1) * g.vertex_count
 
 
 def test_heat_bessel_initial_condition():

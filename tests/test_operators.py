@@ -10,18 +10,19 @@ import json
 import math
 import random
 import textwrap
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bzk.graphs import generate
-from bzk.operators import (_root_digit, _root_width, _rooted_walk, _walk_rows, alpha,
-                           check_cyclic_bump_identity, check_no_tail_identity,
-                           check_r_generating_identity, check_series_inverse_identity,
-                           cm_sequence, delta_diag, r_values)
+from bzk.operators import (_rooted_walk, _walk_rows, alpha, check_cyclic_bump_identity,
+                           check_no_tail_identity, check_r_generating_identity,
+                           check_series_inverse_identity, cm_sequence, delta_diag, r_values)
 from bzk.paths import rooted_closed_tallies
-from bzk.series import ONE_MINUS_T, OperatorPoly, TPoly, _packed_width, _unpack
+from bzk.series import (ONE_MINUS_T, OperatorPoly, TPoly, _digit, _digit_width, _packed_width,
+                        _unpack)
 from bzk.zeta import zeta_log_series
 from conftest import CORPUS, NON_TRANSITIVE, VERTEX_TRANSITIVE, random_connected_graph
 
@@ -188,15 +189,19 @@ def test_rooted_walk_matches_dense_products_on_random_graphs():
 def _pass_matches_one_root_rows(g, roots, order):
     """Whether every root digit of the pass of operators._walk_rows over
     roots equals the packed entry of that root's one-root pass, both read
-    through the module, so that a test may replace _walk_rows."""
+    through the module, so that a test may replace _walk_rows.  The pass
+    streams, so it is kept here to be read once per root, and every root's
+    every entry must be compared."""
     import bzk.operators
 
-    shift = _root_width(_packed_width(g.max_degree, order), order)
-    rows = bzk.operators._walk_rows(g, roots, order)
-    return all(_root_digit(v, r, shift) == own
-               for r, y in enumerate(roots)
-               for row, own_row in zip(rows, bzk.operators._walk_rows(g, (y,), order))
-               for v, own in zip(row, own_row))
+    shift = _digit_width(_packed_width(g.max_degree, order), order)
+    rows = tuple(bzk.operators._walk_rows(g, roots, order))
+    same = [_digit(v, r, shift) == own
+            for r, y in enumerate(roots)
+            for row, own_row in zip(rows, bzk.operators._walk_rows(g, (y,), order))
+            for v, own in zip(row, own_row)]
+    assert len(same) == len(roots) * (order + 1) * g.vertex_count
+    return all(same)
 
 
 def _root_tuples(g, rng):
@@ -219,6 +224,25 @@ def test_pass_digits_equal_one_root_rows(g):
     for order in range(17):
         for roots in _root_tuples(g, rng):
             assert _pass_matches_one_root_rows(g, roots, order), (roots, order)
+
+
+def test_walk_pass_streams():
+    # a pass yields its rows and keeps the last two, and its callers read it
+    # as it streams: at order 64 the root walk of complete(12) (a pass over
+    # 12 roots) and the series-inverse check on hypercube(5) each peak near
+    # 1 MB, where holding every row of a pass took 17.7 and 29.5 MB
+    assert inspect.isgenerator(_walk_rows(CORPUS["K4"], (0,), 4))
+    complete, cube = generate("complete", 12), generate("hypercube", 5)
+    _packed_width(11, 64), _packed_width(5, 64)
+    for run in (lambda: _rooted_walk.__wrapped__(complete, 0, 64),
+                lambda: check_series_inverse_identity(cube, 64)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
 
 def _record_passes(monkeypatch):
@@ -436,7 +460,7 @@ def test_series_inverse_check_rejects_a_wrong_walk_matrix(name, monkeypatch):
             rows = [list(row) for row in walk_rows(g, roots, order)]
             for r, root in enumerate(roots):
                 if root == y:
-                    rows[5][y] += 1 << (2 * width + r * _root_width(width, order))
+                    rows[5][y] += 1 << (2 * width + r * _digit_width(width, order))
             return tuple(map(tuple, rows))
 
         monkeypatch.setattr(bzk.operators, "_walk_rows", wrong)
@@ -470,10 +494,10 @@ def test_series_inverse_check_rejects_a_narrowed_root_width(name, monkeypatch):
     import bzk.operators
 
     source = textwrap.dedent(inspect.getsource(bzk.operators._walk_rows))
-    spacing = "shift = _root_width(width, order)\n"
+    spacing = "shift = _digit_width(width, order)\n"
     assert source.count(spacing) == 1
     built = {}
-    exec(source.replace(spacing, "shift = _root_width(width, order) - width\n"),
+    exec(source.replace(spacing, "shift = _digit_width(width, order) - width\n"),
          vars(bzk.operators), built)
     g = CORPUS[name]
     roots = (0, *g.neighbors(0))

@@ -23,7 +23,8 @@ from bzk.operators import (_cyclic_bump_sides, _no_tail_sides, _r_generating_sid
                            _rooted_walk, _sides_width, _walk_rows,
                            check_cyclic_bump_identity, check_no_tail_identity,
                            check_r_generating_identity)
-from bzk.series import TPOLY_ZERO, TPoly, _digits, _pack, _packed_width, _unpack
+from bzk.series import (TPOLY_ZERO, TPoly, _digit_width, _digits, _pack, _packed_width,
+                        _unpack)
 from bzk.zeta import cbc_entries, euler_product_series, zeta_formula_series, zeta_log_series
 from conftest import CORPUS, random_connected_graph
 
@@ -150,7 +151,7 @@ def _packed_width_margins(monkeypatch, graphs, order, tally_order, roots):
     real = {name: _packed_width(g.max_degree, order) for name, g in graphs.items()}
     wide = 8 * -(-max(_closed_form_width(g.max_degree, max(order, tally_order))
                       for g in graphs.values()) // 8)
-    digit_shift = bzk.zeta._digit_width(wide, order)
+    digit_shift = _digit_width(wide, order // 2)
     most = {}  # (graph, what) -> bits of the largest |coefficient| seen
     majorant = []  # nonempty while operators._decoded runs
 

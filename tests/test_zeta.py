@@ -255,7 +255,7 @@ def test_commutator_recursion_matches_double_sum(name, pairs):
 FORMULA_MUTANTS = {
     # U one W-digit short, so digit p = order // 2 spills into the next
     "digit width narrowed": ("_digit_width",
-                             lambda real: lambda width, order: real(width, order) - width),
+                             lambda real: lambda width, degree: real(width, degree) - width),
     # (1-t)^(q+1) restored where (1-t)^q belongs
     "restore off by one power": ("_restored",
                                  lambda real: lambda order, terms: real(
