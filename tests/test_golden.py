@@ -1,7 +1,8 @@
-"""Byte-for-byte stdout of fifteen CLI commands, pinned in tests/golden/.
+"""Byte-for-byte stdout of seventeen CLI commands, pinned in tests/golden/.
 
 The fixtures were written by the commands below; any change to an exact
-coefficient, a key or the JSON layout shows up here as a failed comparison.
+coefficient, a key or the JSON layout, or to a bit of a Bessel heat value or
+tail bound, shows up here as a failed comparison.
 To regenerate one, run its command with `python -m bzk` and redirect stdout.
 """
 
@@ -75,6 +76,15 @@ CASES = [
     ("zeta_petersen_rhs_o64.json", 0,
      ["zeta", "--family", "petersen", "--root", "0",
       "--order", "64", "--route", "rhs"]),
+    # the Bessel heat route alone (spectral values come from LAPACK): off
+    # the diagonal at t = 0.5, and on the diagonal of hypercube(4) at
+    # t = -0.5, every value and tail bound to the last bit
+    ("heat_petersen_offdiag_bessel.csv", 0,
+     ["heat", "--family", "petersen", "--root", "0", "--target", "3",
+      "--t", "0.5", "--tau-grid", "0.5:8:40", "--route", "bessel"]),
+    ("heat_hypercube4_bessel.csv", 0,
+     ["heat", "--family", "hypercube", "--d", "4", "--root", "0",
+      "--t", "-0.5", "--tau-grid", "0.1:6:30", "--route", "bessel"]),
 ]
 
 
