@@ -45,7 +45,7 @@ MAX_ZETA_ORDER = 64
 MAX_DENSE_VERTICES = 512
 
 # Most tau points `bzk heat` evaluates.  On Petersen over tau in [0, 5] a point
-# costs about 0.66 ms by both routes, so the cap takes about 7 s.
+# costs about 0.26 ms by both routes, so the cap takes about 2.6 s.
 MAX_TAU_POINTS = 10_000
 
 # Most Bessel work `bzk heat` takes on one grid, in terms.  A tau point with
@@ -55,11 +55,11 @@ MAX_TAU_POINTS = 10_000
 # The rows are built once per (t, root) and grown as the cutoffs rise, so a
 # point is charged only for the rows beyond the most that an earlier point
 # read.  The sum runs on the cutoffs alone, before any point is evaluated.
-# Near the cap, Petersen by both routes took 7.8 s at `--tau-grid
-# 0:20:3800` and 7.1 s at 0:38:1100.  On hypercube(9), 512 vertices, by the
+# Near the cap, Petersen by both routes took 2.6 s at `--tau-grid
+# 0:20:3800` and 1.6 s at 0:38:1100.  On hypercube(9), 512 vertices, by the
 # Bessel route with --t 0.5, 0.5:8:1200 sums 2.32 million terms and 207 rows
-# (26,496 terms) and took 2.9 to 3.6 s and 35 MB; 0.5:8:10000, the tau point
-# cap, sums 19.3 million terms and took 27 s and 39 MB.  Petersen's
+# (26,496 terms) and took 1.0 s and 35 MB; 0.5:8:10000, the tau point cap,
+# sums 19.3 million terms and took 6.0 s and 39 MB (2-core Xeon).  Petersen's
 # 0:5:10000 needs 5.3 million terms and runs; its 0:50:10000 needs about 270
 # million, which took minutes, and is refused at tau = 20 in 0.2 s.
 MAX_BESSEL_TERMS = 20_000_000

@@ -40,7 +40,7 @@ class Graph:
     """Immutable simple graph: directed edge pairs plus per-vertex fanout."""
 
     __slots__ = ("vertex_count", "edges", "out_edges", "degrees", "label",
-                 "_heads", "_twins")
+                 "_heads", "_twins", "_regular_degree")
 
     def __init__(self, vertex_count, edges, out_edges, degrees, label):
         self.vertex_count = vertex_count
@@ -50,6 +50,7 @@ class Graph:
         self.label = label
         self._heads = tuple(e.terminus for e in edges)
         self._twins = tuple(e.twin for e in edges)
+        self._regular_degree = degrees[0] if len(set(degrees)) == 1 else None
 
     @property
     def max_degree(self):
@@ -62,9 +63,8 @@ class Graph:
         return self._twins[edge_id]
 
     def regular_degree(self):
-        """Common degree if the graph is regular, else None."""
-        degs = set(self.degrees)
-        return degs.pop() if len(degs) == 1 else None
+        """Common degree if the graph is regular, else None (set once, by __init__)."""
+        return self._regular_degree
 
     def undirected_pairs(self):
         """Each undirected edge once, as a sorted (a, b) pair."""

@@ -4,6 +4,7 @@ the numeric consistency pipeline across all three.  Like the spectral route
 in zeta.py, each function that needs numpy imports it on its first call.
 """
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -52,12 +53,27 @@ class HeatKernelValue(Record):
 BESSEL_TAU_MAX = 700.0
 
 
+def _bessel_sum(n, half, first, tol):
+    """(value, terms_used, tail_bound) of I_n(2 half) from its first term
+    half^n / n!: a monotone sum of positive terms, stopped once the geometric
+    majorant of the rest, by the term ratio half^2 / ((m+1)(m+n+1)), is < tol."""
+    total = term = first
+    for m in itertools.count():
+        ratio = half * half / ((m + 1) * (m + n + 1))
+        nxt = term * ratio
+        if ratio < 1.0:
+            bound = nxt / (1.0 - ratio)
+            if bound < tol or nxt == 0.0:
+                return total, m + 1, bound
+        total += nxt
+        term = nxt
+
+
 def bessel_i(n, tau, tol=1e-12):
     """Modified Bessel function of the first kind by its power series.
 
-    Symmetric in the order (I_{-n} = I_n).  Terms are all positive, so the
-    partial sum is monotone; the reported tail bound is the geometric
-    majorant from the term ratio (tau/2)^2 / ((m+1)(m+n+1)).
+    Symmetric in the order (I_{-n} = I_n).  The first term (tau/2)^n / n!
+    takes n products; the series is _bessel_sum's, as in _bessel_column.
     """
     n = abs(int(n))
     if not 0.0 <= tau <= BESSEL_TAU_MAX:
@@ -70,18 +86,7 @@ def bessel_i(n, tau, tol=1e-12):
     term = 1.0
     for k in range(1, n + 1):
         term *= half / k
-    total = term
-    m = 0
-    while True:
-        ratio = half * half / ((m + 1) * (m + n + 1))
-        nxt = term * ratio
-        if ratio < 1.0:
-            bound = nxt / (1.0 - ratio)
-            if bound < tol or nxt == 0.0:
-                return BesselEval(n, tau, total, m + 1, bound)
-        total += nxt
-        term = nxt
-        m += 1
+    return BesselEval(n, tau, *_bessel_sum(n, half, term, tol))
 
 
 def _bessel_grid(n, taus, tol=1e-14):
@@ -280,6 +285,9 @@ def _bessel_column(g, x0, tau, t, tol):
     largest |C_n(t)[x0, x]| over targets x, w_0 = 1 and w_j = |d_1| (1-t)^(2j);
     so I_k is requested to share / (s_k mult_k) and s_k mult_k times its
     remainder bound is added to tail.
+
+    One pass over k carries I_k's first term (arg/2)^k / k! as a running
+    product of bessel_i's factors; inner is one vector, summed j by j.
     """
     import numpy as np
 
@@ -299,35 +307,37 @@ def _bessel_column(g, x0, tau, t, tol):
     mult = np.convolve(peaks, w).tolist()
     top = n_max + 2 * j_max
     share = bessel_share / (top + 1)
-    scaled = []
+    scaled = np.zeros(top + 1)  # zero where no (n, j) reads I_k
     damp = math.exp(-(q + 1.0) * tau)
-    # past the float range the walk rows, or the multipliers, carry no
-    # digits of the answer
+    if not arg <= BESSEL_TAU_MAX:
+        raise ValueError(f"tau must be in [0, {BESSEL_TAU_MAX}]")
+    half, first = arg / 2.0, 1.0
+    # past the float range the rows or the multipliers carry no digits
     try:
         for k in range(top + 1):
-            if mult[k] == 0.0:
-                scaled.append(0.0)  # no (n, j) reads I_k
-                continue
-            weight = root_c ** (-k) * damp * mult[k]
-            k_tol = share / weight if weight > 0.0 else 0.0
-            if not 0.0 < k_tol < math.inf:
-                raise ParameterDomain("Bessel multiplier outside the float range")
-            ev = bessel_i(k, arg, tol=k_tol)
-            scaled.append(root_c ** (-k) * ev.value * damp)
-            tail += weight * ev.tail_bound
+            if mult[k] != 0.0:
+                scale = root_c ** (-k)
+                weight = scale * damp * mult[k]
+                k_tol = share / weight if weight > 0.0 else 0.0
+                if not 0.0 < k_tol < math.inf:
+                    raise ParameterDomain("Bessel multiplier outside the float range")
+                value, _, bound = _bessel_sum(k, half, first, k_tol)
+                scaled[k] = scale * value * damp
+                tail += weight * bound
+            first *= half / (k + 1)
     except OverflowError as exc:
         raise ParameterDomain("Bessel multiplier outside the float range") from exc
+    inner = scaled[: n_max + 1].copy()
+    power = 1.0
+    for j in range(1, j_max + 1):
+        power *= one_minus_t_sq
+        inner += d1 * power * scaled[2 * j : 2 * j + n_max + 1]
     # elementwise and in n order, so that each target sees the float
     # operations of a scalar sum: a zero C_n(t)[x0, x] adds a zero, which
     # leaves the sum unchanged, since every accepted row is finite
     values = np.zeros(g.vertex_count)
-    for n, row in enumerate(rows):
-        inner = scaled[n]
-        power = 1.0
-        for j in range(1, j_max + 1):
-            power *= one_minus_t_sq
-            inner += d1 * power * scaled[n + 2 * j]
-        values = values + row * inner
+    for row, c_n in zip(rows, inner.tolist()):
+        values = values + row * c_n
     return n_max, j_max, tail, values
 
 

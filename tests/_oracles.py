@@ -41,6 +41,9 @@ These read library code:
 - walk_matrix_rows, the reference for the grown table of
   heat._walk_matrix_table, builds the rows in one pass over the library's
   dense adjacency;
+- bessel_column_per_order, the reference for heat._bessel_column, sums each
+  order I_k with its own heat.bessel_i call and each inner[n] by a scalar
+  j-loop, on the library's cutoffs, walk table and series weight;
 - fraction_charpoly, the reference for zeta.charpoly_exact, runs the same
   trace recursion on dense Fraction matrices, with no scaling.
 """
@@ -52,7 +55,8 @@ from functools import lru_cache
 
 import bzk.operators
 from bzk.graphs import InvalidParameter, _bfs_distances, build_graph
-from bzk.heat import ParameterDomain, heat_kernel_bessel, heat_kernel_spectral, series_weight
+from bzk.heat import (ParameterDomain, _bessel_cutoffs, _walk_matrix_table, bessel_i,
+                      heat_kernel_bessel, heat_kernel_spectral, series_weight)
 from bzk.operators import IdentityReport, _rooted_walk, alpha, cm_sequence, r_values
 from bzk.series import (ONE_MINUS_T, TPOLY_ONE, TPOLY_T, TPOLY_ZERO,
                         BadConstantTerm, OperatorPoly, OperatorSeries, TPoly,
@@ -643,6 +647,57 @@ def walk_matrix_rows(g, t, count, x0):
             rows.append(rows[-1] @ a - weight * rows[-2])
             weight = (1.0 - t) * (q + t)
     return rows[: count + 1]
+
+
+def bessel_column_per_order(g, x0, tau, t, tol):
+    """(n_max, j_max, tail, values) of heat._bessel_column as the column
+    was first written: every order k reads its own bessel_i, which builds
+    (tau/2)^k / k! from 1, and inner[n] is a scalar sum over j, so each
+    value sees the same float operations, in the same order, as the
+    library's one pass over the orders and its vector j-sum."""
+    import numpy as np
+
+    q = g.regular_degree() - 1
+    c = (1.0 - t) * (q + t)
+    root_c = math.sqrt(c)
+    arg = 2.0 * root_c * tau
+    d1 = series_weight(1, q, t)
+    bessel_share = tol * 1e-2
+    n_max, j_max, tail = _bessel_cutoffs(g, tau, t, tol)
+
+    rows, peaks = _walk_matrix_table(g, t, x0).upto(n_max)
+    one_minus_t_sq = (1.0 - t) ** 2
+    w = np.zeros(2 * j_max + 1)
+    w[0] = 1.0
+    w[2::2] = abs(d1) * one_minus_t_sq ** np.arange(1, j_max + 1)
+    mult = np.convolve(peaks, w).tolist()
+    top = n_max + 2 * j_max
+    share = bessel_share / (top + 1)
+    scaled = []
+    damp = math.exp(-(q + 1.0) * tau)
+    try:
+        for k in range(top + 1):
+            if mult[k] == 0.0:
+                scaled.append(0.0)
+                continue
+            weight = root_c ** (-k) * damp * mult[k]
+            k_tol = share / weight if weight > 0.0 else 0.0
+            if not 0.0 < k_tol < math.inf:
+                raise ParameterDomain("Bessel multiplier outside the float range")
+            ev = bessel_i(k, arg, tol=k_tol)
+            scaled.append(root_c ** (-k) * ev.value * damp)
+            tail += weight * ev.tail_bound
+    except OverflowError as exc:
+        raise ParameterDomain("Bessel multiplier outside the float range") from exc
+    values = np.zeros(g.vertex_count)
+    for n, row in enumerate(rows):
+        inner = scaled[n]
+        power = 1.0
+        for j in range(1, j_max + 1):
+            power *= one_minus_t_sq
+            inner += d1 * power * scaled[n + 2 * j]
+        values = values + row * inner
+    return n_max, j_max, tail, values
 
 
 def fraction_charpoly(mat):

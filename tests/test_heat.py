@@ -498,3 +498,80 @@ def test_bessel_cutoffs_equal_the_recomputing_loops():
                     outcomes.add("accepted")
     assert outcomes == {"accepted", "refused"}
 
+
+
+def _random_circulants(seed, count):
+    """count connected circulant graphs C_n(steps), n from 7 to 13 and one
+    or two steps, drawn by seed: regular graphs of degree 2 to 4."""
+    import random
+
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        n = rng.randrange(7, 14)
+        steps = sorted(rng.sample(range(1, n // 2 + 1), rng.randrange(1, 3)))
+        if math.gcd(n, *steps) == 1:
+            pairs = {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}
+            graphs.append(build_graph(n, sorted(pairs), label=f"circulant({n}, {steps})"))
+    return graphs
+
+
+# from an argument that underflows (on cycle(9) at t = -0.9 and 0.8,
+# 2 sqrt(c) tau is one subnormal and its half is 0) through the tau where
+# the cutoffs or the multipliers leave the float range
+ORACLE_TAUS = (5e-324, 1e-300, 1e-9, 1e-3, 0.1, 0.5, 1.3, 2.0, 4.0, 7.5, 15.0, 30.0,
+               60.0, 120.0, 400.0)
+
+
+def test_bessel_column_equals_the_per_order_reference():
+    # one pass over the orders and a vector j-sum give, bit for bit, the
+    # cutoffs, tail and values of a bessel_i call per order and a scalar
+    # j-loop, and refuse with the same error.  Every (t, tol, tau) runs once
+    # on each graph, at roots taken in turn, so every root is read
+    import itertools
+
+    from bzk.heat import _bessel_column
+
+    from _oracles import bessel_column_per_order
+
+    column = _bessel_column.__wrapped__
+    graphs = [CORPUS["petersen"], CORPUS["K4"], FRUCHT, generate("cycle", 9)]
+    graphs += [generate("hypercube", d) for d in (3, 4, 5)] + _random_circulants(27, 3)
+    params = list(itertools.product((-0.9, -0.5, 0.0, 0.3, 0.5, 0.8), (1e-6, 1e-10, 1e-13),
+                                    ORACLE_TAUS))
+    outcomes = set()
+    for g in graphs:
+        assert len(params) >= g.vertex_count
+        for i, (t, tol, tau) in enumerate(params):
+            x0 = i % g.vertex_count
+            case = (g.label, x0, t, tol, tau)
+            try:
+                want = bessel_column_per_order(g, x0, tau, t, tol)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    column(g, x0, tau, t, tol)
+                assert (type(got.value), str(got.value)) == (type(exc), str(exc)), case
+                outcomes.add(str(exc))
+                continue
+            n_max, j_max, tail, values = column(g, x0, tau, t, tol)
+            assert (n_max, j_max, tail) == want[:3], case
+            assert values.tobytes() == want[3].tobytes(), case
+            outcomes.add("accepted")
+    assert outcomes == {"accepted", "truncation bound did not converge",
+                        "Bessel multiplier outside the float range"}
+
+
+def test_bessel_column_calls_no_bessel_i(monkeypatch):
+    # the column runs its orders through the shared series loop, never
+    # through bessel_i and its per-call checks
+    import bzk.heat
+    from bzk.heat import _bessel_column
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bessel_i called")
+
+    monkeypatch.setattr(bzk.heat, "bessel_i", refuse)
+    _bessel_column.cache_clear()
+    for tau in (0.5, 4.0, 20.0):
+        assert _bessel_column(CORPUS["petersen"], 0, tau, 0.5, 1e-10)[3][0] > 0.0
+    _bessel_column.cache_clear()
