@@ -1,4 +1,4 @@
-"""Byte-for-byte stdout of seventeen CLI commands, pinned in tests/golden/.
+"""Byte-for-byte stdout of nineteen CLI commands, pinned in tests/golden/.
 
 The fixtures were written by the commands below; any change to an exact
 coefficient, a key or the JSON layout, or to a bit of a Bessel heat value or
@@ -76,6 +76,16 @@ CASES = [
     ("zeta_petersen_rhs_o64.json", 0,
      ["zeta", "--family", "petersen", "--root", "0",
       "--order", "64", "--route", "rhs"]),
+    # the formula route off the diagonal on a regular graph, where the
+    # f-power digits of the target entry carry the whole matrix log
+    ("zeta_petersen_offdiag_rhs_o32.json", 0,
+     ["zeta", "--family", "petersen", "--root", "0", "--target", "3",
+      "--order", "32", "--route", "rhs"]),
+    # degree 2 at the order cap: the prefactor's d - 2 is zero and the
+    # weight d - 1 + t is 1 + t
+    ("zeta_cycle9_log_o64.json", 0,
+     ["zeta", "--family", "cycle", "--n", "9", "--root", "0",
+      "--order", "64", "--route", "log"]),
     # the Bessel heat route alone (spectral values come from LAPACK): off
     # the diagonal at t = 0.5, and on the diagonal of hypercube(4) at
     # t = -0.5, every value and tail bound to the last bit
