@@ -7,7 +7,9 @@ packed ints (series._pack), so none forms a dense matrix or a USeries.  One
 recursion, _walk_rows, streams the rows of a tuple of roots in one pass, each
 root a balanced base-2^R digit of every packed entry (series._digit_width),
 and keeps only the last two rows; every caller reads the rows as they come,
-and the series-inverse check takes neighbour sums on them.
+and the series-inverse check takes neighbour sums on them.  On a regular
+graph C_m is a polynomial in A, so the root walks and entries come from
+integer adjacency counts (_adjacency_rows, _regular_walk) instead.
 A per-root check holds each side of a display as a list of packed ints
 indexed by u-power: multiplying by 1 - a u^2 is one product and one sum per
 power, dividing by it is out[m] = s[m] + a out[m-2], and a shift by u^2 is
@@ -120,6 +122,64 @@ def _walk_rows(g, roots, order):
         yield last
 
 
+def _count_width(degree, order):
+    """Bits B per root digit of _adjacency_rows through order: A^0 = I, and
+    A^i(y, x) = sum_{z ~ x} A^(i-1)(y, z) is at most the row sum
+    degree^(i-1), so every count is below 2^(B-1), a balanced digit."""
+    return max((degree ** (order - 1)).bit_length(), 1) + 1 if order else 2
+
+
+def _adjacency_rows(g, roots, order):
+    """Yield the rows of A^0..A^order at a tuple of roots on a regular graph
+    in one pass, keeping only the last: entry x of row i is
+    sum_r A^i(roots[r], x) 2^(r B), B = _count_width(degree, order), whose
+    balanced base-2^B digit r (series._digit) is the count A^i(roots[r], x);
+    with one root an entry is the count.  A step is a neighbour sum, no t."""
+    shift = _count_width(g.regular_degree(), order)
+    nbrs = [g.neighbors(x) for x in range(g.vertex_count)]
+    row = [0] * g.vertex_count
+    for r, y in enumerate(roots):
+        row[y] += 1 << (r * shift)
+    yield row
+    for _ in range(order):
+        row = [sum(map(row.__getitem__, nb)) for nb in nbrs]
+        yield row
+
+
+def _f_weight(d):
+    """d - 1 + t, f's u^2 weight at degree d over -s, s = (1-t) u^2, as raw coefficients."""
+    return (d - 1, 1)
+
+
+def _f_digits(counts, weight):
+    """Entry (y, x) of (u A - weight u^2)^k, k = 0..order, from counts[i] =
+    A^i(y, x), order = len(counts) - 1, and a packed scalar weight, which
+    commutes with A: term p, at u^(k+p) <= u^order, is
+    C(k, p) (-weight)^p A^(k-p)(y, x).  At weight d - 1 + t (_f_weight) it
+    is digit p of the formula route's f^k; at (1-t)(d - 1 + t), f^k's term."""
+    order = len(counts) - 1
+    powers = [1]
+    for _ in range(order // 2):
+        powers.append(-weight * powers[-1])
+    return [[math.comb(k, p) * counts[k - p] * powers[p] for p in range(min(k, order - k) + 1)]
+            for k in range(order + 1)]
+
+
+def _regular_walk(counts, degree, width):
+    """The packed C_0(y, x)..C_order(y, x) on a degree-regular graph from
+    counts[i] = A^i(y, x), or a fixed combination of such counts.  The walk
+    series is (1 - (1-t)^2 u^2) (I - f)^(-1) (check_series_inverse_identity),
+    so C_m = S_m - (1-t)^2 S_(m-2), S_m the u^m coefficient of sum_k f^k
+    (_f_digits).  Only C_m decodes, within series._packed_width's bound."""
+    weight = _pack(_f_weight(degree), width) * _pack((1, -1), width)
+    sums = [0] * len(counts)
+    for k, terms in enumerate(_f_digits(counts, weight)):
+        for p, q in enumerate(terms):
+            sums[k + p] += q
+    one_minus_t_sq = _pack((1, -2, 1), width)
+    return [s - one_minus_t_sq * sums[m - 2] if m >= 2 else s for m, s in enumerate(sums)]
+
+
 def _weight(coeffs, width):
     """A fixed polynomial, as raw coefficients lowest t-power first, packed
     at width (series._pack), or with width None its l1 norm sum |c_i|."""
@@ -211,24 +271,32 @@ C_m](x0) and r[m] = R_m(x0)."""
 @lru_cache(maxsize=64)
 def _rooted_walk(g, x0, order):
     """The RootedWalk of x0 through the given order, from one pass of
-    _walk_rows over x0 and its neighbours.
+    _walk_rows over x0 and its neighbours, or of _adjacency_rows on a
+    regular graph.
 
     The defect reads only diagonals: [DC_m](x0) = d C_m(x0, x0) - sum_{y ~ x0}
     C_m(y, y), each diagonal a root digit of the pass, summed packed and
-    decoded once per length.  R_m comes from its generating recursion
-    (_r_recursion), run on packed ints at the width of its l1 majorant
-    (_decoded) and decoded once.
+    decoded once per length.  On a regular graph the digits are counts
+    A^i(y, y), and _regular_walk maps the root's and its defect's to C_m.
+    R_m comes from its generating recursion (_r_recursion), run on packed
+    ints at the width of its l1 majorant (_decoded) and decoded once.
     """
     width = _packed_width(g.max_degree, order)
-    shift = _digit_width(width, order)
     roots = (x0, *g.neighbors(x0))
     deg = g.degrees[x0]
-    diag, delta = [], []
-    for row in _walk_rows(g, roots, order):
-        own = _digit(row[x0], 0, shift)
-        diag.append(_unpack(own, width))
-        delta.append(_unpack(deg * own - sum(_digit(row[y], r, shift)
-                                             for r, y in enumerate(roots) if r), width))
+    regular = g.regular_degree() is not None
+    if regular:
+        rows, shift = _adjacency_rows(g, roots, order), _count_width(deg, order)
+    else:
+        rows, shift = _walk_rows(g, roots, order), _digit_width(width, order)
+    own, defect = [], []
+    for row in rows:
+        digits = [_digit(row[y], r, shift) for r, y in enumerate(roots)]
+        own.append(digits[0])
+        defect.append(deg * digits[0] - sum(digits[1:]))
+    if regular:
+        own, defect = (_regular_walk(c, deg, width) for c in (own, defect))
+    diag, delta = ([_unpack(v, width) for v in c] for c in (own, defect))
     r = _decoded(lambda width, delta: _r_recursion(delta, order, width), delta)
     return RootedWalk(diag=tuple(diag), delta=tuple(delta), r=tuple(r))
 

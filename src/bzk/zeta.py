@@ -14,7 +14,8 @@ from functools import lru_cache
 from itertools import chain
 
 from .graphs import _check_vertex
-from .operators import _closed_tallies, _decoded, _rooted_walk, _walk_rows, alpha, cbc_terms
+from .operators import (_adjacency_rows, _closed_tallies, _decoded, _f_digits, _f_weight,
+                        _regular_walk, _rooted_walk, _walk_rows, alpha, cbc_terms)
 from .records import Record
 from .series import (TPOLY_ZERO, TPoly, _balanced, _digit_width, _digits,
                      _exp_from_scaled, _pack, _packed_width, _unpack)
@@ -43,9 +44,10 @@ def cbc_entries(g, x0, x, order):
     tests/_oracles.py, from operators.cbc_terms, run on packed ints at the
     width that its run on l1 norms gives (operators._decoded) and decoded
     once.  The rooted entries (x = x0) read the root's RootedWalk:
-    C_m(x0, x0) and R_m(x0), from one pass of operators._walk_rows over x0
-    and its neighbours.  Off the diagonal they read C_m(x0, x) from a pass
-    over x0 alone, whose packed rows are the entries themselves.
+    C_m(x0, x0) and R_m(x0).  Off the diagonal they read C_m(x0, x) from a
+    pass over x0 alone: of operators._walk_rows, whose packed rows are the
+    entries themselves, or on a regular graph operators._regular_walk of
+    the counts of operators._adjacency_rows.
     """
     _check_vertex(g, x0)
     _check_vertex(g, x)
@@ -54,7 +56,12 @@ def cbc_entries(g, x0, x, order):
         c, r = walk.diag, walk.r
     else:
         width = _packed_width(g.max_degree, order)
-        c, r = [_unpack(row[x], width) for row in _walk_rows(g, (x0,), order)], None
+        if g.regular_degree() is None:
+            packed = [row[x] for row in _walk_rows(g, (x0,), order)]
+        else:
+            packed = _regular_walk([row[x] for row in _adjacency_rows(g, (x0,), order)],
+                                   g.degrees[x0], width)
+        c, r = [_unpack(v, width) for v in packed], None
     deg = g.degrees[x0]
     return _decoded(lambda width, c, r: cbc_terms(c, deg, width, r), c, r)
 
@@ -78,12 +85,6 @@ def zeta_log_series(g, x0, x, order):
 
 # ---------------------------------------------------------------------------
 # closed product-formula route
-
-
-def _f_weight(d):
-    """The u^2 weight of f at degree d over -s, s = (1-t) u^2: d - 1 + t, as
-    raw t-coefficients, lowest power first."""
-    return (d - 1, 1)
 
 
 def _f_step(g, width, shift):
@@ -137,9 +138,13 @@ def _f_power_table(g, x0, x, order):
     for T = 1..order-2 (see _commutator_exponent).  Each entry is a tuple of
     digits, digit p the raw t-coefficients of Q_p, its u^(k+p) (u^(T+p))
     coefficient over (1-t)^p, for p <= min(k, order - k)
-    (p <= min(T, order - 2 - T)).
+    (p <= min(T, order - 2 - T)); no entry ends in an empty digit.
 
-    Row x0 of f^k steps from the unit at x0, and row x0 of
+    On a regular graph K = A D - D A is zero, and the digits are
+    operators._f_digits of the counts A^i(x0, x), at W: off the diagonal
+    from a pass of operators._adjacency_rows over x0, and on it from the
+    root's walk at t = 1, where C_i is A^i.  On other graphs row x0 of f^k
+    steps from the unit at x0, and row x0 of
     M_T = M_(T-1) f + f^T D from M_0 = D in lockstep with it (_f_step), at
     W = _packed_width(max degree, order) and U = _digit_width(W, order // 2);
     only entry x of each is decoded, and no row is kept past the next step.
@@ -147,30 +152,36 @@ def _f_power_table(g, x0, x, order):
     coefficients below 2^(W-1), so it is a balanced base-2^U digit that
     series._digits reads.  Digit p of a step reads digits p and p - 1 of the
     row before it, so a row is cut only on its shrinking half (_cut), and
-    the digits it keeps stay exact.  K = A D - D A is zero exactly when a
-    connected graph is regular, and then the commutator rows are not run."""
+    the digits it keeps stay exact."""
     width = _packed_width(g.max_degree, order)
-    shift = _digit_width(width, order // 2)
-    step = _f_step(g, width, shift)
     d = g.degrees
 
-    def decoded(v, count):
-        return tuple(tuple(_digits(q, width)) for q in _digits(v, shift)[:count])
+    def decoded(digits):
+        while digits and not digits[-1]:
+            digits = digits[:-1]
+        return tuple(tuple(_digits(q, width)) for q in digits)
 
+    if g.regular_degree() is not None:
+        if x == x0:
+            counts = [sum(c.c) for c in _rooted_walk(g, x0, order).diag]
+        else:
+            counts = [row[x] for row in _adjacency_rows(g, (x0,), order)]
+        digits = _f_digits(counts, _pack(_f_weight(d[x0]), width))
+        return tuple(map(decoded, digits)), ()
+    shift = _digit_width(width, order // 2)
+    step = _f_step(g, width, shift)
     power = [0] * g.vertex_count
     power[x0] = 1
-    rows = None
-    if g.regular_degree() is None and order >= 3:
-        rows = [0] * g.vertex_count
-        rows[x0] = d[x0]
-    powers, integrand = [decoded(power[x], 1)], []
+    rows = [0] * g.vertex_count
+    rows[x0] = d[x0]
+    powers, integrand = [decoded(_digits(power[x], shift)[:1])], []
     for k in range(1, order + 1):
         power = step(power, _cut(k, order))
-        powers.append(decoded(power[x], min(k, order - k) + 1))
-        if rows is not None and k <= order - 2:
+        powers.append(decoded(_digits(power[x], shift)[:min(k, order - k) + 1]))
+        if k <= order - 2:
             rows = step(rows, _cut(k, order - 2), power)
-            integrand.append(decoded(rows[x] - (k + 1) * d[x0] * power[x],
-                                     min(k, order - 2 - k) + 1))
+            integrand.append(decoded(_digits(rows[x] - (k + 1) * d[x0] * power[x], shift)
+                                     [:min(k, order - 2 - k) + 1]))
     return tuple(powers), tuple(integrand)
 
 

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from bzk.graphs import build_graph, generate
@@ -30,6 +33,32 @@ def random_connected_graph(rng, n):
             if rng.random() < 0.3:
                 pairs.add((a, b))
     return build_graph(n, sorted(pairs), label=f"random({n})")
+
+
+def _frucht():
+    """The Frucht graph: 3-regular on 12 vertices, with no automorphism but
+    the identity; the cycle i ~ i+1 plus the chords of its LCF notation."""
+    lcf = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
+    pairs = {tuple(sorted((i, (i + 1) % 12))) for i in range(12)}
+    pairs |= {tuple(sorted((i, (i + step) % 12))) for i, step in enumerate(lcf)}
+    return build_graph(12, sorted(pairs), label="frucht")
+
+
+FRUCHT = _frucht()
+
+
+def random_circulants(seed, count):
+    """count connected circulant graphs C_n(steps), n from 7 to 13 and one
+    or two steps, drawn by seed: regular graphs of degree 2 to 4."""
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        n = rng.randrange(7, 14)
+        steps = sorted(rng.sample(range(1, n // 2 + 1), rng.randrange(1, 3)))
+        if math.gcd(n, *steps) == 1:
+            pairs = {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}
+            graphs.append(build_graph(n, sorted(pairs), label=f"circulant({n}, {steps})"))
+    return graphs
 
 
 @pytest.fixture(scope="session")

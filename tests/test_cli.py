@@ -293,19 +293,24 @@ def test_heat_overflowing_tau_is_usage_error(capsys):
 ] + [("verify", "--family", "cycle", "--n", "4", "--order", str(order)) for order in (0, 1, 2)])
 def test_order_below_minimum_is_usage_error(capsys, monkeypatch, argv):
     # verify refuses every order below 4 with one line, before it makes a
-    # pass of the walk recursion; --order 2 and 3 used to run it first
+    # pass of the walk recursion or of the adjacency counts that replace it
+    # on a regular graph such as cycle(4); --order 2 and 3 used to run one
     import bzk.operators
     import bzk.zeta
 
     passes = []
-    walk_rows = bzk.operators._walk_rows
 
-    def counted(g, roots, order):
-        passes.append(roots)
-        return walk_rows(g, roots, order)
+    def counting(rows):
+        def counted(g, roots, order):
+            passes.append(roots)
+            return rows(g, roots, order)
+        return counted
 
+    counted = {name: counting(getattr(bzk.operators, name))
+               for name in ("_walk_rows", "_adjacency_rows")}
     for module in (bzk.operators, bzk.zeta):
-        monkeypatch.setattr(module, "_walk_rows", counted)
+        for name, rows in counted.items():
+            monkeypatch.setattr(module, name, rows)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -9,8 +9,8 @@ from bzk.heat import (DomainError, NonconvergentTail, NotRegular,
                       ParameterDomain, bessel_heat_package, bessel_i,
                       check_transform_consistency, heat_kernel_bessel,
                       heat_kernel_spectral, resolvent_transform)
-from bzk.graphs import build_graph, generate
-from conftest import CORPUS
+from bzk.graphs import generate
+from conftest import CORPUS, FRUCHT, random_circulants
 
 from _oracles import heat_residual, walk_matrix_rows
 
@@ -83,18 +83,6 @@ def test_bessel_grid_and_tight_bessel_i_match_exact_sums():
         assert abs(grid - exact) <= 1e-13 * exact
         tight = bessel_i(n, float(x), tol=exact * 1e-16).value
         assert abs(tight - exact) <= 1e-13 * exact
-
-
-def _frucht():
-    """The Frucht graph: 3-regular on 12 vertices, with no automorphism but
-    the identity; the cycle i ~ i+1 plus the chords of its LCF notation."""
-    lcf = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
-    pairs = {tuple(sorted((i, (i + 1) % 12))) for i in range(12)}
-    pairs |= {tuple(sorted((i, (i + step) % 12))) for i, step in enumerate(lcf)}
-    return build_graph(12, sorted(pairs), label="frucht")
-
-
-FRUCHT = _frucht()
 
 
 def test_heat_bessel_tail_bound_covers_error():
@@ -500,22 +488,6 @@ def test_bessel_cutoffs_equal_the_recomputing_loops():
 
 
 
-def _random_circulants(seed, count):
-    """count connected circulant graphs C_n(steps), n from 7 to 13 and one
-    or two steps, drawn by seed: regular graphs of degree 2 to 4."""
-    import random
-
-    rng = random.Random(seed)
-    graphs = []
-    while len(graphs) < count:
-        n = rng.randrange(7, 14)
-        steps = sorted(rng.sample(range(1, n // 2 + 1), rng.randrange(1, 3)))
-        if math.gcd(n, *steps) == 1:
-            pairs = {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}
-            graphs.append(build_graph(n, sorted(pairs), label=f"circulant({n}, {steps})"))
-    return graphs
-
-
 # from an argument that underflows (on cycle(9) at t = -0.9 and 0.8,
 # 2 sqrt(c) tau is one subnormal and its half is 0) through the tau where
 # the cutoffs or the multipliers leave the float range
@@ -536,7 +508,7 @@ def test_bessel_column_equals_the_per_order_reference():
 
     column = _bessel_column.__wrapped__
     graphs = [CORPUS["petersen"], CORPUS["K4"], FRUCHT, generate("cycle", 9)]
-    graphs += [generate("hypercube", d) for d in (3, 4, 5)] + _random_circulants(27, 3)
+    graphs += [generate("hypercube", d) for d in (3, 4, 5)] + random_circulants(27, 3)
     params = list(itertools.product((-0.9, -0.5, 0.0, 0.3, 0.5, 0.8), (1e-6, 1e-10, 1e-13),
                                     ORACLE_TAUS))
     outcomes = set()

@@ -228,13 +228,19 @@ def test_pass_digits_equal_one_root_rows(g):
 
 def test_walk_pass_streams():
     # a pass yields its rows and keeps the last two, and its callers read it
-    # as it streams: at order 64 the root walk of complete(12) (a pass over
-    # 12 roots) and the series-inverse check on hypercube(5) each peak near
-    # 1 MB, where holding every row of a pass took 17.7 and 29.5 MB
+    # as it streams: at order 64 a pass over the 12 roots of complete(12),
+    # a root and its neighbours, and the series-inverse check on
+    # hypercube(5) each peak near 1 MB, where holding every row of a pass
+    # took 17.7 and 29.5 MB
     assert inspect.isgenerator(_walk_rows(CORPUS["K4"], (0,), 4))
     complete, cube = generate("complete", 12), generate("hypercube", 5)
     _packed_width(11, 64), _packed_width(5, 64)
-    for run in (lambda: _rooted_walk.__wrapped__(complete, 0, 64),
+
+    def consume(rows):
+        for _ in rows:
+            pass
+
+    for run in (lambda: consume(_walk_rows(complete, tuple(range(12)), 64)),
                 lambda: check_series_inverse_identity(cube, 64)):
         tracemalloc.start()
         try:
@@ -246,22 +252,28 @@ def test_walk_pass_streams():
 
 
 def _record_passes(monkeypatch):
-    """The roots of every pass of operators._walk_rows, in call order, through
-    the bindings in operators and zeta; the root walks are emptied first, so
-    that every root read is a miss."""
+    """(kind, roots) of every pass of operators._walk_rows ("walk") and
+    operators._adjacency_rows ("adjacency"), in call order, through the
+    bindings in operators and zeta; the root walks and f tables are emptied
+    first, so that every read is a miss."""
     import bzk.operators
     import bzk.zeta
 
     passes = []
-    walk_rows = bzk.operators._walk_rows
 
-    def recorded(g, roots, order):
-        passes.append(tuple(roots))
-        return walk_rows(g, roots, order)
+    def recording(kind, rows):
+        def recorded(g, roots, order):
+            passes.append((kind, tuple(roots)))
+            return rows(g, roots, order)
+        return recorded
 
+    walk = recording("walk", bzk.operators._walk_rows)
+    adjacency = recording("adjacency", bzk.operators._adjacency_rows)
     for module in (bzk.operators, bzk.zeta):
-        monkeypatch.setattr(module, "_walk_rows", recorded)
+        monkeypatch.setattr(module, "_walk_rows", walk)
+        monkeypatch.setattr(module, "_adjacency_rows", adjacency)
     bzk.operators._rooted_walk.cache_clear()
+    bzk.zeta._f_power_table.cache_clear()
     return passes
 
 
@@ -274,32 +286,39 @@ def test_rooted_walk_builds_only_the_rows_it_reads(monkeypatch):
     for x0, roots in ((0, (0, 1, 2, 3)), (22, (22, 10))):
         passes.clear()
         zeta_log_series(g, x0, x0, 16)
-        assert passes == [roots]
+        assert passes == [("walk", roots)]
         assert roots == (x0, *g.neighbors(x0))
 
 
 def test_verify_passes_are_check_groups_then_one_per_root(monkeypatch, capsys):
     # the series-inverse check runs its roots in groups of max degree + 1,
-    # and each root's walk (a miss of _rooted_walk) is one pass over the root
-    # and its neighbours, shared by its checks and routes
+    # on the walk rows, and each root's walk (a miss of _rooted_walk) is one
+    # pass over the root and its neighbours, shared by its checks and
+    # routes: on Petersen, which is regular, a pass of adjacency counts
     from bzk.cli import main
 
     g = CORPUS["petersen"]
     passes = _record_passes(monkeypatch)
     assert main(["verify", "--family", "petersen", "--order", "10"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
-    groups = [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9)]
-    assert passes == groups + [(x0, *g.neighbors(x0)) for x0 in range(10)]
+    groups = [("walk", roots) for roots in ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9))]
+    assert passes == groups + [("adjacency", (x0, *g.neighbors(x0))) for x0 in range(10)]
 
 
 def test_off_diagonal_zeta_builds_one_row(monkeypatch, capsys):
-    # the entries (x0, x) are row x0's: one pass over x0 alone
+    # the entries (x0, x) are row x0's: one pass over x0 alone, of adjacency
+    # counts on Petersen, which is regular, and of the walk rows on a graph
+    # that is not
     from bzk.cli import main
 
     passes = _record_passes(monkeypatch)
     assert main(["zeta", "--family", "petersen", "--root", "0", "--target", "3",
                  "--order", "16", "--route", "log"]) == 0
-    assert passes == [(0,)]
+    assert passes == [("adjacency", (0,))]
+    passes.clear()
+    assert main(["zeta", "--family", "path", "--n", "5", "--root", "1", "--target", "3",
+                 "--order", "16", "--route", "log"]) == 0
+    assert passes == [("walk", (1,))]
 
 
 def test_verify_runs_one_edge_tally_per_root(monkeypatch, capsys):

@@ -1,7 +1,8 @@
 """Packed t-polynomials: the round trip of series._pack and series._unpack,
 the width bound of series._packed_width measured on the recursions that run
 packed (walk rows, f-powers, commutator rows and edge tallies) at orders 16
-and 64 and held under the closed form it replaced, the
+and 64 and held under the closed form it replaced, the digit width of the
+adjacency counts that regular graphs run instead, the
 computed width and scale of the packed exp recurrence that the routes reach
 through series._exp_from_scaled, and the computed widths of the per-root
 identity checks and the cyclic-bump entries."""
@@ -19,8 +20,8 @@ import bzk.series
 import bzk.zeta
 from bzk.edgewalk import edge_closed_tallies
 from bzk.graphs import generate
-from bzk.operators import (_cyclic_bump_sides, _no_tail_sides, _r_generating_sides,
-                           _rooted_walk, _sides_width, _walk_rows,
+from bzk.operators import (_adjacency_rows, _count_width, _cyclic_bump_sides, _no_tail_sides,
+                           _r_generating_sides, _rooted_walk, _sides_width, _walk_rows,
                            check_cyclic_bump_identity, check_no_tail_identity,
                            check_r_generating_identity)
 from bzk.series import (TPOLY_ZERO, TPoly, _digit_width, _digits, _pack, _packed_width,
@@ -143,8 +144,12 @@ def _packed_width_margins(monkeypatch, graphs, order, tally_order, roots):
     next vertex.  Held: every entry of every row that the formula route
     steps (_f_step wrapped), and every walk-row entry of a pass over the
     root alone, with its t-degree held to m, which the root digit width
-    R = (order + 1) W needs.  Edge tallies run at tally_order.  roots(g)
-    names the roots.  R_m of a rooted walk is decoded at the width of its l1
+    R = (order + 1) W needs.  On a regular graph the routes take the f-power
+    digits and the root walk from adjacency counts instead, so there the
+    f-power pass is stepped here, as the route steps it on other graphs, and
+    every count of a pass over the root alone is held against its own width,
+    operators._count_width.  Edge
+    tallies run at tally_order.  roots(g) names the roots.  R_m of a rooted walk is decoded at the width of its l1
     majorant (operators._decoded), which
     test_identity_checks_at_four_times_their_width measures, so its decoding
     is not recorded here."""
@@ -205,6 +210,11 @@ def _packed_width_margins(monkeypatch, graphs, order, tally_order, roots):
             for x0 in roots(g):
                 _rooted_walk(g, x0, order)
                 zeta_formula_series(g, x0, (x0 + 1) % n, order)
+                if g.regular_degree() is not None:
+                    _step_f_powers(g, x0, order)
+                    for row in _adjacency_rows(g, (x0,), order):
+                        key = (name, "adjacency digit")
+                        most[key] = max(most.get(key, 0), max(row).bit_length())
                 edge_closed_tallies(g, x0, tally_order)
                 for m, row in enumerate(_walk_rows(g, (x0,), order)):
                     for v in row:
@@ -217,10 +227,27 @@ def _packed_width_margins(monkeypatch, graphs, order, tally_order, roots):
     tightest = {}
     for (name, what), bits in most.items():
         g = graphs[name]
-        width = _packed_width(g.max_degree, tally_order if what == "edge tally" else order)
+        if what == "adjacency digit":
+            width = _count_width(g.regular_degree(), order)
+        else:
+            width = _packed_width(g.max_degree, tally_order if what == "edge tally" else order)
         tightest[what] = min(tightest.get(what, (width,)), (width - 1 - bits, name))
-    assert set(tightest) == {"decoded", "walk row", "f power", "commutator row", "edge tally"}
+    assert set(tightest) == {"decoded", "walk row", "f power", "commutator row", "edge tally",
+                             "adjacency digit"}
     return tightest
+
+
+def _step_f_powers(g, x0, order):
+    """Row x0 of f^1..f^order by the formula route's step, bzk.zeta._f_step,
+    cut as _f_power_table cuts it on graphs that are not regular, with no
+    commutator rows, as a regular graph has none; through the bindings in
+    bzk.zeta, so that a test may wrap them."""
+    width = bzk.zeta._packed_width(g.max_degree, order)
+    step = bzk.zeta._f_step(g, width, _digit_width(width, order // 2))
+    power = [0] * g.vertex_count
+    power[x0] = 1
+    for k in range(1, order + 1):
+        power = step(power, bzk.zeta._cut(k, order))
 
 
 def _check_margins(tightest, order, capsys):

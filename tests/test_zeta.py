@@ -265,12 +265,13 @@ FORMULA_MUTANTS = {
 }
 
 
-def _formula_equals_log(order):
-    """Whether the formula and log routes agree at order on Petersen and
-    tree_ball(3,3), on and off the diagonal, built afresh: the f table is
-    emptied before and after."""
-    cases = [("petersen", [(0, 0), (0, 1)]),
-             ("tree_ball(3,3)", [(0, 0), (0, 4), (5, 5), (5, 17), (17, 17)])]
+def _formula_equals_log(order, names=("petersen", "tree_ball(3,3)")):
+    """Whether the formula and log routes agree at order on the named graphs
+    of Petersen and tree_ball(3,3), on and off the diagonal, built afresh:
+    the f table is emptied before and after."""
+    cases = [(name, pairs) for name, pairs in (
+        ("petersen", [(0, 0), (0, 1)]),
+        ("tree_ball(3,3)", [(0, 0), (0, 4), (5, 5), (5, 17), (17, 17)])) if name in names]
     bzk.zeta._f_power_table.cache_clear()
     try:
         return all(zeta_formula_series(CORPUS[name], x0, x, order)
@@ -283,11 +284,16 @@ def _formula_equals_log(order):
 @pytest.mark.parametrize("mutant", list(FORMULA_MUTANTS))
 def test_formula_route_mutants_fail(monkeypatch, mutant):
     # the log route shares no step, width or restore code with the formula
-    # route, so a broken formula route shows as a disagreement at order 16
+    # route, and reads the f weight through operators, not zeta, so a broken
+    # formula route shows as a disagreement at order 16.  The weight is read
+    # on regular graphs too, by the binomial expansion of the f-powers, so
+    # its mutant fails on Petersen alone.
     assert _formula_equals_log(16)
     name, make = FORMULA_MUTANTS[mutant]
     monkeypatch.setattr(bzk.zeta, name, make(getattr(bzk.zeta, name)))
     assert not _formula_equals_log(16)
+    if name == "_f_weight":
+        assert not _formula_equals_log(16, ("petersen",))
 
 
 @pytest.mark.parametrize("name", VERTEX_TRANSITIVE)
