@@ -131,9 +131,9 @@ def _cut(k, top):
 
 @lru_cache(maxsize=32)
 def _f_power_table(g, x0, x, order):
-    """The target entries of one streamed pass over row x0 of the formula
-    route's f-powers and, on graphs that are not regular, its commutator
-    rows: (powers, integrand), with powers[k] the entry f^k(x0, x) for
+    """The target entries of row x0 of the formula route's f-powers and, on
+    graphs that are not regular, of its commutator rows, by one streamed
+    pass: (powers, integrand), with powers[k] the entry f^k(x0, x) for
     k = 0..order and integrand[T-1] the entry (M_T - (T+1) d_x0 f^T)(x0, x)
     for T = 1..order-2 (see _commutator_exponent).  Each entry is a tuple of
     digits, digit p the raw t-coefficients of Q_p, its u^(k+p) (u^(T+p))
@@ -141,7 +141,7 @@ def _f_power_table(g, x0, x, order):
     (p <= min(T, order - 2 - T)); no entry ends in an empty digit.
 
     On a regular graph K = A D - D A is zero, and the digits are
-    operators._f_digits of the counts A^i(x0, x), at W: off the diagonal
+    operators._f_digits of the counts A^i(x0, x), at W below: off the diagonal
     from a pass of operators._adjacency_rows over x0, and on it from the
     root's walk at t = 1, where C_i is A^i.  On other graphs row x0 of f^k
     steps from the unit at x0, and row x0 of

@@ -148,8 +148,8 @@ def _packed_width_margins(monkeypatch, graphs, order, tally_order, roots):
     digits and the root walk from adjacency counts instead, so there the
     f-power pass is stepped here, as the route steps it on other graphs, and
     every count of a pass over the root alone is held against its own width,
-    operators._count_width.  Edge
-    tallies run at tally_order.  roots(g) names the roots.  R_m of a rooted walk is decoded at the width of its l1
+    operators._count_width.  Edge tallies run at tally_order.  roots(g)
+    names the roots.  R_m of a rooted walk is decoded at the width of its l1
     majorant (operators._decoded), which
     test_identity_checks_at_four_times_their_width measures, so its decoding
     is not recorded here."""
