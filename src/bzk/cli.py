@@ -188,6 +188,8 @@ def cmd_zeta(args):
     x = _vertex(g, args.target, "--target") if args.target is not None else x0
     order = args.order
     routes = ["log", "rhs", "euler", "spectral"] if args.route == "all" else [args.route]
+    if "euler" in routes and x != x0:
+        raise SystemExit2("the euler route is rooted; drop --target")
     if "spectral" in routes and g.regular_degree() is not None:
         _check_dense(g)
     payload = {"schema": SCHEMA, "graph": g.label, "root": x0, "target": x,
@@ -198,8 +200,6 @@ def cmd_zeta(args):
     if "rhs" in routes:
         series_by_route["rhs"] = zetamod.zeta_formula_series(g, x0, x, order)
     if "euler" in routes:
-        if x != x0:
-            raise SystemExit2("the euler route is rooted; drop --target")
         series_by_route["euler"] = zetamod.euler_product_series(g, x0, order)
     for name, series in series_by_route.items():
         payload["routes"][name] = {"series": series.to_json()}

@@ -74,10 +74,13 @@ class Graph:
         return f"Graph({self.label!r}, vertices={self.vertex_count}, edges={len(self.edges) // 2})"
 
 
-def _bfs_distances(neighbors, start, n):
+def _bfs_distances(neighbors, starts, n):
+    """Distance from the nearest of the vertices starts to each vertex, -1
+    where none is reached."""
     dist = [-1] * n
-    dist[start] = 0
-    queue = deque([start])
+    for start in starts:
+        dist[start] = 0
+    queue = deque(starts)
     while queue:
         v = queue.popleft()
         for w in neighbors[v]:
@@ -123,7 +126,7 @@ def build_graph(vertex_count, undirected_edges, *, label="graph"):
         adjacency[a].append(b)
         adjacency[b].append(a)
     if vertex_count > 1:
-        dist = _bfs_distances(adjacency, 0, vertex_count)
+        dist = _bfs_distances(adjacency, (0,), vertex_count)
         if any(d < 0 for d in dist):
             raise Disconnected("graph is not connected")
     return Graph(

@@ -31,7 +31,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .edgewalk import edge_closed_tallies
-from .graphs import _check_vertex
+from .graphs import _bfs_distances, _check_vertex
 from .records import Record
 from .series import (ONE_MINUS_T, TPOLY_ZERO, OperatorPoly, TPoly, _digit, _digit_width,
                      _digits, _pack, _packed_width, _unpack)
@@ -76,14 +76,63 @@ def cm_sequence(g, order):
     return out
 
 
-def _walk_rows(g, roots, order):
+def _cone(nbrs, roots, targets, order):
+    """The live vertices of each step m = 0..order of a pass from roots on
+    the neighbour lists nbrs that is read only at targets: the y with
+    dist(roots, y) <= m and dist(y, targets) <= order - m, or None at a step
+    where every vertex is live, and at every step when targets is None.
+
+    A step computes its live entries only and leaves the others 0, and the
+    entries at targets stay exact.  An entry at y of step m is a sum over
+    walks of length m from a root to y, so it is 0 when y lies further than
+    m from every root, and it reaches a target entry of step m' only through
+    a walk of length m' - m <= order - m from y.  A live y at step m reads
+    its neighbours at step m - 1 and itself at step m - 2, each either live
+    there or too far from the roots to be nonzero, since its distance to the
+    targets is at most one more than y's."""
+    if targets is None:
+        return [None] * (order + 1)
+    n = len(nbrs)
+    last = [order - d for d in _bfs_distances(nbrs, targets, n)]
+    enter = [[] for _ in range(order + 1)]
+    for y, d in enumerate(_bfs_distances(nbrs, roots, n)):
+        if d <= last[y]:
+            enter[d].append(y)
+    live, cone = [], []
+    for m in range(order + 1):
+        live = [y for y in live if last[y] >= m] + enter[m]
+        cone.append(None if len(live) == n else live)
+    return cone
+
+
+def _pick(live, column):
+    """A per-vertex column at the live vertices of a step of _cone, in their
+    order; the column itself when every vertex is live."""
+    return column if live is None else list(map(column.__getitem__, live))
+
+
+def _placed(live, n, values):
+    """The row of n entries that holds values, computed in the order of the
+    live vertices of a step of _cone, and 0 elsewhere; values itself when
+    every vertex is live."""
+    if live is None:
+        return values
+    row = [0] * n
+    for y, v in zip(live, values):
+        row[y] = v
+    return row
+
+
+def _walk_rows(g, roots, order, targets=None):
     """Yield the rows of the walk matrices C_0..C_order at a tuple of roots,
-    in one pass: row m is the tuple whose entry x is
+    in one pass: row m is the list whose entry x is
     sum_r C_m(roots[r], x) 2^(r R), where C_m(y, x) is the int of
     series._pack at W = _packed_width(max degree, order) and
     R = _digit_width(W, order) = (order + 1) W.  With one root, entry x is
     the packed C_m(root, x) itself.  The pass keeps only the last two rows,
     which the recursion reads; a caller that stops early builds no more.
+    Given targets, a step computes only the entries of its light cone
+    (_cone), and only the entries at targets are exact.
 
     C_0 = I, C_1 = adjacency, C_2 = C_1^2 - (1-t) (Q + I), and for m >= 3
     C_m = C_{m-1} C_1 - (1-t) C_{m-2} (D - (1-t) I).  Each product is taken
@@ -103,22 +152,23 @@ def _walk_rows(g, roots, order):
     width = _packed_width(g.max_degree, order)
     shift = _digit_width(width, order)
     nbrs = [g.neighbors(x) for x in range(n)]
-    # the scalings -(1-t) d_x for C_2 and -(1-t)(d_x - 1 + t) after it
+    cone = _cone(nbrs, roots, targets, order)
+    # the scalings -(1-t) d_x for C_1 (of C_(-1) = 0) and C_2, and
+    # -(1-t)(d_x - 1 + t) after them
     first_weights = [_pack((-d, d), width) for d in g.degrees]
     step_weights = [_pack((1 - d, d - 2, 1), width) for d in g.degrees]
-    unit = [0] * n
+    last = [0] * n
     for r, y in enumerate(roots):
-        unit[y] += 1 << (r * shift)
-    last = tuple(unit)
+        last[y] += 1 << (r * shift)
+    older = [0] * n
     yield last
-    if order >= 1:
-        older, last = last, tuple(sum(map(unit.__getitem__, nb)) for nb in nbrs)
-        yield last
-    for m in range(2, order + 1):
-        weights = first_weights if m == 2 else step_weights
+    for m in range(1, order + 1):
+        live = cone[m]
+        weights = first_weights if m <= 2 else step_weights
         get = last.__getitem__
-        older, last = last, tuple(sum(map(get, nb)) + w * c
-                                  for nb, w, c in zip(nbrs, weights, older))
+        older, last = last, _placed(live, n, [
+            sum(map(get, nb)) + w * c
+            for nb, w, c in zip(_pick(live, nbrs), _pick(live, weights), _pick(live, older))])
         yield last
 
 
@@ -129,20 +179,26 @@ def _count_width(degree, order):
     return max((degree ** (order - 1)).bit_length(), 1) + 1 if order else 2
 
 
-def _adjacency_rows(g, roots, order):
+def _adjacency_rows(g, roots, order, targets=None):
     """Yield the rows of A^0..A^order at a tuple of roots on a regular graph
     in one pass, keeping only the last: entry x of row i is
     sum_r A^i(roots[r], x) 2^(r B), B = _count_width(degree, order), whose
     balanced base-2^B digit r (series._digit) is the count A^i(roots[r], x);
-    with one root an entry is the count.  A step is a neighbour sum, no t."""
+    with one root an entry is the count.  A step is a neighbour sum, no t.
+    Given targets, a step computes only its light cone (_cone), as in
+    _walk_rows."""
+    n = g.vertex_count
     shift = _count_width(g.regular_degree(), order)
-    nbrs = [g.neighbors(x) for x in range(g.vertex_count)]
-    row = [0] * g.vertex_count
+    nbrs = [g.neighbors(x) for x in range(n)]
+    cone = _cone(nbrs, roots, targets, order)
+    row = [0] * n
     for r, y in enumerate(roots):
         row[y] += 1 << (r * shift)
     yield row
-    for _ in range(order):
-        row = [sum(map(row.__getitem__, nb)) for nb in nbrs]
+    for m in range(1, order + 1):
+        live = cone[m]
+        get = row.__getitem__
+        row = _placed(live, n, [sum(map(get, nb)) for nb in _pick(live, nbrs)])
         yield row
 
 
@@ -151,17 +207,16 @@ def _f_weight(d):
     return (d - 1, 1)
 
 
-def _f_digits(counts, weight):
-    """Entry (y, x) of (u A - weight u^2)^k, k = 0..order, from counts[i] =
-    A^i(y, x), order = len(counts) - 1, and a packed scalar weight, which
-    commutes with A: term p, at u^(k+p) <= u^order, is
-    C(k, p) (-weight)^p A^(k-p)(y, x).  At weight d - 1 + t (_f_weight) it
-    is digit p of the formula route's f^k; at (1-t)(d - 1 + t), f^k's term."""
+def _f_digits(counts):
+    """The binomial expansion of (u A - w u^2)^k, k = 0..order, for a scalar
+    weight w, which commutes with A: its term p, at u^(k+p), has entry
+    (y, x) C(k, p) A^(k-p)(y, x) (-w)^p.  From counts[i] = A^i(y, x),
+    order = len(counts) - 1, row k lists the factors C(k, p) A^(k-p)(y, x)
+    of the terms at u^(k+p) <= u^order, p <= min(k, order - k).  At
+    w = d - 1 + t (_f_weight) term p is digit p of the formula route's f^k;
+    at (1-t)(d - 1 + t), f^k's term."""
     order = len(counts) - 1
-    powers = [1]
-    for _ in range(order // 2):
-        powers.append(-weight * powers[-1])
-    return [[math.comb(k, p) * counts[k - p] * powers[p] for p in range(min(k, order - k) + 1)]
+    return [[math.comb(k, p) * counts[k - p] for p in range(min(k, order - k) + 1)]
             for k in range(order + 1)]
 
 
@@ -171,11 +226,14 @@ def _regular_walk(counts, degree, width):
     series is (1 - (1-t)^2 u^2) (I - f)^(-1) (check_series_inverse_identity),
     so C_m = S_m - (1-t)^2 S_(m-2), S_m the u^m coefficient of sum_k f^k
     (_f_digits).  Only C_m decodes, within series._packed_width's bound."""
-    weight = _pack(_f_weight(degree), width) * _pack((1, -1), width)
+    minus_weight = -_pack(_f_weight(degree), width) * _pack((1, -1), width)
+    weights = [1]
+    for _ in range((len(counts) - 1) // 2):
+        weights.append(weights[-1] * minus_weight)
     sums = [0] * len(counts)
-    for k, terms in enumerate(_f_digits(counts, weight)):
-        for p, q in enumerate(terms):
-            sums[k + p] += q
+    for k, factors in enumerate(_f_digits(counts)):
+        for p, s in enumerate(factors):
+            sums[k + p] += s * weights[p]
     one_minus_t_sq = _pack((1, -2, 1), width)
     return [s - one_minus_t_sq * sums[m - 2] if m >= 2 else s for m, s in enumerate(sums)]
 
@@ -272,7 +330,8 @@ C_m](x0) and r[m] = R_m(x0)."""
 def _rooted_walk(g, x0, order):
     """The RootedWalk of x0 through the given order, from one pass of
     _walk_rows over x0 and its neighbours, or of _adjacency_rows on a
-    regular graph.
+    regular graph, read only at those roots, so that it steps their light
+    cone (_cone).
 
     The defect reads only diagonals: [DC_m](x0) = d C_m(x0, x0) - sum_{y ~ x0}
     C_m(y, y), each diagonal a root digit of the pass, summed packed and
@@ -286,9 +345,9 @@ def _rooted_walk(g, x0, order):
     deg = g.degrees[x0]
     regular = g.regular_degree() is not None
     if regular:
-        rows, shift = _adjacency_rows(g, roots, order), _count_width(deg, order)
+        rows, shift = _adjacency_rows(g, roots, order, roots), _count_width(deg, order)
     else:
-        rows, shift = _walk_rows(g, roots, order), _digit_width(width, order)
+        rows, shift = _walk_rows(g, roots, order, roots), _digit_width(width, order)
     own, defect = [], []
     for row in rows:
         digits = [_digit(row[y], r, shift) for r, y in enumerate(roots)]

@@ -14,10 +14,11 @@ from functools import lru_cache
 from itertools import chain
 
 from .graphs import _check_vertex
-from .operators import (_adjacency_rows, _closed_tallies, _decoded, _f_digits, _f_weight,
-                        _regular_walk, _rooted_walk, _walk_rows, alpha, cbc_terms)
+from .operators import (_adjacency_rows, _closed_tallies, _cone, _decoded, _f_digits, _f_weight,
+                        _norm_width, _pick, _placed, _regular_walk, _rooted_walk, _walk_rows,
+                        alpha, cbc_terms)
 from .records import Record
-from .series import (TPOLY_ZERO, TPoly, _balanced, _digit_width, _digits,
+from .series import (TPOLY_ONE, TPOLY_ZERO, TPoly, _balanced, _digit_width, _digits,
                      _exp_from_scaled, _pack, _packed_width, _unpack)
 
 
@@ -45,7 +46,8 @@ def cbc_entries(g, x0, x, order):
     width that its run on l1 norms gives (operators._decoded) and decoded
     once.  The rooted entries (x = x0) read the root's RootedWalk:
     C_m(x0, x0) and R_m(x0).  Off the diagonal they read C_m(x0, x) from a
-    pass over x0 alone: of operators._walk_rows, whose packed rows are the
+    pass over x0 alone with target x, which steps only its light cone
+    (operators._cone): of operators._walk_rows, whose packed rows are the
     entries themselves, or on a regular graph operators._regular_walk of
     the counts of operators._adjacency_rows.
     """
@@ -57,9 +59,9 @@ def cbc_entries(g, x0, x, order):
     else:
         width = _packed_width(g.max_degree, order)
         if g.regular_degree() is None:
-            packed = [row[x] for row in _walk_rows(g, (x0,), order)]
+            packed = [row[x] for row in _walk_rows(g, (x0,), order, (x,))]
         else:
-            packed = _regular_walk([row[x] for row in _adjacency_rows(g, (x0,), order)],
+            packed = _regular_walk([row[x] for row in _adjacency_rows(g, (x0,), order, (x,))],
                                    g.degrees[x0], width)
         c, r = [_unpack(v, width) for v in packed], None
     deg = g.degrees[x0]
@@ -88,7 +90,7 @@ def zeta_log_series(g, x0, x, order):
 
 
 def _f_step(g, width, shift):
-    """step(prev, digits, plus=None) = prev f for the formula route's
+    """step(prev, digits, plus=None, live=None) = prev f for the formula route's
     f = u A - u^2 (1-t)(D - (1-t)I) = u A - s (D - 1 + t), s = (1-t) u^2, on
     rows of packed ints: entry j of a row v at u^k is sum_p Q_p(j) 2^(p shift),
     with Q_p(j) the u^(k+p) coefficient of v(j) over (1-t)^p, packed at width
@@ -101,23 +103,25 @@ def _f_step(g, width, shift):
     keeps the lowest `digits` u-powers of each nonzero entry, by one balanced
     residue mod 2^(digits shift); the kept digits are balanced base-2^shift
     digits (see _f_power_table), so they sum to a value inside the residue's
-    range, whatever the digits above them hold."""
-    nbrs = [g.neighbors(j) for j in range(g.vertex_count)]
+    range, whatever the digits above them hold.  live, when not None, is a
+    step of operators._cone: only its entries are computed, the rest are 0."""
+    n = g.vertex_count
+    nbrs = [g.neighbors(j) for j in range(n)]
     weights = [-_pack(_f_weight(d), width) for d in g.degrees]
     degrees = g.degrees
 
-    def step(prev, digits, plus=None):
+    def step(prev, digits, plus=None, live=None):
         get = prev.__getitem__
+        columns = (_pick(live, nbrs), _pick(live, weights), _pick(live, prev))
         if plus is None:
-            cur = [sum(map(get, nb)) + ((w * v) << shift)
-                   for nb, w, v in zip(nbrs, weights, prev)]
+            cur = [sum(map(get, nb)) + ((w * v) << shift) for nb, w, v in zip(*columns)]
         else:
             cur = [sum(map(get, nb)) + ((w * v) << shift) + d * p
-                   for nb, w, v, d, p in zip(nbrs, weights, prev, degrees, plus)]
+                   for nb, w, v, d, p in zip(*columns, _pick(live, degrees), _pick(live, plus))]
         if digits is not None:
             bits = digits * shift
             cur = [_balanced(v, bits) if v else 0 for v in cur]
-        return cur
+        return _placed(live, n, cur)
 
     return step
 
@@ -140,14 +144,18 @@ def _f_power_table(g, x0, x, order):
     coefficient over (1-t)^p, for p <= min(k, order - k)
     (p <= min(T, order - 2 - T)); no entry ends in an empty digit.
 
-    On a regular graph K = A D - D A is zero, and the digits are
-    operators._f_digits of the counts A^i(x0, x), at W below: off the diagonal
-    from a pass of operators._adjacency_rows over x0, and on it from the
+    On a regular graph K = A D - D A is zero, and the digits are the
+    binomial expansion of f^k (operators._f_digits) of the counts
+    A^i(x0, x), each factor times the raw coefficients of its power of
+    -(d - 1 + t), so that no digit is decoded: off the diagonal from a pass
+    of operators._adjacency_rows over x0 with target x, and on it from the
     root's walk at t = 1, where C_i is A^i.  On other graphs row x0 of f^k
     steps from the unit at x0, and row x0 of
     M_T = M_(T-1) f + f^T D from M_0 = D in lockstep with it (_f_step), at
     W = _packed_width(max degree, order) and U = _digit_width(W, order // 2);
     only entry x of each is decoded, and no row is kept past the next step.
+    Each steps its light cone from x0 to x (operators._cone), to horizon
+    order for the f-powers and order - 2 for the commutator rows.
     Q_p has t-degree at most p <= order // 2 and, by _packed_width's bound,
     coefficients below 2^(W-1), so it is a balanced base-2^U digit that
     series._digits reads.  Digit p of a step reads digits p and p - 1 of the
@@ -156,66 +164,75 @@ def _f_power_table(g, x0, x, order):
     width = _packed_width(g.max_degree, order)
     d = g.degrees
 
+    def trimmed(entry):
+        while entry and not entry[-1]:
+            entry = entry[:-1]
+        return tuple(entry)
+
     def decoded(digits):
-        while digits and not digits[-1]:
-            digits = digits[:-1]
-        return tuple(tuple(_digits(q, width)) for q in digits)
+        return trimmed([tuple(_digits(q, width)) for q in digits])
 
     if g.regular_degree() is not None:
         if x == x0:
             counts = [sum(c.c) for c in _rooted_walk(g, x0, order).diag]
         else:
-            counts = [row[x] for row in _adjacency_rows(g, (x0,), order)]
-        digits = _f_digits(counts, _pack(_f_weight(d[x0]), width))
-        return tuple(map(decoded, digits)), ()
+            counts = [row[x] for row in _adjacency_rows(g, (x0,), order, (x,))]
+        minus_weight, weights = -TPoly(_f_weight(d[x0])), [TPOLY_ONE]
+        for _ in range(order // 2):
+            weights.append(weights[-1] * minus_weight)
+        return tuple(trimmed([tuple(s * c for c in weights[p].c) if s else ()
+                              for p, s in enumerate(factors)])
+                     for factors in _f_digits(counts)), ()
+    n = g.vertex_count
+    nbrs = [g.neighbors(j) for j in range(n)]
+    power_cone = _cone(nbrs, (x0,), (x,), order)
+    row_cone = _cone(nbrs, (x0,), (x,), order - 2)
     shift = _digit_width(width, order // 2)
     step = _f_step(g, width, shift)
-    power = [0] * g.vertex_count
+    power = [0] * n
     power[x0] = 1
-    rows = [0] * g.vertex_count
+    rows = [0] * n
     rows[x0] = d[x0]
     powers, integrand = [decoded(_digits(power[x], shift)[:1])], []
     for k in range(1, order + 1):
-        power = step(power, _cut(k, order))
+        power = step(power, _cut(k, order), live=power_cone[k])
         powers.append(decoded(_digits(power[x], shift)[:min(k, order - k) + 1]))
         if k <= order - 2:
-            rows = step(rows, _cut(k, order - 2), power)
+            rows = step(rows, _cut(k, order - 2), power, row_cone[k])
             integrand.append(decoded(_digits(rows[x] - (k + 1) * d[x0] * power[x], shift)
                                      [:min(k, order - 2 - k) + 1]))
     return tuple(powers), tuple(integrand)
 
 
-def _add_into(acc, coeffs, factor):
-    """acc += factor coeffs for raw int coefficient lists, growing acc as
-    needed."""
-    if len(acc) < len(coeffs):
-        acc.extend([0] * (len(coeffs) - len(acc)))
-    for i, c in enumerate(coeffs):
-        if c:
-            acc[i] += factor * c
-
-
-def _times_one_minus_t(p):
-    """(1-t) p for a raw int coefficient list p."""
-    return [a - b for a, b in zip(p + [0], [0] + p)] if p else []
-
-
 def _restored(order, terms):
     """Raw int lists s_0..s_order, with s_m the sum of share (1-t)^q Q over
-    the terms (m, q, share, Q), Q a raw int coefficient sequence: the shares
-    are summed per (m, q), and the powers of 1 - t restored once per m by
-    Horner's rule, from the highest q down."""
-    by_power = [[] for _ in range(order + 1)]
-    for m, q, share, coeffs in terms:
-        slots = by_power[m]
-        slots.extend([] for _ in range(q + 1 - len(slots)))
-        _add_into(slots[q], coeffs, share)
+    the terms (m, q, share, Q), q <= m and Q a raw int coefficient sequence, by the
+    two runs of operators._decoded.  On l1 norms, |share| |Q|_1 is summed
+    per (m, q) and |1-t|_1 = 2 restored, and the largest total bounds every
+    |s_m|_1, which gives the width (operators._norm_width).  Packed at that
+    width, the shares are summed per (m, q), the powers of 1 - t restored
+    once per m by Horner's rule, from the highest q down, and each s_m
+    decoded once."""
+    terms = list(terms)
+    norms = _summed_by_power(order, ((m, q, abs(share) * sum(map(abs, coeffs)))
+                                     for m, q, share, coeffs in terms), 2)
+    width = _norm_width(max(norms))
+    packed = _summed_by_power(order, ((m, q, share * _pack(coeffs, width))
+                                      for m, q, share, coeffs in terms), _pack((1, -1), width))
+    return [_digits(v, width) for v in packed]
+
+
+def _summed_by_power(order, terms, one_minus_t):
+    """sum_q (sum of the values at (m, q)) one_minus_t^q for m = 0..order,
+    from the terms (m, q, value), q <= m, by Horner's rule."""
+    by_power = [[0] * (m + 1) for m in range(order + 1)]
+    for m, q, value in terms:
+        by_power[m][q] += value
     out = []
     for slots in by_power:
-        acc = []
-        for c in reversed(slots):
-            acc = _times_one_minus_t(acc)
-            _add_into(acc, c, 1)
+        acc = 0
+        for v in reversed(slots):
+            acc = acc * one_minus_t + v
         out.append(acc)
     return out
 

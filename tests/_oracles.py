@@ -723,7 +723,7 @@ def fraction_charpoly(mat):
 def distances_from(g, x0):
     """BFS distances from x0 (graphs here are connected, so all finite)."""
     neighbors = [g.neighbors(v) for v in range(g.vertex_count)]
-    return _bfs_distances(neighbors, x0, g.vertex_count)
+    return _bfs_distances(neighbors, (x0,), g.vertex_count)
 
 
 def ball(g, x0, r):

@@ -285,6 +285,31 @@ def test_heat_overflowing_tau_is_usage_error(capsys):
     assert err == "error: truncation bound did not converge\n"
 
 
+def _counted_passes(monkeypatch):
+    """(roots, targets) of every pass of the walk recursion or of the
+    adjacency counts that replace it on a regular graph, through the
+    bindings in bzk.operators and bzk.zeta."""
+    import bzk.operators
+    import bzk.zeta
+
+    passes = []
+
+    def counting(rows):
+        def counted(g, roots, order, targets=None):
+            passes.append((roots, targets))
+            return rows(g, roots, order, targets)
+        return counted
+
+    counted = {name: counting(getattr(bzk.operators, name))
+               for name in ("_walk_rows", "_adjacency_rows")}
+    for module in (bzk.operators, bzk.zeta):
+        for name, rows in counted.items():
+            monkeypatch.setattr(module, name, rows)
+    bzk.operators._rooted_walk.cache_clear()
+    bzk.zeta._f_power_table.cache_clear()
+    return passes
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--family", "cycle", "--n", "4", "--order", "3"),
     ("verify", "--family", "cycle", "--n", "4", "--order", "-1"),
@@ -295,28 +320,28 @@ def test_order_below_minimum_is_usage_error(capsys, monkeypatch, argv):
     # verify refuses every order below 4 with one line, before it makes a
     # pass of the walk recursion or of the adjacency counts that replace it
     # on a regular graph such as cycle(4); --order 2 and 3 used to run one
-    import bzk.operators
-    import bzk.zeta
-
-    passes = []
-
-    def counting(rows):
-        def counted(g, roots, order):
-            passes.append(roots)
-            return rows(g, roots, order)
-        return counted
-
-    counted = {name: counting(getattr(bzk.operators, name))
-               for name in ("_walk_rows", "_adjacency_rows")}
-    for module in (bzk.operators, bzk.zeta):
-        for name, rows in counted.items():
-            monkeypatch.setattr(module, name, rows)
+    passes = _counted_passes(monkeypatch)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     if argv[0] == "verify":
         assert err == "error: --order must be >= 4\n"
+    assert passes == []
+
+
+@pytest.mark.parametrize("route", ["all", "euler"])
+def test_rooted_route_with_target_is_refused_before_any_route(capsys, monkeypatch, route):
+    # the Euler route is rooted, so --target with it is refused with one
+    # line, and with --route all before the log and formula routes make
+    # their passes: tree_ball(3,5) at order 32 used to run both and then exit
+    passes = _counted_passes(monkeypatch)
+    code, out, err = run(capsys, "zeta", "--family", "tree_ball", "--q-plus-1", "3",
+                         "--radius", "5", "--root", "0", "--target", "3", "--order", "32",
+                         "--route", route)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the euler route is rooted; drop --target\n"
     assert passes == []
 
 

@@ -252,19 +252,20 @@ def test_walk_pass_streams():
 
 
 def _record_passes(monkeypatch):
-    """(kind, roots) of every pass of operators._walk_rows ("walk") and
-    operators._adjacency_rows ("adjacency"), in call order, through the
-    bindings in operators and zeta; the root walks and f tables are emptied
-    first, so that every read is a miss."""
+    """(kind, roots, targets) of every pass of operators._walk_rows ("walk")
+    and operators._adjacency_rows ("adjacency"), in call order, through the
+    bindings in operators and zeta, targets None for a pass that computes
+    every entry; the root walks and f tables are emptied first, so that
+    every read is a miss."""
     import bzk.operators
     import bzk.zeta
 
     passes = []
 
     def recording(kind, rows):
-        def recorded(g, roots, order):
-            passes.append((kind, tuple(roots)))
-            return rows(g, roots, order)
+        def recorded(g, roots, order, targets=None):
+            passes.append((kind, tuple(roots), targets and tuple(targets)))
+            return rows(g, roots, order, targets)
         return recorded
 
     walk = recording("walk", bzk.operators._walk_rows)
@@ -279,14 +280,15 @@ def _record_passes(monkeypatch):
 
 def test_rooted_walk_builds_only_the_rows_it_reads(monkeypatch):
     # a root reads its own diagonal and its neighbours', so its walk is one
-    # pass over the root and its neighbours: 4 roots at the centre of
+    # pass over the root and its neighbours, read at those roots alone, which
+    # it passes as the targets of its light cone: 4 roots at the centre of
     # tree_ball(3,4), 2 at leaf 22
     g = generate("tree_ball", 3, 4)
     passes = _record_passes(monkeypatch)
     for x0, roots in ((0, (0, 1, 2, 3)), (22, (22, 10))):
         passes.clear()
         zeta_log_series(g, x0, x0, 16)
-        assert passes == [("walk", roots)]
+        assert passes == [("walk", roots, roots)]
         assert roots == (x0, *g.neighbors(x0))
 
 
@@ -294,31 +296,34 @@ def test_verify_passes_are_check_groups_then_one_per_root(monkeypatch, capsys):
     # the series-inverse check runs its roots in groups of max degree + 1,
     # on the walk rows, and each root's walk (a miss of _rooted_walk) is one
     # pass over the root and its neighbours, shared by its checks and
-    # routes: on Petersen, which is regular, a pass of adjacency counts
+    # routes: on Petersen, which is regular, a pass of adjacency counts.  The
+    # check reads every entry, so its passes have no targets; a root's pass
+    # is read at its roots
     from bzk.cli import main
 
     g = CORPUS["petersen"]
     passes = _record_passes(monkeypatch)
     assert main(["verify", "--family", "petersen", "--order", "10"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
-    groups = [("walk", roots) for roots in ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9))]
-    assert passes == groups + [("adjacency", (x0, *g.neighbors(x0))) for x0 in range(10)]
+    groups = [("walk", roots, None) for roots in ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9))]
+    assert passes == groups + [("adjacency", (x0, *g.neighbors(x0)), (x0, *g.neighbors(x0)))
+                               for x0 in range(10)]
 
 
 def test_off_diagonal_zeta_builds_one_row(monkeypatch, capsys):
-    # the entries (x0, x) are row x0's: one pass over x0 alone, of adjacency
-    # counts on Petersen, which is regular, and of the walk rows on a graph
-    # that is not
+    # the entries (x0, x) are row x0's: one pass over x0 alone, read at x
+    # alone, of adjacency counts on Petersen, which is regular, and of the
+    # walk rows on a graph that is not
     from bzk.cli import main
 
     passes = _record_passes(monkeypatch)
     assert main(["zeta", "--family", "petersen", "--root", "0", "--target", "3",
                  "--order", "16", "--route", "log"]) == 0
-    assert passes == [("adjacency", (0,))]
+    assert passes == [("adjacency", (0,), (3,))]
     passes.clear()
     assert main(["zeta", "--family", "path", "--n", "5", "--root", "1", "--target", "3",
                  "--order", "16", "--route", "log"]) == 0
-    assert passes == [("walk", (1,))]
+    assert passes == [("walk", (1,), (3,))]
 
 
 def test_verify_runs_one_edge_tally_per_root(monkeypatch, capsys):

@@ -151,8 +151,10 @@ def _packed_width_margins(monkeypatch, graphs, order, tally_order, roots):
     operators._count_width.  Edge tallies run at tally_order.  roots(g)
     names the roots.  R_m of a rooted walk is decoded at the width of its l1
     majorant (operators._decoded), which
-    test_identity_checks_at_four_times_their_width measures, so its decoding
-    is not recorded here."""
+    test_identity_checks_at_four_times_their_width measures, and so is the
+    formula route's exponent (zeta._restored), which
+    test_restored_equals_the_plain_sum checks, so neither decoding is
+    recorded here."""
     real = {name: _packed_width(g.max_degree, order) for name, g in graphs.items()}
     wide = 8 * -(-max(_closed_form_width(g.max_degree, max(order, tally_order))
                       for g in graphs.values()) // 8)
@@ -172,14 +174,14 @@ def _packed_width_margins(monkeypatch, graphs, order, tally_order, roots):
             return decode(v, width)
         return recorded
 
-    decoded = bzk.operators._decoded
-
-    def sized_by_majorant(combine, *polys):
-        majorant.append(combine)
-        try:
-            return decoded(combine, *polys)
-        finally:
-            majorant.pop()
+    def sized_by_majorant(sized):
+        def run(*args):
+            majorant.append(sized)
+            try:
+                return sized(*args)
+            finally:
+                majorant.pop()
+        return run
 
     f_step = bzk.zeta._f_step
 
@@ -187,8 +189,8 @@ def _packed_width_margins(monkeypatch, graphs, order, tally_order, roots):
         assert (width, shift) == (wide, digit_shift)
         step = f_step(g, width, shift)
 
-        def recorded(prev, digits, plus=None):
-            cur = step(prev, digits, plus)
+        def recorded(prev, digits, plus=None, live=None):
+            cur = step(prev, digits, plus, live)
             what = "f power" if plus is None else "commutator row"
             for v in cur:
                 if v:
@@ -200,7 +202,8 @@ def _packed_width_margins(monkeypatch, graphs, order, tally_order, roots):
     try:
         for module in (bzk.operators, bzk.zeta, bzk.edgewalk):
             monkeypatch.setattr(module, "_packed_width", lambda d, m: wide)
-        monkeypatch.setattr(bzk.operators, "_decoded", sized_by_majorant)
+        monkeypatch.setattr(bzk.operators, "_decoded", sized_by_majorant(bzk.operators._decoded))
+        monkeypatch.setattr(bzk.zeta, "_restored", sized_by_majorant(bzk.zeta._restored))
         monkeypatch.setattr(bzk.zeta, "_f_step", recording_step)
         for name, g in graphs.items():
             n = g.vertex_count

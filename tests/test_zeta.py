@@ -296,6 +296,55 @@ def test_formula_route_mutants_fail(monkeypatch, mutant):
         assert not _formula_equals_log(16, ("petersen",))
 
 
+def _restore_cases():
+    """(order, terms) for _restored: seeded random terms (m, q, share, Q),
+    q <= m, with shares and coefficients of both signs and up to 40 bits,
+    and lone terms whose l1 majorant is their one coefficient, at and
+    around powers of two, where the width has no bit to spare."""
+    rng = random.Random(3131)
+    cases = []
+    for _ in range(300):
+        order = rng.randint(0, 16)
+        terms = []
+        for _ in range(rng.randint(0, 12)):
+            m = rng.randint(0, order)
+            bits = rng.randint(0, 40)
+            coeffs = tuple(rng.randint(-(1 << bits), 1 << bits) for _ in range(rng.randint(0, 9)))
+            terms.append((m, rng.randint(0, m), rng.choice([1, -1, rng.randint(-10**6, 10**6)]),
+                          coeffs))
+        cases.append((order, terms))
+    for c in (1, 2, 3, (1 << 40) - 1, 1 << 40, (1 << 41) - 1):
+        for share in (1, -1):
+            cases.append((2, [(2, 0, share, (c,))]))
+    return cases
+
+
+def _restored_is_the_plain_sum(cases):
+    """Whether bzk.zeta._restored gives, for every case, the sums
+    s_m = sum share (1-t)^q Q of its terms, taken by TPoly arithmetic."""
+    for order, terms in cases:
+        plain = [TPOLY_ZERO] * (order + 1)
+        for m, q, share, coeffs in terms:
+            plain[m] = plain[m] + TPoly(coeffs) * share * ONE_MINUS_T ** q
+        if [TPoly(s) for s in bzk.zeta._restored(order, iter(terms))] != plain:
+            return False
+    return True
+
+
+def test_restored_equals_the_plain_sum():
+    assert _restored_is_the_plain_sum(_restore_cases())
+
+
+def test_restore_width_one_bit_short_fails(monkeypatch):
+    # the packed restore decodes at the width of its l1 majorant; a bit
+    # narrower misreads a lone coefficient that fills its majorant
+    cases = _restore_cases()
+    assert _restored_is_the_plain_sum(cases)
+    norm_width = bzk.zeta._norm_width
+    monkeypatch.setattr(bzk.zeta, "_norm_width", lambda bound: norm_width(bound) - 1)
+    assert not _restored_is_the_plain_sum(cases)
+
+
 @pytest.mark.parametrize("name", VERTEX_TRANSITIVE)
 def test_euler_product_equals_log_series_vertex_transitive(name):
     g = CORPUS[name]
