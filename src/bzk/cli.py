@@ -190,6 +190,8 @@ def cmd_zeta(args):
     routes = ["log", "rhs", "euler", "spectral"] if args.route == "all" else [args.route]
     if "euler" in routes and x != x0:
         raise SystemExit2("the euler route is rooted; drop --target")
+    if "euler" in routes and order > TALLY_CAP:
+        raise SystemExit2(f"length {order} exceeds cap {TALLY_CAP}")
     if "spectral" in routes and g.regular_degree() is not None:
         _check_dense(g)
     payload = {"schema": SCHEMA, "graph": g.label, "root": x0, "target": x,

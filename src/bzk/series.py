@@ -191,7 +191,8 @@ def _unpack(v, width):
 def _exp_from_scaled(order, scaled, scale):
     """exp of the series sum_k a_k u^k, truncated at order, given as the raw
     int coefficient lists scaled[k] = scale k a_k, lowest t-power first, for
-    k = 0..order (scaled[0] = 0 a_0 is empty).
+    k = 0..order (scaled[0] = 0 a_0 is empty); terms past order change
+    nothing.
 
     The scale is first reduced to the smallest L for which every L k a_k is
     integral: L = scale / gcd(scale, every coefficient), which is the lcm of
@@ -200,11 +201,26 @@ def _exp_from_scaled(order, scaled, scale):
     the same series but puts n times log2 of the excess into every
     coefficient of B_n: unreduced, the formula route's lcm(1, ..., 64) takes
     Petersen's order-64 exp from about 0.14 s to 3 s in-process.
+
+    The reduced exponent, without trailing zero coefficients, keys
+    _exp_reduced, so the log, formula and Euler routes, which agree wherever
+    the paper's formula holds, exponentiate each distinct exponent once.
     """
     common = gcd(scale, *(c for p in scaled for c in p))
-    if common > 1:
-        scale //= common
-        scaled = [[c // common for c in p] for p in scaled]
+    exponent = []
+    for p in scaled:
+        p = [c // common for c in p]
+        while p and not p[-1]:
+            p.pop()
+        exponent.append(tuple(p))
+    return _exp_reduced(order, tuple(exponent), scale // common)
+
+
+@lru_cache(maxsize=32)
+def _exp_reduced(order, scaled, scale):
+    """_exp_from_scaled's recurrence and decode on a reduced exponent, a
+    tuple of int tuples.  Equal exponents share one USeries, whose
+    coefficients are a tuple, so no caller can change a cached one."""
     width = max(_scaled_exp([sum(map(abs, p)) for p in scaled], scale)).bit_length() + 2
     packed = _scaled_exp([_pack(p, width) for p in scaled], scale)
     out, denominator = [TPOLY_ONE], 1

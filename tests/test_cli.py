@@ -384,6 +384,26 @@ def test_tallies_past_cap_are_usage_errors(capsys):
         assert err == "error: length 13 exceeds cap 12\n"
 
 
+@pytest.mark.parametrize("route", ["all", "euler"])
+def test_tally_cap_is_refused_before_any_route(capsys, monkeypatch, route):
+    # --route all past the tally cap used to run the log and formula routes
+    # before the Euler tally refused: 5.6 s a process on tree_ball(3,9) at
+    # order 64
+    import bzk.zeta
+
+    def refused(*args):
+        raise AssertionError("a route ran before the tally cap was checked")
+
+    for name in ("zeta_log_series", "zeta_formula_series", "euler_product_series",
+                 "zeta_spectral_report"):
+        monkeypatch.setattr(bzk.zeta, name, refused)
+    code, out, err = run(capsys, "zeta", "--family", "tree_ball", "--q-plus-1", "3",
+                         "--radius", "9", "--root", "0", "--order", "64", "--route", route)
+    assert code == 2
+    assert out == ""
+    assert err == "error: length 64 exceeds cap 12\n"
+
+
 def test_eigensolver_failure_is_usage_error(capsys, perturbed_eigh):
     code, out, err = run(capsys, "zeta", "--family", "petersen", "--root", "0",
                          "--route", "spectral", "--u", "0.05", "--t", "0.25")

@@ -348,6 +348,7 @@ def test_exp_majorant_bounds_the_scaled_coefficients(monkeypatch, capsys):
         widths.clear()
         monkeypatch.setattr(bzk.series, "_scaled_exp", recording_exp)
         monkeypatch.setattr(bzk.series, "_digits", recording_digits)
+        bzk.series._exp_reduced.cache_clear()
         bzk.series._exp_from_scaled(order, scaled, given)
         monkeypatch.undo()
         assert len(runs) == 2 and len(set(widths)) == 1
@@ -391,6 +392,7 @@ def test_routes_reach_the_exp_recurrence_at_the_smallest_scale(monkeypatch):
     for name, order, scaled, given in caught:
         scales.clear()
         monkeypatch.setattr(bzk.series, "_scaled_exp", recording_exp)
+        bzk.series._exp_reduced.cache_clear()
         bzk.series._exp_from_scaled(order, scaled, given)
         monkeypatch.undo()
         want = _exp_scale(series_from_scaled(order, scaled, given))
