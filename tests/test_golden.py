@@ -1,9 +1,10 @@
-"""Byte-for-byte stdout of nineteen CLI commands, pinned in tests/golden/.
+"""Byte-for-byte stdout of twenty-one CLI commands, pinned in tests/golden/.
 
 The fixtures were written by the commands below; any change to an exact
 coefficient, a key or the JSON layout, or to a bit of a Bessel heat value or
 tail bound, shows up here as a failed comparison.
-To regenerate one, run its command with `python -m bzk` and redirect stdout.
+To regenerate one, run its command with `python -m bzk` in tests/golden/
+and redirect stdout.
 """
 
 from pathlib import Path
@@ -86,6 +87,15 @@ CASES = [
     ("zeta_cycle9_log_o64.json", 0,
      ["zeta", "--family", "cycle", "--n", "9", "--root", "0",
       "--order", "64", "--route", "log"]),
+    # a regular graph with a nonzero Laplacian defect: the Frucht graph has
+    # no automorphism but the identity, so R_m at root 0 is not zero, where
+    # on every vertex-transitive golden graph it is
+    ("zeta_frucht_log_o32.json", 0,
+     ["zeta", "--graph", "frucht.edges", "--root", "0",
+      "--order", "32", "--route", "log"]),
+    ("zeta_frucht_rhs_o32.json", 0,
+     ["zeta", "--graph", "frucht.edges", "--root", "0",
+      "--order", "32", "--route", "rhs"]),
     # the Bessel heat route alone (spectral values come from LAPACK): off
     # the diagonal at t = 0.5, and on the diagonal of hypercube(4) at
     # t = -0.5, every value and tail bound to the last bit
@@ -99,7 +109,9 @@ CASES = [
 
 
 @pytest.mark.parametrize("name,exit_code,argv", CASES, ids=[c[0] for c in CASES])
-def test_golden_output(capsys, name, exit_code, argv):
+def test_golden_output(capsys, monkeypatch, name, exit_code, argv):
+    # a --graph file is read from tests/golden/, and its path is the label
+    monkeypatch.chdir(GOLDEN)
     code = main(argv)
     out = capsys.readouterr().out
     assert code == exit_code
