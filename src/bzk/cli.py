@@ -343,8 +343,17 @@ def _positive_float(text):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals print one line, `error: <message>`,
+    with no usage block, and exit 2, as the subcommands' own refusals do.
+    Its subparsers are of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bzk",
         description="Rooted zeta functions and heat kernels on finite simple graphs",
     )

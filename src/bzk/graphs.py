@@ -299,8 +299,9 @@ def parse_edge_list(text, *, label="graph"):
 
 
 def load_graph(path):
-    """Read a graph file; JSON if it parses as JSON, edge list otherwise."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a graph file; JSON if it parses as JSON, edge list otherwise.
+    A leading UTF-8 byte order mark is dropped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):

@@ -21,14 +21,16 @@ into a weight, so run on the inputs' l1 norms with each weight replaced by
 its l1 norm (_lift and _weight with width None) it bounds the l1 norm of
 every compared side: the norm is subadditive and submultiplicative.  At
 _norm_width of the largest sum of two compared sides' bounds, a zero packed
-difference is a zero polynomial, and a nonzero one decodes.  _rooted_walk's
-defect recursion takes its width the same way.  cm_sequence, r_values and
-delta_diag are dense.
+difference is a zero polynomial, and a nonzero one decodes.  r_values and
+the off-diagonal cyclic-bump entries take their widths the same way
+(_decoded).  _rooted_walk runs a root's defect series at its pass width,
+which series._packed_width bounds it and the rooted cyclic-bump entries by,
+and keeps the root's record packed.  cm_sequence, r_values and delta_diag
+are dense.
 """
 
 import math
-from collections import namedtuple
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .edgewalk import edge_closed_tallies
 from .graphs import _bfs_distances, _check_vertex
@@ -320,10 +322,46 @@ def _r_double_sum(delta, order, width):
     return out
 
 
-RootedWalk = namedtuple("RootedWalk", ("diag", "delta", "r"))
-RootedWalk.__doc__ = """The walk data of one root x0 for every length m <= order, each a tuple
-indexed by m: diag[m] = C_m(x0, x0), delta[m] = [Laplacian defect of
-C_m](x0) and r[m] = R_m(x0)."""
+class RootedWalk:
+    """The walk data of one root x0 for every length m <= order, each a
+    tuple indexed by m and packed at width = _packed_width(max degree,
+    order) (series._pack): packed_diag[m] = C_m(x0, x0), packed_delta[m] =
+    [Laplacian defect of C_m](x0) and packed_r[m] = R_m(x0).  On a regular
+    graph counts = (own, defect) are the integer counts that the first two
+    come from by _regular_walk: own[i] = A^i(x0, x0) and defect[i] =
+    d A^i(x0, x0) - sum_{y ~ x0} A^i(y, y); elsewhere counts is None.
+
+    diag, delta and r are the same three as TPoly tuples, each decoded on
+    its first read.  Two records are equal when their packed values are."""
+
+    def __init__(self, width, packed_diag, packed_delta, packed_r, counts=None):
+        self.width = width
+        self.packed_diag = packed_diag
+        self.packed_delta = packed_delta
+        self.packed_r = packed_r
+        self.counts = counts
+
+    def _packed(self):
+        return self.width, self.packed_diag, self.packed_delta, self.packed_r
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._packed() == other._packed()
+
+    __hash__ = None
+
+    @cached_property
+    def diag(self):
+        return tuple(_unpack(v, self.width) for v in self.packed_diag)
+
+    @cached_property
+    def delta(self):
+        return tuple(_unpack(v, self.width) for v in self.packed_delta)
+
+    @cached_property
+    def r(self):
+        return tuple(_unpack(v, self.width) for v in self.packed_r)
 
 
 @lru_cache(maxsize=64)
@@ -334,11 +372,11 @@ def _rooted_walk(g, x0, order):
     cone (_cone).
 
     The defect reads only diagonals: [DC_m](x0) = d C_m(x0, x0) - sum_{y ~ x0}
-    C_m(y, y), each diagonal a root digit of the pass, summed packed and
-    decoded once per length.  On a regular graph the digits are counts
-    A^i(y, y), and _regular_walk maps the root's and its defect's to C_m.
-    R_m comes from its generating recursion (_r_recursion), run on packed
-    ints at the width of its l1 majorant (_decoded) and decoded once.
+    C_m(y, y), each diagonal a root digit of the pass, summed packed.  On a
+    regular graph the digits are counts A^i(y, y), and _regular_walk maps
+    the root's and its defect's to C_m.  R_m comes from its generating
+    recursion (_r_recursion) on the packed defect, at the pass width, which
+    series._packed_width bounds R_m by.  Nothing is decoded here.
     """
     width = _packed_width(g.max_degree, order)
     roots = (x0, *g.neighbors(x0))
@@ -353,11 +391,12 @@ def _rooted_walk(g, x0, order):
         digits = [_digit(row[y], r, shift) for r, y in enumerate(roots)]
         own.append(digits[0])
         defect.append(deg * digits[0] - sum(digits[1:]))
+    counts = None
     if regular:
-        own, defect = (_regular_walk(c, deg, width) for c in (own, defect))
-    diag, delta = ([_unpack(v, width) for v in c] for c in (own, defect))
-    r = _decoded(lambda width, delta: _r_recursion(delta, order, width), delta)
-    return RootedWalk(diag=tuple(diag), delta=tuple(delta), r=tuple(r))
+        counts = (tuple(own), tuple(defect))
+        own, defect = (_regular_walk(c, deg, width) for c in counts)
+    return RootedWalk(width, tuple(own), tuple(defect),
+                      tuple(_r_recursion(defect, order, width)), counts)
 
 
 def _r_recursion(delta, order, width):

@@ -93,29 +93,53 @@ def _packed_width(max_degree, order):
       the decoded M_T - (T+1) d_x0 f^T at most twice that, for
       T <= order - 2 and the kept p <= min(T, order - 2 - T);
     - edge tallies: a tally at length k sums t^cbc over at most D^k walks:
-      D^order.
+      D^order;
+    - the defect series R_m(x0) of a rooted walk, which
+      operators._rooted_walk runs by operators._r_recursion on the packed
+      defect: that recursion run on the defect bounds 2D N_m with width
+      None (operators._lift);
+    - the rooted cyclic-bump entries, operators.cbc_terms on C_m(x0, x0)
+      and R_m(x0), which the log route decodes at this width:
+      operators.cbc_terms run with width None on N_m and the bounds of R_m,
+      for each degree d <= D of x0.
     Each width is computed once per (max_degree, order).  For D <= 16 and
     order <= 64 it is never wider than the closed form
-    D^2 (order+2) (3D)^order that it replaced (tests/test_packing.py).
+    D^2 (order+2) (3D)^order that it replaced, and the last two bounds,
+    added when the rooted walk began to run R_m packed at this width, raise
+    none of those widths (tests/test_packing.py).
 
     A pass of operators._walk_rows packs each root's C_m, of t-degree at
     most order, as one digit of _digit_width(width, order) bits, and the
     formula route each u-power digit, of t-degree at most order // 2, as one
     of _digit_width(width, order // 2) bits.
     """
+    # operators imports this module, so its recursions are read here, once
+    # per cached width
+    from .operators import _r_recursion, cbc_terms
+
     big_d = max(max_degree, 2)
-    walk = [1, 1]
-    while len(walk) <= order:
-        walk.append(big_d * walk[-1] + 2 * big_d * walk[-2])
-    walk = walk[:order + 1]
-    bounds = [2 * big_d * n for n in walk]
+    walk = _walk_norms(big_d, order)
+    defect = [2 * big_d * n for n in walk]
+    r = _r_recursion(defect, order, None)
+    bounds = defect + r
     padded = [0, 0] + walk
     bounds += [n + big_d * a + 2 * big_d * b + 4 for n, a, b in zip(walk, padded[1:], padded)]
     bounds += [big_d ** k * comb(k, min(k // 2, order - k)) for k in range(order + 1)]
     bounds += [2 * (T + 1) * big_d ** (T + 1) * comb(T, min(T // 2, order - 2 - T))
                for T in range(order - 1)]
     bounds.append(big_d ** order)
+    for deg in range(big_d + 1):
+        bounds += cbc_terms(walk, deg, None, r)
     return max(bounds).bit_length() + 1
+
+
+def _walk_norms(big_d, order):
+    """N_0..N_order of _packed_width's walk-row bound at degree bound big_d:
+    N_0 = N_1 = 1 and N_m = D N_(m-1) + 2D N_(m-2)."""
+    walk = [1, 1]
+    while len(walk) <= order:
+        walk.append(big_d * walk[-1] + 2 * big_d * walk[-2])
+    return walk[:order + 1]
 
 
 def _pack(coeffs, width):

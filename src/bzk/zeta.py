@@ -15,11 +15,11 @@ from itertools import chain
 
 from .graphs import _check_vertex
 from .operators import (_adjacency_rows, _closed_tallies, _cone, _decoded, _f_digits, _f_weight,
-                        _norm_width, _pick, _placed, _regular_walk, _rooted_walk, _walk_rows,
-                        alpha, cbc_terms)
+                        _norm_width, _pick, _placed, _r_recursion, _regular_walk, _rooted_walk,
+                        _walk_rows, _weight, alpha, cbc_terms)
 from .records import Record
-from .series import (TPOLY_ONE, TPOLY_ZERO, TPoly, _balanced, _digit_width, _digits,
-                     _exp_from_scaled, _pack, _packed_width, _unpack)
+from .series import (ONE_MINUS_T, TPOLY_ZERO, TPoly, _balanced, _digit_width, _digits,
+                     _exp_from_scaled, _pack, _packed_width, _unpack, _walk_norms)
 
 
 class DomainError(ValueError):
@@ -42,30 +42,38 @@ def cbc_entries(g, x0, x, order):
     """Cyclic-bump operator entries (x0, x) for every length m <= order.
 
     Same values as cm_cbc(g, m)[x0, x], the dense test reference in
-    tests/_oracles.py, from operators.cbc_terms, run on packed ints at the
-    width that its run on l1 norms gives (operators._decoded) and decoded
-    once.  The rooted entries (x = x0) read the root's RootedWalk:
-    C_m(x0, x0) and R_m(x0).  Off the diagonal they read C_m(x0, x) from a
-    pass over x0 alone with target x, which steps only its light cone
-    (operators._cone): of operators._walk_rows, whose packed rows are the
-    entries themselves, or on a regular graph operators._regular_walk of
-    the counts of operators._adjacency_rows.
+    tests/_oracles.py, from operators.cbc_terms.  The rooted entries
+    (x = x0) are _rooted_entries, decoded.  Off the diagonal they read
+    C_m(x0, x) from a pass over x0 alone with target x, which steps only
+    its light cone (operators._cone): of operators._walk_rows, whose packed
+    rows are the entries themselves, or on a regular graph
+    operators._regular_walk of the counts of operators._adjacency_rows;
+    cbc_terms runs on them at the width that its run on l1 norms gives
+    (operators._decoded), and each entry is decoded once.
     """
     _check_vertex(g, x0)
     _check_vertex(g, x)
     if x == x0:
-        walk = _rooted_walk(g, x0, order)
-        c, r = walk.diag, walk.r
+        width, entries = _rooted_entries(g, x0, order)
+        return [_unpack(v, width) for v in entries]
+    width = _packed_width(g.max_degree, order)
+    if g.regular_degree() is None:
+        packed = [row[x] for row in _walk_rows(g, (x0,), order, (x,))]
     else:
-        width = _packed_width(g.max_degree, order)
-        if g.regular_degree() is None:
-            packed = [row[x] for row in _walk_rows(g, (x0,), order, (x,))]
-        else:
-            packed = _regular_walk([row[x] for row in _adjacency_rows(g, (x0,), order, (x,))],
-                                   g.degrees[x0], width)
-        c, r = [_unpack(v, width) for v in packed], None
+        packed = _regular_walk([row[x] for row in _adjacency_rows(g, (x0,), order, (x,))],
+                               g.degrees[x0], width)
     deg = g.degrees[x0]
-    return _decoded(lambda width, c, r: cbc_terms(c, deg, width, r), c, r)
+    return _decoded(lambda width, c: cbc_terms(c, deg, width),
+                    [_unpack(v, width) for v in packed])
+
+
+def _rooted_entries(g, x0, order):
+    """(width, entries): the rooted cyclic-bump entries (x0, x0) for every
+    length m <= order, packed, by operators.cbc_terms on the root's
+    RootedWalk, C_m(x0, x0) and R_m(x0), at the record's own width, which
+    series._packed_width bounds every such entry by."""
+    walk = _rooted_walk(g, x0, order)
+    return walk.width, cbc_terms(walk.packed_diag, g.degrees[x0], walk.width, walk.packed_r)
 
 
 def zeta_log_coefficients(g, x0, x, order):
@@ -78,11 +86,19 @@ def zeta_log_series(g, x0, x, order):
     """exp of the cyclic-bump log-series, truncated at the given order.
 
     m (entry_m / m) is entry_m, so the exponent reaches the exp recurrence
-    as the integer entries at scale 1."""
+    as the integer entries at scale 1.  On the diagonal the packed entries
+    of _rooted_entries are decoded once, straight into the raw lists that
+    the recurrence takes."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    ent = cbc_entries(g, x0, x, order)
-    return _exp_from_scaled(order, [()] + [p.c for p in ent[1:]], 1)
+    _check_vertex(g, x0)
+    _check_vertex(g, x)
+    if x == x0:
+        width, entries = _rooted_entries(g, x0, order)
+        exponent = [_digits(v, width) for v in entries[1:]]
+    else:
+        exponent = [p.c for p in cbc_entries(g, x0, x, order)[1:]]
+    return _exp_from_scaled(order, [()] + exponent, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -135,22 +151,18 @@ def _cut(k, top):
 
 @lru_cache(maxsize=32)
 def _f_power_table(g, x0, x, order):
-    """The target entries of row x0 of the formula route's f-powers and, on
-    graphs that are not regular, of its commutator rows, by one streamed
-    pass: (powers, integrand), with powers[k] the entry f^k(x0, x) for
-    k = 0..order and integrand[T-1] the entry (M_T - (T+1) d_x0 f^T)(x0, x)
-    for T = 1..order-2 (see _commutator_exponent).  Each entry is a tuple of
-    digits, digit p the raw t-coefficients of Q_p, its u^(k+p) (u^(T+p))
-    coefficient over (1-t)^p, for p <= min(k, order - k)
-    (p <= min(T, order - 2 - T)); no entry ends in an empty digit.
+    """The target entries of row x0 of the formula route's f-powers and of
+    its commutator rows, by one streamed pass: (powers, integrand), with
+    powers[k] the entry f^k(x0, x) for k = 0..order and integrand[T-1] the
+    entry (M_T - (T+1) d_x0 f^T)(x0, x) for T = 1..order-2 (see
+    _commutator_exponent).  Each entry is a tuple of digits, digit p the raw
+    t-coefficients of Q_p, its u^(k+p) (u^(T+p)) coefficient over (1-t)^p,
+    for p <= min(k, order - k) (p <= min(T, order - 2 - T)); no entry ends
+    in an empty digit.  The formula route reads it on graphs that are not
+    regular; on a regular graph _regular_exponent takes the f-powers from
+    adjacency counts, and K = A D - D A is zero.
 
-    On a regular graph K = A D - D A is zero, and the digits are the
-    binomial expansion of f^k (operators._f_digits) of the counts
-    A^i(x0, x), each factor times the raw coefficients of its power of
-    -(d - 1 + t), so that no digit is decoded: off the diagonal from a pass
-    of operators._adjacency_rows over x0 with target x, and on it from the
-    root's walk at t = 1, where C_i is A^i.  On other graphs row x0 of f^k
-    steps from the unit at x0, and row x0 of
+    Row x0 of f^k steps from the unit at x0, and row x0 of
     M_T = M_(T-1) f + f^T D from M_0 = D in lockstep with it (_f_step), at
     W = _packed_width(max degree, order) and U = _digit_width(W, order // 2);
     only entry x of each is decoded, and no row is kept past the next step.
@@ -172,17 +184,6 @@ def _f_power_table(g, x0, x, order):
     def decoded(digits):
         return trimmed([tuple(_digits(q, width)) for q in digits])
 
-    if g.regular_degree() is not None:
-        if x == x0:
-            counts = [sum(c.c) for c in _rooted_walk(g, x0, order).diag]
-        else:
-            counts = [row[x] for row in _adjacency_rows(g, (x0,), order, (x,))]
-        minus_weight, weights = -TPoly(_f_weight(d[x0])), [TPOLY_ONE]
-        for _ in range(order // 2):
-            weights.append(weights[-1] * minus_weight)
-        return tuple(trimmed([tuple(s * c for c in weights[p].c) if s else ()
-                              for p, s in enumerate(factors)])
-                     for factors in _f_digits(counts)), ()
     n = g.vertex_count
     nbrs = [g.neighbors(j) for j in range(n)]
     power_cone = _cone(nbrs, (x0,), (x,), order)
@@ -271,14 +272,16 @@ def _common_neighbours(g, x, y):
 def _formula_exponent(g, x0, x, order):
     """(scaled, scale) for the formula route's exponent series a: the logs
     of the prefactor, the matrix-log factor, the commutator integral, the
-    length-2 correction and the defect series, each a stream of terms
-    (m, q, share, Q) that _restored sums as
+    length-2 correction and the defect series, summed as
     scaled[m] = scale m a_m, raw int lists, at scale = lcm(1, ..., order),
-    which every denominator below divides.  The matrix log and the
-    commutator integral read the target entries of _f_power_table, which
-    are empty of commutator digits on regular graphs."""
-    powers, integrand = _f_power_table(g, x0, x, order)
+    which every denominator below divides.  On a regular graph they are
+    _regular_exponent.  On other graphs each is a stream of terms
+    (m, q, share, Q) that _restored sums, and the matrix log and the
+    commutator integral read the target entries of _f_power_table."""
     scale = math.lcm(*range(1, order + 1))
+    if g.regular_degree() is not None:
+        return _regular_exponent(g, x0, x, order, scale), scale
+    powers, integrand = _f_power_table(g, x0, x, order)
     terms = [_log_terms(powers, scale), _commutator_exponent(integrand, scale)]
     if x == x0:
         # log (1-(1-t)^2 u^2)^(-(deg-2)/2) = (deg-2)/2 sum_k (1-t)^(2k) u^(2k) / k,
@@ -295,6 +298,84 @@ def _formula_exponent(g, x0, x, order):
         # off-diagonal -A^2(x0, x) survives
         terms.append([(2, 1, -scale * _common_neighbours(g, x0, x), (1,))])
     return _restored(order, chain.from_iterable(terms)), scale
+
+
+def _regular_sum(counts, deg, order, scale, width, defect=None, common=0):
+    """scale m a_m for m = 0..order, the formula route's exponent on a
+    deg-regular graph, packed at width (series._pack), from the counts
+    counts[i] = A^i(x0, x) and, on the diagonal (defect not None), the
+    packed defect values defect[m] = [DC_m](x0), or off it the number of
+    common neighbours of x0 and x.  With width None the inputs are bounds
+    of their l1 norms and the outputs bound the outputs' norms: every sign
+    is folded into a weight, as in operators._decoded.  The five logs of
+    _formula_exponent, at the same scale:
+    - the matrix log: digit p of f^k(x0, x) is
+      C(k, p) A^(k-p)(x0, x) (-(d - 1 + t))^p (operators._f_digits), at
+      u^(k+p) with (1-t)^p, so it adds scale (k+p)/k times
+      C(k, p) A^(k-p)(x0, x) (-(1-t)(d - 1 + t))^p to scaled[k+p];
+    - the commutator integral is zero, as K = A D - D A is;
+    - on the diagonal the prefactor, (deg - 2) (1-t)^(2k) at m = 2k, and the
+      defect term (1-t) R_m at m >= 3, R_m by operators._r_recursion;
+    - off it the length-2 correction, -common (1-t) at m = 2."""
+    one_minus_t = _weight((1, -1), width)
+    minus_weight = _weight((-TPoly(_f_weight(deg)) * ONE_MINUS_T).c, width)
+    powers = [1]
+    for _ in range(order // 2):
+        powers.append(powers[-1] * minus_weight)
+    out = [0] * (order + 1)
+    for k, factors in enumerate(_f_digits(counts)):
+        if k:
+            for p, s in enumerate(factors):
+                out[k + p] += scale * (k + p) // k * s * powers[p]
+    if defect is not None:
+        share, square = _weight((scale * (deg - 2),), width), _weight((1, -2, 1), width)
+        for m in range(2, order + 1, 2):
+            share *= square
+            out[m] += share
+        r = _r_recursion(defect, order, width)
+        for m in range(3, order + 1):
+            out[m] += scale * one_minus_t * r[m]
+    elif order >= 2:
+        out[2] += _weight((-scale * common, scale * common), width)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _regular_width(degree, order):
+    """The width at which _regular_exponent sums on a degree-regular graph
+    through order: 2^(width-1) exceeds the largest output of _regular_sum
+    run with width None on bounds of its inputs' l1 norms, so that every
+    scale m a_m decodes.  With D = max(degree, 2) the bounds are
+    A^i(x0, x) <= D^i, a row of A^i summing to degree^i;
+    |[DC_m](x0)|_1 <= 2D N_m, as series._packed_width derives it; and at
+    most D common neighbours.  Both the diagonal and the off-diagonal sums
+    are bounded."""
+    big_d = max(degree, 2)
+    scale = math.lcm(*range(1, order + 1))
+    counts = [big_d ** i for i in range(order + 1)]
+    defect = [2 * big_d * n for n in _walk_norms(big_d, order)]
+    return _norm_width(max(chain(_regular_sum(counts, degree, order, scale, None, defect),
+                                 _regular_sum(counts, degree, order, scale, None, common=big_d))))
+
+
+def _regular_exponent(g, x0, x, order, scale):
+    """scale m a_m for m = 0..order on a regular graph, scale =
+    lcm(1, ..., order): _regular_sum, packed at _regular_width and decoded
+    once into raw int lists.  On the diagonal it reads the counts of the
+    root's RootedWalk, its own A^i(x0, x0) and its defect's, which
+    operators._regular_walk turns into the packed defect at this width; off
+    it the counts of a pass of operators._adjacency_rows over x0 with
+    target x.  No f-power is stepped and no digit tuple is built."""
+    deg = g.degrees[x0]
+    width = _regular_width(deg, order)
+    if x == x0:
+        own, defect = _rooted_walk(g, x0, order).counts
+        packed = _regular_sum(own, deg, order, scale, width, _regular_walk(defect, deg, width))
+    else:
+        counts = [row[x] for row in _adjacency_rows(g, (x0,), order, (x,))]
+        packed = _regular_sum(counts, deg, order, scale, width,
+                              common=_common_neighbours(g, x0, x))
+    return [_digits(v, width) for v in packed]
 
 
 def zeta_formula_series(g, x0, x, order):

@@ -49,7 +49,7 @@ These read library code:
 """
 
 import math
-from collections import deque
+from collections import deque, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -142,13 +142,18 @@ def poly_eval_fraction(p, t):
     return acc
 
 
+OperatorReading = namedtuple("OperatorReading", ("diag", "delta", "r"))
+
+
 def operator_reading_table(g, x0, order):
-    """The RootedWalk of x0 under the rejected reading of the defect term:
+    """The walk data of x0 under the rejected reading of the defect term:
     the diagonal of the matrix product (Laplacian * C_m) in place of the
-    Laplacian of y -> C_m(y, y).  Built from the library's walk matrices and
-    double sum, so that a test can put it in place of operators._rooted_walk
-    and show the unchanged cyclic-bump check rejecting this reading."""
-    from bzk.operators import RootedWalk, _decoded, _r_double_sum, cm_sequence
+    Laplacian of y -> C_m(y, y), as the TPoly tuples diag, delta and r that
+    the checks read of a RootedWalk.  Built from the library's walk matrices
+    and double sum, so that a test can put it in place of
+    operators._rooted_walk and show the unchanged cyclic-bump check
+    rejecting this reading."""
+    from bzk.operators import _decoded, _r_double_sum, cm_sequence
 
     cms = cm_sequence(g, order)
     delta = []
@@ -158,8 +163,8 @@ def operator_reading_table(g, x0, order):
             acc = acc - c.entry(y, x0)
         delta.append(acc)
     r = _decoded(lambda width, d: _r_double_sum(d, order, width), delta)
-    return RootedWalk(diag=tuple(c.entry(x0, x0) for c in cms), delta=tuple(delta),
-                      r=tuple(r))
+    return OperatorReading(diag=tuple(c.entry(x0, x0) for c in cms), delta=tuple(delta),
+                           r=tuple(r))
 
 
 def commutator_matrix(g):

@@ -107,6 +107,31 @@ def test_usage_errors(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("heat", "--family", "petersen", "--root", "0", "--tol", "0"),
+    ("heat", "--family", "petersen", "--root", "0", "--tau-grid", "1:0:5"),
+    ("nonsense", "--family", "petersen"),
+    ("zeta", "--family", "petersen", "--order", "8"),
+], ids=["tol 0", "tau grid reversed", "unknown subcommand", "missing root"])
+def test_argument_refusals_print_one_line(capsys, argv):
+    # argparse's refusals read as the CLI's own: one line, no usage block,
+    # exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "usage" not in err
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bzk zeta")
+
+
+@pytest.mark.parametrize("argv", [
     ("zeta", "--family", "petersen", "--root", "99"),
     ("zeta", "--family", "petersen", "--root", "0", "--target", "10", "--route", "log"),
     ("zeta", "--family", "petersen", "--root", "-1", "--route", "log"),

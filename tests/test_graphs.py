@@ -263,6 +263,22 @@ def test_edge_list_format(tmp_path):
     assert load_graph(path).degrees == (2, 2, 2)
 
 
+@pytest.mark.parametrize("text", [
+    json.dumps({"vertices": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3], [0, 2]]}),
+    "# a square with a chord\n0 1\n1 2\n2 3\n0 3\n0 2\n",
+], ids=["json", "edge list"])
+def test_byte_order_mark_is_dropped(tmp_path, text):
+    # a file saved with a UTF-8 byte order mark reads as the same graph: the
+    # mark neither hides the JSON brace nor joins the first vertex number
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    want, got = load_graph(plain), load_graph(marked)
+    assert got.vertex_count == want.vertex_count == 4
+    assert got.undirected_pairs() == want.undirected_pairs()
+    assert got.degrees == (3, 2, 3, 2)
+
+
 def test_immutability_types():
     g = CORPUS["triangle"]
     assert isinstance(g.out_edges, tuple)

@@ -1,16 +1,18 @@
 """Packed t-polynomials: the round trip of series._pack and series._unpack,
 the width bound of series._packed_width measured on the recursions that run
-packed (walk rows, f-powers, commutator rows and edge tallies) at orders 16
-and 64 and held under the closed form it replaced, the digit width of the
-adjacency counts that regular graphs run instead, the
-computed width and scale of the packed exp recurrence that the routes reach
-through series._exp_from_scaled, and the computed widths of the per-root
-identity checks and the cyclic-bump entries."""
+packed (walk rows, f-powers, commutator rows, edge tallies and the rooted
+walk's defect series and cyclic-bump entries) at orders 16 and 64, held
+under the closed form it replaced and not raised by the rooted bounds, the
+digit width of the adjacency counts that regular graphs run instead, the
+width of the formula route's exponent on regular graphs, the computed
+width and scale of the packed exp recurrence that the routes reach through
+series._exp_from_scaled, and the computed widths of the per-root identity
+checks and the off-diagonal cyclic-bump entries."""
 
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -21,13 +23,13 @@ import bzk.zeta
 from bzk.edgewalk import edge_closed_tallies
 from bzk.graphs import generate
 from bzk.operators import (_adjacency_rows, _count_width, _cyclic_bump_sides, _no_tail_sides,
-                           _r_generating_sides, _rooted_walk, _sides_width, _walk_rows,
-                           check_cyclic_bump_identity, check_no_tail_identity,
-                           check_r_generating_identity)
+                           _r_generating_sides, _r_recursion, _rooted_walk, _sides_width,
+                           _walk_rows, cbc_terms, check_cyclic_bump_identity,
+                           check_no_tail_identity, check_r_generating_identity)
 from bzk.series import (TPOLY_ZERO, TPoly, _digit_width, _digits, _pack, _packed_width,
                         _unpack)
 from bzk.zeta import cbc_entries, euler_product_series, zeta_formula_series, zeta_log_series
-from conftest import CORPUS, random_connected_graph
+from conftest import CORPUS, FRUCHT, REGULAR, random_circulants, random_connected_graph
 
 from _oracles import fraction_exp, series_from_scaled
 
@@ -139,9 +141,10 @@ def _packed_width_margins(monkeypatch, graphs, order, tally_order, roots):
     uses.  Every recursion runs at the old closed-form width or wider, which
     bounds every coefficient, so every value is exact.
 
-    Decoded: the rooted diagonals and defects, and the digits of the formula
-    route's target entries and commutator integrands, from each root to the
-    next vertex.  Held: every entry of every row that the formula route
+    Decoded: the rooted diagonals, defects and defect series R_m, the rooted
+    cyclic-bump entries that the log route decodes, all at the rooted
+    walk's width, and the digits of the formula route's target entries and
+    commutator integrands, from each root to the next vertex.  Held: every entry of every row that the formula route
     steps (_f_step wrapped), and every walk-row entry of a pass over the
     root alone, with its t-degree held to m, which the root digit width
     R = (order + 1) W needs.  On a regular graph the routes take the f-power
@@ -149,12 +152,11 @@ def _packed_width_margins(monkeypatch, graphs, order, tally_order, roots):
     f-power pass is stepped here, as the route steps it on other graphs, and
     every count of a pass over the root alone is held against its own width,
     operators._count_width.  Edge tallies run at tally_order.  roots(g)
-    names the roots.  R_m of a rooted walk is decoded at the width of its l1
-    majorant (operators._decoded), which
-    test_identity_checks_at_four_times_their_width measures, and so is the
-    formula route's exponent (zeta._restored), which
-    test_restored_equals_the_plain_sum checks, so neither decoding is
-    recorded here."""
+    names the roots.  The formula route's exponent is decoded at the width
+    of its l1 majorant (zeta._restored), which
+    test_restored_equals_the_plain_sum checks, or on a regular graph at
+    zeta._regular_width, which test_regular_exponent_inside_its_width
+    measures, so neither decoding is recorded here."""
     real = {name: _packed_width(g.max_degree, order) for name, g in graphs.items()}
     wide = 8 * -(-max(_closed_form_width(g.max_degree, max(order, tally_order))
                       for g in graphs.values()) // 8)
@@ -204,6 +206,8 @@ def _packed_width_margins(monkeypatch, graphs, order, tally_order, roots):
             monkeypatch.setattr(module, "_packed_width", lambda d, m: wide)
         monkeypatch.setattr(bzk.operators, "_decoded", sized_by_majorant(bzk.operators._decoded))
         monkeypatch.setattr(bzk.zeta, "_restored", sized_by_majorant(bzk.zeta._restored))
+        monkeypatch.setattr(bzk.zeta, "_regular_exponent",
+                            sized_by_majorant(bzk.zeta._regular_exponent))
         monkeypatch.setattr(bzk.zeta, "_f_step", recording_step)
         for name, g in graphs.items():
             n = g.vertex_count
@@ -211,7 +215,10 @@ def _packed_width_margins(monkeypatch, graphs, order, tally_order, roots):
             monkeypatch.setattr(bzk.zeta, "_digits", record("decoded", name, _digits))
             monkeypatch.setattr(bzk.edgewalk, "_unpack", record("edge tally", name, _unpack))
             for x0 in roots(g):
-                _rooted_walk(g, x0, order)
+                # the record decodes each of its three series on first read
+                walk = _rooted_walk(g, x0, order)
+                assert len(walk.diag) == len(walk.delta) == len(walk.r) == order + 1
+                zeta_log_series(g, x0, x0, order)
                 zeta_formula_series(g, x0, (x0 + 1) % n, order)
                 if g.regular_degree() is not None:
                     _step_f_powers(g, x0, order)
@@ -283,6 +290,84 @@ def test_packed_width_never_above_the_closed_form():
     for max_degree in range(17):
         for order in range(65):
             assert _packed_width(max_degree, order) <= _closed_form_width(max_degree, order)
+
+
+def _width_before_the_rooted_bounds(max_degree, order):
+    """series._packed_width without the bounds of the defect series R_m and
+    of the rooted cyclic-bump entries, which it took on when the rooted
+    walk began to run R_m packed at its width and the log route to decode
+    the entries at it: the walk rows, the defect, the series-inverse
+    difference, the f-power and commutator digits and the edge tallies."""
+    big_d = max(max_degree, 2)
+    walk = [1, 1]
+    while len(walk) <= order:
+        walk.append(big_d * walk[-1] + 2 * big_d * walk[-2])
+    walk = walk[:order + 1]
+    bounds = [2 * big_d * n for n in walk]
+    padded = [0, 0] + walk
+    bounds += [n + big_d * a + 2 * big_d * b + 4 for n, a, b in zip(walk, padded[1:], padded)]
+    bounds += [big_d ** k * comb(k, min(k // 2, order - k)) for k in range(order + 1)]
+    bounds += [2 * (T + 1) * big_d ** (T + 1) * comb(T, min(T // 2, order - 2 - T))
+               for T in range(order - 1)]
+    bounds.append(big_d ** order)
+    return max(bounds).bit_length() + 1
+
+
+def test_rooted_bounds_raise_no_packed_width():
+    # the bounds of R_m and of every rooted cyclic-bump entry, the defect
+    # recursion and cbc_terms run on l1 norms, fit inside the width that the
+    # other recursions already need, so the rooted walk runs them at the
+    # pass width and no pass grows
+    for max_degree in range(2, 17):
+        for order in range(1, 65):
+            width = _packed_width(max_degree, order)
+            assert width == _width_before_the_rooted_bounds(max_degree, order), (max_degree, order)
+            walk = [1, 1]
+            while len(walk) <= order:
+                walk.append(max_degree * walk[-1] + 2 * max_degree * walk[-2])
+            r = _r_recursion([2 * max_degree * n for n in walk[:order + 1]], order, None)
+            entries = [v for deg in range(max_degree + 1)
+                       for v in cbc_terms(walk[:order + 1], deg, None, r)]
+            assert max(r + entries) < 1 << (width - 1), (max_degree, order)
+
+
+def _regular_graphs():
+    """(name, graph): the regular corpus graphs, Frucht's graph, which has a
+    nonzero defect, four seeded circulants and hypercube(4)."""
+    graphs = [(name, CORPUS[name]) for name in REGULAR]
+    graphs.append(("frucht", FRUCHT))
+    graphs += [(g.label, g) for g in random_circulants(3131, 4)]
+    graphs.append(("hypercube(4)", generate("hypercube", 4)))
+    return graphs
+
+
+def test_regular_exponent_inside_its_width(monkeypatch, capsys):
+    # zeta._regular_exponent decodes the formula route's exponent on a
+    # regular graph once, at zeta._regular_width.  At 4x that width the
+    # exponent is the same, and each coefficient, exact at 4x, is below
+    # 2^(width-1) of the width it really uses: on the diagonal and off it,
+    # at orders 1-16 and 64
+    graphs = _regular_graphs()
+    real = bzk.zeta._regular_width
+    tightest = None
+    for name, g in graphs:
+        n = g.vertex_count
+        deg = g.regular_degree()
+        for order in (*range(1, 17), 64):
+            scale = lcm(*range(1, order + 1))
+            width = real(deg, order)
+            for x in (0, 1 % n, n // 2):
+                got = bzk.zeta._regular_exponent(g, 0, x, order, scale)
+                monkeypatch.setattr(bzk.zeta, "_regular_width", lambda d, m: 4 * real(d, m))
+                wide = bzk.zeta._regular_exponent(g, 0, x, order, scale)
+                monkeypatch.undo()
+                assert [TPoly(p) for p in wide] == [TPoly(p) for p in got], (name, order, x)
+                bits = max((abs(c).bit_length() for p in wide for c in p), default=0)
+                margin = width - 1 - bits
+                assert margin >= 0, (name, order, x)
+                tightest = min(tightest or (margin, name), (margin, name))
+    with capsys.disabled():
+        print("\ntightest regular formula-width margin, in bits: %d (%s)" % tightest)
 
 
 def _exp_scale(s):
@@ -406,9 +491,10 @@ def test_identity_checks_at_four_times_their_width(monkeypatch, capsys):
     # Each per-root check sizes its width by running its displays on the l1
     # norms of its inputs.  At 4x that width every report is the same, and
     # every compared side's largest |coefficient|, exact at 4x, is below
-    # 2^(width-1) of the width the check really uses.  The cbc entries of
-    # zeta.cbc_entries and the defect values of operators._rooted_walk, sized
-    # the same way by operators._decoded, are the same at 4x their width too.
+    # 2^(width-1) of the width the check really uses.  The off-diagonal cbc
+    # entries of zeta.cbc_entries, sized the same way by operators._decoded,
+    # are the same at 4x their width too, and so are the rooted entries and
+    # the root's walk, which run at the pass width and read no l1 majorant.
     checks = [(check_no_tail_identity, _no_tail_sides),
               (check_cyclic_bump_identity, _cyclic_bump_sides),
               (check_r_generating_identity, _r_generating_sides)]

@@ -1,7 +1,8 @@
 """The regular-graph branch of the walk records, the off-diagonal entries and
-the formula route's f-powers, which take the t-algebra once, on integer
-adjacency counts, must equal the general recursions (operators._walk_rows and
-zeta._f_step) exactly; three mutants of the branch must each fail.
+the formula route's exponent, which take the t-algebra once, on integer
+adjacency counts, must equal the general recursions (operators._walk_rows,
+and zeta._f_step with zeta._restored) exactly; three mutants of the branch
+must each fail.
 """
 
 import copy
@@ -16,7 +17,8 @@ import bzk.zeta
 from bzk.graphs import Disconnected, build_graph
 from bzk.operators import _adjacency_rows, _count_width, _rooted_walk
 from bzk.series import _digit
-from bzk.zeta import _f_power_table, cbc_entries
+from bzk.series import TPoly
+from bzk.zeta import _f_power_table, _formula_exponent, cbc_entries
 from conftest import CORPUS, FRUCHT, REGULAR, random_circulants
 
 
@@ -55,11 +57,18 @@ CASES += [(h, tuple(range(h.vertex_count)))
 CASES.append((FRUCHT, tuple(range(FRUCHT.vertex_count))))
 
 
+def _exponent(g, x0, x, order):
+    """The formula route's exponent (scaled, scale), each scaled coefficient
+    a TPoly, so that trailing zeros of a decode do not count."""
+    scaled, scale = _formula_exponent(g, x0, x, order)
+    return [TPoly(p) for p in scaled], scale
+
+
 def _branch_equals_general(g, roots, orders):
     """Whether, at every root and order, the root walk, the entries to the
-    next vertex and the f-power entries at the root and at the next vertex
-    are equal (==) on g and on _general(g), with the caches emptied first,
-    and whether the general pass finds no commutator digits on g."""
+    next vertex and the formula route's exponent at the root and at the next
+    vertex are equal (==) on g and on _general(g), with the caches emptied
+    first, and whether the general pass finds no commutator digits on g."""
     h = _general(g)
     n = g.vertex_count
     _rooted_walk.cache_clear()
@@ -71,9 +80,8 @@ def _branch_equals_general(g, roots, orders):
             if cbc_entries(g, x0, (x0 + 1) % n, order) != cbc_entries(h, x0, (x0 + 1) % n, order):
                 return False
             for x in (x0, (x0 + 1) % n):
-                powers, integrand = _f_power_table(g, x0, x, order)
-                general, commutator = _f_power_table(h, x0, x, order)
-                if integrand or any(commutator) or powers != general:
+                _, commutator = _f_power_table(h, x0, x, order)
+                if any(commutator) or _exponent(g, x0, x, order) != _exponent(h, x0, x, order):
                     return False
     return True
 
