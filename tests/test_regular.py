@@ -16,8 +16,7 @@ import bzk.operators
 import bzk.zeta
 from bzk.graphs import Disconnected, build_graph
 from bzk.operators import _adjacency_rows, _count_width, _rooted_walk
-from bzk.series import _digit
-from bzk.series import TPoly
+from bzk.series import TPoly, _digit
 from bzk.zeta import _f_power_table, _formula_exponent, cbc_entries
 from conftest import CORPUS, FRUCHT, REGULAR, random_circulants
 
