@@ -1,4 +1,4 @@
-"""Byte-for-byte stdout of twenty-one CLI commands, pinned in tests/golden/.
+"""Byte-for-byte stdout of twenty-three CLI commands, pinned in tests/golden/.
 
 The fixtures were written by the commands below; any change to an exact
 coefficient, a key or the JSON layout, or to a bit of a Bessel heat value or
@@ -41,6 +41,12 @@ CASES = [
     ("zeta_tree_ball33_rhs_o20.json", 0,
      ["zeta", "--family", "tree_ball", "--q-plus-1", "3", "--radius", "3",
       "--root", "5", "--target", "17", "--order", "20", "--route", "rhs"]),
+    # the formula route off the diagonal at order 32 on a graph that is not
+    # regular: the centre of tree_ball(3,4) and a vertex at distance 2, with
+    # the matrix log, commutator integral and length-2 term summed together
+    ("zeta_tree_ball34_offdiag_rhs_o32.json", 0,
+     ["zeta", "--family", "tree_ball", "--q-plus-1", "3", "--radius", "4",
+      "--root", "0", "--target", "5", "--order", "32", "--route", "rhs"]),
     # the rooted walk data at order 16: a leaf (vertex 22, one neighbour)
     # and the centre (three neighbours) of tree_ball(3,4), and a root of
     # hypercube(5) with five neighbours
@@ -64,6 +70,11 @@ CASES = [
     ("zeta_star6_offdiag_rhs_o32.json", 0,
      ["zeta", "--family", "star", "--n", "6", "--root", "1", "--target", "2",
       "--order", "32", "--route", "rhs"]),
+    # the log route off the diagonal on a graph that is not regular: two
+    # leaves of star(6), whose entries run cbc_terms without the defect
+    ("zeta_star6_offdiag_log_o32.json", 0,
+     ["zeta", "--family", "star", "--n", "6", "--root", "1", "--target", "2",
+      "--order", "32", "--route", "log"]),
     ("zeta_star6_log_o32.json", 0,
      ["zeta", "--family", "star", "--n", "6", "--root", "0",
       "--order", "32", "--route", "log"]),
