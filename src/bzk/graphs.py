@@ -37,9 +37,12 @@ DirectedEdge = namedtuple("DirectedEdge", ("id", "origin", "terminus", "twin"))
 
 
 class Graph:
-    """Immutable simple graph: directed edge pairs plus per-vertex fanout."""
+    """Immutable simple graph: directed edge pairs plus per-vertex fanout.
 
-    __slots__ = ("vertex_count", "edges", "out_edges", "degrees", "label",
+    adjacency[x] is the tuple of the neighbours of x, the heads of
+    out_edges[x] in their order, built once for the walk passes to read."""
+
+    __slots__ = ("vertex_count", "edges", "out_edges", "degrees", "label", "adjacency",
                  "_heads", "_twins", "_regular_degree")
 
     def __init__(self, vertex_count, edges, out_edges, degrees, label):
@@ -49,6 +52,7 @@ class Graph:
         self.degrees = degrees
         self.label = label
         self._heads = tuple(e.terminus for e in edges)
+        self.adjacency = tuple(tuple(map(self._heads.__getitem__, out)) for out in out_edges)
         self._twins = tuple(e.twin for e in edges)
         self._regular_degree = degrees[0] if len(set(degrees)) == 1 else None
 
@@ -57,7 +61,7 @@ class Graph:
         return max(self.degrees) if self.degrees else 0
 
     def neighbors(self, x):
-        return [self._heads[e] for e in self.out_edges[x]]
+        return list(self.adjacency[x])
 
     def twin(self, edge_id):
         return self._twins[edge_id]

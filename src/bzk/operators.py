@@ -21,11 +21,10 @@ into a weight, so run on the inputs' l1 norms with each weight replaced by
 its l1 norm (_lift and _weight with width None) it bounds the l1 norm of
 every compared side: the norm is subadditive and submultiplicative.  At
 _norm_width of the largest sum of two compared sides' bounds, a zero packed
-difference is a zero polynomial, and a nonzero one decodes.  r_values and
-the off-diagonal cyclic-bump entries take their widths the same way
-(_decoded).  _rooted_walk runs a root's defect series at its pass width,
-which series._packed_width bounds it and the rooted cyclic-bump entries by,
-and keeps the root's record packed.  cm_sequence, r_values and delta_diag
+difference is a zero polynomial, and a nonzero one decodes.  r_values
+takes its width the same way (_decoded).  _rooted_walk runs a root's defect
+series at its pass width, which series._packed_width bounds it and the
+cyclic-bump entries by, and keeps the root's record packed.  cm_sequence, r_values and delta_diag
 are dense.
 """
 
@@ -153,7 +152,7 @@ def _walk_rows(g, roots, order, targets=None):
     n = g.vertex_count
     width = _packed_width(g.max_degree, order)
     shift = _digit_width(width, order)
-    nbrs = [g.neighbors(x) for x in range(n)]
+    nbrs = g.adjacency
     cone = _cone(nbrs, roots, targets, order)
     # the scalings -(1-t) d_x for C_1 (of C_(-1) = 0) and C_2, and
     # -(1-t)(d_x - 1 + t) after them
@@ -191,7 +190,7 @@ def _adjacency_rows(g, roots, order, targets=None):
     _walk_rows."""
     n = g.vertex_count
     shift = _count_width(g.regular_degree(), order)
-    nbrs = [g.neighbors(x) for x in range(n)]
+    nbrs = g.adjacency
     cone = _cone(nbrs, roots, targets, order)
     row = [0] * n
     for r, y in enumerate(roots):
@@ -667,7 +666,7 @@ def check_series_inverse_identity(g, order):
     n = g.vertex_count
     width = _packed_width(g.max_degree, order)
     shift = _digit_width(width, order)
-    nbrs = [g.neighbors(x) for x in range(n)]
+    nbrs = g.adjacency
     weights = [_pack(_inverse_weight(d), width) for d in g.degrees]
     # the diagonal of (1-(1-t)^2 u^2) I at u^0 and u^2
     units = {0: 1, 2: _pack((-1, 2, -1), width)}

@@ -101,7 +101,11 @@ def _packed_width(max_degree, order):
     - the rooted cyclic-bump entries, operators.cbc_terms on C_m(x0, x0)
       and R_m(x0), which the log route decodes at this width:
       operators.cbc_terms run with width None on N_m and the bounds of R_m,
-      for each degree d <= D of x0.
+      for each degree d <= D of x0.  It bounds the off-diagonal entries
+      too, which the log route also decodes at this width: there cbc_terms
+      runs on C_m(x0, x), of norm at most N_m as well, without R_m, so on
+      norms it sums a subset of the rooted run's terms, each of them
+      non-negative, and drops the (1-t) R_m and valency terms.
     Each width is computed once per (max_degree, order).  For D <= 16 and
     order <= 64 it is never wider than the closed form
     D^2 (order+2) (3D)^order that it replaced, and the last two bounds,
@@ -215,8 +219,9 @@ def _unpack(v, width):
 def _exp_from_scaled(order, scaled, scale):
     """exp of the series sum_k a_k u^k, truncated at order, given as the raw
     int coefficient lists scaled[k] = scale k a_k, lowest t-power first, for
-    k = 0..order (scaled[0] = 0 a_0 is empty); terms past order change
-    nothing.
+    k = 0..order (scaled[0] = 0 a_0 is empty).  A list of any other length
+    raises SeriesError: a shorter one has no term for the last powers, and a
+    longer one would run the recurrence past the order, only to drop it.
 
     The scale is first reduced to the smallest L for which every L k a_k is
     integral: L = scale / gcd(scale, every coefficient), which is the lcm of
@@ -230,6 +235,9 @@ def _exp_from_scaled(order, scaled, scale):
     _exp_reduced, so the log, formula and Euler routes, which agree wherever
     the paper's formula holds, exponentiate each distinct exponent once.
     """
+    if len(scaled) != order + 1:
+        raise SeriesError(f"an exponent through order {order} has {order + 1} terms, "
+                          f"not {len(scaled)}")
     common = gcd(scale, *(c for p in scaled for c in p))
     exponent = []
     for p in scaled:
@@ -237,14 +245,16 @@ def _exp_from_scaled(order, scaled, scale):
         while p and not p[-1]:
             p.pop()
         exponent.append(tuple(p))
-    return _exp_reduced(order, tuple(exponent), scale // common)
+    return _exp_reduced(tuple(exponent), scale // common)
 
 
 @lru_cache(maxsize=32)
-def _exp_reduced(order, scaled, scale):
+def _exp_reduced(scaled, scale):
     """_exp_from_scaled's recurrence and decode on a reduced exponent, a
-    tuple of int tuples.  Equal exponents share one USeries, whose
-    coefficients are a tuple, so no caller can change a cached one."""
+    tuple of int tuples, through its order len(scaled) - 1.  Equal
+    exponents share one USeries, whose coefficients are a tuple, so no
+    caller can change a cached one."""
+    order = len(scaled) - 1
     width = max(_scaled_exp([sum(map(abs, p)) for p in scaled], scale)).bit_length() + 2
     packed = _scaled_exp([_pack(p, width) for p in scaled], scale)
     out, denominator = [TPOLY_ONE], 1

@@ -11,15 +11,14 @@ so the exact routes run without loading it.
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 
 from .graphs import _check_vertex
-from .operators import (_adjacency_rows, _closed_tallies, _cone, _decoded, _f_digits, _f_weight,
+from .operators import (_adjacency_rows, _closed_tallies, _cone, _f_digits, _f_weight, _lift,
                         _norm_width, _pick, _placed, _r_recursion, _regular_walk, _rooted_walk,
                         _walk_rows, _weight, alpha, cbc_terms)
 from .records import Record
-from .series import (ONE_MINUS_T, TPOLY_ZERO, TPoly, _balanced, _digit_width, _digits,
-                     _exp_from_scaled, _pack, _packed_width, _unpack, _walk_norms)
+from .series import (TPOLY_ZERO, TPoly, _balanced, _digit_width, _digits, _exp_from_scaled,
+                     _pack, _packed_width, _unpack, _walk_norms)
 
 
 class DomainError(ValueError):
@@ -42,38 +41,36 @@ def cbc_entries(g, x0, x, order):
     """Cyclic-bump operator entries (x0, x) for every length m <= order.
 
     Same values as cm_cbc(g, m)[x0, x], the dense test reference in
-    tests/_oracles.py, from operators.cbc_terms.  The rooted entries
-    (x = x0) are _rooted_entries, decoded.  Off the diagonal they read
-    C_m(x0, x) from a pass over x0 alone with target x, which steps only
-    its light cone (operators._cone): of operators._walk_rows, whose packed
-    rows are the entries themselves, or on a regular graph
-    operators._regular_walk of the counts of operators._adjacency_rows;
-    cbc_terms runs on them at the width that its run on l1 norms gives
-    (operators._decoded), and each entry is decoded once.
+    tests/_oracles.py: the packed entries of _packed_entries, each decoded
+    once.
     """
     _check_vertex(g, x0)
     _check_vertex(g, x)
+    width, entries = _packed_entries(g, x0, x, order)
+    return [_unpack(v, width) for v in entries]
+
+
+def _packed_entries(g, x0, x, order):
+    """(width, entries): the cyclic-bump entries (x0, x) for every length
+    m <= order, packed at width = series._packed_width(max degree, order),
+    by operators.cbc_terms on the walk-matrix entries C_m(x0, x) at that
+    width, which bounds every entry (see series._packed_width).  On the
+    diagonal they are the root's RootedWalk, C_m(x0, x0) with R_m(x0).  Off
+    it they come from a pass over x0 alone with target x, which steps only
+    its light cone (operators._cone): of operators._walk_rows, whose packed
+    rows are the entries themselves, or on a regular graph
+    operators._regular_walk of the counts of operators._adjacency_rows.
+    Nothing is decoded here."""
+    deg = g.degrees[x0]
     if x == x0:
-        width, entries = _rooted_entries(g, x0, order)
-        return [_unpack(v, width) for v in entries]
+        walk = _rooted_walk(g, x0, order)
+        return walk.width, cbc_terms(walk.packed_diag, deg, walk.width, walk.packed_r)
     width = _packed_width(g.max_degree, order)
     if g.regular_degree() is None:
-        packed = [row[x] for row in _walk_rows(g, (x0,), order, (x,))]
+        c = [row[x] for row in _walk_rows(g, (x0,), order, (x,))]
     else:
-        packed = _regular_walk([row[x] for row in _adjacency_rows(g, (x0,), order, (x,))],
-                               g.degrees[x0], width)
-    deg = g.degrees[x0]
-    return _decoded(lambda width, c: cbc_terms(c, deg, width),
-                    [_unpack(v, width) for v in packed])
-
-
-def _rooted_entries(g, x0, order):
-    """(width, entries): the rooted cyclic-bump entries (x0, x0) for every
-    length m <= order, packed, by operators.cbc_terms on the root's
-    RootedWalk, C_m(x0, x0) and R_m(x0), at the record's own width, which
-    series._packed_width bounds every such entry by."""
-    walk = _rooted_walk(g, x0, order)
-    return walk.width, cbc_terms(walk.packed_diag, g.degrees[x0], walk.width, walk.packed_r)
+        c = _regular_walk([row[x] for row in _adjacency_rows(g, (x0,), order, (x,))], deg, width)
+    return width, cbc_terms(c, deg, width)
 
 
 def zeta_log_coefficients(g, x0, x, order):
@@ -86,19 +83,15 @@ def zeta_log_series(g, x0, x, order):
     """exp of the cyclic-bump log-series, truncated at the given order.
 
     m (entry_m / m) is entry_m, so the exponent reaches the exp recurrence
-    as the integer entries at scale 1.  On the diagonal the packed entries
-    of _rooted_entries are decoded once, straight into the raw lists that
-    the recurrence takes."""
+    as the integer entries at scale 1: the packed entries of
+    _packed_entries, decoded once, straight into the raw lists that the
+    recurrence takes."""
     if order < 1:
         raise ValueError("order must be >= 1")
     _check_vertex(g, x0)
     _check_vertex(g, x)
-    if x == x0:
-        width, entries = _rooted_entries(g, x0, order)
-        exponent = [_digits(v, width) for v in entries[1:]]
-    else:
-        exponent = [p.c for p in cbc_entries(g, x0, x, order)[1:]]
-    return _exp_from_scaled(order, [()] + exponent, 1)
+    width, entries = _packed_entries(g, x0, x, order)
+    return _exp_from_scaled(order, [()] + [_digits(v, width) for v in entries[1:]], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +115,7 @@ def _f_step(g, width, shift):
     range, whatever the digits above them hold.  live, when not None, is a
     step of operators._cone: only its entries are computed, the rest are 0."""
     n = g.vertex_count
-    nbrs = [g.neighbors(j) for j in range(n)]
+    nbrs = g.adjacency
     weights = [-_pack(_f_weight(d), width) for d in g.degrees]
     degrees = g.degrees
 
@@ -155,11 +148,11 @@ def _f_power_table(g, x0, x, order):
     its commutator rows, by one streamed pass: (powers, integrand), with
     powers[k] the entry f^k(x0, x) for k = 0..order and integrand[T-1] the
     entry (M_T - (T+1) d_x0 f^T)(x0, x) for T = 1..order-2 (see
-    _commutator_exponent).  Each entry is a tuple of digits, digit p the raw
+    _formula_sum).  Each entry is a tuple of digits, digit p the raw
     t-coefficients of Q_p, its u^(k+p) (u^(T+p)) coefficient over (1-t)^p,
     for p <= min(k, order - k) (p <= min(T, order - 2 - T)); no entry ends
     in an empty digit.  The formula route reads it on graphs that are not
-    regular; on a regular graph _regular_exponent takes the f-powers from
+    regular; on a regular graph _formula_exponent takes the f-powers from
     adjacency counts, and K = A D - D A is zero.
 
     Row x0 of f^k steps from the unit at x0, and row x0 of
@@ -185,9 +178,8 @@ def _f_power_table(g, x0, x, order):
         return trimmed([tuple(_digits(q, width)) for q in digits])
 
     n = g.vertex_count
-    nbrs = [g.neighbors(j) for j in range(n)]
-    power_cone = _cone(nbrs, (x0,), (x,), order)
-    row_cone = _cone(nbrs, (x0,), (x,), order - 2)
+    power_cone = _cone(g.adjacency, (x0,), (x,), order)
+    row_cone = _cone(g.adjacency, (x0,), (x,), order - 2)
     shift = _digit_width(width, order // 2)
     step = _f_step(g, width, shift)
     power = [0] * n
@@ -205,30 +197,63 @@ def _f_power_table(g, x0, x, order):
     return tuple(powers), tuple(integrand)
 
 
-def _restored(order, terms):
-    """Raw int lists s_0..s_order, with s_m the sum of share (1-t)^q Q over
-    the terms (m, q, share, Q), q <= m and Q a raw int coefficient sequence, by the
-    two runs of operators._decoded.  On l1 norms, |share| |Q|_1 is summed
-    per (m, q) and |1-t|_1 = 2 restored, and the largest total bounds every
-    |s_m|_1, which gives the width (operators._norm_width).  Packed at that
-    width, the shares are summed per (m, q), the powers of 1 - t restored
-    once per m by Horner's rule, from the highest q down, and each s_m
-    decoded once."""
-    terms = list(terms)
-    norms = _summed_by_power(order, ((m, q, abs(share) * sum(map(abs, coeffs)))
-                                     for m, q, share, coeffs in terms), 2)
-    width = _norm_width(max(norms))
-    packed = _summed_by_power(order, ((m, q, share * _pack(coeffs, width))
-                                      for m, q, share, coeffs in terms), _pack((1, -1), width))
-    return [_digits(v, width) for v in packed]
+def _common_neighbours(g, x, y):
+    """Number of common neighbours of x and y, which is C_2(x, y) for x != y:
+    a length-2 walk bumps only when it returns to its start."""
+    return len(set(g.adjacency[x]).intersection(g.adjacency[y]))
 
 
-def _summed_by_power(order, terms, one_minus_t):
-    """sum_q (sum of the values at (m, q)) one_minus_t^q for m = 0..order,
-    from the terms (m, q, value), q <= m, by Horner's rule."""
+def _formula_sum(order, scale, width, powers, integrand, share, defect, common):
+    """scale m a_m for m = 0..order, the formula route's exponent series a,
+    packed at width (series._pack), from inputs packed at width:
+    powers[k][p] and integrand[T-1][p], digit p of f^k(x0, x) and of the
+    T-th commutator integrand entry, their u^(k+p) (u^(T+p)) coefficients
+    over (1-t)^p (see _f_power_table); share = deg(x0) - 2; the defect
+    values [DC_m](x0), or None; and common, the number of common neighbours
+    of x0 and x.  On the diagonal common is 0, and off it share is 0 and
+    defect None.  scale must be a multiple of 1, ..., order.  With width
+    None the inputs are bounds of their l1 norms and the outputs bound the
+    outputs' norms: every sign is folded into a weight (operators._weight).
+
+    Each of the five logs adds a share times (1-t)^q to scale m a_m; the
+    shares are summed packed per (m, q), and the powers of 1 - t restored
+    once per m by Horner's rule, from the highest q down:
+    - the matrix log, -[log(I - f)](x0, x) = sum_k f^k(x0, x) / k: digit p
+      of f^k adds scale (k+p)/k times itself at (k + p, p);
+    - the commutator integral
+      int_0^u (1-t) s^2 sum_{a,b} (b+1)/(a+b+2) [f^a K f^b](x0, x) s^(a+b) ds
+      with K = A D - D A.  f D - D f = u K, so
+      sum_{a+b=S} (b+1) f^a K f^b = (M_(S+1) - (S+2) D f^(S+1)) / u with
+      M_T = sum_{a+b=T} f^a D f^b, and digit p of the T-th integrand entry,
+      at u^(T+p) of M_T - (T+1) d_x0 f^T, is at u^(T-1+p) of the S = T - 1
+      term, taken scale/(T+1) times.  Integrating lifts the u^s of the
+      integrand to u^(s+3) with a factor (1-t)/(s+3), whose 1/(s+3) the
+      m = s+3 of m a_m cancels: the digit adds scale/(T+1) times itself at
+      (T + p + 2, p + 1);
+    - the prefactor, log (1-(1-t)^2 u^2)^(-(deg-2)/2) =
+      (deg-2)/2 sum_k (1-t)^(2k) u^(2k) / k: scale share at (2k, 2k);
+    - the length-2 correction [t D - C_2](x0, x) (1-t) u^2 / 2, in which
+      C_2(x, x) = t deg(x), so only the off-diagonal -A^2(x0, x) survives:
+      -scale common at (2, 1);
+    - the defect series sum_{m>=3} (1-t) R_m(x0) / m u^m, R_m by
+      operators._r_recursion on the defect values: scale R_m at (m, 1)."""
     by_power = [[0] * (m + 1) for m in range(order + 1)]
-    for m, q, value in terms:
-        by_power[m][q] += value
+    for k, entry in enumerate(powers[1:], start=1):
+        for p, q in enumerate(entry):
+            by_power[k + p][p] += scale * (k + p) // k * q
+    for T, entry in enumerate(integrand, start=1):
+        for p, q in enumerate(entry):
+            by_power[T + p + 2][p + 1] += scale // (T + 1) * q
+    prefactor = _weight((scale * share,), width)
+    for m in range(2, order + 1, 2):
+        by_power[m][m] += prefactor
+    if order >= 2:
+        by_power[2][1] += _weight((-scale * common,), width)
+    if defect is not None:
+        r = _r_recursion(defect, order, width)
+        for m in range(3, order + 1):
+            by_power[m][1] += scale * r[m]
+    one_minus_t = _weight((1, -1), width)
     out = []
     for slots in by_power:
         acc = 0
@@ -238,144 +263,69 @@ def _summed_by_power(order, terms, one_minus_t):
     return out
 
 
-def _log_terms(powers, scale):
-    """The matrix-log factor's terms for _restored:
-    -[log(I - f)](x0, x) = sum_k f^k(x0, x) / k, so digit p of f^k, at
-    u^m with m = k + p, adds scale m / k times (1-t)^p Q_p to scale m a_m."""
-    return ((k + p, p, scale * (k + p) // k, q)
-            for k, entry in enumerate(powers) if k for p, q in enumerate(entry))
-
-
-def _commutator_exponent(integrand, scale):
-    """The commutator term's terms for _restored, from the integrand entries
-    of _f_power_table: its share of scale m a_m for the coefficients a_m of
-    int_0^u (1-t) s^2 sum_{a,b} (b+1)/(a+b+2) [f^a K f^b](x0, x) s^(a+b) ds
-    with K = A D - D A.  scale must be a multiple of 1, ..., order - 1.
-
-    f D - D f = u K, so sum_{a+b=S} (b+1) f^a K f^b = (M_(S+1) - (S+2) D f^(S+1)) / u
-    with M_T = sum_{a+b=T} f^a D f^b.  Digit p of the T-th integrand entry is
-    at u^(T+p) of M_T - (T+1) d_x0 f^T, so u^(T-1+p) of the S = T - 1 term,
-    and it is added times scale/(T+1).  Integrating lifts the u^s of the
-    integrand to u^(s+3) with a factor (1-t)/(s+3), whose 1/(s+3) the
-    m = s+3 of m a_m cancels: digit p adds scale/(T+1) (1-t)^(p+1) Q_p at
-    u^(T+p+2)."""
-    return ((T + p + 2, p + 1, scale // (T + 1), q)
-            for T, entry in enumerate(integrand, start=1) for p, q in enumerate(entry))
-
-
-def _common_neighbours(g, x, y):
-    """Number of common neighbours of x and y, which is C_2(x, y) for x != y:
-    a length-2 walk bumps only when it returns to its start."""
-    return len(set(g.neighbors(x)).intersection(g.neighbors(y)))
+@lru_cache(maxsize=64)
+def _formula_width(max_degree, order):
+    """The width at which _formula_exponent sums the formula route's
+    exponent through order on a graph of that max degree: 2^(width-1)
+    exceeds the largest output of _formula_sum run with width None on
+    bounds of its inputs' l1 norms, so that every scale m a_m decodes.
+    With D = max(max_degree, 2) the bounds are those that
+    series._packed_width derives: digit p of f^k(x0, x) is at most
+    C(k, p) D^k, digit p of the T-th commutator integrand entry
+    2 (T+1) C(T, p) D^(T+1), and the defect |[DC_m](x0)|_1 2D N_m; and
+    |deg - 2| <= D, and there are at most D common neighbours.  One run
+    takes both the diagonal and the off-diagonal terms, so the width bounds
+    every graph of max degree at most D, regular or not, on the diagonal
+    and off it."""
+    big_d = max(max_degree, 2)
+    powers = [[math.comb(k, p) * big_d ** k for p in range(min(k, order - k) + 1)]
+              for k in range(order + 1)]
+    integrand = [[2 * (T + 1) * math.comb(T, p) * big_d ** (T + 1)
+                  for p in range(min(T, order - 2 - T) + 1)] for T in range(1, order - 1)]
+    defect = [2 * big_d * n for n in _walk_norms(big_d, order)]
+    scale = math.lcm(*range(1, order + 1))
+    return _norm_width(max(_formula_sum(order, scale, None, powers, integrand,
+                                        big_d, defect, big_d)))
 
 
 def _formula_exponent(g, x0, x, order):
-    """(scaled, scale) for the formula route's exponent series a: the logs
-    of the prefactor, the matrix-log factor, the commutator integral, the
-    length-2 correction and the defect series, summed as
+    """(scaled, scale) for the formula route's exponent series a:
     scaled[m] = scale m a_m, raw int lists, at scale = lcm(1, ..., order),
-    which every denominator below divides.  On a regular graph they are
-    _regular_exponent.  On other graphs each is a stream of terms
-    (m, q, share, Q) that _restored sums, and the matrix log and the
-    commutator integral read the target entries of _f_power_table."""
+    which every denominator of _formula_sum divides, summed packed at
+    _formula_width and decoded once.  Only the inputs of _formula_sum
+    differ by graph.  On a regular graph the f-powers come from walk counts
+    A^i(x0, x), the root's own on the diagonal (its RootedWalk) and off it
+    those of a pass of operators._adjacency_rows over x0 with target x: f
+    is u A - s (d - 1 + t), and A commutes with the scalar, so digit p of
+    f^k is C(k, p) A^(k-p)(x0, x) (-(d - 1 + t))^p (operators._f_digits).
+    K = A D - D A is zero, so there is no integrand, and the defect is
+    operators._regular_walk of the record's defect counts.  On every other
+    graph the f-power and integrand digits come from _f_power_table, and
+    the defect from the root's RootedWalk."""
     scale = math.lcm(*range(1, order + 1))
-    if g.regular_degree() is not None:
-        return _regular_exponent(g, x0, x, order, scale), scale
-    powers, integrand = _f_power_table(g, x0, x, order)
-    terms = [_log_terms(powers, scale), _commutator_exponent(integrand, scale)]
-    if x == x0:
-        # log (1-(1-t)^2 u^2)^(-(deg-2)/2) = (deg-2)/2 sum_k (1-t)^(2k) u^(2k) / k,
-        # so m a_m at m = 2k is (deg-2) (1-t)^(2k); the prefactor is 1 off
-        # the diagonal
-        share = scale * (g.degrees[x0] - 2)
-        terms.append((2 * k, 0, share, [(-1) ** i * math.comb(2 * k, i) for i in range(2 * k + 1)])
-                     for k in range(1, order // 2 + 1))
-        # sum_{m>=3} (1-t) R_m(x0) / m u^m; the defect operator is diagonal
-        r = _rooted_walk(g, x0, order).r
-        terms.append((m, 1, scale, r[m].c) for m in range(3, order + 1))
-    elif order >= 2:
-        # [t D - C_2](x0, x) (1-t) u^2 / 2; C_2(x, x) = t deg(x), so only the
-        # off-diagonal -A^2(x0, x) survives
-        terms.append([(2, 1, -scale * _common_neighbours(g, x0, x), (1,))])
-    return _restored(order, chain.from_iterable(terms)), scale
-
-
-def _regular_sum(counts, deg, order, scale, width, defect=None, common=0):
-    """scale m a_m for m = 0..order, the formula route's exponent on a
-    deg-regular graph, packed at width (series._pack), from the counts
-    counts[i] = A^i(x0, x) and, on the diagonal (defect not None), the
-    packed defect values defect[m] = [DC_m](x0), or off it the number of
-    common neighbours of x0 and x.  With width None the inputs are bounds
-    of their l1 norms and the outputs bound the outputs' norms: every sign
-    is folded into a weight, as in operators._decoded.  The five logs of
-    _formula_exponent, at the same scale:
-    - the matrix log: digit p of f^k(x0, x) is
-      C(k, p) A^(k-p)(x0, x) (-(d - 1 + t))^p (operators._f_digits), at
-      u^(k+p) with (1-t)^p, so it adds scale (k+p)/k times
-      C(k, p) A^(k-p)(x0, x) (-(1-t)(d - 1 + t))^p to scaled[k+p];
-    - the commutator integral is zero, as K = A D - D A is;
-    - on the diagonal the prefactor, (deg - 2) (1-t)^(2k) at m = 2k, and the
-      defect term (1-t) R_m at m >= 3, R_m by operators._r_recursion;
-    - off it the length-2 correction, -common (1-t) at m = 2."""
-    one_minus_t = _weight((1, -1), width)
-    minus_weight = _weight((-TPoly(_f_weight(deg)) * ONE_MINUS_T).c, width)
-    powers = [1]
-    for _ in range(order // 2):
-        powers.append(powers[-1] * minus_weight)
-    out = [0] * (order + 1)
-    for k, factors in enumerate(_f_digits(counts)):
-        if k:
-            for p, s in enumerate(factors):
-                out[k + p] += scale * (k + p) // k * s * powers[p]
-    if defect is not None:
-        share, square = _weight((scale * (deg - 2),), width), _weight((1, -2, 1), width)
-        for m in range(2, order + 1, 2):
-            share *= square
-            out[m] += share
-        r = _r_recursion(defect, order, width)
-        for m in range(3, order + 1):
-            out[m] += scale * one_minus_t * r[m]
-    elif order >= 2:
-        out[2] += _weight((-scale * common, scale * common), width)
-    return out
-
-
-@lru_cache(maxsize=64)
-def _regular_width(degree, order):
-    """The width at which _regular_exponent sums on a degree-regular graph
-    through order: 2^(width-1) exceeds the largest output of _regular_sum
-    run with width None on bounds of its inputs' l1 norms, so that every
-    scale m a_m decodes.  With D = max(degree, 2) the bounds are
-    A^i(x0, x) <= D^i, a row of A^i summing to degree^i;
-    |[DC_m](x0)|_1 <= 2D N_m, as series._packed_width derives it; and at
-    most D common neighbours.  Both the diagonal and the off-diagonal sums
-    are bounded."""
-    big_d = max(degree, 2)
-    scale = math.lcm(*range(1, order + 1))
-    counts = [big_d ** i for i in range(order + 1)]
-    defect = [2 * big_d * n for n in _walk_norms(big_d, order)]
-    return _norm_width(max(chain(_regular_sum(counts, degree, order, scale, None, defect),
-                                 _regular_sum(counts, degree, order, scale, None, common=big_d))))
-
-
-def _regular_exponent(g, x0, x, order, scale):
-    """scale m a_m for m = 0..order on a regular graph, scale =
-    lcm(1, ..., order): _regular_sum, packed at _regular_width and decoded
-    once into raw int lists.  On the diagonal it reads the counts of the
-    root's RootedWalk, its own A^i(x0, x0) and its defect's, which
-    operators._regular_walk turns into the packed defect at this width; off
-    it the counts of a pass of operators._adjacency_rows over x0 with
-    target x.  No f-power is stepped and no digit tuple is built."""
+    width = _formula_width(g.max_degree, order)
     deg = g.degrees[x0]
-    width = _regular_width(deg, order)
-    if x == x0:
-        own, defect = _rooted_walk(g, x0, order).counts
-        packed = _regular_sum(own, deg, order, scale, width, _regular_walk(defect, deg, width))
+    diagonal = x == x0
+    if g.regular_degree() is None:
+        table, integrand = _f_power_table(g, x0, x, order)
+        powers = [[_pack(q, width) for q in entry] for entry in table]
+        integrand = [[_pack(q, width) for q in entry] for entry in integrand]
+        defect = _lift(_rooted_walk(g, x0, order).delta, width) if diagonal else None
     else:
-        counts = [row[x] for row in _adjacency_rows(g, (x0,), order, (x,))]
-        packed = _regular_sum(counts, deg, order, scale, width,
-                              common=_common_neighbours(g, x0, x))
-    return [_digits(v, width) for v in packed]
+        if diagonal:
+            counts, defect_counts = _rooted_walk(g, x0, order).counts
+        else:
+            counts = [row[x] for row in _adjacency_rows(g, (x0,), order, (x,))]
+        minus_weight = -_pack(_f_weight(deg), width)
+        weights = [1]
+        for _ in range(order // 2):
+            weights.append(weights[-1] * minus_weight)
+        powers = [[s * w for s, w in zip(factors, weights)] for factors in _f_digits(counts)]
+        integrand = ()
+        defect = _regular_walk(defect_counts, deg, width) if diagonal else None
+    share, common = (deg - 2, 0) if diagonal else (0, _common_neighbours(g, x0, x))
+    packed = _formula_sum(order, scale, width, powers, integrand, share, defect, common)
+    return [_digits(v, width) for v in packed], scale
 
 
 def zeta_formula_series(g, x0, x, order):

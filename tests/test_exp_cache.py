@@ -9,7 +9,7 @@ import pytest
 import bzk.series
 from bzk.cli import main
 from bzk.graphs import generate
-from bzk.series import _exp_from_scaled, _exp_reduced
+from bzk.series import SeriesError, _exp_from_scaled, _exp_reduced
 from bzk.zeta import euler_product_series, zeta_formula_series, zeta_log_series
 
 from conftest import CORPUS
@@ -67,31 +67,28 @@ def test_trailing_zeros_and_content_share_an_entry():
 
 
 def _key_separates():
-    """Whether exps of one exponent at two scales, and of one exponent list
-    at two orders, come back as different series: exp(u) against
-    exp(u / 2), and exp(u + u^2 / 2) truncated at orders 1 and 2."""
+    """Whether exps of one exponent at two scales come back as different
+    series: exp(u) against exp(u / 2)."""
     by_scale = [_exp_from_scaled(1, [(), (1,)], scale) for scale in (1, 2)]
-    by_order = [_exp_from_scaled(order, [(), (1,), (1,)], 1) for order in (1, 2)]
-    return by_scale[0] != by_scale[1] and [s.order for s in by_order] == [1, 2]
+    return by_scale[0] != by_scale[1]
 
 
 def _keyed_by(key):
-    """A cache of the uncached _exp_reduced keyed by key(order, scaled,
-    scale) in place of all three."""
+    """A cache of the uncached _exp_reduced keyed by key(scaled, scale) in
+    place of both."""
     compute, entries = _exp_reduced.__wrapped__, {}
 
-    def cached(order, scaled, scale):
-        k = key(order, scaled, scale)
+    def cached(scaled, scale):
+        k = key(scaled, scale)
         if k not in entries:
-            entries[k] = compute(order, scaled, scale)
+            entries[k] = compute(scaled, scale)
         return entries[k]
 
     return cached
 
 
 KEY_MUTANTS = {
-    "no reduced scale": lambda order, scaled, scale: (order, scaled),
-    "no order": lambda order, scaled, scale: (scaled, scale),
+    "no reduced scale": lambda scaled, scale: scaled,
 }
 
 
@@ -101,3 +98,14 @@ def test_exp_cache_key_mutants_fail(monkeypatch, mutant):
     assert _key_separates()
     monkeypatch.setattr(bzk.series, "_exp_reduced", _keyed_by(KEY_MUTANTS[mutant]))
     assert not _key_separates()
+
+
+@pytest.mark.parametrize("scaled", [[()], [(), (1,), (1,)]], ids=["short", "long"])
+def test_exponent_of_the_wrong_length_is_refused(scaled):
+    # an exponent through order 1 has two terms; one term short would reach
+    # the recurrence as an IndexError, one term over would run it past the
+    # order, and both are refused before the cache is read
+    _exp_reduced.cache_clear()
+    with pytest.raises(SeriesError, match="through order 1 has 2 terms"):
+        _exp_from_scaled(1, scaled, 1)
+    assert _exp_reduced.cache_info().currsize == 0

@@ -75,6 +75,17 @@ def test_twin_involution_axioms():
             assert e.origin != e.terminus
 
 
+def test_adjacency_is_the_heads_of_the_out_edges():
+    # the neighbour lists that the walk passes read, built once per graph,
+    # in out-edge order, and neighbors() returns the same values as a list
+    for g in CORPUS.values():
+        assert type(g.adjacency) is tuple and len(g.adjacency) == g.vertex_count
+        for x, out in enumerate(g.out_edges):
+            heads = tuple(g.edges[e].terminus for e in out)
+            assert type(g.adjacency[x]) is tuple and g.adjacency[x] == heads
+            assert g.neighbors(x) == list(heads)
+
+
 def test_generate_cycle4():
     g = generate("cycle", 4)
     assert g.vertex_count == 4

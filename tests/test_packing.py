@@ -1,13 +1,13 @@
 """Packed t-polynomials: the round trip of series._pack and series._unpack,
 the width bound of series._packed_width measured on the recursions that run
-packed (walk rows, f-powers, commutator rows, edge tallies and the rooted
-walk's defect series and cyclic-bump entries) at orders 16 and 64, held
-under the closed form it replaced and not raised by the rooted bounds, the
-digit width of the adjacency counts that regular graphs run instead, the
-width of the formula route's exponent on regular graphs, the computed
-width and scale of the packed exp recurrence that the routes reach through
-series._exp_from_scaled, and the computed widths of the per-root identity
-checks and the off-diagonal cyclic-bump entries."""
+packed (walk rows, f-powers, commutator rows, edge tallies, the rooted
+walk's defect series and the cyclic-bump entries on the diagonal and off
+it) at orders 16 and 64, held under the closed form it replaced and not
+raised by the rooted bounds, the digit width of the adjacency counts that
+regular graphs run instead, the width of the formula route's exponent, the
+computed width and scale of the packed exp recurrence that the routes reach
+through series._exp_from_scaled, and the computed widths of the per-root
+identity checks."""
 
 import random
 from fractions import Fraction
@@ -29,7 +29,8 @@ from bzk.operators import (_adjacency_rows, _count_width, _cyclic_bump_sides, _n
 from bzk.series import (TPOLY_ZERO, TPoly, _digit_width, _digits, _pack, _packed_width,
                         _unpack)
 from bzk.zeta import cbc_entries, euler_product_series, zeta_formula_series, zeta_log_series
-from conftest import CORPUS, FRUCHT, REGULAR, random_circulants, random_connected_graph
+from conftest import (CORPUS, FRUCHT, NON_TRANSITIVE, REGULAR, random_circulants,
+                      random_connected_graph)
 
 from _oracles import fraction_exp, series_from_scaled
 
@@ -152,17 +153,18 @@ def _packed_width_margins(monkeypatch, graphs, order, tally_order, roots):
     f-power pass is stepped here, as the route steps it on other graphs, and
     every count of a pass over the root alone is held against its own width,
     operators._count_width.  Edge tallies run at tally_order.  roots(g)
-    names the roots.  The formula route's exponent is decoded at the width
-    of its l1 majorant (zeta._restored), which
-    test_restored_equals_the_plain_sum checks, or on a regular graph at
-    zeta._regular_width, which test_regular_exponent_inside_its_width
-    measures, so neither decoding is recorded here."""
+    names the roots.  The log route runs on the diagonal and to the next
+    vertex, whose entries both decode at the pass width.  The formula
+    route's exponent is decoded at its own width, zeta._formula_width,
+    which test_formula_exponent_inside_its_width measures, so that decoding
+    is not recorded here."""
     real = {name: _packed_width(g.max_degree, order) for name, g in graphs.items()}
     wide = 8 * -(-max(_closed_form_width(g.max_degree, max(order, tally_order))
                       for g in graphs.values()) // 8)
     digit_shift = _digit_width(wide, order // 2)
     most = {}  # (graph, what) -> bits of the largest |coefficient| seen
-    majorant = []  # nonempty while operators._decoded runs
+    formula_widths = set()  # the widths that zeta._formula_width gave
+    formula_width = bzk.zeta._formula_width
 
     def seen(name, what, v):
         key = (name, what)
@@ -170,20 +172,17 @@ def _packed_width_margins(monkeypatch, graphs, order, tally_order, roots):
 
     def record(what, name, decode):
         def recorded(v, width):
-            if not majorant and width != digit_shift:
+            if width != digit_shift and width not in formula_widths:
                 assert width == wide
                 seen(name, what, v)
             return decode(v, width)
         return recorded
 
-    def sized_by_majorant(sized):
-        def run(*args):
-            majorant.append(sized)
-            try:
-                return sized(*args)
-            finally:
-                majorant.pop()
-        return run
+    def recording_width(max_degree, order):
+        width = formula_width(max_degree, order)
+        assert width != wide
+        formula_widths.add(width)
+        return width
 
     f_step = bzk.zeta._f_step
 
@@ -204,10 +203,7 @@ def _packed_width_margins(monkeypatch, graphs, order, tally_order, roots):
     try:
         for module in (bzk.operators, bzk.zeta, bzk.edgewalk):
             monkeypatch.setattr(module, "_packed_width", lambda d, m: wide)
-        monkeypatch.setattr(bzk.operators, "_decoded", sized_by_majorant(bzk.operators._decoded))
-        monkeypatch.setattr(bzk.zeta, "_restored", sized_by_majorant(bzk.zeta._restored))
-        monkeypatch.setattr(bzk.zeta, "_regular_exponent",
-                            sized_by_majorant(bzk.zeta._regular_exponent))
+        monkeypatch.setattr(bzk.zeta, "_formula_width", recording_width)
         monkeypatch.setattr(bzk.zeta, "_f_step", recording_step)
         for name, g in graphs.items():
             n = g.vertex_count
@@ -219,6 +215,7 @@ def _packed_width_margins(monkeypatch, graphs, order, tally_order, roots):
                 walk = _rooted_walk(g, x0, order)
                 assert len(walk.diag) == len(walk.delta) == len(walk.r) == order + 1
                 zeta_log_series(g, x0, x0, order)
+                zeta_log_series(g, x0, (x0 + 1) % n, order)
                 zeta_formula_series(g, x0, (x0 + 1) % n, order)
                 if g.regular_degree() is not None:
                     _step_f_powers(g, x0, order)
@@ -341,33 +338,37 @@ def _regular_graphs():
     return graphs
 
 
-def test_regular_exponent_inside_its_width(monkeypatch, capsys):
-    # zeta._regular_exponent decodes the formula route's exponent on a
-    # regular graph once, at zeta._regular_width.  At 4x that width the
-    # exponent is the same, and each coefficient, exact at 4x, is below
-    # 2^(width-1) of the width it really uses: on the diagonal and off it,
-    # at orders 1-16 and 64
-    graphs = _regular_graphs()
-    real = bzk.zeta._regular_width
+def test_formula_exponent_inside_its_width(monkeypatch, capsys):
+    # zeta._formula_exponent decodes the formula route's exponent once, at
+    # zeta._formula_width.  At 4x that width the exponent is the same, and
+    # each coefficient, exact at 4x, is below 2^(width-1) of the width it
+    # really uses: on the regular graphs, the corpus graphs that are not
+    # regular, star(6) and six seeded random graphs, on the diagonal and
+    # off it, at orders 1-16 and 64
+    graphs = _regular_graphs() + [(name, CORPUS[name]) for name in NON_TRANSITIVE]
+    graphs.append(("star(6)", generate("star", 6)))
+    rng = random.Random(3232)
+    graphs += [(f"random {k}", random_connected_graph(rng, rng.randint(2, 9))) for k in range(6)]
+    real = bzk.zeta._formula_width
     tightest = None
     for name, g in graphs:
         n = g.vertex_count
-        deg = g.regular_degree()
         for order in (*range(1, 17), 64):
-            scale = lcm(*range(1, order + 1))
-            width = real(deg, order)
-            for x in (0, 1 % n, n // 2):
-                got = bzk.zeta._regular_exponent(g, 0, x, order, scale)
-                monkeypatch.setattr(bzk.zeta, "_regular_width", lambda d, m: 4 * real(d, m))
-                wide = bzk.zeta._regular_exponent(g, 0, x, order, scale)
+            width = real(g.max_degree, order)
+            for x in sorted({0, 1 % n, n // 2}):
+                got, scale = bzk.zeta._formula_exponent(g, 0, x, order)
+                monkeypatch.setattr(bzk.zeta, "_formula_width", lambda d, m: 4 * real(d, m))
+                wide = bzk.zeta._formula_exponent(g, 0, x, order)
                 monkeypatch.undo()
-                assert [TPoly(p) for p in wide] == [TPoly(p) for p in got], (name, order, x)
-                bits = max((abs(c).bit_length() for p in wide for c in p), default=0)
+                assert [TPoly(p) for p in wide[0]] == [TPoly(p) for p in got], (name, order, x)
+                assert wide[1] == scale
+                bits = max((abs(c).bit_length() for p in wide[0] for c in p), default=0)
                 margin = width - 1 - bits
                 assert margin >= 0, (name, order, x)
                 tightest = min(tightest or (margin, name), (margin, name))
+    bzk.zeta._f_power_table.cache_clear()
     with capsys.disabled():
-        print("\ntightest regular formula-width margin, in bits: %d (%s)" % tightest)
+        print("\ntightest formula-width margin, in bits: %d (%s)" % tightest)
 
 
 def _exp_scale(s):
@@ -491,10 +492,10 @@ def test_identity_checks_at_four_times_their_width(monkeypatch, capsys):
     # Each per-root check sizes its width by running its displays on the l1
     # norms of its inputs.  At 4x that width every report is the same, and
     # every compared side's largest |coefficient|, exact at 4x, is below
-    # 2^(width-1) of the width the check really uses.  The off-diagonal cbc
-    # entries of zeta.cbc_entries, sized the same way by operators._decoded,
-    # are the same at 4x their width too, and so are the rooted entries and
-    # the root's walk, which run at the pass width and read no l1 majorant.
+    # 2^(width-1) of the width the check really uses.  The cbc entries of
+    # zeta.cbc_entries, on the diagonal and off it, and the root's walk run
+    # at the pass width and read no l1 majorant, so they are the same when
+    # every majorant width is 4x.
     checks = [(check_no_tail_identity, _no_tail_sides),
               (check_cyclic_bump_identity, _cyclic_bump_sides),
               (check_r_generating_identity, _r_generating_sides)]

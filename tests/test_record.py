@@ -1,10 +1,10 @@
 """The root's walk record, operators.RootedWalk, runs R_m and the rooted
 cyclic-bump entries packed at the pass width: they must equal the runs
 sized by their own l1 majorants (operators._decoded) and the TPoly
-references of tests/_oracles.py.  The diagonal log route must decode the
-record once, with no majorant run and no TPoly before the exp recurrence,
-and the formula route on a regular graph must step no f-power and run no
-majorant restore.
+references of tests/_oracles.py.  The log route, on the diagonal and off
+it, must decode its packed entries once, with no majorant run and no TPoly
+before the exp recurrence, and the formula route on a regular graph must
+step no f-power and run no majorant.
 """
 
 import random
@@ -16,7 +16,7 @@ import bzk.series
 import bzk.zeta
 from bzk.operators import _decoded, _r_recursion, _rooted_walk, cbc_terms
 from bzk.series import TPoly
-from bzk.zeta import _rooted_entries, cbc_entries, zeta_formula_series, zeta_log_series
+from bzk.zeta import _packed_entries, cbc_entries, zeta_formula_series, zeta_log_series
 from conftest import CORPUS, FRUCHT, random_connected_graph
 from test_regular import CASES as REGULAR_CASES
 
@@ -111,12 +111,10 @@ def _spied(monkeypatch, names):
     return calls
 
 
-@pytest.mark.parametrize("name", ["petersen", "tree_ball(3,3)", "star(4)", "frucht"])
-def test_diagonal_log_route_decodes_once(monkeypatch, name):
-    # from a cleared cache: no _decoded run, and no TPoly built before the
-    # exp recurrence, which receives the entries decoded from the packed
-    # record as raw int lists
-    g = FRUCHT if name == "frucht" else CORPUS[name]
+def _decodes_once(monkeypatch, g, x0, x):
+    """Whether the log route from x0 to x at orders 16 and 64, from cleared
+    caches, runs no _decoded and builds no TPoly before the exp recurrence,
+    and hands it raw int lists that are the entries of cbc_entries."""
     calls = _spied(monkeypatch, ["_decoded", "_unpack"])
     built = []
     init = TPoly.__init__
@@ -134,36 +132,58 @@ def test_diagonal_log_route_decodes_once(monkeypatch, name):
 
     monkeypatch.setattr(TPoly, "__init__", counting_init)
     monkeypatch.setattr(bzk.zeta, "_exp_from_scaled", recording_exp)
+    once = True
     for order in (16, 64):
         _rooted_walk.cache_clear()
         built.clear()
-        zeta_log_series(g, 0, 0, order)
+        zeta_log_series(g, x0, x, order)
         (tpolys, scaled), = reached
         reached.clear()
-        assert calls == [] and tpolys == 0
-        assert all(type(p) is list for p in scaled[1:])
+        once = once and calls == [] and tpolys == 0
+        once = once and all(type(p) is list for p in scaled[1:])
     monkeypatch.undo()
     _rooted_walk.cache_clear()
-    assert [TPoly(p) for p in scaled] == [TPoly(())] + cbc_entries(g, 0, 0, 64)[1:]
-    assert _rooted_entries(g, 0, 64)[0] == bzk.series._packed_width(g.max_degree, 64)
+    return once and [TPoly(p) for p in scaled] == [TPoly(())] + cbc_entries(g, x0, x, 64)[1:]
+
+
+@pytest.mark.parametrize("name", ["petersen", "tree_ball(3,3)", "star(4)", "frucht"])
+def test_diagonal_log_route_decodes_once(monkeypatch, name):
+    # from a cleared cache: no _decoded run, and no TPoly built before the
+    # exp recurrence, which receives the entries decoded from the packed
+    # record as raw int lists
+    g = FRUCHT if name == "frucht" else CORPUS[name]
+    assert _decodes_once(monkeypatch, g, 0, 0)
+    assert _packed_entries(g, 0, 0, 64)[0] == bzk.series._packed_width(g.max_degree, 64)
+
+
+@pytest.mark.parametrize("name,x0,x", [("petersen", 0, 3), ("frucht", 0, 5),
+                                       ("tree_ball(3,3)", 5, 17), ("star(4)", 1, 2)])
+def test_off_diagonal_log_route_decodes_once(monkeypatch, name, x0, x):
+    # off the diagonal too, on a regular graph and on one that is not: the
+    # entries run packed at the pass width from the walk rows or the
+    # adjacency counts, and are decoded once, straight into the exp's lists
+    g = FRUCHT if name == "frucht" else CORPUS[name]
+    assert _decodes_once(monkeypatch, g, x0, x)
+    assert _packed_entries(g, x0, x, 64)[0] == bzk.series._packed_width(g.max_degree, 64)
 
 
 @pytest.mark.parametrize("name", ["petersen", "Q3", "frucht"])
 def test_regular_formula_route_steps_no_f_power(monkeypatch, name):
     # on a regular graph, on the diagonal and off it, no f-power row is
-    # stepped and no exponent goes through the majorant restore
+    # stepped and no majorant runs: the exponent is summed at _formula_width
     g = FRUCHT if name == "frucht" else CORPUS[name]
-    calls = _spied(monkeypatch, ["_f_step", "_restored", "_decoded"])
+    table = bzk.zeta._f_power_table
+    calls = _spied(monkeypatch, ["_f_step", "_f_power_table", "_decoded"])
     for order in (16, 64):
         _rooted_walk.cache_clear()
-        bzk.zeta._f_power_table.cache_clear()
+        table.cache_clear()
         for x in (0, 1, g.vertex_count - 1):
             zeta_formula_series(g, 0, x, order)
     assert calls == []
     # a graph that is not regular still steps them
-    bzk.zeta._f_power_table.cache_clear()
+    table.cache_clear()
     zeta_formula_series(CORPUS["star(4)"], 0, 0, 8)
-    assert "_f_step" in calls and "_restored" in calls
+    assert "_f_step" in calls and "_f_power_table" in calls and "_decoded" not in calls
     monkeypatch.undo()
     _rooted_walk.cache_clear()
-    bzk.zeta._f_power_table.cache_clear()
+    table.cache_clear()

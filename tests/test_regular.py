@@ -1,8 +1,8 @@
 """The regular-graph branch of the walk records, the off-diagonal entries and
 the formula route's exponent, which take the t-algebra once, on integer
 adjacency counts, must equal the general recursions (operators._walk_rows,
-and zeta._f_step with zeta._restored) exactly; three mutants of the branch
-must each fail.
+and the f-powers that zeta._f_step steps) exactly; three mutants of the
+branch must each fail.
 """
 
 import copy

@@ -14,10 +14,10 @@ from bzk.heat import check_transform_consistency
 from bzk.operators import (check_cyclic_bump_identity, check_no_tail_identity,
                            check_r_generating_identity, cm_sequence)
 from bzk.paths import primitive_rooted_closed_paths
-from bzk.series import ONE_MINUS_T, TPOLY_ONE, TPOLY_ZERO, TPoly, USeries
+from bzk.series import ONE_MINUS_T, TPOLY_ONE, TPOLY_ZERO, TPoly, USeries, _digits, _pack
 from bzk.graphs import generate
 from bzk.zeta import (DomainError, EigensolverFailure, NotRegular,
-                      _commutator_exponent, _f_power_table, _formula_exponent, _restored,
+                      _f_power_table, _formula_exponent, _formula_sum, _formula_width,
                       cbc_entries,
                       charpoly_exact, euler_product_series, isolate_real_roots,
                       local_spectrum, zeta_formula_series,
@@ -239,11 +239,15 @@ def test_commutator_recursion_matches_double_sum(name, pairs):
     powers = dense_f_powers(g, 16)
     live = 0
     for order in range(3, 17):
-        # the recursion returns scale m a_m; a_m is compared
+        # the integrand alone, summed by the route's _formula_sum with no
+        # other factor, gives scale m a_m; a_m is compared
         scale = math.lcm(*range(1, order + 1))
+        width = _formula_width(g.max_degree, order)
         for x0, x in pairs:
             _, integrand = _f_power_table(g, x0, x, order)
-            scaled = _restored(order, _commutator_exponent(integrand, scale))
+            packed = [[_pack(q, width) for q in entry] for entry in integrand]
+            scaled = [_digits(v, width)
+                      for v in _formula_sum(order, scale, width, (), packed, 0, None, 0)]
             got = series_from_scaled(order, scaled, scale)
             assert list(got.c) == commutator_exponent_loop(g, x0, x, order, powers), (order, x0, x)
             live += not got.is_zero()
@@ -256,10 +260,19 @@ FORMULA_MUTANTS = {
     # U one W-digit short, so digit p = order // 2 spills into the next
     "digit width narrowed": ("_digit_width",
                              lambda real: lambda width, degree: real(width, degree) - width),
-    # (1-t)^(q+1) restored where (1-t)^q belongs
-    "restore off by one power": ("_restored",
-                                 lambda real: lambda order, terms: real(
-                                     order, ((m, q + 1, share, c) for m, q, share, c in terms))),
+    # (1-t)^(q+1) restored where (1-t)^q belongs: the Horner step
+    # acc = (acc + v) (1-t) in place of acc (1-t) + v, which is the real sum
+    # times 1 - t
+    "restore off by one power": ("_formula_sum",
+                                 lambda real: lambda order, scale, width, *inputs: [
+                                     v * (2 if width is None else _pack((1, -1), width))
+                                     for v in real(order, scale, width, *inputs)]),
+    # the defect term from m = 5 on.  R_3 = [DC_1](x0) is zero on every
+    # graph, as C_1 = A has an empty diagonal, so a start at m = 4 is the
+    # same sum; m = 5 drops R_4, the first defect value that can be nonzero
+    "defect from m = 5": ("_r_recursion",
+                          lambda real: lambda delta, order, width: [
+                              0 if m < 5 else v for m, v in enumerate(real(delta, order, width))]),
     # the step weight d - 2 + t in place of d - 1 + t
     "weight d - 2 + t": ("_f_weight", lambda real: lambda d: (d - 2, 1)),
 }
@@ -283,66 +296,18 @@ def _formula_equals_log(order, names=("petersen", "tree_ball(3,3)")):
 
 @pytest.mark.parametrize("mutant", list(FORMULA_MUTANTS))
 def test_formula_route_mutants_fail(monkeypatch, mutant):
-    # the log route shares no step, width or restore code with the formula
-    # route, and reads the f weight through operators, not zeta, so a broken
-    # formula route shows as a disagreement at order 16.  The weight is read
-    # on regular graphs too, by the binomial expansion of the f-powers, so
-    # its mutant fails on Petersen alone.
+    # the log route shares no step, width, restore or defect code with the
+    # formula route, and reads the f weight and the defect recursion through
+    # operators, not zeta, so a broken formula route shows as a disagreement
+    # at order 16.  The weight is read on regular graphs too, by the
+    # binomial expansion of the f-powers, and both branches share one
+    # restore, so those mutants fail on Petersen alone.
     assert _formula_equals_log(16)
     name, make = FORMULA_MUTANTS[mutant]
     monkeypatch.setattr(bzk.zeta, name, make(getattr(bzk.zeta, name)))
     assert not _formula_equals_log(16)
-    if name == "_f_weight":
+    if name in ("_f_weight", "_formula_sum"):
         assert not _formula_equals_log(16, ("petersen",))
-
-
-def _restore_cases():
-    """(order, terms) for _restored: seeded random terms (m, q, share, Q),
-    q <= m, with shares and coefficients of both signs and up to 40 bits,
-    and lone terms whose l1 majorant is their one coefficient, at and
-    around powers of two, where the width has no bit to spare."""
-    rng = random.Random(3131)
-    cases = []
-    for _ in range(300):
-        order = rng.randint(0, 16)
-        terms = []
-        for _ in range(rng.randint(0, 12)):
-            m = rng.randint(0, order)
-            bits = rng.randint(0, 40)
-            coeffs = tuple(rng.randint(-(1 << bits), 1 << bits) for _ in range(rng.randint(0, 9)))
-            terms.append((m, rng.randint(0, m), rng.choice([1, -1, rng.randint(-10**6, 10**6)]),
-                          coeffs))
-        cases.append((order, terms))
-    for c in (1, 2, 3, (1 << 40) - 1, 1 << 40, (1 << 41) - 1):
-        for share in (1, -1):
-            cases.append((2, [(2, 0, share, (c,))]))
-    return cases
-
-
-def _restored_is_the_plain_sum(cases):
-    """Whether bzk.zeta._restored gives, for every case, the sums
-    s_m = sum share (1-t)^q Q of its terms, taken by TPoly arithmetic."""
-    for order, terms in cases:
-        plain = [TPOLY_ZERO] * (order + 1)
-        for m, q, share, coeffs in terms:
-            plain[m] = plain[m] + TPoly(coeffs) * share * ONE_MINUS_T ** q
-        if [TPoly(s) for s in bzk.zeta._restored(order, iter(terms))] != plain:
-            return False
-    return True
-
-
-def test_restored_equals_the_plain_sum():
-    assert _restored_is_the_plain_sum(_restore_cases())
-
-
-def test_restore_width_one_bit_short_fails(monkeypatch):
-    # the packed restore decodes at the width of its l1 majorant; a bit
-    # narrower misreads a lone coefficient that fills its majorant
-    cases = _restore_cases()
-    assert _restored_is_the_plain_sum(cases)
-    norm_width = bzk.zeta._norm_width
-    monkeypatch.setattr(bzk.zeta, "_norm_width", lambda bound: norm_width(bound) - 1)
-    assert not _restored_is_the_plain_sum(cases)
 
 
 @pytest.mark.parametrize("name", VERTEX_TRANSITIVE)
