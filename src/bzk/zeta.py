@@ -215,9 +215,9 @@ def _formula_sum(order, scale, width, powers, integrand, share, defect, common):
     None the inputs are bounds of their l1 norms and the outputs bound the
     outputs' norms: every sign is folded into a weight (operators._weight).
 
-    Each of the five logs adds a share times (1-t)^q to scale m a_m; the
-    shares are summed packed per (m, q), and the powers of 1 - t restored
-    once per m by Horner's rule, from the highest q down:
+    Each of the five logs adds a share times (1-t)^q to scale m a_m, with
+    q <= m/2; the shares are summed packed per (m, q), and the powers of
+    1 - t restored once per m by Horner's rule, from the highest q down:
     - the matrix log, -[log(I - f)](x0, x) = sum_k f^k(x0, x) / k: digit p
       of f^k adds scale (k+p)/k times itself at (k + p, p);
     - the commutator integral
@@ -231,22 +231,24 @@ def _formula_sum(order, scale, width, powers, integrand, share, defect, common):
       m = s+3 of m a_m cancels: the digit adds scale/(T+1) times itself at
       (T + p + 2, p + 1);
     - the prefactor, log (1-(1-t)^2 u^2)^(-(deg-2)/2) =
-      (deg-2)/2 sum_k (1-t)^(2k) u^(2k) / k: scale share at (2k, 2k);
+      (deg-2)/2 sum_k (1-t)^(2k) u^(2k) / k: scale share (1-t)^(2k) at
+      (2k, 0);
     - the length-2 correction [t D - C_2](x0, x) (1-t) u^2 / 2, in which
       C_2(x, x) = t deg(x), so only the off-diagonal -A^2(x0, x) survives:
       -scale common at (2, 1);
     - the defect series sum_{m>=3} (1-t) R_m(x0) / m u^m, R_m by
       operators._r_recursion on the defect values: scale R_m at (m, 1)."""
-    by_power = [[0] * (m + 1) for m in range(order + 1)]
+    by_power = [[0] * (m // 2 + 1) for m in range(order + 1)]
     for k, entry in enumerate(powers[1:], start=1):
         for p, q in enumerate(entry):
             by_power[k + p][p] += scale * (k + p) // k * q
     for T, entry in enumerate(integrand, start=1):
         for p, q in enumerate(entry):
             by_power[T + p + 2][p + 1] += scale // (T + 1) * q
-    prefactor = _weight((scale * share,), width)
+    prefactor, square = _weight((scale * share,), width), _weight((1, -2, 1), width)
     for m in range(2, order + 1, 2):
-        by_power[m][m] += prefactor
+        prefactor *= square
+        by_power[m][0] += prefactor
     if order >= 2:
         by_power[2][1] += _weight((-scale * common,), width)
     if defect is not None:

@@ -142,10 +142,11 @@ def _packed_width_margins(monkeypatch, graphs, order, tally_order, roots):
     uses.  Every recursion runs at the old closed-form width or wider, which
     bounds every coefficient, so every value is exact.
 
-    Decoded: the rooted diagonals, defects and defect series R_m, the rooted
-    cyclic-bump entries that the log route decodes, all at the rooted
-    walk's width, and the digits of the formula route's target entries and
-    commutator integrands, from each root to the next vertex.  Held: every entry of every row that the formula route
+    Decoded: the rooted diagonals, defects and defect series R_m, the
+    cyclic-bump entries that the log route decodes on the diagonal and to
+    the next vertex, all at the pass width, and the digits of the formula
+    route's target entries and commutator integrands, from each root to the
+    next vertex.  Held: every entry of every row that the formula route
     steps (_f_step wrapped), and every walk-row entry of a pass over the
     root alone, with its t-degree held to m, which the root digit width
     R = (order + 1) W needs.  On a regular graph the routes take the f-power
@@ -153,9 +154,7 @@ def _packed_width_margins(monkeypatch, graphs, order, tally_order, roots):
     f-power pass is stepped here, as the route steps it on other graphs, and
     every count of a pass over the root alone is held against its own width,
     operators._count_width.  Edge tallies run at tally_order.  roots(g)
-    names the roots.  The log route runs on the diagonal and to the next
-    vertex, whose entries both decode at the pass width.  The formula
-    route's exponent is decoded at its own width, zeta._formula_width,
+    names the roots.  The formula route's exponent is decoded at its own width, zeta._formula_width,
     which test_formula_exponent_inside_its_width measures, so that decoding
     is not recorded here."""
     real = {name: _packed_width(g.max_degree, order) for name, g in graphs.items()}
